@@ -6,18 +6,30 @@ deliberately independent of the closed forms elsewhere in the package, so the
 two routes can validate each other.  Matrix exponentials use scaling-and-
 squaring (scipy.linalg.expm) on the truncated generator; matrix square roots
 go through Hermitian eigendecomposition only.
+
+The work is done block by block over the quantum numbers the truncated
+generators conserve exactly: photon-number parity for the one-mode squeeze
+(a^dag^2 - a^2 only links n to n +- 2) and the difference n1 - n2 for the
+two-mode squeeze (a1^dag a2^dag - a1 a2 moves both numbers together).  A
+matrix that is block diagonal in such a partition keeps its structural zeros
+exactly under expm, matrix products and LU solves: every update between
+different blocks multiplies by an exact zero.  So the block results equal the
+whole-matrix ones up to roundoff, and ``uhlmann_fidelity_numeric`` may sum
+its trace over the connected blocks of the joint nonzero pattern of its two
+arguments.  A displaced state has no such structure and is one block.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import struct
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh, eigvalsh, expm
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, DomainError, TruncationWarning, UnphysicalState
 from .states import DstsParams, TwoModeStsParams
@@ -129,13 +141,50 @@ def displacement_matrix(alpha: complex, dim: int) -> np.ndarray:
     return expm(alpha * a.conj().T - np.conj(alpha) * a)
 
 
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index sets, each sorted, of the connected components of a symmetric
+    boolean pattern; a fully set pattern is one block, found without a
+    graph search."""
+    if pattern.all():
+        return [np.arange(pattern.shape[0])]
+    _, labels = connected_components(csr_matrix(pattern), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+
+
 def squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
-    """exp(r (e^{i phi} a^dag^2 - e^{-i phi} a^2)/2) on the truncated space."""
+    """exp(r (e^{i phi} a^dag^2 - e^{-i phi} a^2)/2) on the truncated space.
+
+    The generator only links photon numbers of equal parity, so the even and
+    odd blocks are exponentiated separately.
+    """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
-    a = annihilation(dim)
-    ad = a.conj().T
-    return expm(0.5 * r * (np.exp(1j * phi) * ad @ ad - np.exp(-1j * phi) * a @ a))
+    k = np.arange(dim - 2)
+    amps = 0.5 * r * np.sqrt((k + 1.0) * (k + 2.0))  # <k+2| a^dag^2 |k>
+    gen = np.zeros((dim, dim), dtype=complex)
+    gen[k + 2, k] = np.exp(1j * phi) * amps
+    gen[k, k + 2] = -np.exp(-1j * phi) * amps
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx in _blocks(np.eye(dim, k=2, dtype=bool) | np.eye(dim, k=-2, dtype=bool)):
+        block = np.ix_(idx, idx)
+        out[block] = expm(gen[block])
+    return out
+
+
+def _ladders(r: float, phi: float, dim: int):
+    """Yield (indices, exponential) for each photon-number-difference ladder
+    of the two-mode squeeze on dim x dim modes; index k*dim + l is |k, l>."""
+    zeta = r * np.exp(1j * phi)
+    for diff in range(-(dim - 1), dim):
+        ks = np.arange(diff, dim) if diff >= 0 else np.arange(0, dim + diff)
+        ls = ks - diff
+        n = len(ks)
+        gen = np.zeros((n, n), dtype=complex)
+        amps = np.sqrt((ks[:-1] + 1.0) * (ls[:-1] + 1.0))
+        gen[np.arange(1, n), np.arange(n - 1)] = zeta * amps
+        gen[np.arange(n - 1), np.arange(1, n)] = -np.conj(zeta) * amps
+        yield ks * dim + ls, expm(gen)
 
 
 def two_mode_squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
@@ -147,18 +196,9 @@ def two_mode_squeeze_matrix(r: float, phi: float, dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise DomainError(f"dim must be >= 1, got {dim}")
-    zeta = r * np.exp(1j * phi)
     out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for diff in range(-(dim - 1), dim):
-        ks = np.arange(diff, dim) if diff >= 0 else np.arange(0, dim + diff)
-        ls = ks - diff
-        idx = ks * dim + ls
-        n = len(ks)
-        gen = np.zeros((n, n), dtype=complex)
-        amps = np.sqrt((ks[:-1] + 1.0) * (ls[:-1] + 1.0))
-        gen[np.arange(1, n), np.arange(n - 1)] = zeta * amps
-        gen[np.arange(n - 1), np.arange(1, n)] = -np.conj(zeta) * amps
-        out[np.ix_(idx, idx)] = expm(gen)
+    for idx, block in _ladders(r, phi, dim):
+        out[np.ix_(idx, idx)] = block
     return out
 
 
@@ -206,9 +246,13 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     if dim is None:
         dim = _auto_dim_two_mode(p)
     dim = _apply_env_cap(dim)
-    s = two_mode_squeeze_matrix(p.r, p.phi, dim)
-    rho_t = np.kron(thermal_dm(p.nbar1, dim).matrix, thermal_dm(p.nbar2, dim).matrix)
-    rho = s @ rho_t @ s.conj().T
+    # the thermal product is diagonal and the squeeze keeps n1 - n2, so rho
+    # is S_d diag(thermal_d) S_d^dag on each difference ladder d, zero between
+    thermal = np.kron(np.diag(thermal_dm(p.nbar1, dim).matrix).real,
+                      np.diag(thermal_dm(p.nbar2, dim).matrix).real)
+    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for idx, s in _ladders(p.r, p.phi, dim):
+        rho[np.ix_(idx, idx)] = (s * thermal[idx]) @ s.conj().T
     return _finish_dm(rho, dim, 2)
 
 
@@ -223,19 +267,26 @@ def _check_same_shape(r1: FockDensityMatrix, r2: FockDensityMatrix) -> None:
 def uhlmann_fidelity_numeric(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
     """(Tr sqrt(sqrt(rho1) rho2 sqrt(rho1)))^2 via Hermitian eigendecompositions.
 
-    Negative eigenvalues from roundoff (bounded by the type invariant at
+    Both matrices are block diagonal over the connected blocks of their joint
+    nonzero pattern, so the trace is summed block by block and squared at the
+    end.  Negative eigenvalues from roundoff (bounded by the type invariant at
     -1e-10) are clipped to zero before the square roots.  The fidelity is
-    symmetric, so the arguments are put into a canonical order first; the
-    result is then exactly invariant under swapping them.
+    symmetric, so within each block the arguments are put into a canonical
+    order first; the result is then exactly invariant under swapping them.
     """
     _check_same_shape(r1, r2)
-    if r1.matrix.tobytes() > r2.matrix.tobytes():
-        r1, r2 = r2, r1
-    w, u = eigh(r1.matrix)
-    sqrt1 = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
-    inner = sqrt1 @ r2.matrix @ sqrt1
-    ev = eigvalsh(0.5 * (inner + inner.conj().T))
-    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+    trace = 0.0
+    for idx in _blocks((r1.matrix != 0) | (r2.matrix != 0)):
+        block = np.ix_(idx, idx)
+        m1, m2 = r1.matrix[block], r2.matrix[block]
+        if m1.tobytes() > m2.tobytes():
+            m1, m2 = m2, m1
+        w, u = eigh(m1)
+        sqrt1 = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+        inner = sqrt1 @ m2 @ sqrt1
+        ev = eigvalsh(0.5 * (inner + inner.conj().T))
+        trace += np.sum(np.sqrt(np.clip(ev, 0.0, None)))
+    return float(trace ** 2)
 
 
 def trace_product(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
@@ -282,27 +333,3 @@ def cf2_numeric(r: FockDensityMatrix, lam1: complex, lam2: complex) -> complex:
         raise DimensionMismatch("cf2_numeric expects a two-mode density matrix")
     d12 = np.kron(displacement_matrix(lam1, r.dim), displacement_matrix(lam2, r.dim))
     return complex(np.trace(r.matrix @ d12))
-
-
-# ---------------------------------------------------------------------------
-# debugging dump (row-major little-endian doubles; not a stable format)
-
-_HEADER = struct.Struct("<II")
-
-
-def dump_dm(r: FockDensityMatrix, path) -> None:
-    """Write dim, mode count, then the matrix as little-endian complex doubles."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(r.dim, r.modes))
-        fh.write(np.ascontiguousarray(r.matrix, dtype="<c16").tobytes())
-
-
-def load_dm(path) -> FockDensityMatrix:
-    """Read a matrix written by :func:`dump_dm`; the tail mass is recomputed
-    from the trace deficit."""
-    with open(path, "rb") as fh:
-        dim, modes = _HEADER.unpack(fh.read(_HEADER.size))
-        n = dim ** modes
-        mat = np.frombuffer(fh.read(), dtype="<c16").reshape(n, n).astype(complex)
-    tail = max(0.0, 1.0 - float(mat.trace().real))
-    return FockDensityMatrix(dim=dim, modes=modes, matrix=mat, tail_mass=tail)

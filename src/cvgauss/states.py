@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -364,10 +365,23 @@ def eval_cf2(t: TwoModeGaussianCF, lam1: complex, lam2: complex) -> complex:
 # JSON state descriptors
 
 
+#: largest squeeze factor r for which cosh 2r is a finite double
+_R_MAX = 0.5 * math.acosh(sys.float_info.max)
+
+
 def _require(obj: dict, key: str, kind: str):
     if key not in obj:
         raise DomainError(f"state descriptor of kind '{kind}' is missing field '{key}'")
     return obj[key]
+
+
+def _real(value, name: str, bound: float = sys.float_info.max) -> float:
+    """A descriptor's numeric field as a float: a real number, not a bool,
+    with |value| <= bound (so never inf or nan)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= bound:
+        raise DomainError(
+            f"field '{name}' must be a real number with |{name}| <= {bound:.6g}, got {value!r}")
+    return float(value)
 
 
 def parse_state(source) -> DstsParams | TwoModeStsParams:
@@ -378,7 +392,9 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         {"kind": "dsts", "nbar": ..., "r": ..., "phi": ..., "alpha": [re, im]}
         {"kind": "sts2", "nbar1": ..., "nbar2": ..., "r": ..., "phi": ...}
 
-    Missing fields are rejected.
+    Missing fields, and numeric fields that are not finite real numbers, are
+    rejected; so is r > 355.2, where cosh 2r overflows.  These are checks on
+    outside input, made here once and not in the parameter constructors.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -395,17 +411,17 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
             raise DomainError("field 'alpha' must be a [re, im] pair")
         return DstsParams(
-            nbar=float(_require(obj, "nbar", kind)),
-            r=float(_require(obj, "r", kind)),
-            phi=float(_require(obj, "phi", kind)),
-            alpha=complex(float(alpha[0]), float(alpha[1])),
+            nbar=_real(_require(obj, "nbar", kind), "nbar"),
+            r=_real(_require(obj, "r", kind), "r", _R_MAX),
+            phi=_real(_require(obj, "phi", kind), "phi"),
+            alpha=complex(_real(alpha[0], "alpha"), _real(alpha[1], "alpha")),
         )
     if kind == "sts2":
         return TwoModeStsParams(
-            nbar1=float(_require(obj, "nbar1", kind)),
-            nbar2=float(_require(obj, "nbar2", kind)),
-            r=float(_require(obj, "r", kind)),
-            phi=float(_require(obj, "phi", kind)),
+            nbar1=_real(_require(obj, "nbar1", kind), "nbar1"),
+            nbar2=_real(_require(obj, "nbar2", kind), "nbar2"),
+            r=_real(_require(obj, "r", kind), "r", _R_MAX),
+            phi=_real(_require(obj, "phi", kind), "phi"),
         )
     raise DomainError(f"unknown state kind '{kind}'")
 

@@ -252,7 +252,7 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
         two_dim = min(oracle_dim, 64) if oracle_dim else 40
         results += [
             CheckResult("two-mode fidelity vs Fock oracle",
-                        _check_two_mode_oracle(rng, two_dim, pairs=3), tol or 1e-4),
+                        _check_two_mode_oracle(rng, two_dim, pairs=3), tol or 1e-6),
             CheckResult("pure-state fidelity equals trace product",
                         _check_pure_trace_product(rng, one_dim, pairs=6), tol or 1e-8),
             CheckResult("squeezed-vacuum entropy vs Fock entropy",

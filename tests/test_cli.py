@@ -180,6 +180,20 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert main(["info", "--state", str(path)]) == 2
 
 
+@pytest.mark.parametrize("descriptor", [
+    '{"kind": "dsts", "nbar": "abc", "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "dsts", "nbar": 0.1, "r": 0.0, "phi": 0.0, "alpha": [null, 0]}',
+    '{"kind": "dsts", "nbar": 0.1, "r": 1000, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "sts2", "nbar1": Infinity, "nbar2": 0.1, "r": 0.5, "phi": 0.0}',
+], ids=["string", "null", "overflowing-r", "infinite"])
+def test_malformed_number_is_input_error(tmp_path, capsys, descriptor):
+    path = tmp_path / "malformed.json"
+    path.write_text(descriptor)
+    assert main(["info", "--state", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field") and "Traceback" not in err
+
+
 def test_validate_fast_suite_passes(capsys):
     start = time.monotonic()
     assert main(["validate", "--suite", "fast"]) == 0

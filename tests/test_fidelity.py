@@ -146,13 +146,12 @@ def test_two_mode_intermediates_nonnegative():
         assert inter.det_sum > 0.0
 
 
-@pytest.mark.slow
 def test_two_mode_matches_fock_oracle_example():
     p1 = TwoModeStsParams(0.2, 0.2, 0.6, 0.0)
     p2 = TwoModeStsParams(0.2, 0.2, 0.9, 0.0)
     closed = fidelity_two_mode_sts(p1, p2)
     numeric = uhlmann_fidelity_numeric(sts2_dm(p1, 40), sts2_dm(p2, 40))
-    assert abs(closed - numeric) < 1e-4
+    assert abs(closed - numeric) < 1e-6
 
 
 # --- Bures distance -----------------------------------------------------------

@@ -26,8 +26,6 @@ from cvgauss.fock import (
     cf2_numeric,
     cf_numeric,
     displacement_matrix,
-    dump_dm,
-    load_dm,
     mean_photon_number,
     reduced_dm,
     squeeze_matrix,
@@ -105,6 +103,17 @@ def test_two_mode_squeeze_blockwise_equals_generator_exponential():
     assert np.allclose(two_mode_squeeze_matrix(r, phi, dim), expm(gen), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [12, 41, 80])
+def test_squeeze_blockwise_equals_generator_exponential(dim):
+    from scipy.linalg import expm
+
+    r, phi = 0.9, -0.7
+    a = annihilation(dim)
+    ad = a.conj().T
+    gen = 0.5 * r * (np.exp(1j * phi) * ad @ ad - np.exp(-1j * phi) * a @ a)
+    assert np.abs(squeeze_matrix(r, phi, dim) - expm(gen)).max() < 1e-12
+
+
 # --- one-mode density matrices -----------------------------------------------------
 
 def test_dsts_vacuum_projector():
@@ -156,6 +165,16 @@ def test_sts2_no_squeezing_is_thermal_product():
     r = sts2_dm(TwoModeStsParams(0.5, 0.2, 0.0), 16)
     expected = np.kron(thermal_dm(0.5, 16).matrix, thermal_dm(0.2, 16).matrix)
     assert np.allclose(r.matrix, expected, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("dim", [6, 9, 12])
+def test_sts2_sectorwise_equals_dense_conjugation(dim):
+    p = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
+    s = two_mode_squeeze_matrix(p.r, p.phi, dim)
+    thermal = np.kron(thermal_dm(p.nbar1, dim).matrix, thermal_dm(p.nbar2, dim).matrix)
+    dense = s @ thermal @ s.conj().T
+    assert np.abs(sts2_dm(p, dim).matrix - dense).max() < 1e-14
 
 
 def test_sts2_pure_state_purity():
@@ -225,6 +244,34 @@ def test_numeric_fidelity_symmetric_and_bounded():
         assert 0.0 <= f12 <= 1.0 + 1e-10
 
 
+def _dense_uhlmann(r1, r2):
+    """Whole-matrix reference for uhlmann_fidelity_numeric."""
+    w, u = np.linalg.eigh(r1.matrix)
+    sqrt1 = (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    inner = sqrt1 @ r2.matrix @ sqrt1
+    ev = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    return float(np.sum(np.sqrt(np.clip(ev, 0.0, None))) ** 2)
+
+
+# hot states at small dims keep every eigenvalue far above roundoff, where the
+# square roots of the two routes agree to the last digits; the cases cover
+# n1 - n2 blocks, a diagonal pattern, parity blocks and one dense block
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("pair", [
+    lambda: (sts2_dm(TwoModeStsParams(1.5, 2.0, 0.4, 0.3), 8),
+             sts2_dm(TwoModeStsParams(2.5, 1.0, 0.2, -1.0), 8)),
+    lambda: (thermal_dm(2.0, 20), thermal_dm(3.0, 20)),
+    lambda: (dsts_dm(DstsParams(2.0, 0.3, 0.5), 16), dsts_dm(DstsParams(3.0, 0.2, -1.0), 16)),
+    lambda: (dsts_dm(DstsParams(2.0, 0.3, 0.5, 0.2 + 0.1j), 16),
+             dsts_dm(DstsParams(3.0, 0.2, -1.0, -0.1j), 16)),
+], ids=["sts", "thermal", "squeezed", "displaced"])
+def test_numeric_fidelity_blockwise_equals_dense(pair):
+    r1, r2 = pair()
+    f12 = uhlmann_fidelity_numeric(r1, r2)
+    assert abs(f12 - _dense_uhlmann(r1, r2)) < 1e-12
+    assert f12 == uhlmann_fidelity_numeric(r2, r1)
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         uhlmann_fidelity_numeric(thermal_dm(0.5, 10), thermal_dm(0.5, 12))
@@ -278,13 +325,3 @@ def test_density_matrix_validation():
         FockDensityMatrix(dim=4, modes=1, matrix=mat, tail_mass=0.0)
     with pytest.raises(Exception):
         FockDensityMatrix(dim=4, modes=1, matrix=np.eye(4, dtype=complex) / 8.0, tail_mass=0.0)
-
-
-def test_dump_load_roundtrip(tmp_path):
-    r = dsts_dm(DstsParams(0.4, 0.3, 1.0, 0.2 - 0.1j), 30)
-    path = tmp_path / "state.dm"
-    dump_dm(r, path)
-    back = load_dm(path)
-    assert back.dim == 30 and back.modes == 1
-    assert np.array_equal(back.matrix, r.matrix)
-    assert back.tail_mass == pytest.approx(r.tail_mass, abs=1e-15)
