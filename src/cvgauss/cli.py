@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,22 +173,29 @@ def _cmd_teleport(args) -> int:
     return 0
 
 
-def _parse_float_list(text: str) -> list[float]:
+def _finite(text: str) -> float:
+    """argparse type of the float options: a finite number."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise DomainError(f"invalid number list {text!r}") from exc
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+
+
+def _finite_list(text: str) -> list[float]:
+    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
     if args.figure == "fig1":
-        nbars = _parse_float_list(args.nbar_in) if args.nbar_in else list(teleport.FIG1_NBARS)
+        nbars = args.nbar_in or list(teleport.FIG1_NBARS)
         grid = np.linspace(0.01, 0.99, cfg.points)
         sweep = teleport.sweep_fig1(args.r_in, nbars, grid)
         paths = teleport.write_fig1_csv(sweep, cfg.outdir)
     else:
-        e0s = _parse_float_list(args.e0) if args.e0 else list(teleport.FIG2_E0S)
+        e0s = args.e0 or list(teleport.FIG2_E0S)
         grid = np.linspace(0.0, 0.99, cfg.points)
         sweep = teleport.sweep_fig2(e0s, grid)
         paths = teleport.write_fig2_csv(sweep, cfg.outdir)
@@ -250,19 +258,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_tel = sub.add_parser("teleport", help="teleport a one-mode state through a "
                                             "symmetric squeezed thermal resource")
     p_tel.add_argument("--state", required=True, help="dsts input state JSON file")
-    p_tel.add_argument("--nbar", type=float, required=True, help="resource occupancy")
-    p_tel.add_argument("--r", type=float, required=True, help="resource squeeze factor")
+    p_tel.add_argument("--nbar", type=_finite, required=True, help="resource occupancy")
+    p_tel.add_argument("--r", type=_finite, required=True, help="resource squeeze factor")
     p_tel.set_defaults(func=_cmd_teleport)
 
     p_sweep = sub.add_parser("sweep", help="write figure CSV files")
     p_sweep.add_argument("figure", choices=("fig1", "fig2"))
     p_sweep.add_argument("--out", default=None, help="output directory")
     p_sweep.add_argument("--points", type=int, default=None, help="grid size (>= 2)")
-    p_sweep.add_argument("--r-in", dest="r_in", type=float, default=teleport.FIG1_R_IN,
+    p_sweep.add_argument("--r-in", dest="r_in", type=_finite, default=teleport.FIG1_R_IN,
                          help="input squeeze factor (fig1)")
-    p_sweep.add_argument("--nbar-in", dest="nbar_in", default=None,
+    p_sweep.add_argument("--nbar-in", dest="nbar_in", type=_finite_list, default=None,
                          help="comma-separated input occupancies (fig1)")
-    p_sweep.add_argument("--e0", default=None,
+    p_sweep.add_argument("--e0", type=_finite_list, default=None,
                          help="comma-separated resource entanglements (fig2)")
     p_sweep.add_argument("--config", default=None, help="optional JSON config file")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -270,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="run the oracle-vs-closed-form check suite")
     p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
     p_val.add_argument("--dim", type=int, default=None, help="oracle truncation override")
-    p_val.add_argument("--tol", type=float, default=None, help="oracle tolerance override")
+    p_val.add_argument("--tol", type=_finite, default=None, help="oracle tolerance override")
     p_val.add_argument("--config", default=None, help="optional JSON config file")
     p_val.set_defaults(func=_cmd_validate)
 

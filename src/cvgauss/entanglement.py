@@ -17,9 +17,9 @@ import math
 from scipy.special import expit
 
 from ._optim import multistart_nelder_mead
-from .errors import DomainError, UnphysicalState
+from .errors import DomainError
 from .fidelity import fidelity_two_mode_sts
-from .states import CovMat2, TwoModeStsParams, local_invariants
+from .states import TwoModeStsParams, checked_invariants
 
 #: tolerance on the separability inequality itself
 SEP_TOL = 1e-12
@@ -35,21 +35,11 @@ def separability_threshold_rs(nbar1: float, nbar2: float) -> float:
     return math.log(u + math.sqrt(u * u - 1.0))
 
 
-def peres_simon_separable(m: CovMat2) -> bool:
-    """Partial-transposition separability test in invariant form.
-
-    Raises UnphysicalState when the covariance matrix violates the two-mode
-    uncertainty inequality (signed det C) beyond tolerance.
-    """
-    inv = local_invariants(m)
-    base = inv.det_v - 0.25 * (inv.det_v1 + inv.det_v2) + 0.0625
-    phys_gap = base - 0.5 * inv.det_c
-    scale = max(1.0, inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c * inv.det_c)
-    if phys_gap < -1e-9 * scale:
-        raise UnphysicalState(
-            f"covariance matrix violates the uncertainty inequality by {phys_gap:.3g}"
-        )
-    sep_gap = base - 0.5 * abs(inv.det_c)
+def peres_simon_separable(m) -> bool:
+    """Partial-transposition separability test in invariant form on a 4x4
+    covariance matrix, which :func:`checked_invariants` validates first."""
+    inv = checked_invariants(m)
+    sep_gap = inv.det_v - 0.25 * (inv.det_v1 + inv.det_v2) + 0.0625 - 0.5 * abs(inv.det_c)
     return sep_gap >= -SEP_TOL
 
 

@@ -90,7 +90,7 @@ class TwoModeFidelityIntermediates:
 
 
 def two_mode_intermediates(p1: TwoModeStsParams, p2: TwoModeStsParams) -> TwoModeFidelityIntermediates:
-    det_sum = float(np.linalg.det(sts_to_cov2(p1).matrix() + sts_to_cov2(p2).matrix()))
+    det_sum = float(np.linalg.det(sts_to_cov2(p1) + sts_to_cov2(p2)))
     x1 = p1.nbar1 * p2.nbar1 * (p1.nbar2 + 1.0) * (p2.nbar2 + 1.0)
     x2 = p1.nbar2 * p2.nbar2 * (p1.nbar1 + 1.0) * (p2.nbar1 + 1.0)
     return TwoModeFidelityIntermediates(x1=x1, x2=x2, det_sum=det_sum)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,8 +142,8 @@ class TwoModeGaussianCF:
     """Coefficients of a two-mode Gaussian characteristic function: one-mode
     blocks for each mode plus the cross couplings f and g.
 
-    The implied 4x4 covariance matrix must satisfy the two-mode Heisenberg
-    inequality; construction raises UnphysicalState otherwise.
+    The implied 4x4 covariance matrix must pass :func:`checked_invariants`;
+    construction raises UnphysicalState otherwise.
     """
 
     mode1: OneModeGaussianCF
@@ -154,54 +154,10 @@ class TwoModeGaussianCF:
     def __post_init__(self):
         object.__setattr__(self, "f", complex(self.f))
         object.__setattr__(self, "g", complex(self.g))
-        cov = cf2_to_cov2(self)  # raises if the implied matrix is not PD
-        gap = cov.heisenberg_gap()
-        scale = float(np.abs(cov.matrix()).max()) ** 4
-        if gap < -_scaled_tol(scale):
-            raise UnphysicalState(
-                f"two-mode Heisenberg combination {gap:.6g} < 0"
-            )
+        checked_invariants(cf2_to_cov2(self))
 
     def is_displacement_free(self, tol: float = 1e-12) -> bool:
         return abs(self.mode1.c) <= tol and abs(self.mode2.c) <= tol
-
-
-@dataclass(frozen=True, eq=False)
-class CovMat2:
-    """4x4 covariance matrix of a two-mode Gaussian state, stored as the two
-    single-mode blocks plus the 2x2 cross-covariance block."""
-
-    v1: CovMat1
-    v2: CovMat1
-    cross: np.ndarray = field(default_factory=lambda: np.zeros((2, 2)))
-
-    def __post_init__(self):
-        cross = np.array(self.cross, dtype=float)
-        if cross.shape != (2, 2):
-            raise DomainError(f"cross block must be 2x2, got {cross.shape}")
-        cross.setflags(write=False)
-        object.__setattr__(self, "cross", cross)
-        # classical validity only; the quantum bound is checked by consumers
-        full = self.matrix()
-        ev_min = float(np.linalg.eigvalsh(full).min())
-        if ev_min < -_scaled_tol(float(np.abs(full).max())):
-            raise UnphysicalState(
-                f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})"
-            )
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((4, 4))
-        m[:2, :2] = self.v1.matrix()
-        m[2:, 2:] = self.v2.matrix()
-        m[:2, 2:] = self.cross
-        m[2:, :2] = self.cross.T
-        return m
-
-    def heisenberg_gap(self) -> float:
-        """Left-hand side of the two-mode uncertainty inequality
-        det V - (det V1 + det V2 + 2 det C)/4 + 1/16 (signed det C)."""
-        inv = local_invariants(self)
-        return inv.det_v - 0.25 * (inv.det_v1 + inv.det_v2 + 2.0 * inv.det_c) + 0.0625
 
 
 @dataclass(frozen=True)
@@ -212,6 +168,10 @@ class LocalInvariants:
     det_v2: float
     det_c: float
     det_v: float
+
+    def uncertainty_gap(self) -> float:
+        """Two-mode uncertainty gap det V - (det V1 + det V2 + 2 det C)/4 + 1/16 >= 0."""
+        return self.det_v - 0.25 * (self.det_v1 + self.det_v2 + 2.0 * self.det_c) + 0.0625
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +233,28 @@ def cov_to_cf(v: CovMat1, displacement: complex = 0j) -> OneModeGaussianCF:
 # two-mode conversions
 
 
+def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
+    """(a1, a2, g) of a squeezed thermal state; see :func:`sts_to_cf2`."""
+    ch2 = math.cosh(p.r) ** 2
+    sh2 = math.sinh(p.r) ** 2
+    a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
+    a2 = (p.nbar2 + 0.5) * ch2 + (p.nbar1 + 0.5) * sh2 - 0.5
+    g = (p.nbar1 + p.nbar2 + 1.0) * np.exp(1j * p.phi) * math.sinh(p.r) * math.cosh(p.r)
+    return a1, a2, g
+
+
+def _cov2(a1: float, b1: complex, a2: float, b2: complex, f: complex, g: complex) -> np.ndarray:
+    """Read-only 4x4 covariance matrix of two-mode CF coefficients: mode
+    blocks as in :func:`cf_to_cov`, cross block
+    [[Re(f+g), Im(g-f)], [Im(g+f), Re(f-g)]]."""
+    m = np.array([[a1 + 0.5 - b1.real, -b1.imag, f.real + g.real, g.imag - f.imag],
+                  [-b1.imag, a1 + 0.5 + b1.real, g.imag + f.imag, f.real - g.real],
+                  [f.real + g.real, g.imag + f.imag, a2 + 0.5 - b2.real, -b2.imag],
+                  [g.imag - f.imag, f.real - g.real, -b2.imag, a2 + 0.5 + b2.real]])
+    m.setflags(write=False)
+    return m
+
+
 def sts_to_cf2(p: TwoModeStsParams) -> TwoModeGaussianCF:
     """Two-mode CF coefficients of a squeezed thermal state.
 
@@ -280,44 +262,51 @@ def sts_to_cf2(p: TwoModeStsParams) -> TwoModeGaussianCF:
     a_j + 1/2 the local invariant sqrt(det V_j); the only cross coupling is
     g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r, and f = 0.
     """
-    ch2 = math.cosh(p.r) ** 2
-    sh2 = math.sinh(p.r) ** 2
-    a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
-    a2 = (p.nbar2 + 0.5) * ch2 + (p.nbar1 + 0.5) * sh2 - 0.5
-    g = (p.nbar1 + p.nbar2 + 1.0) * np.exp(1j * p.phi) * math.sinh(p.r) * math.cosh(p.r)
-    return TwoModeGaussianCF(
-        mode1=OneModeGaussianCF(a=a1),
-        mode2=OneModeGaussianCF(a=a2),
-        f=0j,
-        g=g,
-    )
+    a1, a2, g = _sts_coefficients(p)
+    return TwoModeGaussianCF(mode1=OneModeGaussianCF(a=a1), mode2=OneModeGaussianCF(a=a2), g=g)
 
 
-def sts_to_cov2(p: TwoModeStsParams) -> CovMat2:
-    """4x4 covariance matrix of a two-mode squeezed thermal state."""
-    return cf2_to_cov2(sts_to_cf2(p))
+def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
+    """4x4 covariance matrix of a two-mode squeezed thermal state (unchecked:
+    the parameters are valid by construction)."""
+    a1, a2, g = _sts_coefficients(p)
+    return _cov2(a1, 0j, a2, 0j, 0j, g)
 
 
-def cf2_to_cov2(t: TwoModeGaussianCF) -> CovMat2:
-    """Covariance matrix implied by two-mode CF coefficients.
-
-    Cross block: [[Re(f+g), Im(g-f)], [Im(g+f), Re(f-g)]].
-    """
-    fr, fi = t.f.real, t.f.imag
-    gr, gi = t.g.real, t.g.imag
-    cross = np.array([[fr + gr, gi - fi], [gi + fi, fr - gr]])
-    return CovMat2(v1=cf_to_cov(t.mode1), v2=cf_to_cov(t.mode2), cross=cross)
+def cf2_to_cov2(t: TwoModeGaussianCF) -> np.ndarray:
+    """4x4 covariance matrix implied by two-mode CF coefficients."""
+    return _cov2(t.mode1.a, t.mode1.b, t.mode2.a, t.mode2.b, t.f, t.g)
 
 
-def local_invariants(m: CovMat2) -> LocalInvariants:
-    """Determinants of the blocks and of the full matrix."""
-    det_c = float(m.cross[0, 0] * m.cross[1, 1] - m.cross[0, 1] * m.cross[1, 0])
+def local_invariants(m: np.ndarray) -> LocalInvariants:
+    """Determinants of the mode blocks, the cross block and the whole matrix."""
     return LocalInvariants(
-        det_v1=m.v1.det(),
-        det_v2=m.v2.det(),
-        det_c=det_c,
-        det_v=float(np.linalg.det(m.matrix())),
+        det_v1=float(m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]),
+        det_v2=float(m[2, 2] * m[3, 3] - m[2, 3] * m[2, 3]),
+        det_c=float(m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]),
+        det_v=float(np.linalg.det(m)),
     )
+
+
+def checked_invariants(m) -> LocalInvariants:
+    """Local invariants of a two-mode covariance matrix from outside, after
+    checking that it is a finite symmetric 4x4 array (else DomainError) with
+    valid :class:`CovMat1` blocks, positive definite, and obeying the
+    uncertainty inequality to a tolerance scaled by its terms."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (4, 4) or not (np.isfinite(m).all() and np.array_equal(m, m.T)):
+        raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
+    for i in (0, 2):
+        CovMat1(m[i, i], m[i, i + 1], m[i + 1, i + 1])
+    ev_min = float(np.linalg.eigvalsh(m).min())
+    if ev_min < -_scaled_tol(float(np.abs(m).max())):
+        raise UnphysicalState(
+            f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
+    inv = local_invariants(m)
+    gap = inv.uncertainty_gap()
+    if gap < -_scaled_tol(max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c ** 2)):
+        raise UnphysicalState(f"covariance matrix violates the uncertainty inequality by {gap:.3g}")
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +354,13 @@ def eval_cf2(t: TwoModeGaussianCF, lam1: complex, lam2: complex) -> complex:
 # JSON state descriptors
 
 
-#: largest squeeze factor r for which cosh 2r is a finite double
-_R_MAX = 0.5 * math.acosh(sys.float_info.max)
+#: largest log s of a covariance scale s whose fourth power is a finite double
+_LOG_SCALE_MAX = 0.25 * math.log(sys.float_info.max)
+
+
+def _log_cosh(x: float) -> float:
+    """log cosh x for x >= 0, without overflow."""
+    return x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)
 
 
 def _require(obj: dict, key: str, kind: str):
@@ -375,12 +369,11 @@ def _require(obj: dict, key: str, kind: str):
     return obj[key]
 
 
-def _real(value, name: str, bound: float = sys.float_info.max) -> float:
-    """A descriptor's numeric field as a float: a real number, not a bool,
-    with |value| <= bound (so never inf or nan)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= bound:
-        raise DomainError(
-            f"field '{name}' must be a real number with |{name}| <= {bound:.6g}, got {value!r}")
+def _real(value, name: str) -> float:
+    """A descriptor's numeric field as a float: a finite real number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise DomainError(f"field '{name}' must be a finite real number, got {value!r}")
     return float(value)
 
 
@@ -392,9 +385,11 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         {"kind": "dsts", "nbar": ..., "r": ..., "phi": ..., "alpha": [re, im]}
         {"kind": "sts2", "nbar1": ..., "nbar2": ..., "r": ..., "phi": ...}
 
-    Missing fields, and numeric fields that are not finite real numbers, are
-    rejected; so is r > 355.2, where cosh 2r overflows.  These are checks on
-    outside input, made here once and not in the parameter constructors.
+    Missing fields and non-finite numbers are rejected, and so is a state
+    whose covariance scale s, (nbar + 1/2) cosh 2r for dsts and
+    (nbar1 + nbar2 + 1) cosh^2 r for sts2, has no finite s^4 (the size of
+    det V): r above about 89, or occupancies above about 1e77.  These checks
+    on outside input are made here once, not in the parameter constructors.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -410,20 +405,28 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         alpha = _require(obj, "alpha", kind)
         if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
             raise DomainError("field 'alpha' must be a [re, im] pair")
-        return DstsParams(
+        p = DstsParams(
             nbar=_real(_require(obj, "nbar", kind), "nbar"),
-            r=_real(_require(obj, "r", kind), "r", _R_MAX),
+            r=_real(_require(obj, "r", kind), "r"),
             phi=_real(_require(obj, "phi", kind), "phi"),
             alpha=complex(_real(alpha[0], "alpha"), _real(alpha[1], "alpha")),
         )
-    if kind == "sts2":
-        return TwoModeStsParams(
+        fields, log_s = "'nbar' or 'r'", math.log(p.nbar + 0.5) + _log_cosh(2.0 * p.r)
+    elif kind == "sts2":
+        p = TwoModeStsParams(
             nbar1=_real(_require(obj, "nbar1", kind), "nbar1"),
             nbar2=_real(_require(obj, "nbar2", kind), "nbar2"),
-            r=_real(_require(obj, "r", kind), "r", _R_MAX),
+            r=_real(_require(obj, "r", kind), "r"),
             phi=_real(_require(obj, "phi", kind), "phi"),
         )
-    raise DomainError(f"unknown state kind '{kind}'")
+        fields = "'nbar1', 'nbar2' or 'r'"
+        log_s = math.log(p.nbar1 + p.nbar2 + 1.0) + 2.0 * _log_cosh(p.r)
+    else:
+        raise DomainError(f"unknown state kind '{kind}'")
+    if not log_s <= _LOG_SCALE_MAX:
+        raise DomainError(f"field {fields} too large: covariance scale exp({log_s:.6g}) "
+                          "has no finite fourth power")
+    return p
 
 
 def state_to_dict(state: DstsParams | TwoModeStsParams) -> dict:

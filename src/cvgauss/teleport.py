@@ -93,16 +93,21 @@ def teleport_with_noise(input_cf: OneModeGaussianCF, z: float) -> OneModeGaussia
     return OneModeGaussianCF(a=input_cf.a + z, b=input_cf.b, c=input_cf.c)
 
 
-def teleport_symmetric_sts(input_cf: OneModeGaussianCF, nbar: float, r: float) -> OneModeGaussianCF:
-    """Teleport through a symmetric squeezed thermal resource (occupancy nbar
-    in both modes, squeeze factor r, angle 0).  The resource need not be
-    entangled; r < r_s simply gives z > 1."""
+def _resource_noise(nbar: float, r: float) -> float:
+    """Added noise z = exp(-2 (r - r_s)) of a symmetric squeezed thermal
+    resource with occupancy nbar in both modes and squeeze factor r."""
     if not (nbar >= 0.0):
         raise DomainError(f"resource occupancy must be >= 0, got {nbar}")
     if not (r >= 0.0):
         raise DomainError(f"resource squeeze factor must be >= 0, got {r}")
-    z = math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
-    return teleport_with_noise(input_cf, z)
+    return math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
+
+
+def teleport_symmetric_sts(input_cf: OneModeGaussianCF, nbar: float, r: float) -> OneModeGaussianCF:
+    """Teleport through a symmetric squeezed thermal resource (occupancy nbar
+    in both modes, squeeze factor r, angle 0).  The resource need not be
+    entangled; r < r_s simply gives z > 1."""
+    return teleport_with_noise(input_cf, _resource_noise(nbar, r))
 
 
 def teleport_fidelity(v: TeleportVariables) -> float:
@@ -116,14 +121,8 @@ def teleport_fidelity(v: TeleportVariables) -> float:
 
 def teleport_variables(input_state: DstsParams, nbar: float, r: float) -> TeleportVariables:
     """Map (input state, symmetric resource parameters) onto (x, y, z)."""
-    if not (nbar >= 0.0 and r >= 0.0):
-        raise DomainError("resource parameters must be >= 0")
-    z = math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
-    return TeleportVariables(
-        x=math.cosh(2.0 * input_state.r),
-        y=input_state.nbar + 0.5,
-        z=z,
-    )
+    z = _resource_noise(nbar, r)
+    return TeleportVariables(x=math.cosh(2.0 * input_state.r), y=input_state.nbar + 0.5, z=z)
 
 
 def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float) -> float:

@@ -13,6 +13,7 @@ from . import fock
 from .entanglement import (
     closest_separable_numeric,
     degree_e0,
+    entropy_of_entanglement_svs,
     peres_simon_separable,
     separability_threshold_rs,
 )
@@ -43,7 +44,7 @@ class CheckResult:
         return self.delta <= self.tol
 
 
-def _random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0) -> DstsParams:
+def random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0) -> DstsParams:
     return DstsParams(
         nbar=rng.uniform(0.0, nbar_max),
         r=rng.uniform(0.0, r_max),
@@ -52,7 +53,7 @@ def _random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0) -> DstsParams:
     )
 
 
-def _random_sts(rng, nbar_max=0.6, r_max=1.0) -> TwoModeStsParams:
+def random_sts(rng, nbar_max=0.6, r_max=1.0) -> TwoModeStsParams:
     return TwoModeStsParams(
         nbar1=rng.uniform(0.0, nbar_max),
         nbar2=rng.uniform(0.0, nbar_max),
@@ -64,7 +65,7 @@ def _random_sts(rng, nbar_max=0.6, r_max=1.0) -> TwoModeStsParams:
 def _check_roundtrip(rng) -> float:
     worst = 0.0
     for _ in range(40):
-        p = _random_dsts(rng, nbar_max=5.0, r_max=2.0)
+        p = random_dsts(rng, nbar_max=5.0, r_max=2.0)
         q = cf_to_dsts(dsts_to_cf(p))
         worst = max(worst, abs(q.nbar - p.nbar), abs(q.r - p.r),
                     abs(q.phi - p.phi), abs(q.alpha - p.alpha))
@@ -74,7 +75,7 @@ def _check_roundtrip(rng) -> float:
 def _check_cf_forms(rng) -> float:
     worst = 0.0
     for _ in range(10):
-        g = dsts_to_cf(_random_dsts(rng))
+        g = dsts_to_cf(random_dsts(rng))
         v = cf_to_cov(g)
         for _ in range(10):
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -85,7 +86,7 @@ def _check_cf_forms(rng) -> float:
 def _check_sts_invariants(rng) -> float:
     worst = 0.0
     for _ in range(25):
-        p = _random_sts(rng, nbar_max=2.0, r_max=1.5)
+        p = random_sts(rng, nbar_max=2.0, r_max=1.5)
         inv = local_invariants(sts_to_cov2(p))
         ch2, sh2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
         n1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2
@@ -104,15 +105,15 @@ def _check_sts_invariants(rng) -> float:
 def _check_heisenberg(rng) -> float:
     worst_violation = 0.0
     for _ in range(25):
-        gap = sts_to_cov2(_random_sts(rng, nbar_max=2.0, r_max=1.5)).heisenberg_gap()
-        worst_violation = max(worst_violation, -gap)
+        inv = local_invariants(sts_to_cov2(random_sts(rng, nbar_max=2.0, r_max=1.5)))
+        worst_violation = max(worst_violation, -inv.uncertainty_gap())
     return max(worst_violation, 0.0)
 
 
 def _check_one_mode_oracle(rng, dim: int, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
-        p1, p2 = _random_dsts(rng), _random_dsts(rng)
+        p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         numeric = fock.uhlmann_fidelity_numeric(fock.dsts_dm(p1, dim), fock.dsts_dm(p2, dim))
         worst = max(worst, abs(closed - numeric))
@@ -122,7 +123,7 @@ def _check_one_mode_oracle(rng, dim: int, pairs: int) -> float:
 def _check_two_mode_oracle(rng, dim: int, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
-        p1, p2 = _random_sts(rng), _random_sts(rng)
+        p1, p2 = random_sts(rng), random_sts(rng)
         closed = fidelity_two_mode_sts(p1, p2)
         numeric = fock.uhlmann_fidelity_numeric(fock.sts2_dm(p1, dim), fock.sts2_dm(p2, dim))
         worst = max(worst, abs(closed - numeric))
@@ -150,7 +151,8 @@ def _check_coherent_row() -> float:
     return worst
 
 
-def _bisect_threshold(nbar1: float, nbar2: float) -> float:
+def bisect_threshold(nbar1: float, nbar2: float) -> float:
+    """Squeeze factor in [0, 4] where the Peres-Simon verdict flips."""
     def sep(r: float) -> bool:
         return peres_simon_separable(sts_to_cov2(TwoModeStsParams(nbar1, nbar2, r)))
 
@@ -168,7 +170,7 @@ def _check_separability_bisection(rng, samples: int) -> float:
     worst = 0.0
     for _ in range(samples):
         n1, n2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-        worst = max(worst, abs(_bisect_threshold(n1, n2) - separability_threshold_rs(n1, n2)))
+        worst = max(worst, abs(bisect_threshold(n1, n2) - separability_threshold_rs(n1, n2)))
     return worst
 
 
@@ -176,7 +178,7 @@ def _check_q0_minimizer(rng, samples: int) -> float:
     worst = 0.0
     found = 0
     while found < samples:
-        p = _random_dsts(rng, nbar_max=1.0, r_max=1.5, alpha_max=0.0)
+        p = random_dsts(rng, nbar_max=1.0, r_max=1.5, alpha_max=0.0)
         if degree_q0(p) <= 0.01:
             continue
         found += 1
@@ -189,7 +191,7 @@ def _check_e0_minimizer(rng, samples: int) -> float:
     worst = 0.0
     found = 0
     while found < samples:
-        p = _random_sts(rng, nbar_max=0.8, r_max=1.5)
+        p = random_sts(rng, nbar_max=0.8, r_max=1.5)
         if degree_e0(p) <= 0.01:
             continue
         found += 1
@@ -212,8 +214,6 @@ def _check_pure_trace_product(rng, dim: int, pairs: int) -> float:
 
 
 def _check_svs_entropy(dim: int) -> float:
-    from .entanglement import entropy_of_entanglement_svs
-
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
         closed = entropy_of_entanglement_svs(r)

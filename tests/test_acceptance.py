@@ -21,10 +21,8 @@ from cvgauss import (
     dsts_to_cf,
     fidelity_one_mode,
     fidelity_two_mode_sts,
-    peres_simon_separable,
     separability_threshold_rs,
     sts2_dm,
-    sts_to_cov2,
     sweep_fig1,
     sweep_fig2,
     teleport_fidelity,
@@ -32,7 +30,7 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from util import rand_dsts, rand_sts
+from cvgauss.validate import bisect_threshold, random_dsts, random_sts
 
 
 def _report(number: int, title: str, passed: bool, detail: str) -> None:
@@ -45,8 +43,8 @@ def test_criterion_1_one_mode_fidelity_oracle():
     start = time.monotonic()
     worst = 0.0
     for _ in range(50):
-        p1 = rand_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0)
-        p2 = rand_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0)
+        p1 = random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0)
+        p2 = random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         numeric = uhlmann_fidelity_numeric(dsts_dm(p1, 120), dsts_dm(p2, 120))
         worst = max(worst, abs(closed - numeric))
@@ -63,8 +61,8 @@ def test_criterion_2_two_mode_fidelity_oracle():
     start = time.monotonic()
     worst = 0.0
     for _ in range(10):
-        p1 = rand_sts(rng, nbar_max=0.6, r_max=1.0)
-        p2 = rand_sts(rng, nbar_max=0.6, r_max=1.0)
+        p1 = random_sts(rng, nbar_max=0.6, r_max=1.0)
+        p2 = random_sts(rng, nbar_max=0.6, r_max=1.0)
         closed = fidelity_two_mode_sts(p1, p2)
         numeric = uhlmann_fidelity_numeric(sts2_dm(p1, 40), sts2_dm(p2, 40))
         worst = max(worst, abs(closed - numeric))
@@ -76,26 +74,15 @@ def test_criterion_2_two_mode_fidelity_oracle():
     assert elapsed <= 600.0
 
 
-def _bisect_separability(n1, n2):
-    lo, hi = 0.0, 4.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if peres_simon_separable(sts_to_cov2(TwoModeStsParams(n1, n2, mid))):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_criterion_3_separability_boundary():
     rng = np.random.default_rng(1003)
     worst = 0.0
     for _ in range(50):
         n1, n2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-        worst = max(worst, abs(_bisect_separability(n1, n2)
+        worst = max(worst, abs(bisect_threshold(n1, n2)
                                - separability_threshold_rs(n1, n2)))
     exact_delta = abs(separability_threshold_rs(1.0, 1.0) - math.acosh(2.0 / math.sqrt(3.0)))
-    worst_exact = max(abs(_bisect_separability(1.0, 1.0)
+    worst_exact = max(abs(bisect_threshold(1.0, 1.0)
                           - math.acosh(2.0 / math.sqrt(3.0))), exact_delta)
     ok = worst <= 1e-6 and worst_exact <= 1e-6
     _report(3, "separability boundary bisection vs closed threshold (50 pairs + exact case)",
@@ -252,7 +239,7 @@ def test_criterion_10_fidelity_property_suite():
     sym = 0.0
     bounds_ok = True
     for _ in range(30):
-        g1, g2 = dsts_to_cf(rand_dsts(rng)), dsts_to_cf(rand_dsts(rng))
+        g1, g2 = dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng))
         f12, f21 = fidelity_one_mode(g1, g2), fidelity_one_mode(g2, g1)
         sym = max(sym, abs(f12 - f21))
         bounds_ok &= -1e-12 <= f12 <= 1.0 + 1e-12
@@ -266,7 +253,7 @@ def test_criterion_10_fidelity_property_suite():
         mult = max(mult, abs(f2 - f_prod))
     dominance = 0.0
     for _ in range(6):
-        p1, p2 = rand_dsts(rng), rand_dsts(rng)
+        p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
         dominance = max(dominance, tr - closed)

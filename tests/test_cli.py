@@ -185,13 +185,50 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     '{"kind": "dsts", "nbar": 0.1, "r": 0.0, "phi": 0.0, "alpha": [null, 0]}',
     '{"kind": "dsts", "nbar": 0.1, "r": 1000, "phi": 0.0, "alpha": [0.0, 0.0]}',
     '{"kind": "sts2", "nbar1": Infinity, "nbar2": 0.1, "r": 0.5, "phi": 0.0}',
-], ids=["string", "null", "overflowing-r", "infinite"])
+    '{"kind": "dsts", "nbar": 0.1, "r": 200, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "dsts", "nbar": 0.1, "r": 354, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "dsts", "nbar": 1e200, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "sts2", "nbar1": 0.1, "nbar2": 0.1, "r": 100, "phi": 0.0}',
+    '{"kind": "sts2", "nbar1": 0.1, "nbar2": 0.1, "r": 300, "phi": 0.0}',
+    '{"kind": "sts2", "nbar1": 1e200, "nbar2": 0.1, "r": 0.5, "phi": 0.0}',
+], ids=["string", "null", "overflowing-r", "infinite", "dsts-r200", "dsts-r354",
+        "dsts-nbar1e200", "sts2-r100", "sts2-r300", "sts2-nbar1e200"])
 def test_malformed_number_is_input_error(tmp_path, capsys, descriptor):
     path = tmp_path / "malformed.json"
     path.write_text(descriptor)
     assert main(["info", "--state", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: field") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["info", "fidelity", "entangle"])
+def test_oversized_state_is_input_error_in_every_command(tmp_path, capsys, command):
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "sts2", "nbar1": 0.1, "nbar2": 0.1, "r": 200, "phi": 0.0}')
+    argv = [command, "--state", str(path)] + (["--state2", str(path)] if command == "fidelity" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: field")
+
+
+@pytest.mark.parametrize("args, option", [
+    (["teleport", "--nbar", "inf", "--r", "0.5"], "--nbar"),
+    (["teleport", "--nbar", "0.1", "--r", "nan"], "--r"),
+    (["sweep", "fig1", "--r-in", "inf"], "--r-in"),
+    (["sweep", "fig1", "--nbar-in", "0.1,inf"], "--nbar-in"),
+    (["sweep", "fig2", "--e0", "nan"], "--e0"),
+    (["sweep", "fig2", "--e0", "0.5,abc"], "--e0"),
+    (["validate", "--tol", "inf"], "--tol"),
+], ids=["nbar", "r", "r-in", "nbar-in", "e0", "e0-text", "tol"])
+def test_non_finite_option_is_input_error(tmp_path, capsys, coherent_file, args, option):
+    if args[0] == "teleport":
+        args = args + ["--state", coherent_file]
+    elif args[0] == "sweep":
+        args = args + ["--out", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert f"argument {option}: must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_fast_suite_passes(capsys):

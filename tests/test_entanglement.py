@@ -4,20 +4,20 @@ import numpy as np
 import pytest
 
 from cvgauss import (
-    CovMat1,
-    CovMat2,
     DomainError,
     TwoModeStsParams,
     UnphysicalState,
     closest_separable_numeric,
     degree_e0,
     entropy_of_entanglement_svs,
+    local_invariants,
     peres_simon_separable,
     separability_threshold_rs,
     sts_to_cov2,
     thermal_dm,
     von_neumann_entropy,
 )
+from cvgauss.validate import bisect_threshold
 
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
 E0_PURE_R1 = 0.35194572633611454
@@ -50,30 +50,42 @@ def test_peres_simon_hot_sts_is_separable():
 
 
 def test_peres_simon_rejects_unphysical_matrix():
-    vac = CovMat1(0.5, 0.0, 0.5)
     # positive definite, but q-q and p-p both positively correlated at
     # zero temperature: impossible quantum mechanically
-    m = CovMat2(v1=vac, v2=vac, cross=0.3 * np.eye(2))
+    m = 0.5 * np.eye(4)
+    m[:2, 2:] = m[2:, :2] = 0.3 * np.eye(2)
     with pytest.raises(UnphysicalState):
         peres_simon_separable(m)
 
 
-def _bisect_threshold(n1, n2, hi=4.0):
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if peres_simon_separable(sts_to_cov2(TwoModeStsParams(n1, n2, mid))):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def test_peres_simon_rejects_sub_vacuum_blocks():
+    # eps I is positive definite and passes the two-mode inequality for any
+    # eps (gap = (eps^2 - 1/4)^2), but each mode block has det = eps^2 < 1/4
+    eps = 0.4
+    assert local_invariants(eps * np.eye(4)).uncertainty_gap() > 0.0
+    with pytest.raises(UnphysicalState, match="uncertainty relation"):
+        peres_simon_separable(eps * np.eye(4))
+
+
+@pytest.mark.parametrize("m", [
+    np.eye(3),
+    np.full((4, 4), np.nan),
+    np.eye(4) + np.triu(0.1 * np.ones((4, 4)), 1),
+], ids=["3x3", "nan", "asymmetric"])
+def test_peres_simon_rejects_malformed_array(m):
+    with pytest.raises(DomainError):
+        peres_simon_separable(m)
+
+
+def test_peres_simon_accepts_nested_lists():
+    assert peres_simon_separable(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.5)).tolist()) is False
 
 
 def test_criterion_flips_exactly_at_threshold():
     rng = np.random.default_rng(401)
     for _ in range(10):
         n1, n2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-        assert abs(_bisect_threshold(n1, n2) - separability_threshold_rs(n1, n2)) < 1e-6
+        assert abs(bisect_threshold(n1, n2) - separability_threshold_rs(n1, n2)) < 1e-6
 
 
 def test_degree_vanishes_for_separable():

@@ -20,13 +20,13 @@ from cvgauss import (
     two_mode_intermediates,
     uhlmann_fidelity_numeric,
 )
-from util import rand_dsts, rand_sts
+from cvgauss.validate import random_dsts, random_sts
 
 
 def test_identical_states_give_unit_fidelity():
     rng = np.random.default_rng(211)
     for _ in range(20):
-        g = dsts_to_cf(rand_dsts(rng))
+        g = dsts_to_cf(random_dsts(rng))
         assert fidelity_one_mode(g, g) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -46,14 +46,14 @@ def test_thermal_zero_vs_one_is_half():
 def test_symmetry():
     rng = np.random.default_rng(223)
     for _ in range(40):
-        g1, g2 = dsts_to_cf(rand_dsts(rng)), dsts_to_cf(rand_dsts(rng))
+        g1, g2 = dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng))
         assert abs(fidelity_one_mode(g1, g2) - fidelity_one_mode(g2, g1)) < 1e-12
 
 
 def test_bounds():
     rng = np.random.default_rng(227)
     for _ in range(60):
-        f = fidelity_one_mode(dsts_to_cf(rand_dsts(rng)), dsts_to_cf(rand_dsts(rng)))
+        f = fidelity_one_mode(dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng)))
         assert -1e-12 <= f <= 1.0 + 1e-12
 
 
@@ -72,7 +72,7 @@ def test_pure_states_fidelity_equals_trace_product():
 def test_fidelity_dominates_trace_product_for_mixed_pairs():
     rng = np.random.default_rng(233)
     for _ in range(6):
-        p1, p2 = rand_dsts(rng), rand_dsts(rng)
+        p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
         assert closed >= tr - 1e-8
@@ -81,7 +81,7 @@ def test_fidelity_dominates_trace_product_for_mixed_pairs():
 def test_displacement_invariance():
     rng = np.random.default_rng(239)
     for _ in range(20):
-        p1, p2 = rand_dsts(rng), rand_dsts(rng)
+        p1, p2 = random_dsts(rng), random_dsts(rng)
         beta = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         f = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         p1s = DstsParams(p1.nbar, p1.r, p1.phi, p1.alpha + beta)
@@ -93,7 +93,7 @@ def test_displacement_invariance():
 def test_one_mode_matches_fock_oracle():
     rng = np.random.default_rng(241)
     for _ in range(6):
-        p1, p2 = rand_dsts(rng), rand_dsts(rng)
+        p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         numeric = uhlmann_fidelity_numeric(dsts_dm(p1, 120), dsts_dm(p2, 120))
         assert abs(closed - numeric) < 1e-6
@@ -102,7 +102,7 @@ def test_one_mode_matches_fock_oracle():
 def test_intermediates_invariants():
     rng = np.random.default_rng(251)
     for _ in range(30):
-        inter = one_mode_intermediates(dsts_to_cf(rand_dsts(rng)), dsts_to_cf(rand_dsts(rng)))
+        inter = one_mode_intermediates(dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng)))
         assert inter.delta > 0.0
         assert inter.lam >= 0.0
     pure = dsts_to_cf(DstsParams(0.0, 0.9, 0.4, 0.2j))
@@ -114,7 +114,7 @@ def test_intermediates_invariants():
 def test_two_mode_identical_states():
     rng = np.random.default_rng(257)
     for _ in range(10):
-        p = rand_sts(rng, nbar_max=1.5, r_max=1.2)
+        p = random_sts(rng, nbar_max=1.5, r_max=1.2)
         assert fidelity_two_mode_sts(p, p) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -132,7 +132,7 @@ def test_two_mode_multiplicativity_for_thermal_pairs():
 def test_two_mode_symmetry_and_bounds():
     rng = np.random.default_rng(269)
     for _ in range(20):
-        p1, p2 = rand_sts(rng), rand_sts(rng)
+        p1, p2 = random_sts(rng), random_sts(rng)
         f12 = fidelity_two_mode_sts(p1, p2)
         assert abs(f12 - fidelity_two_mode_sts(p2, p1)) < 1e-12
         assert -1e-12 <= f12 <= 1.0 + 1e-12
@@ -141,7 +141,7 @@ def test_two_mode_symmetry_and_bounds():
 def test_two_mode_intermediates_nonnegative():
     rng = np.random.default_rng(271)
     for _ in range(20):
-        inter = two_mode_intermediates(rand_sts(rng), rand_sts(rng))
+        inter = two_mode_intermediates(random_sts(rng), random_sts(rng))
         assert inter.x1 >= 0.0 and inter.x2 >= 0.0
         assert inter.det_sum > 0.0
 

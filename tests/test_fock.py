@@ -32,7 +32,7 @@ from cvgauss.fock import (
     two_mode_squeeze_matrix,
     unitarity_defect,
 )
-from util import rand_dsts
+from cvgauss.validate import random_dsts
 
 
 # --- thermal states ------------------------------------------------------------
@@ -126,7 +126,7 @@ def test_dsts_vacuum_projector():
 def test_dsts_mean_photon_number():
     rng = np.random.default_rng(601)
     for _ in range(5):
-        p = rand_dsts(rng, nbar_max=1.0, r_max=0.8)
+        p = random_dsts(rng, nbar_max=1.0, r_max=0.8)
         expected = p.nbar * math.cosh(2 * p.r) + math.sinh(p.r) ** 2 + abs(p.alpha) ** 2
         assert mean_photon_number(dsts_dm(p, 120)) == pytest.approx(expected, abs=1e-8)
 
@@ -236,8 +236,8 @@ def test_numeric_fidelity_vacuum_vs_thermal():
 def test_numeric_fidelity_symmetric_and_bounded():
     rng = np.random.default_rng(617)
     for _ in range(3):
-        r1 = dsts_dm(rand_dsts(rng, nbar_max=1.0), 90)
-        r2 = dsts_dm(rand_dsts(rng, nbar_max=1.0), 90)
+        r1 = dsts_dm(random_dsts(rng, nbar_max=1.0), 90)
+        r2 = dsts_dm(random_dsts(rng, nbar_max=1.0), 90)
         f12 = uhlmann_fidelity_numeric(r1, r2)
         f21 = uhlmann_fidelity_numeric(r2, r1)
         assert abs(f12 - f21) < 1e-10

@@ -6,7 +6,6 @@ import pytest
 
 from cvgauss import (
     CovMat1,
-    CovMat2,
     DomainError,
     DstsParams,
     OneModeGaussianCF,
@@ -27,7 +26,8 @@ from cvgauss import (
     sts_to_cf2,
     sts_to_cov2,
 )
-from util import rand_dsts, rand_sts
+from cvgauss.states import checked_invariants
+from cvgauss.validate import random_dsts, random_sts
 
 
 # --- parameter validation -------------------------------------------------
@@ -97,7 +97,7 @@ def test_cf_to_dsts_roundtrip_example():
 def test_roundtrip_randomized_grid():
     rng = np.random.default_rng(101)
     for _ in range(200):
-        p = rand_dsts(rng, nbar_max=5.0, r_max=2.0)
+        p = random_dsts(rng, nbar_max=5.0, r_max=2.0)
         q = cf_to_dsts(dsts_to_cf(p))
         assert abs(q.nbar - p.nbar) < 1e-12
         assert abs(q.r - p.r) < 1e-12
@@ -108,7 +108,7 @@ def test_roundtrip_randomized_grid():
 def test_roundtrip_starting_from_cf():
     rng = np.random.default_rng(103)
     for _ in range(50):
-        g = dsts_to_cf(rand_dsts(rng, nbar_max=3.0, r_max=1.5))
+        g = dsts_to_cf(random_dsts(rng, nbar_max=3.0, r_max=1.5))
         h = dsts_to_cf(cf_to_dsts(g))
         assert abs(h.a - g.a) < 1e-12
         assert abs(h.b - g.b) < 1e-12
@@ -156,7 +156,7 @@ def test_cf_to_cov_squeezed_least_squares_fit():
 def test_cov_roundtrip():
     rng = np.random.default_rng(13)
     for _ in range(50):
-        g = dsts_to_cf(rand_dsts(rng))
+        g = dsts_to_cf(random_dsts(rng))
         h = cov_to_cf(cf_to_cov(g), g.c)
         assert h.a == pytest.approx(g.a, abs=1e-12)
         assert abs(h.b - g.b) < 1e-12
@@ -175,7 +175,7 @@ def test_cov_validation():
 def test_eval_cf1_normalization_and_bound():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        g = dsts_to_cf(rand_dsts(rng))
+        g = dsts_to_cf(random_dsts(rng))
         assert eval_cf1(g, 0j) == 1.0 + 0j
         lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         assert abs(eval_cf1(g, lam)) <= 1.0 + 1e-12
@@ -193,7 +193,7 @@ def test_eval_cf1_vacuum_and_coherent():
 def test_coefficient_and_covariance_forms_agree():
     rng = np.random.default_rng(31)
     for _ in range(10):
-        g = dsts_to_cf(rand_dsts(rng))
+        g = dsts_to_cf(random_dsts(rng))
         v = cf_to_cov(g)
         for _ in range(10):
             lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -228,9 +228,17 @@ def test_sts_to_cf2_local_invariant_asymmetric():
 
 def test_sts_to_cov2_no_squeezing_block_diagonal():
     m = sts_to_cov2(TwoModeStsParams(nbar1=0.4, nbar2=1.1, r=0.0))
-    assert np.allclose(m.cross, 0.0)
-    assert np.allclose(m.v1.matrix(), 0.9 * np.eye(2))
-    assert np.allclose(m.v2.matrix(), 1.6 * np.eye(2))
+    assert np.allclose(m[:2, 2:], 0.0) and np.allclose(m[2:, :2], 0.0)
+    assert np.allclose(m[:2, :2], 0.9 * np.eye(2))
+    assert np.allclose(m[2:, 2:], 1.6 * np.eye(2))
+
+
+def test_sts_to_cov2_is_read_only_array():
+    m = sts_to_cov2(TwoModeStsParams(0.3, 0.1, 0.6, 0.4))
+    assert isinstance(m, np.ndarray) and m.shape == (4, 4) and m.dtype == float
+    assert np.array_equal(m, m.T)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
 
 
 def test_sts_to_cov2_pure_det():
@@ -251,7 +259,7 @@ def test_sts_to_cov2_invariants_example():
 def test_sts_invariants_randomized_grid():
     rng = np.random.default_rng(47)
     for _ in range(50):
-        p = rand_sts(rng, nbar_max=2.0, r_max=1.5)
+        p = random_sts(rng, nbar_max=2.0, r_max=1.5)
         inv = local_invariants(sts_to_cov2(p))
         ch2, sh2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
         n1, n2 = p.nbar1 + 0.5, p.nbar2 + 0.5
@@ -265,7 +273,7 @@ def test_sts_invariants_randomized_grid():
 def test_sts_cov_heisenberg_inequality_on_grid():
     rng = np.random.default_rng(53)
     for _ in range(50):
-        gap = sts_to_cov2(rand_sts(rng, nbar_max=2.0, r_max=1.5)).heisenberg_gap()
+        gap = local_invariants(sts_to_cov2(random_sts(rng, nbar_max=2.0, r_max=1.5))).uncertainty_gap()
         assert gap >= -1e-12
 
 
@@ -273,7 +281,7 @@ def test_phi_zero_cross_block_convention():
     p = TwoModeStsParams(0.3, 0.1, 0.6, 0.0)
     m = sts_to_cov2(p)
     c = math.sqrt(-local_invariants(m).det_c)
-    assert np.allclose(m.cross, np.diag([c, -c]), atol=1e-12)
+    assert np.allclose(m[:2, 2:], np.diag([c, -c]), atol=1e-12)
 
 
 # --- local invariants -------------------------------------------------------
@@ -306,18 +314,14 @@ def _det4_cofactor(m):
 def test_local_invariants_match_cofactor_determinants():
     rng = np.random.default_rng(59)
     for _ in range(10):
-        p = rand_sts(rng, nbar_max=1.5, r_max=1.2)
+        p = random_sts(rng, nbar_max=1.5, r_max=1.2)
         base = sts_to_cov2(p)
         # jitter with a random PSD perturbation to leave the STS family
         w = rng.normal(scale=0.05, size=(4, 4))
-        full = base.matrix() + w @ w.T
-        m = CovMat2(
-            v1=CovMat1(full[0, 0], full[0, 1], full[1, 1]),
-            v2=CovMat1(full[2, 2], full[2, 3], full[3, 3]),
-            cross=full[:2, 2:],
-        )
-        inv = local_invariants(m)
-        assert inv.det_v == pytest.approx(_det4_cofactor(m.matrix().tolist()), rel=1e-10)
+        full = base + w @ w.T
+        inv = checked_invariants(full)
+        assert inv == local_invariants(full)
+        assert inv.det_v == pytest.approx(_det4_cofactor(full.tolist()), rel=1e-10)
         assert inv.det_c == pytest.approx(
             full[0, 2] * full[1, 3] - full[0, 3] * full[1, 2], abs=1e-12)
 
@@ -341,8 +345,7 @@ def test_two_mode_cf_rejects_unphysical():
 
 def test_cf2_to_cov2_consistency_with_direct_route():
     p = TwoModeStsParams(0.4, 0.2, 0.9, -0.8)
-    assert np.allclose(cf2_to_cov2(sts_to_cf2(p)).matrix(),
-                       sts_to_cov2(p).matrix(), atol=1e-12)
+    assert np.array_equal(cf2_to_cov2(sts_to_cf2(p)), sts_to_cov2(p))
 
 
 # --- JSON descriptors ---------------------------------------------------------
@@ -384,3 +387,20 @@ def test_json_rejects_bad_input():
         parse_state({"kind": "dsts", "nbar": 0.1, "r": 0.0, "phi": 0.0, "alpha": 1.0})
     with pytest.raises(DomainError):
         parse_state(json.dumps([1, 2, 3]))
+
+
+def test_parse_state_scale_bound():
+    # benchmark-sized tails (s ~ 3e18) and r up to ~89 are accepted
+    tail = {"kind": "sts2", "nbar1": 1e8, "nbar2": 1e8, "r": 12.0, "phi": 0.0}
+    assert parse_state(tail).r == 12.0
+    near = {"kind": "dsts", "nbar": 0.0, "r": 89.0, "phi": 0.0, "alpha": [0.0, 0.0]}
+    assert parse_state(near).r == 89.0
+    for field, value in (("r", 90.0), ("nbar", 1e78)):
+        bad = dict(near, **{field: value})
+        with pytest.raises(DomainError, match="^field 'nbar' or 'r' too large"):
+            parse_state(bad)
+    with pytest.raises(DomainError, match="^field 'nbar1', 'nbar2' or 'r' too large"):
+        parse_state(dict(tail, r=90.0))
+    # the sign checks come first
+    with pytest.raises(DomainError, match="nbar must be >= 0"):
+        parse_state(dict(near, nbar=-1))

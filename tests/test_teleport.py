@@ -31,7 +31,7 @@ from cvgauss import (
     z_from_e0,
 )
 from cvgauss.teleport import write_fig1_csv, write_fig2_csv
-from util import rand_dsts, rand_sts
+from cvgauss.validate import random_dsts, random_sts
 
 
 # --- general CF channel -------------------------------------------------------
@@ -39,8 +39,8 @@ from util import rand_dsts, rand_sts
 def test_output_cf_equals_product_of_input_and_resource():
     rng = np.random.default_rng(501)
     for _ in range(5):
-        cf_in = dsts_to_cf(rand_dsts(rng))
-        res = sts_to_cf2(rand_sts(rng, nbar_max=0.5, r_max=1.0))
+        cf_in = dsts_to_cf(random_dsts(rng))
+        res = sts_to_cf2(random_sts(rng, nbar_max=0.5, r_max=1.0))
         out = teleport_cf(cf_in, res)
         for _ in range(10):
             lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
@@ -52,7 +52,7 @@ def test_output_cf_equals_product_of_input_and_resource():
 def test_symmetric_resource_reproduces_noise_update():
     rng = np.random.default_rng(503)
     for _ in range(10):
-        cf_in = dsts_to_cf(rand_dsts(rng))
+        cf_in = dsts_to_cf(random_dsts(rng))
         nbar, r = rng.uniform(0, 1), rng.uniform(0, 2)
         res = sts_to_cf2(TwoModeStsParams(nbar, nbar, r, 0.0))
         out = teleport_cf(cf_in, res)
@@ -85,7 +85,7 @@ def test_displaced_resource_rejected():
 def test_shortcut_agrees_with_general_channel():
     rng = np.random.default_rng(509)
     for _ in range(25):
-        cf_in = dsts_to_cf(rand_dsts(rng))
+        cf_in = dsts_to_cf(random_dsts(rng))
         nbar, r = rng.uniform(0, 1), rng.uniform(0, 2)
         via_general = teleport_cf(cf_in, sts_to_cf2(TwoModeStsParams(nbar, nbar, r, 0.0)))
         via_shortcut = teleport_symmetric_sts(cf_in, nbar, r)
@@ -96,8 +96,8 @@ def test_shortcut_agrees_with_general_channel():
 def test_output_state_is_physical():
     rng = np.random.default_rng(521)
     for _ in range(25):
-        cf_in = dsts_to_cf(rand_dsts(rng))
-        out = teleport_cf(cf_in, sts_to_cf2(rand_sts(rng, nbar_max=1.0, r_max=1.5)))
+        cf_in = dsts_to_cf(random_dsts(rng))
+        out = teleport_cf(cf_in, sts_to_cf2(random_sts(rng, nbar_max=1.0, r_max=1.5)))
         assert (out.a + 0.5) ** 2 - abs(out.b) ** 2 >= 0.25 - 1e-9
 
 
@@ -173,7 +173,7 @@ def test_separable_resource_region_is_finite():
 def test_fidelity_from_states_matches_state_route():
     rng = np.random.default_rng(541)
     for _ in range(40):
-        p = rand_dsts(rng, nbar_max=2.0, r_max=1.2)
+        p = random_dsts(rng, nbar_max=2.0, r_max=1.2)
         nbar, r = rng.uniform(0, 1), rng.uniform(0, 1.5)
         closed = teleport_fidelity_from_states(p, nbar, r)
         cf_in = dsts_to_cf(p)
