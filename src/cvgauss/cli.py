@@ -84,14 +84,14 @@ def _fmt_c(z: complex) -> str:
 
 def _print_dsts_info(p: DstsParams) -> None:
     g = dsts_to_cf(p)
-    v = cf_to_cov(g)
+    (qq, qp), (_, pp) = cf_to_cov(g).tolist()
     rc = nonclassicality_threshold(p.nbar)
     print("kind: dsts")
     print(f"nbar = {_fmt(p.nbar)}  r = {_fmt(p.r)}  phi = {_fmt(p.phi)}  "
           f"alpha = {_fmt_c(p.alpha)}")
     print(f"cf coefficients: a = {_fmt(g.a)}  b = {_fmt_c(g.b)}  c = {_fmt_c(g.c)}")
-    print(f"covariance matrix: [[{_fmt(v.qq)}, {_fmt(v.qp)}], [{_fmt(v.qp)}, {_fmt(v.pp)}]]")
-    print(f"det V = {_fmt(v.det())}")
+    print(f"covariance matrix: [[{_fmt(qq)}, {_fmt(qp)}], [{_fmt(qp)}, {_fmt(pp)}]]")
+    print(f"det V = {_fmt(qq * pp - qp * qp)}")
     print(f"nonclassicality threshold r_c = {_fmt(rc)}")
     verdict = "classical" if is_classical(p) else "nonclassical"
     print(f"verdict: {verdict}  (Q0 = {_fmt(degree_q0(p))})")

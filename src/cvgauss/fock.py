@@ -218,7 +218,6 @@ def _auto_dim_two_mode(p: TwoModeStsParams, target: float = TAIL_TARGET) -> int:
 
 
 def _finish_dm(rho: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
-    rho = 0.5 * (rho + rho.conj().T)
     tail = max(0.0, 1.0 - float(rho.trace().real))
     if tail > TAIL_WARN:
         warnings.warn(
@@ -237,7 +236,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     s = squeeze_matrix(p.r, p.phi, dim)
     d = displacement_matrix(p.alpha, dim)
     rho = d @ s @ thermal_dm(p.nbar, dim).matrix @ s.conj().T @ d.conj().T
-    return _finish_dm(rho, dim, 1)
+    return _finish_dm(0.5 * (rho + rho.conj().T), dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -252,7 +251,8 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
                       np.diag(thermal_dm(p.nbar2, dim).matrix).real)
     rho = np.zeros((dim * dim, dim * dim), dtype=complex)
     for idx, s in _ladders(p.r, p.phi, dim):
-        rho[np.ix_(idx, idx)] = (s * thermal[idx]) @ s.conj().T
+        block = (s * thermal[idx]) @ s.conj().T
+        rho[np.ix_(idx, idx)] = 0.5 * (block + block.conj().T)
     return _finish_dm(rho, dim, 2)
 
 

@@ -97,27 +97,15 @@ class OneModeGaussianCF:
         return (self.a + 0.5) ** 2 - abs(self.b) ** 2
 
 
-@dataclass(frozen=True)
-class CovMat1:
-    """Symmetric 2x2 quadrature covariance matrix of one mode."""
-
-    qq: float
-    qp: float
-    pp: float
-
-    def __post_init__(self):
-        if not (self.qq > 0.0 and self.pp > 0.0):
-            raise UnphysicalState("diagonal covariances must be positive")
-        if self.det() < 0.25 - _scaled_tol(self.qq * self.pp):
-            raise UnphysicalState(
-                f"det V = {self.det():.6g} < 1/4 violates the uncertainty relation"
-            )
-
-    def det(self) -> float:
-        return self.qq * self.pp - self.qp * self.qp
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.qq, self.qp], [self.qp, self.pp]])
+def _check_cov1(qq: float, qp: float, pp: float) -> None:
+    """Raise UnphysicalState unless [[qq, qp], [qp, pp]] is a physical one-mode
+    covariance matrix: positive diagonal and det >= 1/4 to a tolerance scaled
+    by qq pp."""
+    if not (qq > 0.0 and pp > 0.0):
+        raise UnphysicalState("diagonal covariances must be positive")
+    det = qq * pp - qp * qp
+    if det < 0.25 - _scaled_tol(qq * pp):
+        raise UnphysicalState(f"det V = {det:.6g} < 1/4 violates the uncertainty relation")
 
 
 @dataclass(frozen=True)
@@ -190,15 +178,11 @@ def dsts_to_cf(p: DstsParams) -> OneModeGaussianCF:
 
 
 def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
-    """Invert the coefficient map back to physical parameters.
-
-    Raises UnphysicalState when (a+1/2)^2 - |b|^2 < 1/4 beyond tolerance.
-    The squeeze angle is defined as 0 when b = 0.
+    """Invert the coefficient map back to physical parameters (g passed its
+    physicality check on construction).  The squeeze angle is defined as 0
+    when b = 0.
     """
-    det = g.det_cov()
-    if det < 0.25 - _scaled_tol((g.a + 0.5) ** 2):
-        raise UnphysicalState(f"det V = {det:.6g} < 1/4")
-    nph = math.sqrt(max(det, 0.25))
+    nph = math.sqrt(max(g.det_cov(), 0.25))
     nbar = max(nph - 0.5, 0.0)
     babs = abs(g.b)
     if babs > 0.0:
@@ -211,22 +195,19 @@ def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
     return DstsParams(nbar=nbar, r=r, phi=phi, alpha=g.c)
 
 
-def cf_to_cov(g: OneModeGaussianCF) -> CovMat1:
-    """Covariance matrix implied by CF coefficients (the displacement is dropped):
+def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
+    """Read-only 2x2 covariance matrix [[V_qq, V_qp], [V_qp, V_pp]] implied by
+    CF coefficients (the displacement is dropped):
     V_qq = a + 1/2 - Re b,  V_pp = a + 1/2 + Re b,  V_qp = -Im b.
+
+    Raises UnphysicalState when the matrix is not physical in double
+    precision, e.g. when V_pp cancels to zero under strong squeezing.
     """
-    return CovMat1(
-        qq=g.a + 0.5 - g.b.real,
-        qp=-g.b.imag,
-        pp=g.a + 0.5 + g.b.real,
-    )
-
-
-def cov_to_cf(v: CovMat1, displacement: complex = 0j) -> OneModeGaussianCF:
-    """Inverse of :func:`cf_to_cov`; the displacement must be supplied separately."""
-    a = 0.5 * (v.qq + v.pp) - 0.5
-    b = complex(0.5 * (v.pp - v.qq), -v.qp)
-    return OneModeGaussianCF(a=a, b=b, c=displacement)
+    qq, qp, pp = g.a + 0.5 - g.b.real, -g.b.imag, g.a + 0.5 + g.b.real
+    _check_cov1(qq, qp, pp)
+    m = np.array([[qq, qp], [qp, pp]])
+    m.setflags(write=False)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +272,13 @@ def local_invariants(m: np.ndarray) -> LocalInvariants:
 def checked_invariants(m) -> LocalInvariants:
     """Local invariants of a two-mode covariance matrix from outside, after
     checking that it is a finite symmetric 4x4 array (else DomainError) with
-    valid :class:`CovMat1` blocks, positive definite, and obeying the
+    physical one-mode blocks, positive definite, and obeying the
     uncertainty inequality to a tolerance scaled by its terms."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4) or not (np.isfinite(m).all() and np.array_equal(m, m.T)):
         raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
     for i in (0, 2):
-        CovMat1(m[i, i], m[i, i + 1], m[i + 1, i + 1])
+        _check_cov1(m[i, i], m[i, i + 1], m[i + 1, i + 1])
     ev_min = float(np.linalg.eigvalsh(m).min())
     if ev_min < -_scaled_tol(float(np.abs(m).max())):
         raise UnphysicalState(
@@ -326,7 +307,7 @@ def eval_cf1(g: OneModeGaussianCF, lam: complex) -> complex:
     return complex(np.exp(expo))
 
 
-def eval_cf1_cov(v: CovMat1, lam: complex, displacement: complex = 0j) -> complex:
+def eval_cf1_cov(v: np.ndarray, lam: complex, displacement: complex = 0j) -> complex:
     """Evaluate the same CF through the covariance-matrix form
     exp(-X V X/2 - i Xi.X) with lam = -(i/sqrt 2)(x + i y)."""
     lam = complex(lam)
@@ -334,7 +315,7 @@ def eval_cf1_cov(v: CovMat1, lam: complex, displacement: complex = 0j) -> comple
     y = math.sqrt(2.0) * lam.real
     xi = math.sqrt(2.0) * displacement.real
     eta = math.sqrt(2.0) * displacement.imag
-    quad = v.qq * x * x + 2.0 * v.qp * x * y + v.pp * y * y
+    quad = v[0, 0] * x * x + 2.0 * v[0, 1] * x * y + v[1, 1] * y * y
     return complex(np.exp(-0.5 * quad - 1j * (xi * x + eta * y)))
 
 

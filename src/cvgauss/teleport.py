@@ -28,7 +28,7 @@ import numpy as np
 
 from .entanglement import separability_threshold_rs
 from .errors import DisplacedResource, DomainError
-from .fidelity import _clamp_unit
+from .fidelity import clamp_unit
 from .nonclassicality import degree_q0
 from .states import (
     DstsParams,
@@ -116,7 +116,7 @@ def teleport_fidelity(v: TeleportVariables) -> float:
     xyz = v.x * v.y * v.z
     delta = 4.0 * (y2 + xyz + 0.25 * v.z * v.z)
     lam = 4.0 * max(y2 - 0.25, 0.0) * (y2 - 0.25 + 2.0 * xyz + v.z * v.z)
-    return _clamp_unit(1.0 / (math.sqrt(delta + lam) - math.sqrt(lam)))
+    return clamp_unit(1.0 / (math.sqrt(delta + lam) - math.sqrt(lam)))
 
 
 def teleport_variables(input_state: DstsParams, nbar: float, r: float) -> TeleportVariables:

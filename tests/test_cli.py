@@ -210,6 +210,29 @@ def test_oversized_state_is_input_error_in_every_command(tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith("error: field")
 
 
+def test_unresolvable_squeezed_covariance_is_input_error(tmp_path, capsys):
+    # V_pp = (a + 1/2) + Re b cancels to zero or below at r = 10, phi = 0
+    path = tmp_path / "squeezed.json"
+    path.write_text('{"kind": "dsts", "nbar": 0.0, "r": 10.0, "phi": 0.0, "alpha": [0.0, 0.0]}')
+    assert main(["info", "--state", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: diagonal covariances must be positive")
+
+
+@pytest.mark.parametrize("descriptor", [
+    '{"kind": "dsts", "nbar": 0.0, "r": 10.0, "phi": 0.3, "alpha": [0.0, 0.0]}',
+    '{"kind": "dsts", "nbar": 1e10, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}',
+    '{"kind": "sts2", "nbar1": 0.0, "nbar2": 0.0, "r": 12.0, "phi": 0.3}',
+], ids=["dsts-r10", "dsts-nbar1e10", "sts2-r12"])
+def test_unresolvable_self_fidelity_is_input_error(tmp_path, capsys, descriptor):
+    # det(V + V') cancels (r = 10, r = 12) or sqrt(Delta + Lambda) - sqrt(Lambda)
+    # rounds to 0 (nbar = 1e10) in double precision
+    path = tmp_path / "state.json"
+    path.write_text(descriptor)
+    assert main(["fidelity", "--state", str(path), "--state2", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cancels" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("args, option", [
     (["teleport", "--nbar", "inf", "--r", "0.5"], "--nbar"),
     (["teleport", "--nbar", "0.1", "--r", "nan"], "--r"),

@@ -9,17 +9,18 @@ from cvgauss import (
     OneModeGaussianCF,
     TwoModeStsParams,
     bures_distance,
+    cf_to_cov,
     dsts_dm,
     dsts_to_cf,
     fidelity_one_mode,
     fidelity_two_mode_sts,
-    one_mode_intermediates,
     sts2_dm,
+    sts_to_cov2,
     thermal_dm,
     trace_product,
-    two_mode_intermediates,
     uhlmann_fidelity_numeric,
 )
+from cvgauss.fidelity import _purity_factor
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -100,13 +101,15 @@ def test_one_mode_matches_fock_oracle():
 
 
 def test_intermediates_invariants():
+    # Delta = det(V + V') > 0 and each purity factor det V - 1/4 >= 0, exactly 0 when pure
     rng = np.random.default_rng(251)
     for _ in range(30):
-        inter = one_mode_intermediates(dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng)))
-        assert inter.delta > 0.0
-        assert inter.lam >= 0.0
+        v1 = cf_to_cov(dsts_to_cf(random_dsts(rng)))
+        v2 = cf_to_cov(dsts_to_cf(random_dsts(rng)))
+        assert np.linalg.det(v1 + v2) > 0.0
+        assert _purity_factor(v1) >= 0.0 and _purity_factor(v2) >= 0.0
     pure = dsts_to_cf(DstsParams(0.0, 0.9, 0.4, 0.2j))
-    assert one_mode_intermediates(pure, pure).lam == 0.0
+    assert _purity_factor(cf_to_cov(pure)) == 0.0
 
 
 # --- two-mode ---------------------------------------------------------------
@@ -139,11 +142,11 @@ def test_two_mode_symmetry_and_bounds():
 
 
 def test_two_mode_intermediates_nonnegative():
+    # det(V + V') of the sum that fidelity_two_mode_sts takes the square root of
     rng = np.random.default_rng(271)
     for _ in range(20):
-        inter = two_mode_intermediates(random_sts(rng), random_sts(rng))
-        assert inter.x1 >= 0.0 and inter.x2 >= 0.0
-        assert inter.det_sum > 0.0
+        p1, p2 = random_sts(rng), random_sts(rng)
+        assert np.linalg.det(sts_to_cov2(p1) + sts_to_cov2(p2)) > 0.0
 
 
 def test_two_mode_matches_fock_oracle_example():

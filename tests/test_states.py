@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cvgauss import (
-    CovMat1,
     DomainError,
     DstsParams,
     OneModeGaussianCF,
@@ -15,7 +14,6 @@ from cvgauss import (
     cf2_to_cov2,
     cf_to_cov,
     cf_to_dsts,
-    cov_to_cf,
     dsts_to_cf,
     eval_cf1,
     eval_cf1_cov,
@@ -115,23 +113,17 @@ def test_roundtrip_starting_from_cf():
         assert h.c == g.c
 
 
-def test_cf_to_dsts_rejects_unphysical():
-    g = object.__new__(OneModeGaussianCF)  # bypass constructor validation
-    object.__setattr__(g, "a", 0.0)
-    object.__setattr__(g, "b", 0.6 + 0j)
-    object.__setattr__(g, "c", 0j)
-    with pytest.raises(UnphysicalState):
-        cf_to_dsts(g)
-
-
 # --- covariance forms -------------------------------------------------------
 
 def test_cf_to_cov_vacuum_and_thermal():
     v = cf_to_cov(OneModeGaussianCF(0.0))
-    assert (v.qq, v.qp, v.pp) == (0.5, 0.0, 0.5)
-    assert v.det() == pytest.approx(0.25)
+    assert isinstance(v, np.ndarray) and v.dtype == float
+    assert v.tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    with pytest.raises(ValueError):
+        v[0, 0] = 1.0
     w = cf_to_cov(dsts_to_cf(DstsParams(nbar=1.0)))
-    assert w.qq == pytest.approx(1.5) and w.pp == pytest.approx(1.5) and w.qp == 0.0
+    assert w[0, 0] == pytest.approx(1.5) and w[1, 1] == pytest.approx(1.5)
+    assert w[0, 1] == w[1, 0] == 0.0
 
 
 def test_cf_to_cov_squeezed_least_squares_fit():
@@ -147,27 +139,21 @@ def test_cf_to_cov_squeezed_least_squares_fit():
         rows.append([x * x, 2 * x * y, y * y])
         vals.append(-2.0 * math.log(abs(eval_cf1(g, lam))))
     fit, *_ = np.linalg.lstsq(np.array(rows), np.array(vals), rcond=None)
-    assert np.allclose(fit, [v.qq, v.qp, v.pp], atol=1e-10)
-    assert v.det() == pytest.approx(0.25, abs=1e-14)
-    eig = np.linalg.eigvalsh(v.matrix())
+    assert np.allclose(fit, [v[0, 0], v[0, 1], v[1, 1]], atol=1e-10)
+    assert np.linalg.det(v) == pytest.approx(0.25, abs=1e-14)
+    eig = np.linalg.eigvalsh(v)
     assert eig == pytest.approx([0.5 * math.exp(-1.0), 0.5 * math.exp(1.0)], abs=1e-12)
 
 
-def test_cov_roundtrip():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        g = dsts_to_cf(random_dsts(rng))
-        h = cov_to_cf(cf_to_cov(g), g.c)
-        assert h.a == pytest.approx(g.a, abs=1e-12)
-        assert abs(h.b - g.b) < 1e-12
-        assert h.c == g.c
-
-
 def test_cov_validation():
-    with pytest.raises(UnphysicalState):
-        CovMat1(qq=0.1, qp=0.0, pp=0.1)  # det < 1/4
-    with pytest.raises(UnphysicalState):
-        CovMat1(qq=-1.0, qp=0.0, pp=1.0)
+    # a one-mode block with det < 1/4 or a negative diagonal, beside a vacuum
+    # block, in either position
+    for diag, message in (([0.1, 0.1, 0.5, 0.5], "uncertainty relation"),
+                          ([0.5, 0.5, 0.1, 0.1], "uncertainty relation"),
+                          ([-1.0, 1.0, 0.5, 0.5], "diagonal covariances must be positive"),
+                          ([0.5, 0.5, -1.0, 1.0], "diagonal covariances must be positive")):
+        with pytest.raises(UnphysicalState, match=message):
+            checked_invariants(np.diag(diag))
 
 
 # --- CF evaluation ----------------------------------------------------------
