@@ -7,8 +7,13 @@ from scipy.optimize import minimize
 
 from .errors import ConvergenceFailure
 
+#: Nelder-Mead stopping rules shared by every distance search
+XATOL = 1e-9
+FATOL = 1e-12
+MAXITER = 4000
 
-def multistart_nelder_mead(objective, starts, *, xatol=1e-9, fatol=1e-12, maxiter=4000):
+
+def multistart_nelder_mead(objective, starts):
     """Run Nelder-Mead from each starting point and return (x_best, f_best).
 
     Raises ConvergenceFailure when no start converges.
@@ -21,10 +26,10 @@ def multistart_nelder_mead(objective, starts, *, xatol=1e-9, fatol=1e-12, maxite
             np.asarray(x0, dtype=float),
             method="Nelder-Mead",
             options={
-                "xatol": xatol,
-                "fatol": fatol,
-                "maxiter": maxiter,
-                "maxfev": 2 * maxiter,
+                "xatol": XATOL,
+                "fatol": FATOL,
+                "maxiter": MAXITER,
+                "maxfev": 2 * MAXITER,
             },
         )
         converged = converged or bool(res.success)

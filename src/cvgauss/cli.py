@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,24 +49,6 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     OSError,
 )
-
-
-@dataclass
-class SweepConfig:
-    """Grid sizes and overrides for the sweep and validate commands."""
-
-    points: int = 99
-    outdir: Path = Path(".")
-    dim: int | None = None
-    tol: float | None = None
-
-    def __post_init__(self):
-        if self.points < 2:
-            raise DomainError(f"grid size must be >= 2, got {self.points}")
-        if self.dim is not None and self.dim < 1:
-            raise DomainError(f"truncation override must be >= 1, got {self.dim}")
-        if self.tol is not None and not (self.tol > 0.0):
-            raise DomainError(f"tolerance override must be > 0, got {self.tol}")
 
 
 def _load_state(path: str):
@@ -125,7 +106,13 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _check_dim(dim: int | None) -> None:
+    if dim is not None and dim < 1:
+        raise DomainError(f"truncation override must be >= 1, got {dim}")
+
+
 def _cmd_fidelity(args) -> int:
+    _check_dim(args.dim)
     s1 = _load_state(args.state)
     s2 = _load_state(args.state2)
     if isinstance(s1, DstsParams) and isinstance(s2, DstsParams):
@@ -138,7 +125,7 @@ def _cmd_fidelity(args) -> int:
         value = fidelity_two_mode_sts(s1, s2)
         oracle = None
         if args.oracle:
-            dim = min(args.dim, 64) if args.dim else None
+            dim = min(args.dim, 64) if args.dim is not None else None
             oracle = fock.uhlmann_fidelity_numeric(fock.sts2_dm(s1, dim), fock.sts2_dm(s2, dim))
     else:
         raise DomainError("fidelity requires two states of the same kind")
@@ -188,47 +175,30 @@ def _finite_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
+    if args.points < 2:
+        raise DomainError(f"grid size must be >= 2, got {args.points}")
     if args.figure == "fig1":
         nbars = args.nbar_in or list(teleport.FIG1_NBARS)
-        grid = np.linspace(0.01, 0.99, cfg.points)
+        grid = np.linspace(0.01, 0.99, args.points)
         sweep = teleport.sweep_fig1(args.r_in, nbars, grid)
-        paths = teleport.write_fig1_csv(sweep, cfg.outdir)
+        paths = teleport.write_fig1_csv(sweep, args.out)
     else:
         e0s = args.e0 or list(teleport.FIG2_E0S)
-        grid = np.linspace(0.0, 0.99, cfg.points)
+        grid = np.linspace(0.0, 0.99, args.points)
         sweep = teleport.sweep_fig2(e0s, grid)
-        paths = teleport.write_fig2_csv(sweep, cfg.outdir)
+        paths = teleport.write_fig2_csv(sweep, args.out)
     for path in paths:
         print(path)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    results = validate.run_suite(args.suite, oracle_dim=cfg.dim, oracle_tol=cfg.tol)
+    _check_dim(args.dim)
+    if args.tol is not None and not (args.tol > 0.0):
+        raise DomainError(f"tolerance override must be > 0, got {args.tol}")
+    results = validate.run_suite(args.suite, oracle_dim=args.dim, oracle_tol=args.tol)
     print(validate.format_report(results, args.suite))
     return 0 if all(r.passed for r in results) else 3
-
-
-def _load_config(args) -> SweepConfig:
-    defaults: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            defaults = json.loads(Path(config_path).read_text())
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"invalid config file: {exc}") from exc
-        if not isinstance(defaults, dict):
-            raise DomainError("config file must hold a JSON object")
-    points = getattr(args, "points", None)
-    outdir = getattr(args, "out", None)
-    return SweepConfig(
-        points=points if points is not None else int(defaults.get("points", 99)),
-        outdir=Path(outdir if outdir is not None else defaults.get("out", ".")),
-        dim=getattr(args, "dim", None) or defaults.get("dim"),
-        tol=getattr(args, "tol", None) or defaults.get("tol"),
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,22 +234,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="write figure CSV files")
     p_sweep.add_argument("figure", choices=("fig1", "fig2"))
-    p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--points", type=int, default=None, help="grid size (>= 2)")
+    p_sweep.add_argument("--out", default=".", help="output directory")
+    p_sweep.add_argument("--points", type=int, default=99, help="grid size (>= 2)")
     p_sweep.add_argument("--r-in", dest="r_in", type=_finite, default=teleport.FIG1_R_IN,
                          help="input squeeze factor (fig1)")
     p_sweep.add_argument("--nbar-in", dest="nbar_in", type=_finite_list, default=None,
                          help="comma-separated input occupancies (fig1)")
     p_sweep.add_argument("--e0", type=_finite_list, default=None,
                          help="comma-separated resource entanglements (fig2)")
-    p_sweep.add_argument("--config", default=None, help="optional JSON config file")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the oracle-vs-closed-form check suite")
     p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
     p_val.add_argument("--dim", type=int, default=None, help="oracle truncation override")
     p_val.add_argument("--tol", type=_finite, default=None, help="oracle tolerance override")
-    p_val.add_argument("--config", default=None, help="optional JSON config file")
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

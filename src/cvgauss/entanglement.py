@@ -52,8 +52,7 @@ def degree_e0(p: TwoModeStsParams) -> float:
     return 1.0 - 1.0 / math.cosh(gap)
 
 
-def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8,
-                              xatol: float = 1e-9, fatol: float = 1e-12):
+def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     """Minimize 1 - sqrt(F) over separable squeezed thermal states.
 
     Same smooth reparametrization and multi-start scheme as the
@@ -86,7 +85,7 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8,
             p.phi,
         ])
 
-    x_best, f_best = multistart_nelder_mead(objective, starts, xatol=xatol, fatol=fatol)
+    x_best, f_best = multistart_nelder_mead(objective, starts)
     return unpack(x_best), f_best
 
 

@@ -40,8 +40,7 @@ def degree_q0(p: DstsParams) -> float:
     return 1.0 - math.sqrt(1.0 / math.cosh(gap))
 
 
-def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8,
-                              xatol: float = 1e-9, fatol: float = 1e-12):
+def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     """Minimize half the squared Bures distance over classical Gaussian states.
 
     Derivative-free multi-start search with the constraint set mapped
@@ -74,5 +73,5 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8,
             start += [p.alpha.real, p.alpha.imag]
         starts.append(start)
 
-    x_best, f_best = multistart_nelder_mead(objective, starts, xatol=xatol, fatol=fatol)
+    x_best, f_best = multistart_nelder_mead(objective, starts)
     return unpack(x_best), f_best

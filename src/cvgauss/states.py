@@ -144,9 +144,6 @@ class TwoModeGaussianCF:
         object.__setattr__(self, "g", complex(self.g))
         checked_invariants(cf2_to_cov2(self))
 
-    def is_displacement_free(self, tol: float = 1e-12) -> bool:
-        return abs(self.mode1.c) <= tol and abs(self.mode2.c) <= tol
-
 
 @dataclass(frozen=True)
 class LocalInvariants:

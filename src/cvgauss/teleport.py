@@ -20,14 +20,13 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .entanglement import separability_threshold_rs
-from .errors import DisplacedResource, DomainError
+from .errors import DisplacedResource, DomainError, UnphysicalState
 from .fidelity import clamp_unit
 from .nonclassicality import degree_q0
 from .states import (
@@ -47,29 +46,6 @@ FIG1_NBARS = (0.0, 0.1, 0.5, 5.0)
 FIG2_E0S = (1.0, 0.615, 0.425)
 
 
-@dataclass(frozen=True)
-class TeleportVariables:
-    """Variables of the teleportation-fidelity formula.
-
-    x = cosh(2 r_in) >= 1 and y = nbar_in + 1/2 >= 1/2 characterize the input;
-    z = exp(-2 (r - r_s)) > 0 carries the resource.  z = 0 is admitted as the
-    infinite-entanglement limit (needed by the sweep endpoints), z > 1 means a
-    separable resource and is computed without further interpretation.
-    """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not (self.x >= 1.0 - 1e-12):
-            raise DomainError(f"x = cosh(2 r_in) must be >= 1, got {self.x}")
-        if not (self.y >= 0.5 - 1e-12):
-            raise DomainError(f"y = nbar_in + 1/2 must be >= 1/2, got {self.y}")
-        if not (self.z >= 0.0):
-            raise DomainError(f"z must be >= 0, got {self.z}")
-
-
 def teleport_cf(input_cf: OneModeGaussianCF, resource: TwoModeGaussianCF) -> OneModeGaussianCF:
     """Teleport a one-mode Gaussian state through a displacement-free
     two-mode Gaussian resource.
@@ -78,9 +54,9 @@ def teleport_cf(input_cf: OneModeGaussianCF, resource: TwoModeGaussianCF) -> One
     adds a quadratic form to the input exponent, so the output coefficients
     are a linear update of the input ones.
     """
-    if not resource.is_displacement_free():
-        raise DisplacedResource("resource state must carry no displacement")
     m1, m2 = resource.mode1, resource.mode2
+    if not (abs(m1.c) <= 1e-12 and abs(m2.c) <= 1e-12):
+        raise DisplacedResource("resource state must carry no displacement")
     a_out = input_cf.a + m1.a + m2.a + 1.0 - 2.0 * resource.g.real
     b_out = input_cf.b + np.conj(m1.b) + m2.b + 2.0 * np.conj(resource.f)
     return OneModeGaussianCF(a=a_out, b=b_out, c=input_cf.c)
@@ -110,19 +86,31 @@ def teleport_symmetric_sts(input_cf: OneModeGaussianCF, nbar: float, r: float) -
     return teleport_with_noise(input_cf, _resource_noise(nbar, r))
 
 
-def teleport_fidelity(v: TeleportVariables) -> float:
-    """Closed-form input-output fidelity of the protocol."""
-    y2 = v.y * v.y
-    xyz = v.x * v.y * v.z
-    delta = 4.0 * (y2 + xyz + 0.25 * v.z * v.z)
-    lam = 4.0 * max(y2 - 0.25, 0.0) * (y2 - 0.25 + 2.0 * xyz + v.z * v.z)
-    return clamp_unit(1.0 / (math.sqrt(delta + lam) - math.sqrt(lam)))
+def teleport_fidelity(x: float, y: float, z: float) -> float:
+    """Closed-form input-output fidelity of the protocol.
 
-
-def teleport_variables(input_state: DstsParams, nbar: float, r: float) -> TeleportVariables:
-    """Map (input state, symmetric resource parameters) onto (x, y, z)."""
-    z = _resource_noise(nbar, r)
-    return TeleportVariables(x=math.cosh(2.0 * input_state.r), y=input_state.nbar + 0.5, z=z)
+    x = cosh(2 r_in) >= 1 and y = nbar_in + 1/2 >= 1/2 characterize the input;
+    z = exp(-2 (r - r_s)) >= 0 carries the resource.  z = 0 is admitted as the
+    infinite-entanglement limit (needed by the sweep endpoints), z > 1 means a
+    separable resource and is computed without further interpretation.
+    Raises UnphysicalState when sqrt(Delta + Lambda) - sqrt(Lambda) cancels
+    to 0 in double precision.
+    """
+    if not (x >= 1.0 - 1e-12):
+        raise DomainError(f"x = cosh(2 r_in) must be >= 1, got {x}")
+    if not (y >= 0.5 - 1e-12):
+        raise DomainError(f"y = nbar_in + 1/2 must be >= 1/2, got {y}")
+    if not (z >= 0.0):
+        raise DomainError(f"z must be >= 0, got {z}")
+    y2 = y * y
+    xyz = x * y * z
+    delta = 4.0 * (y2 + xyz + 0.25 * z * z)
+    lam = 4.0 * max(y2 - 0.25, 0.0) * (y2 - 0.25 + 2.0 * xyz + z * z)
+    denom = math.sqrt(delta + lam) - math.sqrt(lam)
+    if denom == 0.0:
+        raise UnphysicalState("sqrt(Delta + Lambda) - sqrt(Lambda) cancels to 0 "
+                              "in double precision")
+    return clamp_unit(1.0 / denom)
 
 
 def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float) -> float:
@@ -131,7 +119,8 @@ def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float
     Agrees with fidelity_one_mode(input CF, teleported CF): the displacement
     cancels because the channel preserves c.
     """
-    return teleport_fidelity(teleport_variables(input_state, nbar, r))
+    z = _resource_noise(nbar, r)
+    return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
 
 
 def e0_from_z(z: float) -> float:
@@ -168,9 +157,7 @@ def sweep_fig1(r_in: float = FIG1_R_IN,
     out: dict[float, list[tuple[float, float]]] = {}
     for nbar_in in nbar_in_list:
         y = float(nbar_in) + 0.5
-        rows = [(e0, teleport_fidelity(TeleportVariables(x=x, y=y, z=z_from_e0(e0))))
-                for e0 in grid]
-        out[float(nbar_in)] = rows
+        out[float(nbar_in)] = [(e0, teleport_fidelity(x, y, z_from_e0(e0))) for e0 in grid]
     return out
 
 
@@ -179,13 +166,14 @@ def sweep_fig2(e0_list: Sequence[float] = FIG2_E0S,
     """Nonclassicality of the teleported state versus that of the input, for
     squeezed-vacuum inputs, one curve per resource entanglement."""
     grid = [float(q) for q in qin_grid]
+    for q_in in grid:
+        if not (0.0 <= q_in < 1.0):
+            raise DomainError(f"Q_in must lie in [0, 1), got {q_in}")
     out: dict[float, list[tuple[float, float]]] = {}
     for e0 in e0_list:
         z = z_from_e0(float(e0))
         rows = []
         for q_in in grid:
-            if not (0.0 <= q_in < 1.0):
-                raise DomainError(f"Q_in must lie in [0, 1), got {q_in}")
             # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
             sech = (1.0 - q_in) ** 2
             r_in = math.acosh(1.0 / sech) if q_in > 0.0 else 0.0
@@ -215,31 +203,25 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: str, rows: Iterable[tuple[float, float]]) -> str:
-    lines = [header]
-    lines += [f"{u:.12g},{v:.12g}" for u, v in rows]
-    return "\n".join(lines) + "\n"
+def _write_curves(sweep: dict[float, list[tuple[float, float]]], outdir, stem: str,
+                  header: str) -> list[Path]:
+    """One `header` CSV file per curve, named `{stem}_{key:g}.csv`."""
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for key, rows in sweep.items():
+        path = outdir / f"{stem}_{key:g}.csv"
+        lines = [header] + [f"{u:.12g},{v:.12g}" for u, v in rows]
+        _write_atomic(path, "\n".join(lines) + "\n")
+        paths.append(path)
+    return paths
 
 
 def write_fig1_csv(sweep: dict[float, list[tuple[float, float]]], outdir) -> list[Path]:
     """One `e0,fidelity` file per input occupancy."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for nbar_in, rows in sweep.items():
-        path = outdir / f"fig1_nbar_{nbar_in:g}.csv"
-        _write_atomic(path, _csv_text("e0,fidelity", rows))
-        paths.append(path)
-    return paths
+    return _write_curves(sweep, outdir, "fig1_nbar", "e0,fidelity")
 
 
 def write_fig2_csv(sweep: dict[float, list[tuple[float, float]]], outdir) -> list[Path]:
     """One `q_in,q_out` file per resource entanglement."""
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for e0, rows in sweep.items():
-        path = outdir / f"fig2_e0_{e0:g}.csv"
-        _write_atomic(path, _csv_text("q_in,q_out", rows))
-        paths.append(path)
-    return paths
+    return _write_curves(sweep, outdir, "fig2_e0", "q_in,q_out")

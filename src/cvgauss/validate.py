@@ -30,7 +30,7 @@ from .states import (
     local_invariants,
     sts_to_cov2,
 )
-from .teleport import TeleportVariables, teleport_fidelity, teleport_with_noise
+from .teleport import teleport_fidelity, teleport_with_noise
 
 
 @dataclass
@@ -135,8 +135,7 @@ def _check_teleport_paths(rng) -> float:
     for r_in in np.linspace(0.0, 1.2, 5):
         for nbar_in in np.linspace(0.0, 2.0, 5):
             for z in np.linspace(0.1, 1.4, 5):
-                closed = teleport_fidelity(
-                    TeleportVariables(x=math.cosh(2 * r_in), y=nbar_in + 0.5, z=z))
+                closed = teleport_fidelity(math.cosh(2 * r_in), nbar_in + 0.5, z)
                 cf_in = dsts_to_cf(DstsParams(nbar=nbar_in, r=r_in, phi=0.4, alpha=0.3 + 0.2j))
                 via_states = fidelity_one_mode(cf_in, teleport_with_noise(cf_in, z))
                 worst = max(worst, abs(closed - via_states))
@@ -146,7 +145,7 @@ def _check_teleport_paths(rng) -> float:
 def _check_coherent_row() -> float:
     worst = 0.0
     for z in np.linspace(0.05, 1.5, 30):
-        f = teleport_fidelity(TeleportVariables(x=1.0, y=0.5, z=float(z)))
+        f = teleport_fidelity(1.0, 0.5, float(z))
         worst = max(worst, abs(f - 1.0 / (1.0 + z)))
     return worst
 

@@ -11,7 +11,6 @@ import numpy as np
 
 from cvgauss import (
     DstsParams,
-    TeleportVariables,
     TwoModeStsParams,
     closest_classical_numeric,
     closest_separable_numeric,
@@ -143,8 +142,7 @@ def _fidelity_grid():
     for i, r_in in enumerate(_R_IN):
         for j, nbar_in in enumerate(_NBAR_IN):
             for k, z in enumerate(_Z):
-                f[i, j, k] = teleport_fidelity(
-                    TeleportVariables(math.cosh(2 * r_in), nbar_in + 0.5, z))
+                f[i, j, k] = teleport_fidelity(math.cosh(2 * r_in), nbar_in + 0.5, z)
     return f
 
 
@@ -154,19 +152,18 @@ def test_criterion_6_teleportation_consistency():
         for nbar_in in _NBAR_IN:
             cf_in = dsts_to_cf(DstsParams(nbar_in, r_in, 0.7, 0.4 - 0.3j))
             for z in _Z:
-                closed = teleport_fidelity(
-                    TeleportVariables(math.cosh(2 * r_in), nbar_in + 0.5, z))
+                closed = teleport_fidelity(math.cosh(2 * r_in), nbar_in + 0.5, z)
                 via = fidelity_one_mode(cf_in, teleport_with_noise(cf_in, z))
                 worst_paths = max(worst_paths, abs(closed - via))
     worst_coherent = max(
-        abs(teleport_fidelity(TeleportVariables(1.0, 0.5, z)) - 1.0 / (1.0 + z))
+        abs(teleport_fidelity(1.0, 0.5, z) - 1.0 / (1.0 + z))
         for z in _Z)
     # classical-benchmark chain: F(1, 1/2, z) > N/(N+1) iff r - r_s > ln(N)/2
     threshold_ok = True
     for n in (1, 2, 3):
         for dr in (-0.02, 0.02):
             gap = 0.5 * math.log(n) + dr
-            f = teleport_fidelity(TeleportVariables(1.0, 0.5, math.exp(-2.0 * gap)))
+            f = teleport_fidelity(1.0, 0.5, math.exp(-2.0 * gap))
             threshold_ok &= (f > n / (n + 1.0)) == (dr > 0)
     ok = worst_paths <= 1e-10 and worst_coherent <= 1e-12 and threshold_ok
     _report(6, "teleportation closed form vs input/output fidelity (10^3 grid)",

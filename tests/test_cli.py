@@ -150,13 +150,11 @@ def test_sweep_custom_curve_list(tmp_path, capsys):
     assert (tmp_path / "fig2_e0_0.2.csv").exists()
 
 
-def test_sweep_config_file(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"points": 4, "out": str(tmp_path / "cfgout")}))
-    assert main(["sweep", "fig1", "--config", str(cfg)]) == 0
+def test_sweep_default_grid(tmp_path, capsys):
+    assert main(["sweep", "fig1", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    rows = (tmp_path / "cfgout" / "fig1_nbar_0.csv").read_text().strip().split("\n")
-    assert len(rows) == 5
+    for path in tmp_path.iterdir():
+        assert len(path.read_text().strip().split("\n")) == 100
 
 
 def test_sweep_rejects_tiny_grid(tmp_path, capsys):
@@ -231,6 +229,27 @@ def test_unresolvable_self_fidelity_is_input_error(tmp_path, capsys, descriptor)
     assert main(["fidelity", "--state", str(path), "--state2", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cancels" in err and "Traceback" not in err
+
+
+def test_teleport_unresolvable_fidelity_is_input_error(tmp_path, capsys):
+    # sqrt(Delta + Lambda) - sqrt(Lambda) rounds to 0 for a very mixed input
+    path = tmp_path / "hot.json"
+    path.write_text('{"kind": "dsts", "nbar": 1e9, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}')
+    assert main(["teleport", "--state", str(path), "--nbar", "0", "--r", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cancels" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["validate", "--dim", "0"], "truncation override must be >= 1"),
+    (["validate", "--tol", "0"], "tolerance override must be > 0"),
+    (["fidelity", "--oracle", "--dim", "0"], "truncation override must be >= 1"),
+], ids=["validate-dim", "validate-tol", "fidelity-oracle-dim"])
+def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, message):
+    if args[0] == "fidelity":
+        args = args + ["--state", pure_sts_file, "--state2", pure_sts_file]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("args, option", [

@@ -9,7 +9,6 @@ from cvgauss import (
     DomainError,
     DstsParams,
     OneModeGaussianCF,
-    TeleportVariables,
     TwoModeGaussianCF,
     TwoModeStsParams,
     cf_to_dsts,
@@ -26,7 +25,6 @@ from cvgauss import (
     teleport_fidelity,
     teleport_fidelity_from_states,
     teleport_symmetric_sts,
-    teleport_variables,
     teleport_with_noise,
     z_from_e0,
 )
@@ -130,28 +128,28 @@ def test_resource_parameter_validation():
 
 def test_variables_validation():
     with pytest.raises(DomainError):
-        TeleportVariables(x=0.9, y=0.5, z=0.5)
+        teleport_fidelity(0.9, 0.5, 0.5)
     with pytest.raises(DomainError):
-        TeleportVariables(x=1.0, y=0.4, z=0.5)
+        teleport_fidelity(1.0, 0.4, 0.5)
     with pytest.raises(DomainError):
-        TeleportVariables(x=1.0, y=0.5, z=-0.1)
+        teleport_fidelity(1.0, 0.5, -0.1)
 
 
 def test_coherent_input_row():
     for z in np.linspace(0.05, 1.5, 25):
-        f = teleport_fidelity(TeleportVariables(1.0, 0.5, float(z)))
+        f = teleport_fidelity(1.0, 0.5, float(z))
         assert f == pytest.approx(1.0 / (1.0 + z), abs=1e-12)
 
 
 def test_half_fidelity_point():
-    assert teleport_fidelity(TeleportVariables(1.0, 0.5, 1.0)) == pytest.approx(0.5, abs=1e-15)
+    assert teleport_fidelity(1.0, 0.5, 1.0) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_perfect_resource_limit():
     rng = np.random.default_rng(523)
     for _ in range(20):
-        v = TeleportVariables(x=rng.uniform(1, 3), y=rng.uniform(0.5, 3), z=0.0)
-        assert teleport_fidelity(v) == pytest.approx(1.0, abs=1e-9)
+        f = teleport_fidelity(rng.uniform(1, 3), rng.uniform(0.5, 3), 0.0)
+        assert f == pytest.approx(1.0, abs=1e-9)
 
 
 def test_classical_threshold_chain():
@@ -161,12 +159,12 @@ def test_classical_threshold_chain():
         for dr in (-0.05, 0.05):
             r = r_s + 0.5 * math.log(n) + dr
             z = math.exp(-2.0 * (r - r_s))
-            f = teleport_fidelity(TeleportVariables(1.0, 0.5, z))
+            f = teleport_fidelity(1.0, 0.5, z)
             assert (f > n / (n + 1.0)) == (dr > 0)
 
 
 def test_separable_resource_region_is_finite():
-    f = teleport_fidelity(TeleportVariables(2.0, 1.5, 3.7))  # z > 1: r < r_s
+    f = teleport_fidelity(2.0, 1.5, 3.7)  # z > 1: r < r_s
     assert 0.0 < f < 1.0
 
 
@@ -182,9 +180,8 @@ def test_fidelity_from_states_matches_state_route():
 
 
 def test_mixing_improves_fidelity():
-    v = teleport_variables(DstsParams(5.0, 1.0), 0.2, 0.8)
-    f_hot = teleport_fidelity(v)
-    f_cold = teleport_fidelity(teleport_variables(DstsParams(0.0, 1.0), 0.2, 0.8))
+    f_hot = teleport_fidelity_from_states(DstsParams(5.0, 1.0), 0.2, 0.8)
+    f_cold = teleport_fidelity_from_states(DstsParams(0.0, 1.0), 0.2, 0.8)
     assert f_hot > f_cold
 
 
@@ -192,7 +189,7 @@ def test_monotonicity_signs_on_grid():
     xs = np.linspace(1.0, 3.0, 20)
     ys = np.linspace(0.5, 3.0, 20)
     zs = np.linspace(1.5 / 20, 1.5, 20)
-    f = np.array([[[teleport_fidelity(TeleportVariables(x, y, z)) for z in zs]
+    f = np.array([[[teleport_fidelity(x, y, z) for z in zs]
                    for y in ys] for x in xs])
     assert (f[2:, :, :] - f[:-2, :, :]).max() < 0.0   # decreasing in x
     assert (f[:, 2:, :] - f[:, :-2, :]).min() > 0.0   # increasing in y
@@ -247,7 +244,7 @@ def test_fig1_strictly_increasing_and_ordered_by_mixing():
 
 def test_fig1_zero_entanglement_endpoint_is_z_one():
     sweep = sweep_fig1(1.0, (0.3,), [0.0])
-    expected = teleport_fidelity(TeleportVariables(math.cosh(2.0), 0.8, 1.0))
+    expected = teleport_fidelity(math.cosh(2.0), 0.8, 1.0)
     assert sweep[0.3][0] == (0.0, expected)
 
 
