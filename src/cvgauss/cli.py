@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fock, teleport, validate
-from .entanglement import degree_e0, peres_simon_separable, separability_threshold_rs
+from .entanglement import degree_e0, separability_threshold_rs
 from .errors import (
     DimensionMismatch,
     DisplacedResource,
@@ -32,13 +32,9 @@ from .nonclassicality import degree_q0, is_classical, nonclassicality_threshold
 from .states import (
     DstsParams,
     TwoModeStsParams,
-    cf_to_cov,
-    cf_to_dsts,
     dsts_to_cf,
-    local_invariants,
     parse_state,
     state_to_dict,
-    sts_to_cf2,
     sts_to_cov2,
 )
 
@@ -65,35 +61,38 @@ def _fmt_c(z: complex) -> str:
 
 def _print_dsts_info(p: DstsParams) -> None:
     g = dsts_to_cf(p)
-    (qq, qp), (_, pp) = cf_to_cov(g).tolist()
+    # V = y R diag(e^{2r}, e^{-2r}) R^T with R the rotation by phi/2, det V = y^2
+    y, e2r = p.nbar + 0.5, math.exp(2.0 * p.r)
+    cos2, sin2 = math.cos(0.5 * p.phi) ** 2, math.sin(0.5 * p.phi) ** 2
+    qq, pp = y * (e2r * cos2 + sin2 / e2r), y * (e2r * sin2 + cos2 / e2r)
+    qp = y * math.sinh(2.0 * p.r) * math.sin(p.phi)
     rc = nonclassicality_threshold(p.nbar)
     print("kind: dsts")
     print(f"nbar = {_fmt(p.nbar)}  r = {_fmt(p.r)}  phi = {_fmt(p.phi)}  "
           f"alpha = {_fmt_c(p.alpha)}")
     print(f"cf coefficients: a = {_fmt(g.a)}  b = {_fmt_c(g.b)}  c = {_fmt_c(g.c)}")
     print(f"covariance matrix: [[{_fmt(qq)}, {_fmt(qp)}], [{_fmt(qp)}, {_fmt(pp)}]]")
-    print(f"det V = {_fmt(qq * pp - qp * qp)}")
+    print(f"det V = {_fmt(y * y)}")
     print(f"nonclassicality threshold r_c = {_fmt(rc)}")
     verdict = "classical" if is_classical(p) else "nonclassical"
     print(f"verdict: {verdict}  (Q0 = {_fmt(degree_q0(p))})")
 
 
 def _print_sts2_info(p: TwoModeStsParams) -> None:
-    t = sts_to_cf2(p)
+    # mode blocks n_j I = (a_j + 1/2) I, cross block [[Re g, Im g], [Im g, -Re g]]
     m = sts_to_cov2(p)
-    inv = local_invariants(m)
+    n1, n2, g = m[0, 0], m[2, 2], complex(m[0, 2], m[0, 3])
     rs = separability_threshold_rs(p.nbar1, p.nbar2)
     print("kind: sts2")
     print(f"nbar1 = {_fmt(p.nbar1)}  nbar2 = {_fmt(p.nbar2)}  r = {_fmt(p.r)}  phi = {_fmt(p.phi)}")
-    print(f"cf coefficients: a1 = {_fmt(t.mode1.a)}  a2 = {_fmt(t.mode2.a)}  "
-          f"g = {_fmt_c(t.g)}")
+    print(f"cf coefficients: a1 = {_fmt(n1 - 0.5)}  a2 = {_fmt(n2 - 0.5)}  g = {_fmt_c(g)}")
     print("local invariants:")
-    print(f"  det V1 = {_fmt(inv.det_v1)}")
-    print(f"  det V2 = {_fmt(inv.det_v2)}")
-    print(f"  det C  = {_fmt(inv.det_c)}")
-    print(f"  det V  = {_fmt(inv.det_v)}")
+    print(f"  det V1 = {_fmt(n1 * n1)}")
+    print(f"  det V2 = {_fmt(n2 * n2)}")
+    print(f"  det C  = {_fmt(-abs(g) ** 2)}")
+    print(f"  det V  = {_fmt(((p.nbar1 + 0.5) * (p.nbar2 + 0.5)) ** 2)}")
     print(f"separability threshold r_s = {_fmt(rs)}")
-    verdict = "separable" if peres_simon_separable(m) else "entangled"
+    verdict = "separable" if p.r <= rs else "entangled"
     print(f"verdict: {verdict}  (E0 = {_fmt(degree_e0(p))})")
 
 
@@ -116,7 +115,7 @@ def _cmd_fidelity(args) -> int:
     s1 = _load_state(args.state)
     s2 = _load_state(args.state2)
     if isinstance(s1, DstsParams) and isinstance(s2, DstsParams):
-        value = fidelity_one_mode(dsts_to_cf(s1), dsts_to_cf(s2))
+        value = fidelity_one_mode(s1, s2)
         oracle = None
         if args.oracle:
             dim = args.dim
@@ -141,9 +140,8 @@ def _cmd_entangle(args) -> int:
     if not isinstance(state, TwoModeStsParams):
         raise DomainError("entangle requires an sts2 state descriptor")
     rs = separability_threshold_rs(state.nbar1, state.nbar2)
-    verdict = "separable" if peres_simon_separable(sts_to_cov2(state)) else "entangled"
     print(f"r_s = {_fmt(rs)}")
-    print(f"verdict: {verdict}")
+    print(f"verdict: {'separable' if state.r <= rs else 'entangled'}")
     print(f"E0 = {_fmt(degree_e0(state))}")
     return 0
 
@@ -152,8 +150,7 @@ def _cmd_teleport(args) -> int:
     state = _load_state(args.state)
     if not isinstance(state, DstsParams):
         raise DomainError("teleport requires a dsts input state")
-    out_cf = teleport.teleport_symmetric_sts(dsts_to_cf(state), args.nbar, args.r)
-    out_state = cf_to_dsts(out_cf)
+    out_state = teleport.teleport_symmetric_sts(state, args.nbar, args.r)
     fid = teleport.teleport_fidelity_from_states(state, args.nbar, args.r)
     print(json.dumps(state_to_dict(out_state)))
     print(f"fidelity = {_fmt(fid)}")
@@ -193,9 +190,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    _check_dim(args.dim)
-    if args.tol is not None and not (args.tol > 0.0):
-        raise DomainError(f"tolerance override must be > 0, got {args.tol}")
     results = validate.run_suite(args.suite, oracle_dim=args.dim, oracle_tol=args.tol)
     print(validate.format_report(results, args.suite))
     return 0 if all(r.passed for r in results) else 3

@@ -1,99 +1,98 @@
 """Closed-form Uhlmann fidelity for one-mode Gaussian pairs and two-mode
 squeezed-thermal pairs, plus the Bures distance.
 
-The one-mode formula is
+Both forms take the physical parameters and add positive terms only.  For
+one-mode states with y = nbar + 1/2, squeeze r, angle phi, displacement alpha,
 
-    F = (sqrt(Delta + Lambda) - sqrt(Lambda))^(-1) * exp(-E),
+    F = exp(-E) (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta,
 
-with Delta = det(V + V'), Lambda = 4 (det V - 1/4)(det V' - 1/4), and the
-displacement contribution
+the rationalized (sqrt(Delta + Lambda) - sqrt(Lambda))^(-1) exp(-E), with
 
-    E = [(A + A' + 1)|C - C'|^2 + Re((B + B') conj(C - C')^2)] / Delta,
+    Delta  = det(V + V') = y^2 + y'^2
+             + 2 y y' [cosh 2(r - r') + 2 sinh 2r sinh 2r' sin^2 ((phi - phi')/2)],
+    Lambda = 4 (det V - 1/4)(det V' - 1/4) = 4 nbar (nbar + 1) nbar' (nbar' + 1),
+    E      = (1/2) dm.(V + V')^(-1).dm = (Q + Q') / Delta,
 
-which equals the Gaussian mean-overlap (1/2) dm.(V+V')^(-1).dm of the
-quadrature-mean difference dm.  The two-mode formula applies to squeezed
-thermal states only.
+where Q = y [e^{-2r} Re^2 w + e^{2r} Im^2 w], w = (alpha - alpha') e^{-i phi/2},
+is the quadratic form of adj V at the mean difference, and Q' that of adj V'.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
-import numpy as np
-
 from .errors import DomainError, UnphysicalState
-from .states import (
-    OneModeGaussianCF,
-    TwoModeStsParams,
-    cf_to_cov,
-    sts_to_cov2,
-)
+from .states import DstsParams, OneModeGaussianCF, TwoModeStsParams, cf_to_dsts
 
 
-def clamp_unit(f: float, slack: float = 1e-12) -> float:
-    """Round fidelity values marginally above 1 (floating cancellation) down to 1."""
-    if 1.0 < f <= 1.0 + slack:
-        return 1.0
-    return f
+def clamp_unit(f: float) -> float:
+    """A closed-form fidelity with roundoff above 1 rounded down; UnphysicalState
+    outside [0, 1 + 1e-12], where an intermediate overflowed to inf or nan."""
+    if not 0.0 <= f <= 1.0 + 1e-12:
+        raise UnphysicalState(f"fidelity evaluates to {f}: an intermediate overflows "
+                              "double precision")
+    return min(f, 1.0)
 
 
-def _purity_factor(v: np.ndarray) -> float:
-    """det V - 1/4 of a one-mode covariance matrix, with sub-roundoff values
-    (either sign) snapped to zero.
-
-    Lambda = 4 (det V - 1/4)(det V' - 1/4) vanishes exactly for pure inputs.
-    Because sqrt(Lambda) enters the fidelity, determinant roundoff of either
-    sign near the pure boundary would get amplified.
-    """
-    (qq, qp), (_, pp) = v.tolist()
-    gap = qq * pp - qp * qp - 0.25
-    noise = 64.0 * np.finfo(float).eps * max(0.25, max(qq, pp) ** 2)
-    return gap if gap > noise else 0.0
+def _sin2_half_difference(phi1: float, phi2: float) -> float:
+    """sin^2((phi1 - phi2) / 2) with the half difference reduced modulo pi by an
+    exact sum, so that angles on both sides of the cut at +-pi keep all digits."""
+    k = round((phi1 - phi2) / (2.0 * math.pi))
+    # pi = math.pi + 1.2246467991473532e-16 to twice double precision
+    s = math.sin(math.fsum((0.5 * phi1, -0.5 * phi2, -k * math.pi, -k * 1.2246467991473532e-16)))
+    return s * s
 
 
-def fidelity_one_mode(s1: OneModeGaussianCF, s2: OneModeGaussianCF) -> float:
-    """Uhlmann fidelity of two one-mode Gaussian states from their CF coefficients.
+def _mean_form(p: DstsParams, d: complex) -> float:
+    """Quadratic form of adj V at the mean difference d, as Q above."""
+    w = d * cmath.exp(-0.5j * p.phi)
+    e2r = math.exp(2.0 * p.r)
+    return (p.nbar + 0.5) * (w.real * w.real / e2r + w.imag * w.imag * e2r)
 
-    Raises UnphysicalState when Delta or sqrt(Delta + Lambda) - sqrt(Lambda)
-    cancels to zero or below in double precision.
-    """
-    v1, v2 = cf_to_cov(s1), cf_to_cov(s2)
-    delta = float(np.linalg.det(v1 + v2))
-    if not delta > 0.0:
-        raise UnphysicalState("det(V + V') cancels to zero or below in double precision")
-    lam = 4.0 * _purity_factor(v1) * _purity_factor(v2)
-    dc = s1.c - s2.c
-    expo = -(
-        (s1.a + s2.a + 1.0) * abs(dc) ** 2
-        + ((s1.b + s2.b) * np.conj(dc) ** 2).real
-    ) / delta
-    denom = math.sqrt(delta + lam) - math.sqrt(lam)
-    if denom == 0.0:
-        raise UnphysicalState("sqrt(Delta + Lambda) - sqrt(Lambda) cancels to 0 "
-                              "in double precision")
-    return clamp_unit(math.exp(expo) / denom)
+
+def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
+                      s2: DstsParams | OneModeGaussianCF) -> float:
+    """Uhlmann fidelity of two one-mode Gaussian states, each given by its
+    physical parameters or by its CF coefficients (converted by cf_to_dsts)."""
+    p1, p2 = (cf_to_dsts(s) if isinstance(s, OneModeGaussianCF) else s for s in (s1, s2))
+    y1, y2 = p1.nbar + 0.5, p2.nbar + 0.5
+    # 2 cosh 2(r - r') as e1/e2 + e2/e1, since r - r' may round
+    e1, e2 = math.exp(2.0 * p1.r), math.exp(2.0 * p2.r)
+    delta = y1 * y1 + y2 * y2 + y1 * y2 * (
+        e1 / e2 + e2 / e1 + 4.0 * math.sinh(2.0 * p1.r) * math.sinh(2.0 * p2.r)
+        * _sin2_half_difference(p1.phi, p2.phi))
+    lam = 4.0 * (p1.nbar * (p1.nbar + 1.0)) * (p2.nbar * (p2.nbar + 1.0))
+    d = p1.alpha - p2.alpha
+    expo = (_mean_form(p1, d) + _mean_form(p2, d)) / delta
+    return clamp_unit(math.exp(-expo) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
 
 
 def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
-    """Uhlmann fidelity of two two-mode squeezed thermal states.
+    """Uhlmann fidelity of two two-mode squeezed thermal states,
 
-    F = ( sqrt(sqrt(det(V+V')) + (sqrt X1 + sqrt X2)^2) - sqrt X1 - sqrt X2 )^(-2)
+        F = ((sqrt(D + s^2) + s) / D)^2,  s = sqrt X1 + sqrt X2,
 
-    with X1 = nbar1 nbar1' (nbar2 + 1)(nbar2' + 1) and X2 likewise with the
-    modes swapped.  Raises UnphysicalState when det(V + V') or the outer
-    difference cancels to zero or below in double precision.
+    the rationalized (sqrt(D + s^2) - s)^(-2), with X1 = nbar1 nbar1'
+    (nbar2 + 1)(nbar2' + 1), X2 likewise with the modes swapped, and, for
+    y_j = nbar_j + 1/2 and u = r - r',
+
+        D = sqrt det(V + V') = y1 y2 + y1' y2' + (y1 y2' + y1' y2) cosh^2 u
+            + (y1 y1' + y2 y2') sinh^2 u
+            + (y1 + y2)(y1' + y2') sinh 2r sinh 2r' sin^2 ((phi - phi')/2).
     """
-    det_sum = float(np.linalg.det(sts_to_cov2(p1) + sts_to_cov2(p2)))
-    if not det_sum > 0.0:
-        raise UnphysicalState("det(V + V') cancels to zero or below in double precision")
-    x1 = p1.nbar1 * p2.nbar1 * (p1.nbar2 + 1.0) * (p2.nbar2 + 1.0)
-    x2 = p1.nbar2 * p2.nbar2 * (p1.nbar1 + 1.0) * (p2.nbar1 + 1.0)
-    s = math.sqrt(x1) + math.sqrt(x2)
-    root = math.sqrt(math.sqrt(det_sum) + s * s)
-    if root == s:
-        raise UnphysicalState("sqrt(sqrt(det(V + V')) + (sqrt X1 + sqrt X2)^2) "
-                              "- sqrt X1 - sqrt X2 cancels to 0 in double precision")
-    return clamp_unit((root - s) ** (-2))
+    y1, y2, y1p, y2p = p1.nbar1 + 0.5, p1.nbar2 + 0.5, p2.nbar1 + 0.5, p2.nbar2 + 0.5
+    # sinh^2 u from u = r - r' below |u| = 1, where its rounding costs under an
+    # ulp, else from e^{2r} / e^{2r'}, where the subtraction loses under 2x
+    u = p1.r - p2.r
+    e1, e2 = math.exp(2.0 * p1.r), math.exp(2.0 * p2.r)
+    sh2 = math.sinh(u) ** 2 if abs(u) < 1.0 else 0.25 * (e1 / e2 + e2 / e1) - 0.5
+    d = (y1 * y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
+         + (y1 + y2) * (y1p + y2p) * (math.sinh(2.0 * p1.r) * math.sinh(2.0 * p2.r))
+         * _sin2_half_difference(p1.phi, p2.phi))
+    s = (math.sqrt((p1.nbar1 * p2.nbar1) * ((p1.nbar2 + 1.0) * (p2.nbar2 + 1.0)))
+         + math.sqrt((p1.nbar2 * p2.nbar2) * ((p1.nbar1 + 1.0) * (p2.nbar1 + 1.0))))
+    return clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
 
 
 def bures_distance(f: float) -> float:

@@ -16,7 +16,7 @@ from scipy.special import expit
 from ._optim import multistart_nelder_mead
 from .errors import DomainError
 from .fidelity import fidelity_one_mode
-from .states import DstsParams, dsts_to_cf
+from .states import DstsParams
 
 
 def nonclassicality_threshold(nbar: float) -> float:
@@ -52,7 +52,6 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     """
     if is_classical(p):
         return p, 0.0
-    target = dsts_to_cf(p)
     search_alpha = abs(p.alpha) > 0.0
 
     def unpack(t):
@@ -62,7 +61,7 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
         return DstsParams(nbar=nb, r=rp, phi=t[2], alpha=alpha)
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_one_mode(target, dsts_to_cf(unpack(t))))
+        return 1.0 - math.sqrt(fidelity_one_mode(p, unpack(t)))
 
     starts = []
     for k in range(n_starts):

@@ -177,18 +177,15 @@ def dsts_to_cf(p: DstsParams) -> OneModeGaussianCF:
 def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
     """Invert the coefficient map back to physical parameters (g passed its
     physicality check on construction).  The squeeze angle is defined as 0
-    when b = 0.
+    when b = 0, and nbar as 0 when (a+1/2)^2 - |b|^2 - 1/4 is within its
+    roundoff, eps (a+1/2)^2, which sqrt(Lambda) in the fidelity would magnify.
     """
-    nph = math.sqrt(max(g.det_cov(), 0.25))
-    nbar = max(nph - 0.5, 0.0)
-    babs = abs(g.b)
-    if babs > 0.0:
-        # tanh 2r = |b| / (a + 1/2), strictly < 1 for physical states
-        r = 0.5 * math.atanh(min(babs / (g.a + 0.5), 1.0 - 1e-16))
-        phi = math.atan2((-g.b).imag, (-g.b).real)
-    else:
-        r = 0.0
-        phi = 0.0
+    det = g.det_cov()
+    pure = det - 0.25 <= 64.0 * sys.float_info.epsilon * (g.a + 0.5) ** 2
+    nbar = 0.0 if pure else math.sqrt(det) - 0.5
+    # tanh 2r = |b| / (a + 1/2), strictly < 1 for physical states
+    r = 0.5 * math.atanh(min(abs(g.b) / (g.a + 0.5), 1.0 - 1e-16))
+    phi = math.atan2((-g.b).imag, (-g.b).real) if g.b != 0.0 else 0.0
     return DstsParams(nbar=nbar, r=r, phi=phi, alpha=g.c)
 
 
@@ -197,11 +194,13 @@ def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
     CF coefficients (the displacement is dropped):
     V_qq = a + 1/2 - Re b,  V_pp = a + 1/2 + Re b,  V_qp = -Im b.
 
-    Raises UnphysicalState when the matrix is not physical in double
-    precision, e.g. when V_pp cancels to zero under strong squeezing.
+    OneModeGaussianCF checked det V = (a+1/2)^2 - |b|^2.  Raises UnphysicalState
+    when V_qq or V_pp is not positive in double precision; at phi = 0, V_pp
+    cancels to zero or below from r of about 9.4.
     """
     qq, qp, pp = g.a + 0.5 - g.b.real, -g.b.imag, g.a + 0.5 + g.b.real
-    _check_cov1(qq, qp, pp)
+    if not (qq > 0.0 and pp > 0.0):
+        raise UnphysicalState("diagonal covariances must be positive")
     m = np.array([[qq, qp], [qp, pp]])
     m.setflags(write=False)
     return m

@@ -4,10 +4,15 @@ The output of the protocol obeys chi_out(lam) = chi_in(lam) * chi_AB(conj(lam), 
 for any displacement-free two-mode Gaussian resource, so the channel acts as a
 linear update of the CF exponent coefficients.  With a symmetric squeezed
 thermal resource (equal occupancies nbar, squeeze angle 0) the update adds
-pure thermal noise:
+pure thermal noise, V_out = V_in + z I:
 
     a_out = a_in + z,  b_out = b_in,  c_out = c_in,
     z = exp(-2 (r - r_s)),  r_s = separability threshold of the resource.
+
+On the physical parameters of a displaced squeezed thermal input the same map
+keeps phi and alpha and gives, with y = nbar + 1/2,
+
+    y_out^2 = (y e^{2r} + z)(y e^{-2r} + z),  e^{4 r_out} = (y e^{2r} + z) / (y e^{-2r} + z).
 
 The input-output fidelity then has the closed form implemented by
 :func:`teleport_fidelity` in the variables x = cosh 2 r_in, y = nbar_in + 1/2,
@@ -26,16 +31,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entanglement import separability_threshold_rs
-from .errors import DisplacedResource, DomainError, UnphysicalState
+from .errors import DisplacedResource, DomainError
 from .fidelity import clamp_unit
 from .nonclassicality import degree_q0
-from .states import (
-    DstsParams,
-    OneModeGaussianCF,
-    TwoModeGaussianCF,
-    cf_to_dsts,
-    dsts_to_cf,
-)
+from .states import DstsParams, OneModeGaussianCF, TwoModeGaussianCF
 
 #: default E0 sampling for figure sweeps; endpoints avoid the identity (z = 0)
 #: and separable (z >= 1) boundaries unless explicitly requested
@@ -62,11 +61,22 @@ def teleport_cf(input_cf: OneModeGaussianCF, resource: TwoModeGaussianCF) -> One
     return OneModeGaussianCF(a=a_out, b=b_out, c=input_cf.c)
 
 
-def teleport_with_noise(input_cf: OneModeGaussianCF, z: float) -> OneModeGaussianCF:
-    """Output of the protocol keyed directly by the added thermal noise z."""
+def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
+                        z: float) -> DstsParams | OneModeGaussianCF:
+    """Output of the protocol for added thermal noise z, in the form of the
+    input: CF coefficients (a + z, b, c), or the parameters of the module
+    docstring as the positive sums nbar_out = (nbar (nbar + 1) + z (2 y cosh 2r
+    + z)) / (y_out + 1/2) and 4 r_out = log1p(2 y sinh 2r / (y e^{-2r} + z))."""
     if not (z >= 0.0):
         raise DomainError(f"added noise z must be >= 0, got {z}")
-    return OneModeGaussianCF(a=input_cf.a + z, b=input_cf.b, c=input_cf.c)
+    if isinstance(state, OneModeGaussianCF):
+        return OneModeGaussianCF(a=state.a + z, b=state.b, c=state.c)
+    y, e2r = state.nbar + 0.5, math.exp(2.0 * state.r)
+    down = y / e2r + z
+    nbar = ((state.nbar * (state.nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
+            / (math.sqrt((y * e2r + z) * down) + 0.5))
+    r = 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * state.r) / down)
+    return DstsParams(nbar=nbar, r=r, phi=state.phi, alpha=state.alpha)
 
 
 def _resource_noise(nbar: float, r: float) -> float:
@@ -79,22 +89,26 @@ def _resource_noise(nbar: float, r: float) -> float:
     return math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
 
 
-def teleport_symmetric_sts(input_cf: OneModeGaussianCF, nbar: float, r: float) -> OneModeGaussianCF:
+def teleport_symmetric_sts(state: DstsParams | OneModeGaussianCF, nbar: float,
+                           r: float) -> DstsParams | OneModeGaussianCF:
     """Teleport through a symmetric squeezed thermal resource (occupancy nbar
     in both modes, squeeze factor r, angle 0).  The resource need not be
     entangled; r < r_s simply gives z > 1."""
-    return teleport_with_noise(input_cf, _resource_noise(nbar, r))
+    return teleport_with_noise(state, _resource_noise(nbar, r))
 
 
 def teleport_fidelity(x: float, y: float, z: float) -> float:
-    """Closed-form input-output fidelity of the protocol.
+    """Closed-form input-output fidelity of the protocol,
 
-    x = cosh(2 r_in) >= 1 and y = nbar_in + 1/2 >= 1/2 characterize the input;
-    z = exp(-2 (r - r_s)) >= 0 carries the resource.  z = 0 is admitted as the
-    infinite-entanglement limit (needed by the sweep endpoints), z > 1 means a
-    separable resource and is computed without further interpretation.
-    Raises UnphysicalState when sqrt(Delta + Lambda) - sqrt(Lambda) cancels
-    to 0 in double precision.
+        F = (sqrt(Delta + Lambda) + sqrt(Lambda)) / Delta,
+        Delta  = 4 y^2 + 4 x y z + z^2,
+        Lambda = 4 P (P + 2 x y z + z^2),  P = det V_in - 1/4 = (y - 1/2)(y + 1/2),
+
+    which adds positive terms only.  x = cosh(2 r_in) >= 1 and
+    y = nbar_in + 1/2 >= 1/2 characterize the input; z = exp(-2 (r - r_s)) >= 0
+    carries the resource.  z = 0 is admitted as the infinite-entanglement
+    limit (needed by the sweep endpoints), z > 1 means a separable resource
+    and is computed without further interpretation.
     """
     if not (x >= 1.0 - 1e-12):
         raise DomainError(f"x = cosh(2 r_in) must be >= 1, got {x}")
@@ -102,22 +116,18 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
         raise DomainError(f"y = nbar_in + 1/2 must be >= 1/2, got {y}")
     if not (z >= 0.0):
         raise DomainError(f"z must be >= 0, got {z}")
-    y2 = y * y
     xyz = x * y * z
-    delta = 4.0 * (y2 + xyz + 0.25 * z * z)
-    lam = 4.0 * max(y2 - 0.25, 0.0) * (y2 - 0.25 + 2.0 * xyz + z * z)
-    denom = math.sqrt(delta + lam) - math.sqrt(lam)
-    if denom == 0.0:
-        raise UnphysicalState("sqrt(Delta + Lambda) - sqrt(Lambda) cancels to 0 "
-                              "in double precision")
-    return clamp_unit(1.0 / denom)
+    delta = 4.0 * (y * y + xyz) + z * z
+    purity = max(y - 0.5, 0.0) * (y + 0.5)
+    lam = 4.0 * purity * (purity + 2.0 * xyz + z * z)
+    return clamp_unit((math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
 
 
 def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float) -> float:
     """Teleportation fidelity computed from physical parameters.
 
-    Agrees with fidelity_one_mode(input CF, teleported CF): the displacement
-    cancels because the channel preserves c.
+    Agrees with fidelity_one_mode(input_state, teleport_with_noise(input_state, z)):
+    the displacement cancels because the channel preserves alpha.
     """
     z = _resource_noise(nbar, r)
     return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
@@ -175,18 +185,8 @@ def sweep_fig2(e0_list: Sequence[float] = FIG2_E0S,
         rows = []
         for q_in in grid:
             # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
-            sech = (1.0 - q_in) ** 2
-            r_in = math.acosh(1.0 / sech) if q_in > 0.0 else 0.0
-            state_in = DstsParams(nbar=0.0, r=r_in)
-            if z == 0.0:
-                # the channel is exactly the identity map; the direct degree
-                # avoids round-tripping strongly squeezed inputs through the
-                # cancellation-prone coefficient inversion
-                q_out = degree_q0(state_in)
-            else:
-                out_cf = teleport_with_noise(dsts_to_cf(state_in), z)
-                q_out = degree_q0(cf_to_dsts(out_cf))
-            rows.append((q_in, q_out))
+            r_in = math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0
+            rows.append((q_in, degree_q0(teleport_with_noise(DstsParams(nbar=0.0, r=r_in), z))))
         out[float(e0)] = rows
     return out
 

@@ -17,6 +17,7 @@ from .entanglement import (
     peres_simon_separable,
     separability_threshold_rs,
 )
+from .errors import DomainError
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
 from .nonclassicality import closest_classical_numeric, degree_q0
 from .states import (
@@ -114,7 +115,7 @@ def _check_one_mode_oracle(rng, dim: int, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1, p2 = random_dsts(rng), random_dsts(rng)
-        closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
+        closed = fidelity_one_mode(p1, p2)
         numeric = fock.uhlmann_fidelity_numeric(fock.dsts_dm(p1, dim), fock.dsts_dm(p2, dim))
         worst = max(worst, abs(closed - numeric))
     return worst
@@ -136,8 +137,8 @@ def _check_teleport_paths(rng) -> float:
         for nbar_in in np.linspace(0.0, 2.0, 5):
             for z in np.linspace(0.1, 1.4, 5):
                 closed = teleport_fidelity(math.cosh(2 * r_in), nbar_in + 0.5, z)
-                cf_in = dsts_to_cf(DstsParams(nbar=nbar_in, r=r_in, phi=0.4, alpha=0.3 + 0.2j))
-                via_states = fidelity_one_mode(cf_in, teleport_with_noise(cf_in, z))
+                p_in = DstsParams(nbar=nbar_in, r=r_in, phi=0.4, alpha=0.3 + 0.2j)
+                via_states = fidelity_one_mode(p_in, teleport_with_noise(p_in, z))
                 worst = max(worst, abs(closed - via_states))
     return worst
 
@@ -206,7 +207,7 @@ def _check_pure_trace_product(rng, dim: int, pairs: int) -> float:
                         complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
         p2 = DstsParams(0.0, rng.uniform(0, 0.8), rng.uniform(-math.pi, math.pi),
                         complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
-        closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
+        closed = fidelity_one_mode(p1, p2)
         tr = fock.trace_product(fock.dsts_dm(p1, dim), fock.dsts_dm(p2, dim))
         worst = max(worst, abs(closed - tr))
     return worst
@@ -226,9 +227,13 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
     """Run the requested suite and return one result per check."""
     if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite {suite!r}; expected 'fast' or 'full'")
+    if oracle_dim is not None and oracle_dim < 1:
+        raise DomainError(f"truncation override must be >= 1, got {oracle_dim}")
+    if oracle_tol is not None and not (oracle_tol > 0.0):
+        raise DomainError(f"tolerance override must be > 0, got {oracle_tol}")
     rng = np.random.default_rng(20260809)
-    one_dim = oracle_dim or 100
-    tol = oracle_tol
+    one_dim = 100 if oracle_dim is None else oracle_dim
+    tol6, tol8 = (1e-6, 1e-8) if oracle_tol is None else (oracle_tol, oracle_tol)
 
     results = [
         CheckResult("dsts/cf round trip", _check_roundtrip(rng), 1e-12),
@@ -236,7 +241,7 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
         CheckResult("sts local invariants closed forms", _check_sts_invariants(rng), 1e-12),
         CheckResult("two-mode Heisenberg inequality", _check_heisenberg(rng), 1e-12),
         CheckResult("one-mode fidelity vs Fock oracle",
-                    _check_one_mode_oracle(rng, one_dim, pairs=8), tol or 1e-6),
+                    _check_one_mode_oracle(rng, one_dim, pairs=8), tol6),
         CheckResult("teleport closed form vs input/output fidelity",
                     _check_teleport_paths(rng), 1e-10),
         CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
@@ -248,14 +253,14 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
                     _check_e0_minimizer(rng, samples=2), 1e-4),
     ]
     if suite == "full":
-        two_dim = min(oracle_dim, 64) if oracle_dim else 40
+        two_dim = 40 if oracle_dim is None else min(oracle_dim, 64)
         results += [
             CheckResult("two-mode fidelity vs Fock oracle",
-                        _check_two_mode_oracle(rng, two_dim, pairs=3), tol or 1e-6),
+                        _check_two_mode_oracle(rng, two_dim, pairs=3), tol6),
             CheckResult("pure-state fidelity equals trace product",
-                        _check_pure_trace_product(rng, one_dim, pairs=6), tol or 1e-8),
+                        _check_pure_trace_product(rng, one_dim, pairs=6), tol8),
             CheckResult("squeezed-vacuum entropy vs Fock entropy",
-                        _check_svs_entropy(200), tol or 1e-8),
+                        _check_svs_entropy(200), tol8),
         ]
     return results
 

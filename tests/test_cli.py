@@ -1,11 +1,13 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
+from cvgauss import DomainError, DstsParams, cf_to_cov, dsts_to_cf, parse_state, validate
 from cvgauss.cli import main
 
 
@@ -208,12 +210,26 @@ def test_oversized_state_is_input_error_in_every_command(tmp_path, capsys, comma
     assert capsys.readouterr().err.startswith("error: field")
 
 
-def test_unresolvable_squeezed_covariance_is_input_error(tmp_path, capsys):
-    # V_pp = (a + 1/2) + Re b cancels to zero or below at r = 10, phi = 0
+def _numbers(line: str) -> list[float]:
+    return [float(x) for x in re.findall(r"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?", line)]
+
+
+@pytest.mark.parametrize("r, phi", [(10.0, 0.0), (11.0, 0.3)], ids=["r10-phi0", "r11-phi0.3"])
+def test_strongly_squeezed_covariance_is_reported(tmp_path, capsys, r, phi):
+    # V and det V = (nbar + 1/2)^2 come from the physical parameters, so nothing
+    # cancels where V_pp = (a + 1/2) + Re b would
+    mp_reference = pytest.importorskip("mp_reference")
     path = tmp_path / "squeezed.json"
-    path.write_text('{"kind": "dsts", "nbar": 0.0, "r": 10.0, "phi": 0.0, "alpha": [0.0, 0.0]}')
-    assert main(["info", "--state", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: diagonal covariances must be positive")
+    path.write_text(json.dumps({"kind": "dsts", "nbar": 0.0, "r": r, "phi": phi,
+                                "alpha": [0.0, 0.0]}))
+    assert main(["info", "--state", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "det V = 0.25\n" in out
+    line = next(line for line in out.splitlines() if line.startswith("covariance matrix"))
+    with mp_reference.mp.workdps(mp_reference.DPS):
+        ref = mp_reference.mp_cov1(DstsParams(0.0, r, phi))
+        expected = [ref[0, 0], ref[0, 1], ref[1, 0], ref[1, 1]]
+        assert all(abs(x - e) <= 1e-11 * abs(e) for x, e in zip(_numbers(line), expected))
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -221,23 +237,60 @@ def test_unresolvable_squeezed_covariance_is_input_error(tmp_path, capsys):
     '{"kind": "dsts", "nbar": 1e10, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}',
     '{"kind": "sts2", "nbar1": 0.0, "nbar2": 0.0, "r": 12.0, "phi": 0.3}',
 ], ids=["dsts-r10", "dsts-nbar1e10", "sts2-r12"])
-def test_unresolvable_self_fidelity_is_input_error(tmp_path, capsys, descriptor):
-    # det(V + V') cancels (r = 10, r = 12) or sqrt(Delta + Lambda) - sqrt(Lambda)
-    # rounds to 0 (nbar = 1e10) in double precision
+def test_strongly_squeezed_or_hot_self_fidelity_is_one(tmp_path, capsys, descriptor):
+    # the closed forms add positive terms only, so det(V + V') and the final
+    # difference no longer cancel
+    mp_reference = pytest.importorskip("mp_reference")
     path = tmp_path / "state.json"
     path.write_text(descriptor)
-    assert main(["fidelity", "--state", str(path), "--state2", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "cancels" in err and "Traceback" not in err
+    assert main(["fidelity", "--state", str(path), "--state2", str(path)]) == 0
+    value = float(capsys.readouterr().out.split("=")[1])
+    p = parse_state(descriptor)
+    ref = (mp_reference.mp_fidelity_one_mode(p, p) if isinstance(p, DstsParams)
+           else mp_reference.mp_fidelity_two_mode(p, p))
+    assert value == pytest.approx(float(ref), abs=1e-12) and value == 1.0
 
 
-def test_teleport_unresolvable_fidelity_is_input_error(tmp_path, capsys):
-    # sqrt(Delta + Lambda) - sqrt(Lambda) rounds to 0 for a very mixed input
+def test_teleport_hot_input_fidelity(tmp_path, capsys):
+    # sqrt(Delta + Lambda) - sqrt(Lambda) used to round to 0 for a very mixed input
+    mp_reference = pytest.importorskip("mp_reference")
     path = tmp_path / "hot.json"
     path.write_text('{"kind": "dsts", "nbar": 1e9, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}')
-    assert main(["teleport", "--state", str(path), "--nbar", "0", "--r", "5"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "cancels" in err and "Traceback" not in err
+    assert main(["teleport", "--state", str(path), "--nbar", "0", "--r", "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    z = math.exp(-10.0)  # r_s = 0 for a pure resource
+    nbar_ref, r_ref = mp_reference.mp_teleport_map(DstsParams(1e9), z)
+    state = json.loads(out[0])
+    assert state["nbar"] == pytest.approx(float(nbar_ref), rel=1e-14) and state["r"] == 0.0
+    fid_ref = mp_reference.mp_teleport_fidelity(1.0, 1e9 + 0.5, z)
+    assert float(out[1].split("=")[1]) == pytest.approx(float(fid_ref), rel=1e-11)
+
+
+@pytest.mark.parametrize("nbar1", [0.0, 0.5, 2.0])
+def test_strongly_entangled_sts_is_entangled(tmp_path, capsys, nbar1):
+    # the verdict compares r with r_s, as E0 does; det V of the 4x4 matrix,
+    # which np.linalg.det returned as pure roundoff, comes from the closed form
+    path = tmp_path / "sts.json"
+    path.write_text(json.dumps({"kind": "sts2", "nbar1": nbar1, "nbar2": 0.0, "r": 19.0,
+                                "phi": 0.0}))
+    assert main(["entangle", "--state", str(path)]) == 0
+    assert main(["info", "--state", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.count("verdict: entangled") == 2 and "separable" not in out
+    assert f"det V  = {((nbar1 + 0.5) * 0.5) ** 2:.12g}\n" in out
+
+
+def test_pure_squeezed_states_accepted_from_r_4_6_to_6(tmp_path, capsys):
+    path = tmp_path / "squeezed.json"
+    for k in range(71):
+        r = 4.6 + 0.02 * k
+        path.write_text(json.dumps({"kind": "dsts", "nbar": 0.0, "r": r, "phi": 0.0,
+                                    "alpha": [0.0, 0.0]}))
+        assert main(["info", "--state", str(path)]) == 0
+        assert main(["fidelity", "--state", str(path), "--state2", str(path)]) == 0
+        cf_to_cov(dsts_to_cf(DstsParams(0.0, r)))
+    out = capsys.readouterr().out
+    assert out.count("det V = 0.25\n") == 71 and out.count("fidelity = 1\n") == 71
 
 
 @pytest.mark.parametrize("args, message", [
@@ -280,6 +333,15 @@ def test_validate_fast_suite_passes(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
     assert "10/10 checks passed" in out
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"oracle_dim": 0}, "truncation override must be >= 1"),
+    ({"oracle_tol": 0.0}, "tolerance override must be > 0"),
+], ids=["dim", "tol"])
+def test_run_suite_rejects_out_of_range_overrides(kwargs, message):
+    with pytest.raises(DomainError, match=message):
+        validate.run_suite("fast", **kwargs)
 
 
 def test_validate_breach_exit_code(capsys):

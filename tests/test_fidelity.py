@@ -10,6 +10,7 @@ from cvgauss import (
     TwoModeStsParams,
     bures_distance,
     cf_to_cov,
+    cf_to_dsts,
     dsts_dm,
     dsts_to_cf,
     fidelity_one_mode,
@@ -20,7 +21,6 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from cvgauss.fidelity import _purity_factor
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -101,15 +101,14 @@ def test_one_mode_matches_fock_oracle():
 
 
 def test_intermediates_invariants():
-    # Delta = det(V + V') > 0 and each purity factor det V - 1/4 >= 0, exactly 0 when pure
+    # Delta = det(V + V') > 0 and nbar >= 0 of each CF argument, exactly 0 when pure
     rng = np.random.default_rng(251)
     for _ in range(30):
-        v1 = cf_to_cov(dsts_to_cf(random_dsts(rng)))
-        v2 = cf_to_cov(dsts_to_cf(random_dsts(rng)))
-        assert np.linalg.det(v1 + v2) > 0.0
-        assert _purity_factor(v1) >= 0.0 and _purity_factor(v2) >= 0.0
+        g1, g2 = dsts_to_cf(random_dsts(rng)), dsts_to_cf(random_dsts(rng))
+        assert np.linalg.det(cf_to_cov(g1) + cf_to_cov(g2)) > 0.0
+        assert cf_to_dsts(g1).nbar >= 0.0 and cf_to_dsts(g2).nbar >= 0.0
     pure = dsts_to_cf(DstsParams(0.0, 0.9, 0.4, 0.2j))
-    assert _purity_factor(cf_to_cov(pure)) == 0.0
+    assert cf_to_dsts(pure).nbar == 0.0
 
 
 # --- two-mode ---------------------------------------------------------------

@@ -1,0 +1,249 @@
+"""Roundoff of the closed forms, against the mpmath reference of
+``mp_reference`` and as properties over log-scaled domains."""
+
+import math
+
+import numpy as np
+import pytest
+
+from cvgauss import (
+    DomainError,
+    DstsParams,
+    TwoModeStsParams,
+    UnphysicalState,
+    dsts_to_cf,
+    fidelity_one_mode,
+    fidelity_two_mode_sts,
+    parse_state,
+    state_to_dict,
+    sweep_fig2,
+    teleport_fidelity,
+    teleport_with_noise,
+    z_from_e0,
+)
+from cvgauss.teleport import FIG2_E0S
+
+pytest.importorskip("mpmath")
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from mp_reference import (  # noqa: E402
+    DPS,
+    mp,
+    mp_degree_q0,
+    mp_fidelity_one_mode,
+    mp_fidelity_two_mode,
+    mp_teleport_fidelity,
+    mp_teleport_map,
+    rel_err,
+)
+
+#: worst relative error allowed against the reference
+REL_TOL = 1e-14
+
+
+# --- log-scaled samples inside parse_state's bound ------------------------------
+
+def in_domain(state) -> bool:
+    try:
+        parse_state(state_to_dict(state))
+    except DomainError:
+        return False
+    return True
+
+
+def draw_nbar(rng) -> float:
+    return 0.0 if rng.uniform() < 0.2 else float(10.0 ** rng.uniform(-8.0, 8.0))
+
+
+def draw_r(rng) -> float:
+    u = rng.uniform()
+    if u < 0.1:
+        return 0.0
+    return float(rng.uniform(0.0, 89.0)) if u < 0.6 else float(10.0 ** rng.uniform(-6.0, 1.0))
+
+
+def nudge(rng, x: float) -> float:
+    """x moved by a relative 1e-6 at most (an absolute one at 0)."""
+    return abs(x + 1e-6 * max(abs(x), 1.0) * rng.uniform(-1.0, 1.0))
+
+
+def dsts_pairs(rng, count: int):
+    """Half near-equal pairs, half independent ones, with a displacement
+    difference that keeps E <= 4 (larger E only scales exp(-E)'s roundoff)."""
+    pairs = []
+    while len(pairs) < count:
+        p = DstsParams(draw_nbar(rng), draw_r(rng), rng.uniform(-math.pi, math.pi))
+        if len(pairs) % 2:
+            q = DstsParams(nudge(rng, p.nbar), nudge(rng, p.r), nudge(rng, p.phi))
+        else:
+            q = DstsParams(draw_nbar(rng), draw_r(rng), rng.uniform(-math.pi, math.pi))
+        y1, y2 = p.nbar + 0.5, q.nbar + 0.5
+        delta_lb = y1 * y1 + y2 * y2 + 2.0 * y1 * y2 * math.cosh(2.0 * (p.r - q.r))
+        scale = math.sqrt(rng.uniform(0.0, 4.0) * delta_lb
+                          / (y1 * math.exp(2.0 * p.r) + y2 * math.exp(2.0 * q.r)))
+        a = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        d = scale * complex(math.cos(t := rng.uniform(0.0, 2.0 * math.pi)), math.sin(t))
+        p, q = DstsParams(p.nbar, p.r, p.phi, a), DstsParams(q.nbar, q.r, q.phi, a + d)
+        if in_domain(p) and in_domain(q):
+            pairs.append((p, q))
+    return pairs
+
+
+def sts_pairs(rng, count: int):
+    pairs = []
+    while len(pairs) < count:
+        p = TwoModeStsParams(draw_nbar(rng), draw_nbar(rng), draw_r(rng),
+                             rng.uniform(-math.pi, math.pi))
+        if len(pairs) % 2:
+            q = TwoModeStsParams(nudge(rng, p.nbar1), nudge(rng, p.nbar2), nudge(rng, p.r),
+                                 nudge(rng, p.phi))
+        else:
+            q = TwoModeStsParams(draw_nbar(rng), draw_nbar(rng), draw_r(rng),
+                                 rng.uniform(-math.pi, math.pi))
+        if in_domain(p) and in_domain(q):
+            pairs.append((p, q))
+    return pairs
+
+
+# --- the closed forms against the reference --------------------------------------
+
+def test_one_mode_fidelity_matches_mpmath():
+    worst = max(rel_err(fidelity_one_mode(p, q), mp_fidelity_one_mode(p, q))
+                for p, q in dsts_pairs(np.random.default_rng(1001), 400))
+    assert worst <= REL_TOL
+
+
+def test_two_mode_fidelity_matches_mpmath():
+    worst = max(rel_err(fidelity_two_mode_sts(p, q), mp_fidelity_two_mode(p, q))
+                for p, q in sts_pairs(np.random.default_rng(1003), 300))
+    assert worst <= REL_TOL
+
+
+def test_teleport_fidelity_matches_mpmath():
+    rng = np.random.default_rng(1005)
+    worst = 0.0
+    for _ in range(400):
+        p = DstsParams(draw_nbar(rng), draw_r(rng))
+        if not in_domain(p):
+            continue
+        x, y = math.cosh(2.0 * p.r), p.nbar + 0.5
+        z = 0.0 if rng.uniform() < 0.1 else float(10.0 ** rng.uniform(-8.0, 1.0))
+        worst = max(worst, rel_err(teleport_fidelity(x, y, z), mp_teleport_fidelity(x, y, z)))
+    assert worst <= REL_TOL
+
+
+def test_teleport_map_matches_mpmath():
+    rng = np.random.default_rng(1007)
+    worst = 0.0
+    for _ in range(400):
+        p = DstsParams(draw_nbar(rng), draw_r(rng), rng.uniform(-math.pi, math.pi), 0.3 - 0.1j)
+        if not in_domain(p):
+            continue
+        z = 0.0 if rng.uniform() < 0.1 else float(10.0 ** rng.uniform(-8.0, 1.0))
+        out = teleport_with_noise(p, z)
+        nbar_ref, r_ref = mp_teleport_map(p, z)
+        assert out.alpha == p.alpha and abs(out.phi - p.phi) <= 1e-15
+        worst = max(worst,
+                    rel_err(out.nbar, nbar_ref), rel_err(out.r, r_ref))
+    assert worst <= REL_TOL
+
+
+def test_fig2_default_sweep_matches_mpmath():
+    grid = np.linspace(0.0, 0.99, 99)
+    for e0, rows in sweep_fig2(FIG2_E0S, grid).items():
+        z = z_from_e0(e0)
+        for q_in, q_out in rows:
+            r_in = math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0
+            with mp.workdps(DPS):
+                ref = mp_degree_q0(*mp_teleport_map(DstsParams(0.0, r_in), z))
+                assert abs(q_out - ref) <= 1e-12
+
+
+def test_fig2_curves_are_monotone_and_degrade_q_through_q_in_099():
+    for e0, rows in sweep_fig2(FIG2_E0S, np.linspace(0.0, 0.99, 512)).items():
+        q_outs = [q_out for _, q_out in rows]
+        assert all(b >= a for a, b in zip(q_outs, q_outs[1:])), e0
+        if e0 == 1.0:
+            assert all(abs(q_out - q_in) <= 1e-12 for q_in, q_out in rows)
+        else:
+            assert all(q_out < q_in for q_in, q_out in rows if q_in > 0.0), e0
+
+
+# --- overflow is loud ------------------------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda: teleport_fidelity(1.0, 1e200, 0.5),
+    lambda: fidelity_one_mode(DstsParams(1e200), DstsParams(1e200)),
+    lambda: fidelity_two_mode_sts(TwoModeStsParams(1e200, 0.0), TwoModeStsParams(1e200, 0.0)),
+], ids=["teleport", "one-mode", "two-mode"])
+def test_overflowing_closed_form_raises(call):
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        call()
+
+
+# --- properties over log-scaled domains ------------------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
+
+log_nbar = st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e))
+log_r = st.one_of(st.just(0.0), st.floats(-6.0, math.log10(89.0)).map(lambda e: 10.0 ** e))
+angle = st.floats(-math.pi, math.pi)
+alpha = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def dsts(draw, nbar=log_nbar, r=log_r):
+    p = DstsParams(draw(nbar), draw(r), draw(angle), draw(alpha))
+    assume(in_domain(p))
+    return p
+
+
+@st.composite
+def sts(draw):
+    p = TwoModeStsParams(draw(log_nbar), draw(log_nbar), draw(log_r), draw(angle))
+    assume(in_domain(p))
+    return p
+
+
+#: the domain validate draws from (uniform occupancies up to 5, squeeze up to
+#: 2).  It holds no occupancy between 0 and 1e-3: the CF form rounds nbar at
+#: y = nbar + 1/2 and snaps it to 0 below eps (a + 1/2)^2, and sqrt(Lambda)
+#: magnifies either to about 1e-8 at nbar = 2e-16 (see CHANGES.md).
+validate_dsts = dsts(nbar=st.one_of(st.just(0.0), st.floats(1e-3, 5.0)), r=st.floats(0.0, 2.0))
+
+
+@PROPERTY
+@given(dsts(), dsts())
+def test_one_mode_properties(p, q):
+    f = fidelity_one_mode(p, q)
+    assert 0.0 <= f <= 1.0
+    assert abs(fidelity_one_mode(q, p) - f) <= 1e-15 * f
+    assert abs(fidelity_one_mode(p, p) - 1.0) <= 1e-15
+
+
+@PROPERTY
+@given(sts(), sts())
+def test_two_mode_properties(p, q):
+    f = fidelity_two_mode_sts(p, q)
+    assert 0.0 <= f <= 1.0
+    assert abs(fidelity_two_mode_sts(q, p) - f) <= 1e-15 * f
+    assert abs(fidelity_two_mode_sts(p, p) - 1.0) <= 1e-15
+
+
+@PROPERTY
+@given(dsts(), st.one_of(st.just(0.0), st.floats(-8.0, 1.0).map(lambda e: 10.0 ** e)))
+def test_teleport_fidelity_properties(p, z):
+    x, y = math.cosh(2.0 * p.r), p.nbar + 0.5
+    assert 0.0 <= teleport_fidelity(x, y, z) <= 1.0
+    assert abs(teleport_fidelity(x, y, 0.0) - 1.0) <= 1e-15
+
+
+@PROPERTY
+@given(validate_dsts, validate_dsts, st.floats(0.0, 1.5))
+def test_physical_and_cf_arguments_agree(p, q, z):
+    g, h = dsts_to_cf(p), dsts_to_cf(q)
+    assert abs(fidelity_one_mode(g, h) - fidelity_one_mode(p, q)) <= 1e-10
+    via_cf = fidelity_one_mode(g, teleport_with_noise(g, z))
+    via_params = fidelity_one_mode(p, teleport_with_noise(p, z))
+    closed = teleport_fidelity(math.cosh(2.0 * p.r), p.nbar + 0.5, z)
+    assert abs(via_cf - closed) <= 1e-10 and abs(via_params - closed) <= 1e-10
