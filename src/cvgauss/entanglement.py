@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import expit
-
-from ._optim import multistart_nelder_mead
+from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
-from .fidelity import fidelity_two_mode_sts
-from .states import TwoModeStsParams, checked_invariants
+from .fidelity import fidelity_two_mode_sts_kernel
+from .states import TwoModeStsParams, checked_invariants, wrap_angle
 
 #: tolerance on the separability inequality itself
 SEP_TOL = 1e-12
@@ -49,7 +47,10 @@ def degree_e0(p: TwoModeStsParams) -> float:
     gap = p.r - separability_threshold_rs(p.nbar1, p.nbar2)
     if gap <= 0.0:
         return 0.0
-    return 1.0 - 1.0 / math.cosh(gap)
+    try:
+        return 1.0 - 1.0 / math.cosh(gap)
+    except OverflowError:
+        return 1.0
 
 
 def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
@@ -64,14 +65,15 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     if p.r <= rs:
         return p, 0.0
 
+    nbar1, nbar2, r, phi = p.nbar1, p.nbar2, p.r, p.phi
+
     def unpack(t):
         m1 = t[0] * t[0]
         m2 = t[1] * t[1]
-        rp = separability_threshold_rs(m1, m2) * expit(t[2])
-        return TwoModeStsParams(nbar1=m1, nbar2=m2, r=rp, phi=t[3])
+        return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2]), wrap_angle(t[3])
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts(p, unpack(t)))
+        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(nbar1, nbar2, r, phi, *unpack(t)))
 
     starts = []
     for k in range(n_starts):
@@ -86,7 +88,7 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
         ])
 
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return unpack(x_best), f_best
+    return TwoModeStsParams(*unpack(x_best)), f_best
 
 
 def entropy_of_entanglement_svs(r: float) -> float:

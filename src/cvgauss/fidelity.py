@@ -44,11 +44,31 @@ def _sin2_half_difference(phi1: float, phi2: float) -> float:
     return s * s
 
 
-def _mean_form(p: DstsParams, d: complex) -> float:
-    """Quadratic form of adj V at the mean difference d, as Q above."""
-    w = d * cmath.exp(-0.5j * p.phi)
-    e2r = math.exp(2.0 * p.r)
-    return (p.nbar + 0.5) * (w.real * w.real / e2r + w.imag * w.imag * e2r)
+def _mean_form(y: float, e2r: float, phi: float, d: complex) -> float:
+    """Quadratic form of adj V at the mean difference d, as Q above, for
+    y = nbar + 1/2 and e2r = e^{2r}."""
+    w = d * cmath.exp(-0.5j * phi)
+    return y * (w.real * w.real / e2r + w.imag * w.imag * e2r)
+
+
+def fidelity_one_mode_kernel(n1: float, r1: float, phi1: float, a1: complex,
+                             n2: float, r2: float, phi2: float, a2: complex) -> float:
+    """F of the module docstring on the unchecked parameters (nbar, r, phi,
+    alpha) of two displaced squeezed thermal states; UnphysicalState where an
+    intermediate overflows.  Used directly by the distance searches."""
+    y1, y2 = n1 + 0.5, n2 + 0.5
+    # 2 cosh 2(r - r') as e1/e2 + e2/e1, since r - r' may round
+    try:
+        e1, e2 = math.exp(2.0 * r1), math.exp(2.0 * r2)
+    except OverflowError as exc:
+        raise UnphysicalState(f"squeeze factor {max(r1, r2)} overflows double precision") from exc
+    delta = y1 * y1 + y2 * y2 + y1 * y2 * (
+        e1 / e2 + e2 / e1 + 4.0 * math.sinh(2.0 * r1) * math.sinh(2.0 * r2)
+        * _sin2_half_difference(phi1, phi2))
+    lam = 4.0 * (n1 * (n1 + 1.0)) * (n2 * (n2 + 1.0))
+    d = a1 - a2
+    expo = (_mean_form(y1, e1, phi1, d) + _mean_form(y2, e2, phi2, d)) / delta
+    return clamp_unit(math.exp(-expo) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
 
 
 def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
@@ -56,16 +76,29 @@ def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
     """Uhlmann fidelity of two one-mode Gaussian states, each given by its
     physical parameters or by its CF coefficients (converted by cf_to_dsts)."""
     p1, p2 = (cf_to_dsts(s) if isinstance(s, OneModeGaussianCF) else s for s in (s1, s2))
-    y1, y2 = p1.nbar + 0.5, p2.nbar + 0.5
-    # 2 cosh 2(r - r') as e1/e2 + e2/e1, since r - r' may round
-    e1, e2 = math.exp(2.0 * p1.r), math.exp(2.0 * p2.r)
-    delta = y1 * y1 + y2 * y2 + y1 * y2 * (
-        e1 / e2 + e2 / e1 + 4.0 * math.sinh(2.0 * p1.r) * math.sinh(2.0 * p2.r)
-        * _sin2_half_difference(p1.phi, p2.phi))
-    lam = 4.0 * (p1.nbar * (p1.nbar + 1.0)) * (p2.nbar * (p2.nbar + 1.0))
-    d = p1.alpha - p2.alpha
-    expo = (_mean_form(p1, d) + _mean_form(p2, d)) / delta
-    return clamp_unit(math.exp(-expo) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
+    return fidelity_one_mode_kernel(p1.nbar, p1.r, p1.phi, p1.alpha, p2.nbar, p2.r, p2.phi, p2.alpha)
+
+
+def fidelity_two_mode_sts_kernel(n1: float, n2: float, r: float, phi: float,
+                                 n1p: float, n2p: float, rp: float, phip: float) -> float:
+    """F of :func:`fidelity_two_mode_sts` on the unchecked parameters (nbar1,
+    nbar2, r, phi) of two squeezed thermal states; UnphysicalState where an
+    intermediate overflows.  Used directly by the distance searches."""
+    y1, y2, y1p, y2p = n1 + 0.5, n2 + 0.5, n1p + 0.5, n2p + 0.5
+    # sinh^2 u from u = r - r' below |u| = 1, where its rounding costs under an
+    # ulp, else from e^{2r} / e^{2r'}, where the subtraction loses under 2x
+    u = r - rp
+    try:
+        e1, e2 = math.exp(2.0 * r), math.exp(2.0 * rp)
+    except OverflowError as exc:
+        raise UnphysicalState(f"squeeze factor {max(r, rp)} overflows double precision") from exc
+    sh2 = math.sinh(u) ** 2 if abs(u) < 1.0 else 0.25 * (e1 / e2 + e2 / e1) - 0.5
+    d = (y1 * y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
+         + (y1 + y2) * (y1p + y2p) * (math.sinh(2.0 * r) * math.sinh(2.0 * rp))
+         * _sin2_half_difference(phi, phip))
+    s = (math.sqrt((n1 * n1p) * ((n2 + 1.0) * (n2p + 1.0)))
+         + math.sqrt((n2 * n2p) * ((n1 + 1.0) * (n1p + 1.0))))
+    return clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
 
 
 def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
@@ -81,18 +114,8 @@ def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
             + (y1 y1' + y2 y2') sinh^2 u
             + (y1 + y2)(y1' + y2') sinh 2r sinh 2r' sin^2 ((phi - phi')/2).
     """
-    y1, y2, y1p, y2p = p1.nbar1 + 0.5, p1.nbar2 + 0.5, p2.nbar1 + 0.5, p2.nbar2 + 0.5
-    # sinh^2 u from u = r - r' below |u| = 1, where its rounding costs under an
-    # ulp, else from e^{2r} / e^{2r'}, where the subtraction loses under 2x
-    u = p1.r - p2.r
-    e1, e2 = math.exp(2.0 * p1.r), math.exp(2.0 * p2.r)
-    sh2 = math.sinh(u) ** 2 if abs(u) < 1.0 else 0.25 * (e1 / e2 + e2 / e1) - 0.5
-    d = (y1 * y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
-         + (y1 + y2) * (y1p + y2p) * (math.sinh(2.0 * p1.r) * math.sinh(2.0 * p2.r))
-         * _sin2_half_difference(p1.phi, p2.phi))
-    s = (math.sqrt((p1.nbar1 * p2.nbar1) * ((p1.nbar2 + 1.0) * (p2.nbar2 + 1.0)))
-         + math.sqrt((p1.nbar2 * p2.nbar2) * ((p1.nbar1 + 1.0) * (p2.nbar1 + 1.0))))
-    return clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
+    return fidelity_two_mode_sts_kernel(p1.nbar1, p1.nbar2, p1.r, p1.phi,
+                                        p2.nbar1, p2.nbar2, p2.r, p2.phi)
 
 
 def bures_distance(f: float) -> float:

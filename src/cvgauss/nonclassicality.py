@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import expit
-
-from ._optim import multistart_nelder_mead
+from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
-from .fidelity import fidelity_one_mode
-from .states import DstsParams
+from .fidelity import fidelity_one_mode_kernel
+from .states import DstsParams, wrap_angle
 
 
 def nonclassicality_threshold(nbar: float) -> float:
@@ -37,7 +35,10 @@ def degree_q0(p: DstsParams) -> float:
     gap = p.r - nonclassicality_threshold(p.nbar)
     if gap <= 0.0:
         return 0.0
-    return 1.0 - math.sqrt(1.0 / math.cosh(gap))
+    try:
+        return 1.0 - math.sqrt(1.0 / math.cosh(gap))
+    except OverflowError:
+        return 1.0
 
 
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
@@ -53,15 +54,15 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     if is_classical(p):
         return p, 0.0
     search_alpha = abs(p.alpha) > 0.0
+    nbar, r, phi, alpha = p.nbar, p.r, p.phi, p.alpha
 
     def unpack(t):
         nb = t[0] * t[0]
-        rp = nonclassicality_threshold(nb) * expit(t[1])
-        alpha = complex(t[3], t[4]) if search_alpha else p.alpha
-        return DstsParams(nbar=nb, r=rp, phi=t[2], alpha=alpha)
+        rp = nonclassicality_threshold(nb) * logistic(t[1])
+        return nb, rp, wrap_angle(t[2]), complex(t[3], t[4]) if search_alpha else alpha
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_one_mode(p, unpack(t)))
+        return 1.0 - math.sqrt(fidelity_one_mode_kernel(nbar, r, phi, alpha, *unpack(t)))
 
     starts = []
     for k in range(n_starts):
@@ -73,4 +74,4 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
         starts.append(start)
 
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return unpack(x_best), f_best
+    return DstsParams(*unpack(x_best)), f_best

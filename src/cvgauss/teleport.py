@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .entanglement import separability_threshold_rs
-from .errors import DisplacedResource, DomainError
+from .errors import DisplacedResource, DomainError, UnphysicalState
 from .fidelity import clamp_unit
 from .nonclassicality import degree_q0
 from .states import DstsParams, OneModeGaussianCF, TwoModeGaussianCF
@@ -71,7 +71,11 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
         raise DomainError(f"added noise z must be >= 0, got {z}")
     if isinstance(state, OneModeGaussianCF):
         return OneModeGaussianCF(a=state.a + z, b=state.b, c=state.c)
-    y, e2r = state.nbar + 0.5, math.exp(2.0 * state.r)
+    try:
+        e2r = math.exp(2.0 * state.r)
+    except OverflowError as exc:
+        raise UnphysicalState(f"squeeze factor {state.r} overflows double precision") from exc
+    y = state.nbar + 0.5
     down = y / e2r + z
     nbar = ((state.nbar * (state.nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
             / (math.sqrt((y * e2r + z) * down) + 0.5))
@@ -130,7 +134,11 @@ def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float
     the displacement cancels because the channel preserves alpha.
     """
     z = _resource_noise(nbar, r)
-    return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
+    try:
+        x = math.cosh(2.0 * input_state.r)
+    except OverflowError as exc:
+        raise UnphysicalState(f"squeeze factor {input_state.r} overflows double precision") from exc
+    return teleport_fidelity(x, input_state.nbar + 0.5, z)
 
 
 def e0_from_z(z: float) -> float:

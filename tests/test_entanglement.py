@@ -22,6 +22,20 @@ from cvgauss.validate import bisect_threshold
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
 E0_PURE_R1 = 0.35194572633611454
 
+#: tolerance on the parameters of a returned closest separable state
+ARGMIN_TOL = 1e-6
+
+
+def assert_separable_argmin(p, state):
+    """The closest separable state lies on the threshold r' = r_s(nbar1',
+    nbar2'), raises both occupancies by the same amount and keeps the squeeze
+    angle where r' > 0 defines one."""
+    assert abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)) <= ARGMIN_TOL
+    assert abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)) <= ARGMIN_TOL
+    if state.r > ARGMIN_TOL:
+        assert abs(math.remainder(state.phi - p.phi, 2 * math.pi)) <= ARGMIN_TOL
+    assert all(type(v) is float for v in (state.nbar1, state.nbar2, state.r, state.phi))
+
 
 def test_threshold_values():
     assert separability_threshold_rs(0.0, 0.0) == 0.0
@@ -144,10 +158,22 @@ def test_closest_separable_trivial_for_separable_input():
 
 
 def test_closest_separable_pure_sts():
-    state, value = closest_separable_numeric(TwoModeStsParams(0.0, 0.0, 1.0))
+    p = TwoModeStsParams(0.0, 0.0, 1.0)
+    state, value = closest_separable_numeric(p)
     assert value == pytest.approx(E0_PURE_R1, abs=1e-4)
-    rs = separability_threshold_rs(state.nbar1, state.nbar2)
-    assert abs(state.r - rs) <= 1e-3  # minimizer sits on the separability boundary
+    # the closest separable state of a pure STS is the two-mode vacuum
+    assert max(state.nbar1, state.nbar2, state.r) <= ARGMIN_TOL
+    assert_separable_argmin(p, state)
+
+
+def test_closest_separable_pinned_state():
+    p = TwoModeStsParams(0.2, 0.5, 1.2)
+    state, value = closest_separable_numeric(p)
+    assert abs(value - degree_e0(p)) < 1e-12
+    assert state.nbar1 == pytest.approx(1.1540907, abs=ARGMIN_TOL)
+    assert state.nbar2 == pytest.approx(1.4540907, abs=ARGMIN_TOL)
+    assert state.r == pytest.approx(0.6378414, abs=ARGMIN_TOL)
+    assert_separable_argmin(p, state)
 
 
 def test_closest_separable_matches_closed_form():
@@ -161,8 +187,7 @@ def test_closest_separable_matches_closed_form():
         found += 1
         state, value = closest_separable_numeric(p)
         assert abs(value - degree_e0(p)) < 1e-4
-        assert abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)) <= 1e-3
-        assert abs(math.remainder(state.phi - p.phi, 2 * math.pi)) < 1e-3
+        assert_separable_argmin(p, state)
 
 
 def test_entropy_of_entanglement():

@@ -15,6 +15,20 @@ from cvgauss import (
 # frozen via the numeric minimizer over the classical set (squeezed vacuum r=1)
 Q0_SQUEEZED_VACUUM_R1 = 0.1949818178054079
 
+#: tolerance on the parameters of a returned closest classical state
+ARGMIN_TOL = 1e-6
+
+
+def assert_classical_argmin(p, state):
+    """The closest classical state lies on the threshold r' = r_c(nbar') and
+    keeps the squeeze angle (where r' > 0 defines one) and the displacement."""
+    assert abs(state.r - nonclassicality_threshold(state.nbar)) <= ARGMIN_TOL
+    if state.r > ARGMIN_TOL:
+        assert abs(math.remainder(state.phi - p.phi, 2 * math.pi)) <= ARGMIN_TOL
+    assert abs(state.alpha - p.alpha) <= ARGMIN_TOL
+    assert all(type(v) is float for v in (state.nbar, state.r, state.phi))
+    assert type(state.alpha) is complex
+
 
 def test_threshold_values():
     assert nonclassicality_threshold(0.0) == 0.0
@@ -85,8 +99,10 @@ def test_closest_classical_squeezed_vacuum():
     p = DstsParams(0.0, 1.0)
     state, value = closest_classical_numeric(p)
     assert value == pytest.approx(Q0_SQUEEZED_VACUUM_R1, abs=1e-4)
-    # minimizer stays inside the classical set
-    assert state.r <= nonclassicality_threshold(state.nbar) + 1e-9
+    # the closest classical state of a squeezed vacuum is the vacuum,
+    # F = sech r; its squeeze angle is undefined
+    assert state.nbar <= ARGMIN_TOL and state.r <= ARGMIN_TOL
+    assert_classical_argmin(p, state)
 
 
 def test_closest_classical_matches_closed_form_on_random_states():
@@ -97,15 +113,17 @@ def test_closest_classical_matches_closed_form_on_random_states():
         if degree_q0(p) <= 0.01:
             continue
         found += 1
-        _, value = closest_classical_numeric(p)
+        state, value = closest_classical_numeric(p)
         assert abs(value - degree_q0(p)) < 1e-4
+        assert_classical_argmin(p, state)
 
 
 def test_closest_classical_aligns_squeeze_phase():
     for phi in (-2.0, 0.5, 2.8):
         p = DstsParams(0.1, 1.2, phi)
         state, _ = closest_classical_numeric(p)
-        assert abs(math.remainder(state.phi - phi, 2 * math.pi)) < 1e-3
+        assert abs(math.remainder(state.phi - phi, 2 * math.pi)) <= ARGMIN_TOL
+        assert_classical_argmin(p, state)
 
 
 def test_closest_classical_with_displacement():
@@ -113,4 +131,14 @@ def test_closest_classical_with_displacement():
     state, value = closest_classical_numeric(p)
     assert abs(value - degree_q0(p)) < 1e-4
     # the optimum keeps the input displacement
-    assert abs(state.alpha - p.alpha) < 1e-3
+    assert abs(state.alpha - p.alpha) <= ARGMIN_TOL
+    assert_classical_argmin(p, state)
+
+
+def test_closest_classical_pinned_state():
+    p = DstsParams(0.3, 1.0, 0.0, 0.5 + 0.1j)
+    state, value = closest_classical_numeric(p)
+    assert abs(value - degree_q0(p)) < 1e-12
+    assert state.nbar == pytest.approx(0.9321601, abs=ARGMIN_TOL)
+    assert state.r == pytest.approx(0.5261655, abs=ARGMIN_TOL)
+    assert_classical_argmin(p, state)

@@ -1,0 +1,144 @@
+"""The list-based Nelder-Mead of cvgauss._optim against scipy's."""
+
+import functools
+import logging
+import math
+
+import numpy as np
+import pytest
+from scipy.optimize import minimize, rosen
+
+from cvgauss import (
+    ConvergenceFailure,
+    DstsParams,
+    TwoModeStsParams,
+    closest_classical_numeric,
+    closest_separable_numeric,
+)
+from cvgauss import entanglement, nonclassicality
+from cvgauss._optim import FATOL, MAXITER, XATOL, multistart_nelder_mead
+
+
+@pytest.fixture
+def stable_argsort(monkeypatch):
+    """scipy orders the simplex with np.argsort, whose default kind orders
+    tied values differently on different CPUs (the AVX-512 sort is not
+    stable), so on ties scipy's own iterates depend on the machine.  The
+    reference runs with the stable order that _optim documents."""
+    monkeypatch.setattr(np, "argsort", functools.partial(np.argsort, kind="stable"))
+
+
+def scipy_nelder_mead(objective, x0):
+    res = minimize(lambda x: objective(list(x)), np.asarray(x0, dtype=float),
+                   method="Nelder-Mead",
+                   options={"xatol": XATOL, "fatol": FATOL, "maxiter": MAXITER,
+                            "maxfev": 2 * MAXITER})
+    return list(res.x), res.nfev
+
+
+def list_nelder_mead(objective, x0):
+    """One start through multistart_nelder_mead, with its evaluations counted."""
+    nfev = 0
+
+    def counted(x):
+        nonlocal nfev
+        nfev += 1
+        return objective(x)
+
+    x, _ = multistart_nelder_mead(counted, [x0])
+    return x, nfev
+
+
+def assert_same_run(objective, x0):
+    x_ref, nfev_ref = scipy_nelder_mead(objective, x0)
+    x, nfev = list_nelder_mead(objective, x0)
+    assert nfev == nfev_ref
+    assert max(abs(a - b) for a, b in zip(x, x_ref)) <= 1e-12
+    assert all(type(v) is float for v in x)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_rosenbrock_matches_scipy(stable_argsort, dim):
+    def objective(x):
+        return float(rosen(np.asarray(x)))
+
+    for x0 in ([-1.2] + [1.0] * (dim - 1), [0.0] * dim, np.linspace(-1.0, 2.0, dim).tolist()):
+        assert_same_run(objective, x0)
+
+
+def _search_objectives(monkeypatch, search, states):
+    """The (objective, starts) pairs a distance search hands to the minimizer."""
+    captured = []
+
+    def spy(objective, starts):
+        captured.append((objective, starts))
+        return multistart_nelder_mead(objective, starts)
+
+    module = nonclassicality if search is closest_classical_numeric else entanglement
+    monkeypatch.setattr(module, "multistart_nelder_mead", spy)
+    for p in states:
+        search(p, n_starts=4)
+    return captured
+
+
+@pytest.mark.parametrize("search, states", [
+    (closest_classical_numeric, [DstsParams(0.3, 1.0, 0.4), DstsParams(0.1, 1.2, -2.0, 0.5 + 0.1j)]),
+    (closest_separable_numeric, [TwoModeStsParams(0.2, 0.5, 1.2, 0.7)]),
+], ids=["classical", "separable"])
+def test_search_objectives_match_scipy(monkeypatch, stable_argsort, search, states):
+    captured = _search_objectives(monkeypatch, search, states)
+    assert len(captured) == len(states)
+    for objective, starts in captured:
+        for x0 in starts:
+            assert_same_run(objective, x0)
+
+
+def test_failure_when_every_start_hits_the_evaluation_limit():
+    nfev = 0
+
+    def unbounded(x):
+        nonlocal nfev
+        nfev += 1
+        return -abs(x[0])
+
+    with pytest.raises(ConvergenceFailure):
+        multistart_nelder_mead(unbounded, [[1.0], [-2.0]])
+    assert nfev == 2 * 2 * MAXITER
+
+
+def test_one_converged_start_suffices():
+    def objective(x):
+        # a bowl at 0, and past -5 a slope that never levels off
+        return x[0] * x[0] if x[0] > -5.0 else 30.0 + 1.0 / (1.0 + x[0] * x[0])
+
+    x, f = multistart_nelder_mead(objective, [[-10.0], [1.0]])
+    assert abs(x[0]) <= 1e-8 and f <= 1e-16
+
+
+def test_debug_record_reports_the_search(caplog):
+    nfev = 0
+
+    def bowl(x):
+        nonlocal nfev
+        nfev += 1
+        return (x[0] - 1.0) ** 2 + (x[1] + 0.5) ** 2
+
+    with caplog.at_level(logging.DEBUG, logger="cvgauss"):
+        x, f = multistart_nelder_mead(bowl, [[0.0, 0.0], [3.0, 1.0], [-2.0, 4.0]])
+    records = [r for r in caplog.records if r.name == "cvgauss"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    message = records[0].getMessage()
+    assert "3 starts, 3 converged" in message
+    assert f"{nfev} evaluations" in message
+    spread = float(message.rsplit(" ", 1)[1])
+    assert 0.0 <= spread < 1e-12
+    assert math.isclose(x[0], 1.0, abs_tol=1e-8) and math.isclose(x[1], -0.5, abs_tol=1e-8)
+
+
+def test_each_search_logs_one_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cvgauss"):
+        closest_classical_numeric(DstsParams(0.3, 1.0))
+        closest_separable_numeric(TwoModeStsParams(0.2, 0.5, 1.2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "cvgauss"]
+    assert len(messages) == 2
+    assert all(m.startswith("Nelder-Mead: 8 starts, 8 converged") for m in messages)

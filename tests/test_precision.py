@@ -11,6 +11,10 @@ from cvgauss import (
     DstsParams,
     TwoModeStsParams,
     UnphysicalState,
+    closest_classical_numeric,
+    closest_separable_numeric,
+    degree_e0,
+    degree_q0,
     dsts_to_cf,
     fidelity_one_mode,
     fidelity_two_mode_sts,
@@ -18,6 +22,7 @@ from cvgauss import (
     state_to_dict,
     sweep_fig2,
     teleport_fidelity,
+    teleport_fidelity_from_states,
     teleport_with_noise,
     z_from_e0,
 )
@@ -179,6 +184,33 @@ def test_fig2_curves_are_monotone_and_degrade_q_through_q_in_099():
 def test_overflowing_closed_form_raises(call):
     with pytest.raises(UnphysicalState, match="overflows double precision"):
         call()
+
+
+# e^{2r} has no double above r of about 354.9; directly built states reach it
+_R_PAST_EXP = 400.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fidelity_one_mode(DstsParams(0.0, _R_PAST_EXP), DstsParams(0.0, _R_PAST_EXP)),
+    lambda: fidelity_one_mode(DstsParams(0.0, 1.0), DstsParams(0.3, _R_PAST_EXP)),
+    lambda: fidelity_two_mode_sts(TwoModeStsParams(0.0, 0.0, _R_PAST_EXP),
+                                  TwoModeStsParams(0.0, 0.0, _R_PAST_EXP)),
+    lambda: teleport_with_noise(DstsParams(0.0, _R_PAST_EXP), 0.1),
+    lambda: teleport_fidelity_from_states(DstsParams(0.0, _R_PAST_EXP), 0.1, 1.0),
+    lambda: closest_classical_numeric(DstsParams(0.0, _R_PAST_EXP)),
+    lambda: closest_separable_numeric(TwoModeStsParams(0.0, 0.0, _R_PAST_EXP)),
+], ids=["one-mode", "one-mode-mixed", "two-mode", "teleport-map", "teleport-fidelity",
+        "closest-classical", "closest-separable"])
+def test_squeeze_past_exp_range_raises(call):
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        call()
+
+
+def test_degrees_reach_their_limit_past_cosh_range():
+    # cosh(gap) has no double above gap of about 710.5
+    for r in (710.0, 711.0, 1e6):
+        assert degree_q0(DstsParams(0.0, r)) == 1.0
+        assert degree_e0(TwoModeStsParams(0.0, 0.0, r)) == 1.0
 
 
 # --- properties over log-scaled domains ------------------------------------------
