@@ -115,22 +115,23 @@ def _nelder_mead(objective, x0):
 
 
 def multistart_nelder_mead(objective, starts):
-    """Run Nelder-Mead from each starting point and return (x_best, f_best),
-    x_best a list of floats.
+    """Run Nelder-Mead from each starting point and return (x_best, f_best)
+    of the best converged start, x_best a list of floats.
 
     Logs the number of starts, how many converged, the total number of
-    evaluations and the gap between the best and the runner-up value at
-    DEBUG level on the "cvgauss" logger.  Raises ConvergenceFailure when no
-    start converges.
+    evaluations and the gap between the best and the runner-up converged
+    value at DEBUG level on the "cvgauss" logger.  Raises ConvergenceFailure
+    when no start converges.
     """
-    results = sorted((_nelder_mead(objective, x0) for x0 in starts), key=itemgetter(1))
-    n_converged = sum(r[3] for r in results)
-    spread = results[1][1] - results[0][1] if len(results) > 1 else float("nan")
+    results = [_nelder_mead(objective, x0) for x0 in starts]
+    converged = sorted((r for r in results if r[3]), key=itemgetter(1))
+    spread = converged[1][1] - converged[0][1] if len(converged) > 1 else float("nan")
     _log.debug("Nelder-Mead: %d starts, %d converged, %d evaluations, best %.17g, "
-               "runner-up spread %.3g", len(results), n_converged,
-               sum(r[2] for r in results), results[0][1] if results else float("nan"), spread)
-    if not n_converged:
+               "runner-up spread %.3g", len(results), len(converged),
+               sum(r[2] for r in results), converged[0][1] if converged else float("nan"),
+               spread)
+    if not converged:
         raise ConvergenceFailure(
             "Nelder-Mead failed to converge from every starting point"
         )
-    return results[0][0], results[0][1]
+    return converged[0][0], converged[0][1]

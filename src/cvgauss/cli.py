@@ -115,19 +115,14 @@ def _cmd_fidelity(args) -> int:
     s1 = _load_state(args.state)
     s2 = _load_state(args.state2)
     if isinstance(s1, DstsParams) and isinstance(s2, DstsParams):
-        value = fidelity_one_mode(s1, s2)
-        oracle = None
-        if args.oracle:
-            dim = args.dim
-            oracle = fock.uhlmann_fidelity_numeric(fock.dsts_dm(s1, dim), fock.dsts_dm(s2, dim))
+        value, build = fidelity_one_mode(s1, s2), fock.dsts_dm
     elif isinstance(s1, TwoModeStsParams) and isinstance(s2, TwoModeStsParams):
-        value = fidelity_two_mode_sts(s1, s2)
-        oracle = None
-        if args.oracle:
-            dim = min(args.dim, 64) if args.dim is not None else None
-            oracle = fock.uhlmann_fidelity_numeric(fock.sts2_dm(s1, dim), fock.sts2_dm(s2, dim))
+        value, build = fidelity_two_mode_sts(s1, s2), fock.sts2_dm
     else:
         raise DomainError("fidelity requires two states of the same kind")
+    oracle = None
+    if args.oracle:
+        oracle = fock.uhlmann_fidelity_numeric(build(s1, args.dim), build(s2, args.dim))
     print(f"fidelity = {_fmt(value)}")
     if oracle is not None:
         print(f"oracle   = {_fmt(oracle)}")

@@ -17,7 +17,7 @@ import math
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
 from .fidelity import fidelity_two_mode_sts_kernel
-from .states import TwoModeStsParams, checked_invariants, wrap_angle
+from .states import R_MAX, TwoModeStsParams, checked_invariants, wrap_angle
 
 #: tolerance on the separability inequality itself
 SEP_TOL = 1e-12
@@ -47,10 +47,7 @@ def degree_e0(p: TwoModeStsParams) -> float:
     gap = p.r - separability_threshold_rs(p.nbar1, p.nbar2)
     if gap <= 0.0:
         return 0.0
-    try:
-        return 1.0 - 1.0 / math.cosh(gap)
-    except OverflowError:
-        return 1.0
+    return 1.0 - 1.0 / math.cosh(gap)
 
 
 def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
@@ -93,10 +90,17 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
 
 def entropy_of_entanglement_svs(r: float) -> float:
     """Entropy of entanglement of a two-mode squeezed vacuum: the common von
-    Neumann entropy of its thermal reductions with occupancy sinh^2 r."""
+    Neumann entropy of its thermal reductions with occupancy n = sinh^2 r,
+
+        S = (n + 1) ln(n + 1) - n ln n = ln(1 + n) + n ln(1 + 1/n),
+
+    in the second form, whose terms are both positive.  Above R_MAX, where
+    sinh^2 r overflows, S = 2 ln cosh r + 1 to within 1/(2n) < 1e-300."""
     if not (r >= 0.0):
         raise DomainError(f"squeeze factor must be >= 0, got {r}")
+    if r > R_MAX:
+        return 2.0 * (r - math.log(2.0)) + 1.0
     n = math.sinh(r) ** 2
     if n == 0.0:
         return 0.0
-    return (n + 1.0) * math.log(n + 1.0) - n * math.log(n)
+    return math.log1p(n) + n * math.log1p(1.0 / n)

@@ -22,7 +22,6 @@ arguments.  A displaced state has no such structure and is one block.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -34,34 +33,13 @@ from scipy.sparse.csgraph import connected_components
 from .errors import DimensionMismatch, DomainError, TruncationWarning, UnphysicalState
 from .states import DstsParams, TwoModeStsParams
 
-#: hard truncation caps
+#: hard truncation caps, applied to every build, explicit dimensions included
 MAX_DIM_ONE_MODE = 256
 MAX_DIM_PER_MODE = 64
 #: target truncated probability for automatic dimension selection
 TAIL_TARGET = 1e-8
 #: tail mass above which builders emit TruncationWarning
 TAIL_WARN = 1e-6
-
-ENV_MAX_DIM = "CVGAUSS_MAX_DIM"
-
-
-def _env_cap() -> int | None:
-    raw = os.environ.get(ENV_MAX_DIM)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"{ENV_MAX_DIM} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise DomainError(f"{ENV_MAX_DIM} must be >= 1, got {cap}")
-    return cap
-
-
-def _apply_env_cap(dim: int) -> int:
-    cap = _env_cap()
-    return dim if cap is None else min(dim, cap)
-
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
@@ -207,14 +185,14 @@ def _auto_dim_one_mode(p: DstsParams, target: float = TAIL_TARGET) -> int:
     n_eff = (p.nbar + abs(p.alpha) ** 2 + 1.0) * math.exp(2.0 * p.r)
     ratio = n_eff / (n_eff + 1.0)
     dim = int(math.ceil(math.log(target) / math.log(ratio)))
-    return min(max(dim, 16), MAX_DIM_ONE_MODE)
+    return max(dim, 16)
 
 
 def _auto_dim_two_mode(p: TwoModeStsParams, target: float = TAIL_TARGET) -> int:
     n_eff = (max(p.nbar1, p.nbar2) + 1.0) * math.exp(2.0 * p.r)
     ratio = n_eff / (n_eff + 1.0)
     dim = int(math.ceil(math.log(target) / math.log(ratio)))
-    return min(max(dim, 8), MAX_DIM_PER_MODE)
+    return max(dim, 8)
 
 
 def _finish_dm(rho: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
@@ -229,10 +207,9 @@ def _finish_dm(rho: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
 
 
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
-    """Displaced squeezed thermal state as a truncated density matrix."""
-    if dim is None:
-        dim = _auto_dim_one_mode(p)
-    dim = _apply_env_cap(dim)
+    """Displaced squeezed thermal state as a truncated density matrix, at
+    dim or an automatic dimension, capped at MAX_DIM_ONE_MODE."""
+    dim = min(_auto_dim_one_mode(p) if dim is None else dim, MAX_DIM_ONE_MODE)
     s = squeeze_matrix(p.r, p.phi, dim)
     d = displacement_matrix(p.alpha, dim)
     rho = d @ s @ thermal_dm(p.nbar, dim).matrix @ s.conj().T @ d.conj().T
@@ -240,11 +217,9 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
-    """Two-mode squeezed thermal state as a truncated density matrix
-    (dim is the per-mode truncation)."""
-    if dim is None:
-        dim = _auto_dim_two_mode(p)
-    dim = _apply_env_cap(dim)
+    """Two-mode squeezed thermal state as a truncated density matrix (dim is
+    the per-mode truncation, automatic if None, capped at MAX_DIM_PER_MODE)."""
+    dim = min(_auto_dim_two_mode(p) if dim is None else dim, MAX_DIM_PER_MODE)
     # the thermal product is diagonal and the squeeze keeps n1 - n2, so rho
     # is S_d diag(thermal_d) S_d^dag on each difference ladder d, zero between
     thermal = np.kron(np.diag(thermal_dm(p.nbar1, dim).matrix).real,

@@ -35,10 +35,7 @@ def degree_q0(p: DstsParams) -> float:
     gap = p.r - nonclassicality_threshold(p.nbar)
     if gap <= 0.0:
         return 0.0
-    try:
-        return 1.0 - math.sqrt(1.0 / math.cosh(gap))
-    except OverflowError:
-        return 1.0
+    return 1.0 - math.sqrt(1.0 / math.cosh(gap))
 
 
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):

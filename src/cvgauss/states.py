@@ -32,9 +32,24 @@ from .errors import DomainError, UnphysicalState
 #: (a + 1/2)^2 - |b|^2 grows with (a + 1/2)^2 under strong squeezing
 PHYS_TOL = 1e-9
 
+#: largest squeeze factor r with a finite e^{2r} in double precision,
+#: (1/2) ln DBL_MAX; the parameter types reject any r above it
+R_MAX = 0.5 * math.log(sys.float_info.max)
+
 
 def _scaled_tol(scale: float) -> float:
     return PHYS_TOL * max(1.0, scale)
+
+
+def _range_error(occupancies_ok: bool, occupancy_message: str, r: float) -> ValueError:
+    """The error of parameters that failed their range check: DomainError for
+    a negative or nan occupancy or squeeze factor, UnphysicalState for r > R_MAX."""
+    if not occupancies_ok:
+        return DomainError(occupancy_message)
+    if not r >= 0.0:
+        return DomainError(f"squeeze factor r must be >= 0, got {r}")
+    return UnphysicalState(f"squeeze factor {r} overflows double precision "
+                           f"(r must be <= R_MAX = {R_MAX:.17g})")
 
 
 def wrap_angle(phi: float) -> float:
@@ -52,8 +67,9 @@ def wrap_angle(phi: float) -> float:
 class DstsParams:
     """Physical parameters of a displaced squeezed thermal state.
 
-    nbar is the mean thermal occupancy, r >= 0 the squeeze factor, phi the
-    squeeze angle (stored in (-pi, pi]), alpha the displacement amplitude.
+    nbar is the mean thermal occupancy, 0 <= r <= R_MAX the squeeze factor,
+    phi the squeeze angle (stored in (-pi, pi]), alpha the displacement
+    amplitude.
     """
 
     nbar: float
@@ -62,10 +78,8 @@ class DstsParams:
     alpha: complex = 0j
 
     def __post_init__(self):
-        if not (self.nbar >= 0.0):
-            raise DomainError(f"nbar must be >= 0, got {self.nbar}")
-        if not (self.r >= 0.0):
-            raise DomainError(f"squeeze factor r must be >= 0, got {self.r}")
+        if not (self.nbar >= 0.0 <= self.r <= R_MAX):
+            raise _range_error(self.nbar >= 0.0, f"nbar must be >= 0, got {self.nbar}", self.r)
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
         object.__setattr__(self, "alpha", complex(self.alpha))
 
@@ -86,9 +100,13 @@ class OneModeGaussianCF:
         object.__setattr__(self, "c", complex(self.c))
         if not (self.a >= -PHYS_TOL):
             raise UnphysicalState(f"coefficient a must be >= 0, got {self.a}")
-        if self.det_cov() < 0.25 - _scaled_tol((self.a + 0.5) ** 2):
+        try:
+            det = self.det_cov()
+        except OverflowError:
+            raise UnphysicalState("(a+1/2)^2 - |b|^2 overflows double precision") from None
+        if not det >= 0.25 - _scaled_tol((self.a + 0.5) ** 2):
             raise UnphysicalState(
-                f"(a+1/2)^2 - |b|^2 = {self.det_cov():.6g} < 1/4: "
+                f"(a+1/2)^2 - |b|^2 = {det:.6g} < 1/4: "
                 "state violates the uncertainty relation"
             )
 
@@ -104,13 +122,14 @@ def _check_cov1(qq: float, qp: float, pp: float) -> None:
     if not (qq > 0.0 and pp > 0.0):
         raise UnphysicalState("diagonal covariances must be positive")
     det = qq * pp - qp * qp
-    if det < 0.25 - _scaled_tol(qq * pp):
+    if not det >= 0.25 - _scaled_tol(qq * pp):
         raise UnphysicalState(f"det V = {det:.6g} < 1/4 violates the uncertainty relation")
 
 
 @dataclass(frozen=True)
 class TwoModeStsParams:
-    """Physical parameters of a two-mode squeezed thermal state."""
+    """Physical parameters of a two-mode squeezed thermal state, with
+    0 <= r <= R_MAX."""
 
     nbar1: float
     nbar2: float
@@ -118,10 +137,9 @@ class TwoModeStsParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.nbar1 >= 0.0 and self.nbar2 >= 0.0):
-            raise DomainError("thermal occupancies must be >= 0")
-        if not (self.r >= 0.0):
-            raise DomainError(f"squeeze factor r must be >= 0, got {self.r}")
+        if not (self.nbar1 >= 0.0 <= self.nbar2 and 0.0 <= self.r <= R_MAX):
+            raise _range_error(self.nbar1 >= 0.0 <= self.nbar2,
+                               "thermal occupancies must be >= 0", self.r)
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
 
 
@@ -332,7 +350,7 @@ def eval_cf2(t: TwoModeGaussianCF, lam1: complex, lam2: complex) -> complex:
 
 
 #: largest log s of a covariance scale s whose fourth power is a finite double
-_LOG_SCALE_MAX = 0.25 * math.log(sys.float_info.max)
+_LOG_SCALE_MAX = 0.5 * R_MAX
 
 
 def _log_cosh(x: float) -> float:
@@ -354,6 +372,12 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _check_scale(log_s: float, fields: str) -> None:
+    if not log_s <= _LOG_SCALE_MAX:
+        raise DomainError(f"field {fields} too large: covariance scale exp({log_s:.6g}) "
+                          "has no finite fourth power")
+
+
 def parse_state(source) -> DstsParams | TwoModeStsParams:
     """Parse a JSON state descriptor (text or already-decoded dict).
 
@@ -365,8 +389,9 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
     Missing fields and non-finite numbers are rejected, and so is a state
     whose covariance scale s, (nbar + 1/2) cosh 2r for dsts and
     (nbar1 + nbar2 + 1) cosh^2 r for sts2, has no finite s^4 (the size of
-    det V): r above about 89, or occupancies above about 1e77.  These checks
-    on outside input are made here once, not in the parameter constructors.
+    det V): r above about 89, or occupancies above about 1e77.  The scale is
+    checked on the raw fields, before the parameter types apply their own
+    range checks, so that an oversized field is named as such.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -382,28 +407,23 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         alpha = _require(obj, "alpha", kind)
         if not (isinstance(alpha, (list, tuple)) and len(alpha) == 2):
             raise DomainError("field 'alpha' must be a [re, im] pair")
-        p = DstsParams(
-            nbar=_real(_require(obj, "nbar", kind), "nbar"),
-            r=_real(_require(obj, "r", kind), "r"),
-            phi=_real(_require(obj, "phi", kind), "phi"),
-            alpha=complex(_real(alpha[0], "alpha"), _real(alpha[1], "alpha")),
-        )
-        fields, log_s = "'nbar' or 'r'", math.log(p.nbar + 0.5) + _log_cosh(2.0 * p.r)
-    elif kind == "sts2":
-        p = TwoModeStsParams(
-            nbar1=_real(_require(obj, "nbar1", kind), "nbar1"),
-            nbar2=_real(_require(obj, "nbar2", kind), "nbar2"),
-            r=_real(_require(obj, "r", kind), "r"),
-            phi=_real(_require(obj, "phi", kind), "phi"),
-        )
-        fields = "'nbar1', 'nbar2' or 'r'"
-        log_s = math.log(p.nbar1 + p.nbar2 + 1.0) + 2.0 * _log_cosh(p.r)
-    else:
-        raise DomainError(f"unknown state kind '{kind}'")
-    if not log_s <= _LOG_SCALE_MAX:
-        raise DomainError(f"field {fields} too large: covariance scale exp({log_s:.6g}) "
-                          "has no finite fourth power")
-    return p
+        nbar = _real(_require(obj, "nbar", kind), "nbar")
+        r = _real(_require(obj, "r", kind), "r")
+        phi = _real(_require(obj, "phi", kind), "phi")
+        alpha = complex(_real(alpha[0], "alpha"), _real(alpha[1], "alpha"))
+        if nbar >= 0.0 and r >= 0.0:
+            _check_scale(math.log(nbar + 0.5) + _log_cosh(2.0 * r), "'nbar' or 'r'")
+        return DstsParams(nbar, r, phi, alpha)
+    if kind == "sts2":
+        nbar1 = _real(_require(obj, "nbar1", kind), "nbar1")
+        nbar2 = _real(_require(obj, "nbar2", kind), "nbar2")
+        r = _real(_require(obj, "r", kind), "r")
+        phi = _real(_require(obj, "phi", kind), "phi")
+        if nbar1 >= 0.0 and nbar2 >= 0.0 and r >= 0.0:
+            _check_scale(math.log(nbar1 + nbar2 + 1.0) + 2.0 * _log_cosh(r),
+                         "'nbar1', 'nbar2' or 'r'")
+        return TwoModeStsParams(nbar1, nbar2, r, phi)
+    raise DomainError(f"unknown state kind '{kind}'")
 
 
 def state_to_dict(state: DstsParams | TwoModeStsParams) -> dict:

@@ -19,7 +19,7 @@ from .entanglement import (
 )
 from .errors import DomainError
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
-from .nonclassicality import closest_classical_numeric, degree_q0
+from .nonclassicality import closest_classical_numeric, degree_q0, nonclassicality_threshold
 from .states import (
     DstsParams,
     TwoModeStsParams,
@@ -174,30 +174,44 @@ def _check_separability_bisection(rng, samples: int) -> float:
     return worst
 
 
-def _check_q0_minimizer(rng, samples: int) -> float:
-    worst = 0.0
-    found = 0
-    while found < samples:
-        p = random_dsts(rng, nbar_max=1.0, r_max=1.5, alpha_max=0.0)
-        if degree_q0(p) <= 0.01:
-            continue
-        found += 1
-        _, val = closest_classical_numeric(p)
-        worst = max(worst, abs(val - degree_q0(p)))
-    return worst
+def _angle_gap(p, state) -> float:
+    """|phi' - phi| modulo 2 pi where r' > 1e-6 defines phi', else 0."""
+    return abs(math.remainder(state.phi - p.phi, 2 * math.pi)) if state.r > 1e-6 else 0.0
 
 
-def _check_e0_minimizer(rng, samples: int) -> float:
-    worst = 0.0
+def classical_argmin_gap(p: DstsParams, state: DstsParams) -> float:
+    """How far a closest classical state found for p breaks the rules the
+    true one obeys: it lies on the threshold r' = r_c(nbar') and keeps the
+    squeeze angle (where r' > 1e-6) and the displacement."""
+    return max(abs(state.r - nonclassicality_threshold(state.nbar)), _angle_gap(p, state),
+               abs(state.alpha - p.alpha))
+
+
+def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
+    """How far a closest separable state found for p breaks the rules the
+    true one obeys: it lies on the threshold r' = r_s(nbar1', nbar2'), raises
+    both occupancies by the same amount and keeps the squeeze angle (where
+    r' > 1e-6)."""
+    return max(abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)),
+               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)), _angle_gap(p, state))
+
+
+def _check_minimizer(rng, draw, degree, search, argmin_gap, measure: str,
+                     closest: str) -> list[CheckResult]:
+    """A distance search on two random states past their threshold against
+    the closed-form degree, and the state it returns against the argmin rules."""
+    worst, worst_gap = 0.0, 0.0
     found = 0
-    while found < samples:
-        p = random_sts(rng, nbar_max=0.8, r_max=1.5)
-        if degree_e0(p) <= 0.01:
+    while found < 2:
+        p = draw(rng)
+        if degree(p) <= 0.01:
             continue
         found += 1
-        _, val = closest_separable_numeric(p)
-        worst = max(worst, abs(val - degree_e0(p)))
-    return worst
+        state, val = search(p)
+        worst = max(worst, abs(val - degree(p)))
+        worst_gap = max(worst_gap, argmin_gap(p, state))
+    return [CheckResult(f"{measure} minimizer vs closed form", worst, 1e-4),
+            CheckResult(f"closest {closest} state vs argmin rules", worst_gap, 1e-6)]
 
 
 def _check_pure_trace_product(rng, dim: int, pairs: int) -> float:
@@ -247,13 +261,15 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
         CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
         CheckResult("separability bisection vs closed threshold",
                     _check_separability_bisection(rng, samples=10), 1e-6),
-        CheckResult("nonclassicality minimizer vs closed form",
-                    _check_q0_minimizer(rng, samples=2), 1e-4),
-        CheckResult("entanglement minimizer vs closed form",
-                    _check_e0_minimizer(rng, samples=2), 1e-4),
+        *_check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5, alpha_max=0.0),
+                          degree_q0, closest_classical_numeric, classical_argmin_gap,
+                          "nonclassicality", "classical"),
+        *_check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),
+                          degree_e0, closest_separable_numeric, separable_argmin_gap,
+                          "entanglement", "separable"),
     ]
     if suite == "full":
-        two_dim = 40 if oracle_dim is None else min(oracle_dim, 64)
+        two_dim = 40 if oracle_dim is None else oracle_dim
         results += [
             CheckResult("two-mode fidelity vs Fock oracle",
                         _check_two_mode_oracle(rng, two_dim, pairs=3), tol6),

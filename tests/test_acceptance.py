@@ -29,7 +29,13 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from cvgauss.validate import bisect_threshold, random_dsts, random_sts
+from cvgauss.validate import (
+    bisect_threshold,
+    classical_argmin_gap,
+    random_dsts,
+    random_sts,
+    separable_argmin_gap,
+)
 
 
 def _report(number: int, title: str, passed: bool, detail: str) -> None:
@@ -92,7 +98,7 @@ def test_criterion_3_separability_boundary():
 
 def test_criterion_4_entanglement_measure_minimization():
     rng = np.random.default_rng(1004)
-    worst_value, worst_boundary = 0.0, 0.0
+    worst_value, worst_gap = 0.0, 0.0
     found = 0
     while found < 10:
         p = TwoModeStsParams(rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.8),
@@ -102,20 +108,18 @@ def test_criterion_4_entanglement_measure_minimization():
         found += 1
         state, value = closest_separable_numeric(p)
         worst_value = max(worst_value, abs(value - degree_e0(p)))
-        worst_boundary = max(
-            worst_boundary,
-            abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)))
-    ok = worst_value <= 1e-4 and worst_boundary <= 1e-3
+        worst_gap = max(worst_gap, separable_argmin_gap(p, state))
+    ok = worst_value <= 1e-4 and worst_gap <= 1e-6
     _report(4, "closest-separable minimization vs closed E0 (10 entangled states)",
             ok, f"max value delta {worst_value:.3e} (tol 1e-04), "
-                f"max boundary gap {worst_boundary:.3e} (tol 1e-03)")
+                f"max argmin gap {worst_gap:.3e} (tol 1e-06)")
     assert worst_value <= 1e-4
-    assert worst_boundary <= 1e-3
+    assert worst_gap <= 1e-6
 
 
 def test_criterion_5_nonclassicality_measure_minimization():
     rng = np.random.default_rng(1005)
-    worst = 0.0
+    worst_value, worst_gap = 0.0, 0.0
     found = 0
     while found < 20:
         p = DstsParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.5),
@@ -123,12 +127,15 @@ def test_criterion_5_nonclassicality_measure_minimization():
         if degree_q0(p) <= 0.02:
             continue
         found += 1
-        _, value = closest_classical_numeric(p)
-        worst = max(worst, abs(value - degree_q0(p)))
-    ok = worst <= 1e-4
+        state, value = closest_classical_numeric(p)
+        worst_value = max(worst_value, abs(value - degree_q0(p)))
+        worst_gap = max(worst_gap, classical_argmin_gap(p, state))
+    ok = worst_value <= 1e-4 and worst_gap <= 1e-6
     _report(5, "closest-classical minimization vs closed Q0 (20 nonclassical states)",
-            ok, f"max delta {worst:.3e} (tol 1e-04)")
-    assert worst <= 1e-4
+            ok, f"max value delta {worst_value:.3e} (tol 1e-04), "
+                f"max argmin gap {worst_gap:.3e} (tol 1e-06)")
+    assert worst_value <= 1e-4
+    assert worst_gap <= 1e-6
 
 
 # criterion 6/7 share this grid

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import cvgauss
@@ -23,4 +24,33 @@ def test_no_private_names_imported_from_sibling_modules():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 offenders += [f"{path.name}: {alias.name} from .{node.module or ''}"
                               for alias in node.names if alias.name.startswith("_")]
+    assert offenders == []
+
+
+def _imported_names(tree):
+    """Name bound by each import of a module, except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_no_unused_imports():
+    # a name in __all__ counts as used: the package root re-exports its imports
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        module = cvgauss if path.stem == "__init__" else importlib.import_module(
+            f"cvgauss.{path.stem}")
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        offenders += [f"{path.name}: {name}" for name in _imported_names(tree) if name not in used]
+    assert offenders == []
+
+
+def test_no_environment_reads():
+    offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
     assert offenders == []

@@ -163,6 +163,12 @@ def test_sweep_rejects_tiny_grid(tmp_path, capsys):
     assert main(["sweep", "fig1", "--out", str(tmp_path), "--points", "1"]) == 2
 
 
+def test_sweep_rejects_squeeze_past_r_max(tmp_path, capsys):
+    assert main(["sweep", "fig1", "--out", str(tmp_path), "--r-in", "400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: input squeeze factor") and "Traceback" not in err
+
+
 def test_missing_field_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"kind": "dsts", "nbar": 0.0, "r": 0.0, "phi": 0.0}))
@@ -332,7 +338,7 @@ def test_validate_fast_suite_passes(capsys):
     assert time.monotonic() - start < 30.0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert "10/10 checks passed" in out
+    assert "12/12 checks passed" in out
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -17,7 +17,8 @@ from cvgauss import (
     thermal_dm,
     von_neumann_entropy,
 )
-from cvgauss.validate import bisect_threshold
+from cvgauss.states import R_MAX
+from cvgauss.validate import bisect_threshold, separable_argmin_gap
 
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
 E0_PURE_R1 = 0.35194572633611454
@@ -27,13 +28,9 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_separable_argmin(p, state):
-    """The closest separable state lies on the threshold r' = r_s(nbar1',
-    nbar2'), raises both occupancies by the same amount and keeps the squeeze
-    angle where r' > 0 defines one."""
-    assert abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)) <= ARGMIN_TOL
-    assert abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)) <= ARGMIN_TOL
-    if state.r > ARGMIN_TOL:
-        assert abs(math.remainder(state.phi - p.phi, 2 * math.pi)) <= ARGMIN_TOL
+    """The closest separable state obeys the rules of separable_argmin_gap
+    and has parameters of the built-in types."""
+    assert separable_argmin_gap(p, state) <= ARGMIN_TOL
     assert all(type(v) is float for v in (state.nbar1, state.nbar2, state.r, state.phi))
 
 
@@ -198,3 +195,13 @@ def test_entropy_of_entanglement():
     assert entropy_of_entanglement_svs(1.5) > entropy_of_entanglement_svs(1.0)
     with pytest.raises(DomainError):
         entropy_of_entanglement_svs(-0.5)
+
+
+@pytest.mark.parametrize("r", [12.0, 15.0, 18.0, 20.0, 100.0, R_MAX, 400.0])
+def test_entropy_of_entanglement_to_double_precision(r):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        # both terms positive: no cancellation at any n
+        n = mpmath.sinh(mpmath.mpf(r)) ** 2
+        exact = mpmath.log1p(n) + n * mpmath.log1p(1 / n)
+        assert abs(entropy_of_entanglement_svs(r) - exact) <= 1e-14 * exact

@@ -20,6 +20,7 @@ from cvgauss import (
     uhlmann_fidelity_numeric,
     von_neumann_entropy,
 )
+from cvgauss import fock
 from cvgauss.fock import (
     FockDensityMatrix,
     annihilation,
@@ -152,11 +153,12 @@ def test_auto_dim_selection():
     assert r.dim <= 256
 
 
-def test_env_var_caps_dimension(monkeypatch):
-    monkeypatch.setenv("CVGAUSS_MAX_DIM", "32")
+def test_caps_apply_to_explicit_dimensions(monkeypatch):
+    assert dsts_dm(DstsParams(0.2, 0.3), fock.MAX_DIM_ONE_MODE + 44).dim == fock.MAX_DIM_ONE_MODE
+    # a small cap keeps the two-mode build cheap; the builder reads it per call
+    monkeypatch.setattr(fock, "MAX_DIM_PER_MODE", 6)
     with pytest.warns(TruncationWarning):
-        r = dsts_dm(DstsParams(3.0, 0.5), 120)
-    assert r.dim == 32
+        assert sts2_dm(TwoModeStsParams(0.5, 0.5, 0.5), 10).dim == 6
 
 
 # --- two-mode density matrices ------------------------------------------------------

@@ -11,6 +11,7 @@ from cvgauss import (
     is_classical,
     nonclassicality_threshold,
 )
+from cvgauss.validate import classical_argmin_gap
 
 # frozen via the numeric minimizer over the classical set (squeezed vacuum r=1)
 Q0_SQUEEZED_VACUUM_R1 = 0.1949818178054079
@@ -20,12 +21,9 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_classical_argmin(p, state):
-    """The closest classical state lies on the threshold r' = r_c(nbar') and
-    keeps the squeeze angle (where r' > 0 defines one) and the displacement."""
-    assert abs(state.r - nonclassicality_threshold(state.nbar)) <= ARGMIN_TOL
-    if state.r > ARGMIN_TOL:
-        assert abs(math.remainder(state.phi - p.phi, 2 * math.pi)) <= ARGMIN_TOL
-    assert abs(state.alpha - p.alpha) <= ARGMIN_TOL
+    """The closest classical state obeys the rules of classical_argmin_gap
+    and has parameters of the built-in types."""
+    assert classical_argmin_gap(p, state) <= ARGMIN_TOL
     assert all(type(v) is float for v in (state.nbar, state.r, state.phi))
     assert type(state.alpha) is complex
 

@@ -115,6 +115,15 @@ def test_one_converged_start_suffices():
     assert abs(x[0]) <= 1e-8 and f <= 1e-16
 
 
+def test_best_converged_start_wins_over_a_lower_unconverged_one():
+    def objective(x):
+        # a bowl at 1 for x > 0, and a slope falling without end below
+        return (x[0] - 1.0) ** 2 if x[0] > 0.0 else x[0]
+
+    x, f = multistart_nelder_mead(objective, [[2.0], [-1.0]])
+    assert abs(x[0] - 1.0) <= 1e-8 and 0.0 <= f <= 1e-16
+
+
 def test_debug_record_reports_the_search(caplog):
     nfev = 0
 

@@ -26,6 +26,7 @@ from cvgauss import (
     teleport_with_noise,
     z_from_e0,
 )
+from cvgauss.states import R_MAX
 from cvgauss.teleport import FIG2_E0S
 
 pytest.importorskip("mpmath")
@@ -186,7 +187,8 @@ def test_overflowing_closed_form_raises(call):
         call()
 
 
-# e^{2r} has no double above r of about 354.9; directly built states reach it
+# e^{2r} has no double above R_MAX, about 354.9, and the parameter types
+# reject such r before any closed form runs
 _R_PAST_EXP = 400.0
 
 
@@ -206,11 +208,9 @@ def test_squeeze_past_exp_range_raises(call):
         call()
 
 
-def test_degrees_reach_their_limit_past_cosh_range():
-    # cosh(gap) has no double above gap of about 710.5
-    for r in (710.0, 711.0, 1e6):
-        assert degree_q0(DstsParams(0.0, r)) == 1.0
-        assert degree_e0(TwoModeStsParams(0.0, 0.0, r)) == 1.0
+def test_degrees_reach_their_limit_at_r_max():
+    assert degree_q0(DstsParams(0.0, R_MAX)) == 1.0
+    assert degree_e0(TwoModeStsParams(0.0, 0.0, R_MAX)) == 1.0
 
 
 # --- properties over log-scaled domains ------------------------------------------

@@ -24,7 +24,7 @@ from cvgauss import (
     sts_to_cf2,
     sts_to_cov2,
 )
-from cvgauss.states import checked_invariants
+from cvgauss.states import R_MAX, checked_invariants
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -35,6 +35,18 @@ def test_dsts_params_rejects_negative():
         DstsParams(nbar=-0.1)
     with pytest.raises(DomainError):
         DstsParams(nbar=0.0, r=-1.0)
+
+
+@pytest.mark.parametrize("build", [lambda r: DstsParams(0.0, r),
+                                   lambda r: TwoModeStsParams(0.0, 0.0, r)],
+                         ids=["dsts", "sts2"])
+def test_squeeze_range_ends_at_r_max(build):
+    assert build(R_MAX).r == R_MAX
+    assert math.exp(2.0 * R_MAX) < math.inf
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        build(math.nextafter(R_MAX, math.inf))
+    with pytest.raises(DomainError, match="r must be >= 0"):
+        build(math.nan)
 
 
 def test_phi_wrapped_into_half_open_interval():
@@ -49,6 +61,20 @@ def test_cf_rejects_unphysical():
         OneModeGaussianCF(a=0.0, b=1.0)  # det = 0.25 - 1 < 1/4
     with pytest.raises(UnphysicalState):
         OneModeGaussianCF(a=-0.5)
+    with pytest.raises(UnphysicalState, match="< 1/4"):
+        OneModeGaussianCF(a=1.0, b=math.nan)
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        OneModeGaussianCF(a=1e200)
+
+
+@pytest.mark.parametrize("r", [200.0, 354.0, R_MAX])
+def test_conversions_past_the_coefficient_range(r):
+    # (a + 1/2)^2 has no double from r of about 178, the covariances do
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        dsts_to_cf(DstsParams(0.0, r))
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        sts_to_cf2(TwoModeStsParams(0.0, 0.0, r))
+    assert np.isfinite(sts_to_cov2(TwoModeStsParams(0.0, 0.0, r))).all()
 
 
 # --- dsts_to_cf -------------------------------------------------------------
@@ -154,6 +180,12 @@ def test_cov_validation():
                           ([0.5, 0.5, -1.0, 1.0], "diagonal covariances must be positive")):
         with pytest.raises(UnphysicalState, match=message):
             checked_invariants(np.diag(diag))
+    # a singular block whose det V = qq pp - qp^2 overflows to inf - inf = nan
+    singular = np.zeros((4, 4))
+    singular[:2, :2], singular[2:, 2:] = 1e200, 0.5 * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(UnphysicalState, match="uncertainty relation"):
+        checked_invariants(singular)
 
 
 # --- CF evaluation ----------------------------------------------------------

@@ -274,6 +274,8 @@ def test_fig2_vacuum_input_stays_classical():
 def test_sweep_rejects_bad_grids():
     with pytest.raises(DomainError):
         sweep_fig1(-0.5, (0.0,), [0.5])
+    with pytest.raises(DomainError, match="R_MAX"):
+        sweep_fig1(400.0, (0.0,), [0.5])
     with pytest.raises(DomainError):
         sweep_fig2((0.5,), [1.0])  # Q_in must stay below 1
 
