@@ -21,12 +21,7 @@ import numpy as np
 
 from . import fock, teleport, validate
 from .entanglement import degree_e0, separability_threshold_rs
-from .errors import (
-    DimensionMismatch,
-    DisplacedResource,
-    DomainError,
-    UnphysicalState,
-)
+from .errors import DimensionMismatch, DomainError, UnphysicalState
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
 from .nonclassicality import degree_q0, is_classical, nonclassicality_threshold
 from .states import (
@@ -38,13 +33,7 @@ from .states import (
     sts_to_cov2,
 )
 
-_INPUT_ERRORS = (
-    DomainError,
-    UnphysicalState,
-    DisplacedResource,
-    DimensionMismatch,
-    OSError,
-)
+_INPUT_ERRORS = (DomainError, UnphysicalState, DimensionMismatch, OSError)
 
 
 def _load_state(path: str):
@@ -145,9 +134,12 @@ def _cmd_teleport(args) -> int:
     state = _load_state(args.state)
     if not isinstance(state, DstsParams):
         raise DomainError("teleport requires a dsts input state")
-    out_state = teleport.teleport_symmetric_sts(state, args.nbar, args.r)
-    fid = teleport.teleport_fidelity_from_states(state, args.nbar, args.r)
-    print(json.dumps(state_to_dict(out_state)))
+    resource = _load_state(args.resource)
+    if not isinstance(resource, TwoModeStsParams):
+        raise DomainError("teleport requires an sts2 resource state")
+    z = teleport.resource_noise(resource)
+    fid = teleport.teleport_fidelity(math.cosh(2.0 * state.r), state.nbar + 0.5, z)
+    print(json.dumps(state_to_dict(teleport.teleport_with_noise(state, z))))
     print(f"fidelity = {_fmt(fid)}")
     return 0
 
@@ -215,10 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.set_defaults(func=_cmd_entangle)
 
     p_tel = sub.add_parser("teleport", help="teleport a one-mode state through a "
-                                            "symmetric squeezed thermal resource")
+                                            "squeezed thermal resource")
     p_tel.add_argument("--state", required=True, help="dsts input state JSON file")
-    p_tel.add_argument("--nbar", type=_finite, required=True, help="resource occupancy")
-    p_tel.add_argument("--r", type=_finite, required=True, help="resource squeeze factor")
+    p_tel.add_argument("--resource", required=True, help="sts2 resource state JSON file")
     p_tel.set_defaults(func=_cmd_teleport)
 
     p_sweep = sub.add_parser("sweep", help="write figure CSV files")

@@ -6,7 +6,7 @@ two-mode Gaussian states; in invariant form it reads
     det V - [det V1 + det V2 + 2 |det C|]/4 + 1/16 >= 0.
 
 For a squeezed thermal state this reduces to r <= r_s with
-cosh^2 r_s = (nbar1 + 1)(nbar2 + 1)/(nbar1 + nbar2 + 1).  The Bures degree
+sinh^2 r_s = nbar1 nbar2/(nbar1 + nbar2 + 1).  The Bures degree
 of entanglement past the threshold is E0 = 1 - sech(r - r_s).
 """
 
@@ -24,13 +24,18 @@ SEP_TOL = 1e-12
 
 
 def separability_threshold_rs(nbar1: float, nbar2: float) -> float:
-    """Squeeze factor at which the state crosses from separable to entangled."""
+    """Squeeze factor at which the state crosses from separable to entangled,
+    r_s = asinh sqrt(nbar1 nbar2 / (nbar1 + nbar2 + 1)), with the larger
+    occupancy n divided out, sqrt(m) / sqrt(1 + (m + 1)/n), so that nothing
+    cancels and nothing overflows for n from the smallest normal double up to
+    DBL_MAX."""
     if not (nbar1 >= 0.0 and nbar2 >= 0.0):
         raise DomainError("thermal occupancies must be >= 0")
-    u = math.sqrt((nbar1 + 1.0) * (nbar2 + 1.0) / (nbar1 + nbar2 + 1.0))
-    # arccosh with the argument clamped to >= 1 to absorb rounding at the boundary
-    u = max(u, 1.0)
-    return math.log(u + math.sqrt(u * u - 1.0))
+    if nbar1 < nbar2:
+        nbar1, nbar2 = nbar2, nbar1
+    if nbar1 == 0.0:
+        return 0.0
+    return math.asinh(math.sqrt(nbar2) / math.sqrt(1.0 + (nbar2 + 1.0) / nbar1))
 
 
 def peres_simon_separable(m) -> bool:

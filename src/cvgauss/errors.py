@@ -9,11 +9,6 @@ class UnphysicalState(ValueError):
     """A state representation violates a Heisenberg-type physicality bound."""
 
 
-class DisplacedResource(ValueError):
-    """The teleportation resource carries a displacement, which the protocol
-    model does not allow."""
-
-
 class DimensionMismatch(ValueError):
     """Two Fock-space objects with incompatible truncation dimensions."""
 

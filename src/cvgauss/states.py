@@ -7,9 +7,9 @@ characteristic function
     chi(lam) = exp[-(A+1/2)|lam|^2 - (1/2) conj(B) lam^2 - (1/2) B conj(lam)^2
                    + conj(C) lam - C conj(lam)],
 
-or by its 2x2 quadrature covariance matrix.  The two-mode squeezed thermal
-state (STS) family carries the extra cross couplings F, G of the two-mode
-characteristic function and the corresponding 4x4 covariance matrix.
+or by its 2x2 quadrature covariance matrix.  A two-mode squeezed thermal
+state (STS, ``TwoModeStsParams``) is carried by its physical parameters and
+its 4x4 covariance matrix.
 
 Conventions: q = (a + a^dag)/sqrt(2), p = -i(a - a^dag)/sqrt(2), so the
 vacuum covariance matrix is I/2 and det V >= 1/4 expresses the Heisenberg
@@ -36,20 +36,26 @@ PHYS_TOL = 1e-9
 #: (1/2) ln DBL_MAX; the parameter types reject any r above it
 R_MAX = 0.5 * math.log(sys.float_info.max)
 
+#: largest finite double, the bound on the occupancies
+_DBL_MAX = sys.float_info.max
+
 
 def _scaled_tol(scale: float) -> float:
     return PHYS_TOL * max(1.0, scale)
 
 
-def _range_error(occupancies_ok: bool, occupancy_message: str, r: float) -> ValueError:
+def _range_error(occupancies: tuple, occupancy_message: str, r: float) -> ValueError:
     """The error of parameters that failed their range check: DomainError for
-    a negative or nan occupancy or squeeze factor, UnphysicalState for r > R_MAX."""
-    if not occupancies_ok:
+    a negative or nan occupancy or squeeze factor, UnphysicalState for r > R_MAX
+    or an infinite occupancy."""
+    if not all(n >= 0.0 for n in occupancies):
         return DomainError(occupancy_message)
     if not r >= 0.0:
         return DomainError(f"squeeze factor r must be >= 0, got {r}")
-    return UnphysicalState(f"squeeze factor {r} overflows double precision "
-                           f"(r must be <= R_MAX = {R_MAX:.17g})")
+    if r > R_MAX:
+        return UnphysicalState(f"squeeze factor {r} overflows double precision "
+                               f"(r must be <= R_MAX = {R_MAX:.17g})")
+    return UnphysicalState(f"thermal occupancy {max(occupancies)} overflows double precision")
 
 
 def wrap_angle(phi: float) -> float:
@@ -67,7 +73,7 @@ def wrap_angle(phi: float) -> float:
 class DstsParams:
     """Physical parameters of a displaced squeezed thermal state.
 
-    nbar is the mean thermal occupancy, 0 <= r <= R_MAX the squeeze factor,
+    nbar is the finite mean thermal occupancy, 0 <= r <= R_MAX the squeeze factor,
     phi the squeeze angle (stored in (-pi, pi]), alpha the displacement
     amplitude.
     """
@@ -78,8 +84,8 @@ class DstsParams:
     alpha: complex = 0j
 
     def __post_init__(self):
-        if not (self.nbar >= 0.0 <= self.r <= R_MAX):
-            raise _range_error(self.nbar >= 0.0, f"nbar must be >= 0, got {self.nbar}", self.r)
+        if not (_DBL_MAX >= self.nbar >= 0.0 <= self.r <= R_MAX):
+            raise _range_error((self.nbar,), f"nbar must be >= 0, got {self.nbar}", self.r)
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
         object.__setattr__(self, "alpha", complex(self.alpha))
 
@@ -128,8 +134,9 @@ def _check_cov1(qq: float, qp: float, pp: float) -> None:
 
 @dataclass(frozen=True)
 class TwoModeStsParams:
-    """Physical parameters of a two-mode squeezed thermal state, with
-    0 <= r <= R_MAX."""
+    """Physical parameters of a two-mode squeezed thermal state: finite thermal
+    occupancies nbar1, nbar2 >= 0, squeeze factor 0 <= r <= R_MAX and
+    squeeze angle phi (stored in (-pi, pi])."""
 
     nbar1: float
     nbar2: float
@@ -137,30 +144,10 @@ class TwoModeStsParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.nbar1 >= 0.0 <= self.nbar2 and 0.0 <= self.r <= R_MAX):
-            raise _range_error(self.nbar1 >= 0.0 <= self.nbar2,
-                               "thermal occupancies must be >= 0", self.r)
+        if not (_DBL_MAX >= self.nbar1 >= 0.0 <= self.nbar2 <= _DBL_MAX
+                and 0.0 <= self.r <= R_MAX):
+            raise _range_error((self.nbar1, self.nbar2), "thermal occupancies must be >= 0", self.r)
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
-
-
-@dataclass(frozen=True)
-class TwoModeGaussianCF:
-    """Coefficients of a two-mode Gaussian characteristic function: one-mode
-    blocks for each mode plus the cross couplings f and g.
-
-    The implied 4x4 covariance matrix must pass :func:`checked_invariants`;
-    construction raises UnphysicalState otherwise.
-    """
-
-    mode1: OneModeGaussianCF
-    mode2: OneModeGaussianCF
-    f: complex = 0j
-    g: complex = 0j
-
-    def __post_init__(self):
-        object.__setattr__(self, "f", complex(self.f))
-        object.__setattr__(self, "g", complex(self.g))
-        checked_invariants(cf2_to_cov2(self))
 
 
 @dataclass(frozen=True)
@@ -229,7 +216,9 @@ def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
 
 
 def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
-    """(a1, a2, g) of a squeezed thermal state; see :func:`sts_to_cf2`."""
+    """(a1, a2, g) of a squeezed thermal state: a_j + 1/2 = sqrt(det V_j), the
+    local invariant of mode j, and the cross coupling
+    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r."""
     ch2 = math.cosh(p.r) ** 2
     sh2 = math.sinh(p.r) ** 2
     a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
@@ -238,39 +227,17 @@ def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
     return a1, a2, g
 
 
-def _cov2(a1: float, b1: complex, a2: float, b2: complex, f: complex, g: complex) -> np.ndarray:
-    """Read-only 4x4 covariance matrix of two-mode CF coefficients: mode
-    blocks as in :func:`cf_to_cov`, cross block
-    [[Re(f+g), Im(g-f)], [Im(g+f), Re(f-g)]]."""
-    m = np.array([[a1 + 0.5 - b1.real, -b1.imag, f.real + g.real, g.imag - f.imag],
-                  [-b1.imag, a1 + 0.5 + b1.real, g.imag + f.imag, f.real - g.real],
-                  [f.real + g.real, g.imag + f.imag, a2 + 0.5 - b2.real, -b2.imag],
-                  [g.imag - f.imag, f.real - g.real, -b2.imag, a2 + 0.5 + b2.real]])
+def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
+    """Read-only 4x4 covariance matrix of a two-mode squeezed thermal state,
+    mode blocks (a_j + 1/2) I and cross block [[Re g, Im g], [Im g, -Re g]]
+    (unchecked: the parameters are valid by construction)."""
+    a1, a2, g = _sts_coefficients(p)
+    m = np.array([[a1 + 0.5, 0.0, g.real, g.imag],
+                  [0.0, a1 + 0.5, g.imag, -g.real],
+                  [g.real, g.imag, a2 + 0.5, 0.0],
+                  [g.imag, -g.real, 0.0, a2 + 0.5]])
     m.setflags(write=False)
     return m
-
-
-def sts_to_cf2(p: TwoModeStsParams) -> TwoModeGaussianCF:
-    """Two-mode CF coefficients of a squeezed thermal state.
-
-    Mode reductions are unsqueezed thermal-like (b_j = 0, c_j = 0) with
-    a_j + 1/2 the local invariant sqrt(det V_j); the only cross coupling is
-    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r, and f = 0.
-    """
-    a1, a2, g = _sts_coefficients(p)
-    return TwoModeGaussianCF(mode1=OneModeGaussianCF(a=a1), mode2=OneModeGaussianCF(a=a2), g=g)
-
-
-def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
-    """4x4 covariance matrix of a two-mode squeezed thermal state (unchecked:
-    the parameters are valid by construction)."""
-    a1, a2, g = _sts_coefficients(p)
-    return _cov2(a1, 0j, a2, 0j, 0j, g)
-
-
-def cf2_to_cov2(t: TwoModeGaussianCF) -> np.ndarray:
-    """4x4 covariance matrix implied by two-mode CF coefficients."""
-    return _cov2(t.mode1.a, t.mode1.b, t.mode2.a, t.mode2.b, t.f, t.g)
 
 
 def local_invariants(m: np.ndarray) -> LocalInvariants:
@@ -299,7 +266,7 @@ def checked_invariants(m) -> LocalInvariants:
             f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
     inv = local_invariants(m)
     gap = inv.uncertainty_gap()
-    if gap < -_scaled_tol(max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c ** 2)):
+    if not gap >= -_scaled_tol(max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c ** 2)):
         raise UnphysicalState(f"covariance matrix violates the uncertainty inequality by {gap:.3g}")
     return inv
 
@@ -331,18 +298,6 @@ def eval_cf1_cov(v: np.ndarray, lam: complex, displacement: complex = 0j) -> com
     eta = math.sqrt(2.0) * displacement.imag
     quad = v[0, 0] * x * x + 2.0 * v[0, 1] * x * y + v[1, 1] * y * y
     return complex(np.exp(-0.5 * quad - 1j * (xi * x + eta * y)))
-
-
-def eval_cf2(t: TwoModeGaussianCF, lam1: complex, lam2: complex) -> complex:
-    """Evaluate the two-mode Gaussian CF at (lam1, lam2)."""
-    lam1, lam2 = complex(lam1), complex(lam2)
-    cross = (
-        -t.f * np.conj(lam1) * lam2
-        - np.conj(t.f) * lam1 * np.conj(lam2)
-        + np.conj(t.g) * lam1 * lam2
-        + t.g * np.conj(lam1) * np.conj(lam2)
-    )
-    return eval_cf1(t.mode1, lam1) * eval_cf1(t.mode2, lam2) * complex(np.exp(cross))
 
 
 # ---------------------------------------------------------------------------

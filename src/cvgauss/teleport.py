@@ -1,23 +1,25 @@
-"""Characteristic-function model of continuous-variable teleportation.
+"""Continuous-variable teleportation as a Gaussian channel.
 
-The output of the protocol obeys chi_out(lam) = chi_in(lam) * chi_AB(conj(lam), lam)
-for any displacement-free two-mode Gaussian resource, so the channel acts as a
-linear update of the CF exponent coefficients.  With a symmetric squeezed
-thermal resource (equal occupancies nbar, squeeze angle 0) the update adds
-pure thermal noise, V_out = V_in + z I:
+The output of the protocol obeys chi_out(lam) = chi_in(lam) * chi_AB(conj(lam), lam).
+For a two-mode squeezed thermal resource (occupancies nbar1, nbar2, squeeze
+factor r, angle phi) the resource factor is exp(-z |lam|^2), so the channel
+adds isotropic thermal noise, V_out = V_in + z I, with
 
-    a_out = a_in + z,  b_out = b_in,  c_out = c_in,
-    z = exp(-2 (r - r_s)),  r_s = separability threshold of the resource.
+    z = (nbar1 + nbar2 + 1)(cosh 2r - cos phi sinh 2r)
+      = (nbar1 + nbar2 + 1)(e^{-2r} + 2 sinh 2r sin^2(phi/2)),
 
-On the physical parameters of a displaced squeezed thermal input the same map
-keeps phi and alpha and gives, with y = nbar + 1/2,
+the second form a sum of positive terms (:func:`resource_noise`).  On the
+physical parameters of a displaced squeezed thermal input the channel keeps
+phi and alpha and gives, with y = nbar + 1/2,
 
     y_out^2 = (y e^{2r} + z)(y e^{-2r} + z),  e^{4 r_out} = (y e^{2r} + z) / (y e^{-2r} + z).
 
 The input-output fidelity then has the closed form implemented by
 :func:`teleport_fidelity` in the variables x = cosh 2 r_in, y = nbar_in + 1/2,
-z; it depends on the resource only through z, i.e. only through the resource
-entanglement E0 = (1 - sqrt z)^2/(1 + z).
+z.  For a symmetric resource (nbar1 = nbar2) at phi = 0, z = e^{-2 (r - r_s)}
+with r_s its separability threshold, so the fidelity depends on the resource
+only through its entanglement E0 = (1 - sqrt z)^2/(1 + z).  Any other resource
+adds more noise than a symmetric one of the same E0.
 """
 
 from __future__ import annotations
@@ -28,13 +30,10 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .entanglement import separability_threshold_rs
-from .errors import DisplacedResource, DomainError
+from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
 from .nonclassicality import degree_q0
-from .states import R_MAX, DstsParams, OneModeGaussianCF, TwoModeGaussianCF
+from .states import R_MAX, DstsParams, OneModeGaussianCF, TwoModeStsParams
 
 #: parameters of the paper's two figures, the defaults of ``cvgauss sweep``
 FIG1_R_IN = 1.0
@@ -42,20 +41,15 @@ FIG1_NBARS = (0.0, 0.1, 0.5, 5.0)
 FIG2_E0S = (1.0, 0.615, 0.425)
 
 
-def teleport_cf(input_cf: OneModeGaussianCF, resource: TwoModeGaussianCF) -> OneModeGaussianCF:
-    """Teleport a one-mode Gaussian state through a displacement-free
-    two-mode Gaussian resource.
-
-    Substituting (lam1, lam2) = (conj(lam), lam) into the resource exponent
-    adds a quadratic form to the input exponent, so the output coefficients
-    are a linear update of the input ones.
-    """
-    m1, m2 = resource.mode1, resource.mode2
-    if not (abs(m1.c) <= 1e-12 and abs(m2.c) <= 1e-12):
-        raise DisplacedResource("resource state must carry no displacement")
-    a_out = input_cf.a + m1.a + m2.a + 1.0 - 2.0 * resource.g.real
-    b_out = input_cf.b + np.conj(m1.b) + m2.b + 2.0 * np.conj(resource.f)
-    return OneModeGaussianCF(a=a_out, b=b_out, c=input_cf.c)
+def resource_noise(resource: TwoModeStsParams) -> float:
+    """Added noise z of a squeezed thermal resource, see the module docstring;
+    UnphysicalState when z overflows double precision."""
+    r = resource.r
+    z = (resource.nbar1 + resource.nbar2 + 1.0) * (
+        math.exp(-2.0 * r) + 2.0 * math.sinh(2.0 * r) * math.sin(0.5 * resource.phi) ** 2)
+    if z == math.inf:
+        raise UnphysicalState(f"added noise of the resource {resource} overflows double precision")
+    return z
 
 
 def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
@@ -64,8 +58,8 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
     input: CF coefficients (a + z, b, c), or the parameters of the module
     docstring as the positive sums nbar_out = (nbar (nbar + 1) + z (2 y cosh 2r
     + z)) / (y_out + 1/2) and 4 r_out = log1p(2 y sinh 2r / (y e^{-2r} + z))."""
-    if not (z >= 0.0):
-        raise DomainError(f"added noise z must be >= 0, got {z}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"added noise z must be finite and >= 0, got {z}")
     if isinstance(state, OneModeGaussianCF):
         return OneModeGaussianCF(a=state.a + z, b=state.b, c=state.c)
     e2r = math.exp(2.0 * state.r)
@@ -77,22 +71,12 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
     return DstsParams(nbar=nbar, r=r, phi=state.phi, alpha=state.alpha)
 
 
-def _resource_noise(nbar: float, r: float) -> float:
-    """Added noise z = exp(-2 (r - r_s)) of a symmetric squeezed thermal
-    resource with occupancy nbar in both modes and squeeze factor r."""
-    if not (nbar >= 0.0):
-        raise DomainError(f"resource occupancy must be >= 0, got {nbar}")
-    if not (r >= 0.0):
-        raise DomainError(f"resource squeeze factor must be >= 0, got {r}")
-    return math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
-
-
 def teleport_symmetric_sts(state: DstsParams | OneModeGaussianCF, nbar: float,
                            r: float) -> DstsParams | OneModeGaussianCF:
     """Teleport through a symmetric squeezed thermal resource (occupancy nbar
     in both modes, squeeze factor r, angle 0).  The resource need not be
     entangled; r < r_s simply gives z > 1."""
-    return teleport_with_noise(state, _resource_noise(nbar, r))
+    return teleport_with_noise(state, resource_noise(TwoModeStsParams(nbar, nbar, r)))
 
 
 def teleport_fidelity(x: float, y: float, z: float) -> float:
@@ -103,10 +87,10 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
         Lambda = 4 P (P + 2 x y z + z^2),  P = det V_in - 1/4 = (y - 1/2)(y + 1/2),
 
     which adds positive terms only.  x = cosh(2 r_in) >= 1 and
-    y = nbar_in + 1/2 >= 1/2 characterize the input; z = exp(-2 (r - r_s)) >= 0
-    carries the resource.  z = 0 is admitted as the infinite-entanglement
-    limit (needed by the sweep endpoints), z > 1 means a separable resource
-    and is computed without further interpretation.
+    y = nbar_in + 1/2 >= 1/2 characterize the input; the added noise z >= 0 of
+    :func:`resource_noise` carries the resource.  z = 0 is admitted as the
+    infinite-entanglement limit (needed by the sweep endpoints); z >= 1, which
+    every separable resource gives, is computed without further interpretation.
     """
     if not (x >= 1.0 - 1e-12):
         raise DomainError(f"x = cosh(2 r_in) must be >= 1, got {x}")
@@ -122,12 +106,13 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
 
 
 def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float) -> float:
-    """Teleportation fidelity computed from physical parameters.
+    """Teleportation fidelity through the symmetric resource of
+    :func:`teleport_symmetric_sts`, computed from physical parameters.
 
     Agrees with fidelity_one_mode(input_state, teleport_with_noise(input_state, z)):
     the displacement cancels because the channel preserves alpha.
     """
-    z = _resource_noise(nbar, r)
+    z = resource_noise(TwoModeStsParams(nbar, nbar, r))
     return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
 
 

@@ -88,3 +88,17 @@ def mp_degree_q0(nbar, r):
     """1 - sqrt(sech(r - r_c)) past the threshold r_c = ln(2 nbar + 1) / 2."""
     gap = r - mp.log(2 * nbar + 1) / 2
     return 1 - mp.sqrt(1 / mp.cosh(gap)) if gap > 0 else mpf(0)
+
+
+def mp_separability_threshold(nbar1: float, nbar2: float):
+    """acosh sqrt((nbar1 + 1)(nbar2 + 1)/(nbar1 + nbar2 + 1)), the textbook form."""
+    with mp.workdps(DPS):
+        n1, n2 = mpf(nbar1), mpf(nbar2)
+        return mp.acosh(mp.sqrt((n1 + 1) * (n2 + 1) / (n1 + n2 + 1)))
+
+
+def mp_resource_noise(p: TwoModeStsParams):
+    """(nbar1 + nbar2 + 1)(cosh 2r - cos phi sinh 2r), the unrationalized form."""
+    with mp.workdps(DPS):
+        r, phi = mpf(p.r), mpf(p.phi)
+        return (mpf(p.nbar1) + mpf(p.nbar2) + 1) * (mp.cosh(2 * r) - mp.cos(phi) * mp.sinh(2 * r))

@@ -27,6 +27,13 @@ def vacuum_file(tmp_path):
     return str(path)
 
 
+def _resource_file(tmp_path, nbar1, nbar2, r, phi=0.0):
+    path = tmp_path / "resource.json"
+    path.write_text(json.dumps(
+        {"kind": "sts2", "nbar1": nbar1, "nbar2": nbar2, "r": r, "phi": phi}))
+    return str(path)
+
+
 @pytest.fixture
 def pure_sts_file(tmp_path):
     path = tmp_path / "sts.json"
@@ -101,9 +108,10 @@ def test_entangle_separable(tmp_path, capsys):
     assert "separable" in out and "E0 = 0" in out
 
 
-def test_teleport_coherent_unit_noise(coherent_file, capsys):
+def test_teleport_coherent_unit_noise(tmp_path, coherent_file, capsys):
     # resource at its separability threshold: z = 1, so F = 1/2
-    assert main(["teleport", "--state", coherent_file, "--nbar", "0", "--r", "0"]) == 0
+    resource = _resource_file(tmp_path, 0.0, 0.0, 0.0)
+    assert main(["teleport", "--state", coherent_file, "--resource", resource]) == 0
     out = capsys.readouterr().out.splitlines()
     state = json.loads(out[0])
     assert state["kind"] == "dsts"
@@ -112,8 +120,9 @@ def test_teleport_coherent_unit_noise(coherent_file, capsys):
     assert "fidelity = 0.5" in out[1]
 
 
-def test_teleport_strong_resource_echoes_input(coherent_file, capsys):
-    assert main(["teleport", "--state", coherent_file, "--nbar", "0", "--r", "16"]) == 0
+def test_teleport_strong_resource_echoes_input(tmp_path, coherent_file, capsys):
+    resource = _resource_file(tmp_path, 0.0, 0.0, 16.0)
+    assert main(["teleport", "--state", coherent_file, "--resource", resource]) == 0
     out = capsys.readouterr().out.splitlines()
     state = json.loads(out[0])
     assert state["nbar"] == pytest.approx(0.0, abs=1e-12)
@@ -262,7 +271,8 @@ def test_teleport_hot_input_fidelity(tmp_path, capsys):
     mp_reference = pytest.importorskip("mp_reference")
     path = tmp_path / "hot.json"
     path.write_text('{"kind": "dsts", "nbar": 1e9, "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}')
-    assert main(["teleport", "--state", str(path), "--nbar", "0", "--r", "5"]) == 0
+    resource = _resource_file(tmp_path, 0.0, 0.0, 5.0)
+    assert main(["teleport", "--state", str(path), "--resource", resource]) == 0
     out = capsys.readouterr().out.splitlines()
     z = math.exp(-10.0)  # r_s = 0 for a pure resource
     nbar_ref, r_ref = mp_reference.mp_teleport_map(DstsParams(1e9), z)
@@ -312,24 +322,46 @@ def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, messa
 
 
 @pytest.mark.parametrize("args, option", [
-    (["teleport", "--nbar", "inf", "--r", "0.5"], "--nbar"),
-    (["teleport", "--nbar", "0.1", "--r", "nan"], "--r"),
     (["sweep", "fig1", "--r-in", "inf"], "--r-in"),
     (["sweep", "fig1", "--nbar-in", "0.1,inf"], "--nbar-in"),
     (["sweep", "fig2", "--e0", "nan"], "--e0"),
     (["sweep", "fig2", "--e0", "0.5,abc"], "--e0"),
     (["validate", "--tol", "inf"], "--tol"),
-], ids=["nbar", "r", "r-in", "nbar-in", "e0", "e0-text", "tol"])
-def test_non_finite_option_is_input_error(tmp_path, capsys, coherent_file, args, option):
-    if args[0] == "teleport":
-        args = args + ["--state", coherent_file]
-    elif args[0] == "sweep":
+], ids=["r-in", "nbar-in", "e0", "e0-text", "tol"])
+def test_non_finite_option_is_input_error(tmp_path, capsys, args, option):
+    if args[0] == "sweep":
         args = args + ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
     assert f"argument {option}: must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_teleport_asymmetric_resource(tmp_path, coherent_file, capsys):
+    # coherent input, F = 1/(1 + z), z = (nbar1 + nbar2 + 1)(e^{-2r} + 2 sinh 2r sin^2(phi/2))
+    resource = _resource_file(tmp_path, 0.3, 1.1, 0.8, 0.5)
+    assert main(["teleport", "--state", coherent_file, "--resource", resource]) == 0
+    out = capsys.readouterr().out.splitlines()
+    z = 2.4 * (math.exp(-1.6) + 2.0 * math.sinh(1.6) * math.sin(0.25) ** 2)
+    state = json.loads(out[0])
+    assert state["nbar"] == pytest.approx(z, rel=1e-14) and state["alpha"] == [0.5, 0.0]
+    assert float(out[1].split("=")[1]) == pytest.approx(1.0 / (1.0 + z), rel=1e-12)
+
+
+@pytest.mark.parametrize("resource", [
+    '{"kind": "sts2", "nbar1": Infinity, "nbar2": 0.1, "r": 0.5, "phi": 0.0}',
+    '{"kind": "sts2", "nbar1": 0.1, "nbar2": 0.1, "r": NaN, "phi": 0.0}',
+    '{"kind": "sts2", "nbar1": -0.1, "nbar2": 0.1, "r": 0.5, "phi": 0.0}',
+    '{"kind": "sts2", "nbar1": 0.1, "nbar2": 0.1, "r": 0.5}',
+    '{"kind": "dsts", "nbar": 0.1, "r": 0.5, "phi": 0.0, "alpha": [0.0, 0.0]}',
+], ids=["nbar", "r", "negative", "missing-phi", "dsts"])
+def test_teleport_bad_resource_is_input_error(tmp_path, capsys, coherent_file, resource):
+    path = tmp_path / "resource.json"
+    path.write_text(resource)
+    assert main(["teleport", "--state", coherent_file, "--resource", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_validate_fast_suite_passes(capsys):

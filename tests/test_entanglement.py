@@ -78,6 +78,15 @@ def test_peres_simon_rejects_sub_vacuum_blocks():
         peres_simon_separable(eps * np.eye(4))
 
 
+def test_peres_simon_rejects_nan_uncertainty_gap():
+    # finite entries whose invariants overflow, so the gap is inf - inf = nan
+    big = 1e160
+    m = [[big, 0, big, 0], [0, big, 0, -big], [big, 0, big, 0], [0, -big, 0, big]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(UnphysicalState, match="uncertainty inequality"):
+            peres_simon_separable(m)
+
+
 @pytest.mark.parametrize("m", [
     np.eye(3),
     np.full((4, 4), np.nan),

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from cf_reference import sts_cf2
 
 from cvgauss import (
     DimensionMismatch,
@@ -12,9 +13,7 @@ from cvgauss import (
     dsts_dm,
     dsts_to_cf,
     eval_cf1,
-    eval_cf2,
     sts2_dm,
-    sts_to_cf2,
     thermal_dm,
     trace_product,
     uhlmann_fidelity_numeric,
@@ -196,12 +195,11 @@ def test_sts2_reduced_mean_photon_matches_invariant():
 def test_sts2_cf_matches_closed_form():
     p = TwoModeStsParams(0.2, 0.4, 0.5, 0.9)
     rho = sts2_dm(p, 20)
-    t = sts_to_cf2(p)
     rng = np.random.default_rng(613)
     for _ in range(6):
         l1 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         l2 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        assert abs(cf2_numeric(rho, l1, l2) - eval_cf2(t, l1, l2)) < 1e-6
+        assert abs(cf2_numeric(rho, l1, l2) - sts_cf2(p, l1, l2)) < 1e-6
 
 
 @pytest.mark.slow

@@ -2,6 +2,7 @@
 ``mp_reference`` and as properties over log-scaled domains."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,13 +17,17 @@ from cvgauss import (
     degree_e0,
     degree_q0,
     dsts_to_cf,
+    e0_from_z,
     fidelity_one_mode,
     fidelity_two_mode_sts,
     parse_state,
+    resource_noise,
+    separability_threshold_rs,
     state_to_dict,
     sweep_fig2,
     teleport_fidelity,
     teleport_fidelity_from_states,
+    teleport_symmetric_sts,
     teleport_with_noise,
     z_from_e0,
 )
@@ -38,6 +43,8 @@ from mp_reference import (  # noqa: E402
     mp_degree_q0,
     mp_fidelity_one_mode,
     mp_fidelity_two_mode,
+    mp_resource_noise,
+    mp_separability_threshold,
     mp_teleport_fidelity,
     mp_teleport_map,
     rel_err,
@@ -154,6 +161,27 @@ def test_teleport_map_matches_mpmath():
     assert worst <= REL_TOL
 
 
+def test_resource_noise_matches_mpmath():
+    rng = np.random.default_rng(1009)
+    worst = 0.0
+    for res, _ in sts_pairs(rng, 400):
+        worst = max(worst, rel_err(resource_noise(res), mp_resource_noise(res)))
+    assert worst <= REL_TOL
+
+
+def test_separability_threshold_matches_mpmath():
+    # sinh^2 r_s = n1 n2/(n1 + n2 + 1) used to go through acosh, which lost all
+    # of r_s below nbar ~ 1e-8
+    rng = np.random.default_rng(1011)
+    cases = [(float(10.0 ** rng.uniform(-12.0, 8.0)), float(10.0 ** rng.uniform(-12.0, 8.0)))
+             for _ in range(300)]
+    cases += [(n, n) for n, _ in cases[:100]]
+    cases += [(sys.float_info.max, sys.float_info.max), (sys.float_info.max, 1e-12)]
+    worst = max(rel_err(separability_threshold_rs(n1, n2), mp_separability_threshold(n1, n2))
+                for n1, n2 in cases)
+    assert worst <= REL_TOL
+
+
 def test_fig2_default_sweep_matches_mpmath():
     grid = np.linspace(0.0, 0.99, 99)
     for e0, rows in sweep_fig2(FIG2_E0S, grid).items():
@@ -181,7 +209,9 @@ def test_fig2_curves_are_monotone_and_degrade_q_through_q_in_099():
     lambda: teleport_fidelity(1.0, 1e200, 0.5),
     lambda: fidelity_one_mode(DstsParams(1e200), DstsParams(1e200)),
     lambda: fidelity_two_mode_sts(TwoModeStsParams(1e200, 0.0), TwoModeStsParams(1e200, 0.0)),
-], ids=["teleport", "one-mode", "two-mode"])
+    lambda: resource_noise(TwoModeStsParams(1e300, 0.0, 300.0, 1.0)),
+    lambda: teleport_symmetric_sts(DstsParams(0.0), math.inf, 1.0),
+], ids=["teleport", "one-mode", "two-mode", "resource-noise", "infinite-resource"])
 def test_overflowing_closed_form_raises(call):
     with pytest.raises(UnphysicalState, match="overflows double precision"):
         call()
@@ -279,3 +309,33 @@ def test_physical_and_cf_arguments_agree(p, q, z):
     via_params = fidelity_one_mode(p, teleport_with_noise(p, z))
     closed = teleport_fidelity(math.cosh(2.0 * p.r), p.nbar + 0.5, z)
     assert abs(via_cf - closed) <= 1e-10 and abs(via_params - closed) <= 1e-10
+
+
+@PROPERTY
+@given(sts())
+def test_symmetric_resource_adds_the_least_noise(res):
+    # z >= e^{-2 (r - r_s)}, with equality for nbar1 = nbar2 at phi = 0 (or r = 0)
+    z = resource_noise(res)
+    bound = math.exp(-2.0 * (res.r - separability_threshold_rs(res.nbar1, res.nbar2)))
+    assert z >= bound * (1.0 - 1e-14)
+    if res.nbar1 == res.nbar2 and (res.phi == 0.0 or res.r == 0.0):
+        assert z <= bound * (1.0 + 1e-14)
+
+
+@PROPERTY
+@given(st.floats(0.0, 3.0), st.floats(0.0, 3.0), st.floats(0.01, 2.0), angle)
+def test_asymmetric_or_rotated_resource_adds_more_noise(nbar1, nbar2, r, phi):
+    assume(abs(nbar1 - nbar2) > 1e-3 or abs(phi) > 1e-3)
+    res = TwoModeStsParams(nbar1, nbar2, r, phi)
+    bound = math.exp(-2.0 * (r - separability_threshold_rs(nbar1, nbar2)))
+    assert resource_noise(res) > bound * (1.0 + 1e-10)
+
+
+@PROPERTY
+@given(log_nbar, log_r)
+def test_symmetric_resource_noise_gives_degree_e0(nbar, r):
+    res = TwoModeStsParams(nbar, nbar, r)
+    assume(in_domain(res))
+    z = resource_noise(res)
+    assume(0.0 < z < 1.0)
+    assert abs(e0_from_z(z) - degree_e0(res)) <= 1e-12

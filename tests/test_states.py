@@ -1,27 +1,26 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
+
+from cf_reference import sts_cf2
 
 from cvgauss import (
     DomainError,
     DstsParams,
     OneModeGaussianCF,
-    TwoModeGaussianCF,
     TwoModeStsParams,
     UnphysicalState,
-    cf2_to_cov2,
     cf_to_cov,
     cf_to_dsts,
     dsts_to_cf,
     eval_cf1,
     eval_cf1_cov,
-    eval_cf2,
     local_invariants,
     parse_state,
     state_to_dict,
-    sts_to_cf2,
     sts_to_cov2,
 )
 from cvgauss.states import R_MAX, checked_invariants
@@ -49,6 +48,18 @@ def test_squeeze_range_ends_at_r_max(build):
         build(math.nan)
 
 
+@pytest.mark.parametrize("build", [lambda n: DstsParams(n, 0.5),
+                                   lambda n: TwoModeStsParams(n, 0.0, 5.0),
+                                   lambda n: TwoModeStsParams(0.0, n, 5.0)],
+                         ids=["dsts", "sts2-nbar1", "sts2-nbar2"])
+def test_non_finite_occupancy_is_rejected(build):
+    assert build(sys.float_info.max).r in (0.5, 5.0)
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        build(math.inf)
+    with pytest.raises(DomainError, match="must be >= 0"):
+        build(math.nan)
+
+
 def test_phi_wrapped_into_half_open_interval():
     p = DstsParams(nbar=0.0, r=0.1, phi=3.0 * math.pi)
     assert p.phi == pytest.approx(math.pi)
@@ -72,8 +83,6 @@ def test_conversions_past_the_coefficient_range(r):
     # (a + 1/2)^2 has no double from r of about 178, the covariances do
     with pytest.raises(UnphysicalState, match="overflows double precision"):
         dsts_to_cf(DstsParams(0.0, r))
-    with pytest.raises(UnphysicalState, match="overflows double precision"):
-        sts_to_cf2(TwoModeStsParams(0.0, 0.0, r))
     assert np.isfinite(sts_to_cov2(TwoModeStsParams(0.0, 0.0, r))).all()
 
 
@@ -221,27 +230,27 @@ def test_coefficient_and_covariance_forms_agree():
 # --- two-mode STS -----------------------------------------------------------
 
 def test_sts_to_cf2_no_squeezing_is_thermal_product():
-    t = sts_to_cf2(TwoModeStsParams(nbar1=0.7, nbar2=0.2, r=0.0))
-    assert t.f == 0j and t.g == 0j
-    assert t.mode1.a == pytest.approx(0.7) and t.mode2.a == pytest.approx(0.2)
+    p = TwoModeStsParams(nbar1=0.7, nbar2=0.2, r=0.0, phi=0.9)
     lam1, lam2 = 0.3 + 0.1j, -0.2 + 0.5j
-    prod = eval_cf1(t.mode1, lam1) * eval_cf1(t.mode2, lam2)
-    assert eval_cf2(t, lam1, lam2) == pytest.approx(prod, abs=1e-15)
+    prod = eval_cf1(dsts_to_cf(DstsParams(0.7)), lam1) * eval_cf1(dsts_to_cf(DstsParams(0.2)), lam2)
+    assert sts_cf2(p, lam1, lam2) == pytest.approx(prod, abs=1e-15)
+    m = sts_to_cov2(p)
+    assert (m[0, 0], m[2, 2]) == pytest.approx((1.2, 0.7)) and not m[:2, 2:].any()
 
 
 def test_sts_to_cf2_pure_invariants():
-    t = sts_to_cf2(TwoModeStsParams(0.0, 0.0, 1.0))
+    m = sts_to_cov2(TwoModeStsParams(0.0, 0.0, 1.0))
     sh, ch = math.sinh(1.0), math.cosh(1.0)
-    assert t.mode1.a == pytest.approx(sh * sh, abs=1e-12)
-    assert t.mode2.a == pytest.approx(sh * sh, abs=1e-12)
-    assert abs(t.g) == pytest.approx(sh * ch, abs=1e-12)
-    assert t.mode1.b == 0j and t.mode1.c == 0j and t.mode2.c == 0j
+    assert m[0, 0] - 0.5 == pytest.approx(sh * sh, abs=1e-12)
+    assert m[2, 2] - 0.5 == pytest.approx(sh * sh, abs=1e-12)
+    assert math.hypot(m[0, 2], m[0, 3]) == pytest.approx(sh * ch, abs=1e-12)
+    assert m[0, 1] == 0.0 and m[2, 3] == 0.0
 
 
 def test_sts_to_cf2_local_invariant_asymmetric():
-    t = sts_to_cf2(TwoModeStsParams(nbar1=1.0, nbar2=0.0, r=0.5))
+    m = sts_to_cov2(TwoModeStsParams(nbar1=1.0, nbar2=0.0, r=0.5))
     expected = 1.5 * math.cosh(0.5) ** 2 + 0.5 * math.sinh(0.5) ** 2
-    assert t.mode1.a + 0.5 == pytest.approx(expected, abs=1e-12)
+    assert m[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_sts_to_cov2_no_squeezing_block_diagonal():
@@ -347,23 +356,28 @@ def test_local_invariants_match_cofactor_determinants():
 # --- two-mode CF evaluation and physicality ----------------------------------
 
 def test_eval_cf2_normalization():
-    t = sts_to_cf2(TwoModeStsParams(0.2, 0.3, 0.7, 1.2))
-    assert eval_cf2(t, 0j, 0j) == 1.0 + 0j
+    assert sts_cf2(TwoModeStsParams(0.2, 0.3, 0.7, 1.2), 0j, 0j) == 1.0 + 0j
 
 
 def test_two_mode_cf_rejects_unphysical():
-    vac = OneModeGaussianCF(0.0)
+    # vacuum blocks with the cross block of g = 2 (f = 0) and of f = 0.3 (g = 0)
     with pytest.raises(UnphysicalState):
         # cross correlations beyond what vacuum blocks allow (matrix not PD)
-        TwoModeGaussianCF(mode1=vac, mode2=vac, g=2.0 + 0j)
+        checked_invariants([[0.5, 0, 2, 0], [0, 0.5, 0, -2], [2, 0, 0.5, 0], [0, -2, 0, 0.5]])
     with pytest.raises(UnphysicalState):
         # PD but classically correlated beyond the quantum bound
-        TwoModeGaussianCF(mode1=vac, mode2=vac, f=0.3 + 0j)
+        checked_invariants([[0.5, 0, 0.3, 0], [0, 0.5, 0, 0.3], [0.3, 0, 0.5, 0], [0, 0.3, 0, 0.5]])
 
 
 def test_cf2_to_cov2_consistency_with_direct_route():
-    p = TwoModeStsParams(0.4, 0.2, 0.9, -0.8)
-    assert np.array_equal(cf2_to_cov2(sts_to_cf2(p)), sts_to_cov2(p))
+    # chi(lam1, lam2) = exp(-X^T V X / 2) with lam_j = -(i/sqrt 2)(x_j + i y_j)
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        p = random_sts(rng, nbar_max=2.0, r_max=1.5)
+        v = sts_to_cov2(p)
+        lam1, lam2 = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
+        x = math.sqrt(2.0) * np.array([-lam1.imag, lam1.real, -lam2.imag, lam2.real])
+        assert abs(sts_cf2(p, lam1, lam2) - math.exp(-0.5 * x @ v @ x)) < 1e-12
 
 
 # --- JSON descriptors ---------------------------------------------------------

@@ -3,25 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from cf_reference import sts_cf2
 
 from cvgauss import (
-    DisplacedResource,
     DomainError,
     DstsParams,
-    OneModeGaussianCF,
-    TwoModeGaussianCF,
     TwoModeStsParams,
-    cf_to_dsts,
+    degree_e0,
     dsts_to_cf,
     e0_from_z,
     eval_cf1,
-    eval_cf2,
     fidelity_one_mode,
+    resource_noise,
     separability_threshold_rs,
-    sts_to_cf2,
     sweep_fig1,
     sweep_fig2,
-    teleport_cf,
     teleport_fidelity,
     teleport_fidelity_from_states,
     teleport_symmetric_sts,
@@ -32,19 +28,22 @@ from cvgauss.teleport import write_fig1_csv, write_fig2_csv
 from cvgauss.validate import random_dsts, random_sts
 
 
-# --- general CF channel -------------------------------------------------------
+# --- the channel of a squeezed thermal resource ---------------------------------
 
 def test_output_cf_equals_product_of_input_and_resource():
+    # chi_out(lam) = chi_in(lam) chi_res(conj(lam), lam) for asymmetric resources
+    # at any squeeze angle, through the physical and the coefficient input
     rng = np.random.default_rng(501)
-    for _ in range(5):
-        cf_in = dsts_to_cf(random_dsts(rng))
-        res = sts_to_cf2(random_sts(rng, nbar_max=0.5, r_max=1.0))
-        out = teleport_cf(cf_in, res)
+    for _ in range(20):
+        p = random_dsts(rng)
+        res = random_sts(rng, nbar_max=3.0, r_max=2.0)
+        z = resource_noise(res)
+        out, out_cf = teleport_with_noise(p, z), teleport_with_noise(dsts_to_cf(p), z)
         for _ in range(10):
             lam = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            lhs = eval_cf1(out, lam)
-            rhs = eval_cf1(cf_in, lam) * eval_cf2(res, np.conj(lam), lam)
-            assert abs(lhs - rhs) < 1e-10
+            rhs = eval_cf1(dsts_to_cf(p), lam) * sts_cf2(res, np.conj(lam), lam)
+            assert abs(eval_cf1(dsts_to_cf(out), lam) - rhs) < 1e-10
+            assert abs(eval_cf1(out_cf, lam) - rhs) < 1e-10
 
 
 def test_symmetric_resource_reproduces_noise_update():
@@ -52,51 +51,52 @@ def test_symmetric_resource_reproduces_noise_update():
     for _ in range(10):
         cf_in = dsts_to_cf(random_dsts(rng))
         nbar, r = rng.uniform(0, 1), rng.uniform(0, 2)
-        res = sts_to_cf2(TwoModeStsParams(nbar, nbar, r, 0.0))
-        out = teleport_cf(cf_in, res)
+        out = teleport_symmetric_sts(cf_in, nbar, r)
         z = math.exp(-2.0 * (r - separability_threshold_rs(nbar, nbar)))
+        assert resource_noise(TwoModeStsParams(nbar, nbar, r)) == pytest.approx(z, rel=1e-14)
         assert abs(out.a - (cf_in.a + z)) < 1e-12
-        assert abs(out.b - cf_in.b) < 1e-12
-        assert out.c == cf_in.c
+        assert out.b == cf_in.b and out.c == cf_in.c
 
 
 def test_coherent_through_thermal_resource_is_displaced_thermal():
     alpha = 0.7 - 0.4j
-    cf_in = dsts_to_cf(DstsParams(0.0, alpha=alpha))
-    res = sts_to_cf2(TwoModeStsParams(0.6, 0.3, 0.0))
-    out_state = cf_to_dsts(teleport_cf(cf_in, res))
+    out_state = teleport_with_noise(DstsParams(0.0, alpha=alpha),
+                                    resource_noise(TwoModeStsParams(0.6, 0.3, 0.0, 1.3)))
     assert out_state.alpha == alpha
     assert out_state.r == 0.0
     assert out_state.nbar == pytest.approx(0.6 + 0.3 + 1.0, abs=1e-12)
 
 
-def test_displaced_resource_rejected():
-    cf_in = dsts_to_cf(DstsParams(0.0))
-    res = TwoModeGaussianCF(
-        mode1=OneModeGaussianCF(0.5, 0j, 0.2 + 0j),
-        mode2=OneModeGaussianCF(0.5),
-    )
-    with pytest.raises(DisplacedResource):
-        teleport_cf(cf_in, res)
-
-
 def test_shortcut_agrees_with_general_channel():
+    # the added noise of the symmetric shortcut is the exponent of chi_res(conj(lam), lam)
     rng = np.random.default_rng(509)
     for _ in range(25):
         cf_in = dsts_to_cf(random_dsts(rng))
         nbar, r = rng.uniform(0, 1), rng.uniform(0, 2)
-        via_general = teleport_cf(cf_in, sts_to_cf2(TwoModeStsParams(nbar, nbar, r, 0.0)))
+        lam = complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        res = TwoModeStsParams(nbar, nbar, r, 0.0)
+        z = -np.log(sts_cf2(res, np.conj(lam), lam)).real / abs(lam) ** 2
         via_shortcut = teleport_symmetric_sts(cf_in, nbar, r)
-        assert abs(via_general.a - via_shortcut.a) < 1e-12
-        assert abs(via_general.b - via_shortcut.b) < 1e-12
+        assert abs(via_shortcut.a - (cf_in.a + z)) < 1e-12
+        assert via_shortcut.b == cf_in.b
 
 
 def test_output_state_is_physical():
     rng = np.random.default_rng(521)
     for _ in range(25):
         cf_in = dsts_to_cf(random_dsts(rng))
-        out = teleport_cf(cf_in, sts_to_cf2(random_sts(rng, nbar_max=1.0, r_max=1.5)))
+        out = teleport_with_noise(cf_in, resource_noise(random_sts(rng, nbar_max=1.0, r_max=1.5)))
         assert (out.a + 0.5) ** 2 - abs(out.b) ** 2 >= 0.25 - 1e-9
+
+
+def test_symmetric_resource_teleports_best_at_equal_entanglement():
+    # (0, 1, r = 1, phi = 0) has r_s = 0, so E0 = 1 - sech 1 as for a pure
+    # symmetric resource at r = 1, which adds e^{-2}; it adds twice that
+    asym = TwoModeStsParams(0.0, 1.0, 1.0, 0.0)
+    z_sym = z_from_e0(degree_e0(asym))
+    assert z_sym == pytest.approx(math.exp(-2.0), rel=1e-12)
+    assert resource_noise(asym) == pytest.approx(2.0 * math.exp(-2.0), rel=1e-15)
+    assert teleport_fidelity(1.0, 0.5, z_sym) > teleport_fidelity(1.0, 0.5, resource_noise(asym))
 
 
 # --- symmetric-resource shortcut ----------------------------------------------
@@ -120,8 +120,10 @@ def test_resource_parameter_validation():
         teleport_symmetric_sts(cf_in, -0.1, 1.0)
     with pytest.raises(DomainError):
         teleport_symmetric_sts(cf_in, 0.1, -1.0)
-    with pytest.raises(DomainError):
-        teleport_with_noise(cf_in, -0.5)
+    for z in (-0.5, math.inf, math.nan):
+        for state in (cf_in, DstsParams(0.1, 0.2)):
+            with pytest.raises(DomainError):
+                teleport_with_noise(state, z)
 
 
 # --- closed-form fidelity -------------------------------------------------------
