@@ -111,7 +111,13 @@ def _cmd_fidelity(args) -> int:
         raise DomainError("fidelity requires two states of the same kind")
     oracle = None
     if args.oracle:
-        oracle = fock.uhlmann_fidelity_numeric(build(s1, args.dim), build(s2, args.dim))
+        r1, r2 = build(s1, args.dim), build(s2, args.dim)
+        # automatic dims differ per state: rebuild the smaller at the larger
+        if r1.dim < r2.dim:
+            r1 = build(s1, r2.dim)
+        elif r2.dim < r1.dim:
+            r2 = build(s2, r1.dim)
+        oracle = fock.uhlmann_fidelity_numeric(r1, r2)
     print(f"fidelity = {_fmt(value)}")
     if oracle is not None:
         print(f"oracle   = {_fmt(oracle)}")

@@ -28,9 +28,9 @@ def separability_threshold_rs(nbar1: float, nbar2: float) -> float:
     r_s = asinh sqrt(nbar1 nbar2 / (nbar1 + nbar2 + 1)), with the larger
     occupancy n divided out, sqrt(m) / sqrt(1 + (m + 1)/n), so that nothing
     cancels and nothing overflows for n from the smallest normal double up to
-    DBL_MAX."""
-    if not (nbar1 >= 0.0 and nbar2 >= 0.0):
-        raise DomainError("thermal occupancies must be >= 0")
+    DBL_MAX.  A negative, nan or infinite occupancy raises DomainError."""
+    if not (0.0 <= nbar1 < math.inf and 0.0 <= nbar2 < math.inf):
+        raise DomainError(f"thermal occupancies must be finite and >= 0, got {nbar1}, {nbar2}")
     if nbar1 < nbar2:
         nbar1, nbar2 = nbar2, nbar1
     if nbar1 == 0.0:

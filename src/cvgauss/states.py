@@ -59,7 +59,10 @@ def _range_error(occupancies: tuple, occupancy_message: str, r: float) -> ValueE
 
 
 def wrap_angle(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]."""
+    """Reduce an angle to the interval (-pi, pi]; an angle already in it comes
+    back unchanged, bit for bit."""
+    if -math.pi < phi <= math.pi:
+        return phi
     w = math.fmod(phi + math.pi, 2.0 * math.pi)
     if w < 0.0:
         w += 2.0 * math.pi

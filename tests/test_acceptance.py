@@ -72,10 +72,10 @@ def test_criterion_2_two_mode_fidelity_oracle():
         numeric = uhlmann_fidelity_numeric(sts2_dm(p1, 40), sts2_dm(p2, 40))
         worst = max(worst, abs(closed - numeric))
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-4 and elapsed <= 600.0
+    ok = worst <= 1e-9 and elapsed <= 600.0
     _report(2, "two-mode STS fidelity vs Fock oracle (10 pairs, dim 40/mode)",
-            ok, f"max delta {worst:.3e} (tol 1e-04), {elapsed:.0f}s (limit 600s)")
-    assert worst <= 1e-4
+            ok, f"max delta {worst:.3e} (tol 1e-09), {elapsed:.0f}s (limit 600s)")
+    assert worst <= 1e-9
     assert elapsed <= 600.0
 
 
@@ -271,13 +271,13 @@ def test_criterion_10_fidelity_property_suite():
         tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
         pure_eq = max(pure_eq, abs(closed - tr))
     ok = (sym <= 1e-12 and bounds_ok and mult <= 1e-10
-          and dominance <= 1e-8 and pure_eq <= 1e-8)
+          and dominance <= 1e-12 and pure_eq <= 1e-13)
     _report(10, "fidelity property suite",
             ok, f"symmetry {sym:.3e} (tol 1e-12), bounds {bounds_ok}, "
                 f"multiplicativity {mult:.3e} (tol 1e-10), dominance violation "
-                f"{dominance:.3e} (tol 1e-08), pure equality {pure_eq:.3e} (tol 1e-08)")
+                f"{dominance:.3e} (tol 1e-12), pure equality {pure_eq:.3e} (tol 1e-13)")
     assert sym <= 1e-12
     assert bounds_ok
     assert mult <= 1e-10
-    assert dominance <= 1e-8
-    assert pure_eq <= 1e-8
+    assert dominance <= 1e-12
+    assert pure_eq <= 1e-13

@@ -87,6 +87,33 @@ def test_fidelity_oracle_flag(coherent_file, vacuum_file, capsys):
     assert delta <= 1e-6
 
 
+def test_fidelity_oracle_automatic_dims_differ(tmp_path, capsys):
+    # the two states pick different automatic dims; both go to the larger
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"kind": "dsts", "nbar": 0.5, "r": 1.0, "phi": 0.3, "alpha": [0.5, 0.2]}))
+    b.write_text(json.dumps({"kind": "dsts", "nbar": 0.5, "r": 0.9, "phi": 0.1, "alpha": [0.3, 0.2]}))
+    assert main(["fidelity", "--state", str(a), "--state2", str(b), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    delta = float([line for line in out.splitlines() if "delta" in line][0].split("=")[1])
+    assert delta <= 1e-7
+
+
+@pytest.mark.parametrize("extreme", [
+    {"r": 20.0, "phi": 0.1, "alpha": [0.3, 0.2]},
+    {"r": 0.2, "phi": 0.1, "alpha": [1e200, 0.0]},
+], ids=["r20", "alpha1e200"])
+def test_fidelity_oracle_automatic_dim_on_extreme_states(tmp_path, extreme):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"kind": "dsts", "nbar": 0.5, **extreme}))
+    b.write_text(json.dumps({"kind": "dsts", "nbar": 0.5, "r": 0.9, "phi": 0.1, "alpha": [0.3, 0.2]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cvgauss.cli", "fidelity", "--state", str(a), "--state2", str(b),
+         "--oracle"], capture_output=True, text=True)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "TruncationWarning" in proc.stderr
+
+
 def test_fidelity_mixed_kinds_rejected(coherent_file, pure_sts_file, capsys):
     assert main(["fidelity", "--state", coherent_file, "--state2", pure_sts_file]) == 2
     assert "error" in capsys.readouterr().err

@@ -45,6 +45,9 @@ def test_threshold_values():
 def test_threshold_domain():
     with pytest.raises(DomainError):
         separability_threshold_rs(-0.2, 1.0)
+    for bad in ((math.inf, math.inf), (math.inf, 1.0), (0.5, math.inf), (math.nan, 0.5)):
+        with pytest.raises(DomainError):
+            separability_threshold_rs(*bad)
 
 
 def test_peres_simon_thermal_product_is_separable():

@@ -41,7 +41,7 @@ def test_thermal_zero_vs_one_is_half():
     f = fidelity_one_mode(dsts_to_cf(DstsParams(0.0)), dsts_to_cf(DstsParams(1.0)))
     assert f == pytest.approx(0.5, abs=1e-12)
     oracle = uhlmann_fidelity_numeric(thermal_dm(0.0, 200), thermal_dm(1.0, 200))
-    assert abs(f - oracle) < 1e-12
+    assert abs(f - oracle) < 1e-13
 
 
 def test_symmetry():
@@ -67,7 +67,7 @@ def test_pure_states_fidelity_equals_trace_product():
                         complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
-        assert abs(closed - tr) < 1e-8
+        assert abs(closed - tr) < 1e-13
 
 
 def test_fidelity_dominates_trace_product_for_mixed_pairs():
@@ -76,7 +76,7 @@ def test_fidelity_dominates_trace_product_for_mixed_pairs():
         p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
-        assert closed >= tr - 1e-8
+        assert closed >= tr - 1e-12
 
 
 def test_displacement_invariance():
@@ -97,7 +97,7 @@ def test_one_mode_matches_fock_oracle():
         p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
         numeric = uhlmann_fidelity_numeric(dsts_dm(p1, 120), dsts_dm(p2, 120))
-        assert abs(closed - numeric) < 1e-6
+        assert abs(closed - numeric) < 1e-7
 
 
 def test_intermediates_invariants():
@@ -153,7 +153,7 @@ def test_two_mode_matches_fock_oracle_example():
     p2 = TwoModeStsParams(0.2, 0.2, 0.9, 0.0)
     closed = fidelity_two_mode_sts(p1, p2)
     numeric = uhlmann_fidelity_numeric(sts2_dm(p1, 40), sts2_dm(p2, 40))
-    assert abs(closed - numeric) < 1e-6
+    assert abs(closed - numeric) < 1e-9
 
 
 # --- Bures distance -----------------------------------------------------------

@@ -1,8 +1,17 @@
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from cf_reference import sts_cf2
+from fock_reference import (
+    cf2_numeric,
+    cf_numeric,
+    dsts_reference,
+    sts2_reference,
+    two_mode_squeeze,
+)
 
 from cvgauss import (
     DimensionMismatch,
@@ -20,18 +29,7 @@ from cvgauss import (
     von_neumann_entropy,
 )
 from cvgauss import fock
-from cvgauss.fock import (
-    FockDensityMatrix,
-    annihilation,
-    cf2_numeric,
-    cf_numeric,
-    displacement_matrix,
-    mean_photon_number,
-    reduced_dm,
-    squeeze_matrix,
-    two_mode_squeeze_matrix,
-    unitarity_defect,
-)
+from cvgauss.fock import FockDensityMatrix, mean_photon_number, reduced_dm
 from cvgauss.validate import random_dsts
 
 
@@ -64,54 +62,100 @@ def test_thermal_domain():
         thermal_dm(0.5, 0)
 
 
-# --- displacement / squeeze matrices ---------------------------------------------
+# --- recurrence builds against the matrix-exponential reference -------------------
 
-def test_zero_parameter_operators_are_identity():
-    assert np.allclose(displacement_matrix(0j, 12), np.eye(12))
-    assert np.allclose(squeeze_matrix(0.0, 0.7, 12), np.eye(12))
-    assert np.allclose(two_mode_squeeze_matrix(0.0, 0.7, 4), np.eye(16))
+@pytest.mark.parametrize("p", [
+    DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j),
+    DstsParams(0.4, 0.5, -1.2, 0.3 + 0.4j),
+    DstsParams(0.2, 0.9, -0.7),
+    DstsParams(1.0, 0.0, 0.0, 0.8 - 0.3j),
+    DstsParams(2.0, 0.6, 2.5, -1.0 + 0.5j),
+    DstsParams(0.0, 0.8, 1.9, -0.6 + 0.1j),
+], ids=["roadmap", "mixed", "squeezed-thermal", "displaced-thermal", "hot", "pure"])
+def test_dsts_matches_expm_reference(p):
+    assert np.abs(dsts_dm(p, 120).matrix - dsts_reference(p, 120)).max() < 1e-13
+
+
+def test_zero_parameter_states_are_vacuum():
+    vac = np.zeros((12, 12))
+    vac[0, 0] = 1.0
+    assert np.array_equal(dsts_dm(DstsParams(0.0, 0.0, 0.7), 12).matrix, vac)
+    vac2 = np.zeros((16, 16))
+    vac2[0, 0] = 1.0
+    assert np.array_equal(sts2_dm(TwoModeStsParams(0.0, 0.0, 0.0, 0.7), 4).matrix, vac2)
 
 
 def test_displaced_vacuum_is_poissonian():
     alpha = 0.8 - 0.3j
     dim = 40
-    col = displacement_matrix(alpha, dim)[:, 0]
+    probs = np.diag(dsts_dm(DstsParams(0.0, alpha=alpha), dim).matrix).real
     n = np.arange(dim)
     factorials = np.concatenate(([1.0], np.cumprod(np.arange(1, dim, dtype=float))))
     expected = np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * n) / factorials
-    assert np.allclose(np.abs(col) ** 2, expected, atol=1e-12)
+    assert np.allclose(probs, expected, rtol=1e-13, atol=0.0)
 
 
 def test_squeezed_vacuum_has_even_parity():
-    col = squeeze_matrix(0.7, 0.0, 41)[:, 0]
-    assert np.allclose(col[1::2], 0.0, atol=1e-14)
-    assert abs(col[2]) > 0.1
-
-
-def test_unitarity_defect_small_far_from_cutoff():
-    assert unitarity_defect(displacement_matrix(0.5 + 0.2j, 40)) < 1e-10
-    assert unitarity_defect(squeeze_matrix(0.5, 1.0, 80)) < 1e-8
+    rho = dsts_dm(DstsParams(0.0, 0.7), 41).matrix
+    odd = np.add.outer(np.arange(41), np.arange(41)) % 2 == 1
+    assert np.all(rho[odd] == 0.0)
+    assert abs(rho[2, 0]) > 0.1
 
 
 def test_two_mode_squeeze_blockwise_equals_generator_exponential():
-    from scipy.linalg import expm
-
-    dim, r, phi = 10, 0.6, 0.8
-    a = annihilation(dim)
-    gen = r * (np.exp(1j * phi) * np.kron(a.conj().T, a.conj().T)
-               - np.exp(-1j * phi) * np.kron(a, a))
-    assert np.allclose(two_mode_squeeze_matrix(r, phi, dim), expm(gen), atol=1e-12)
+    # the pure STS is S2 |0, 0>; its elements between n1 - n2 ladders are exact zeros
+    dim, ref_dim, r, phi = 10, 24, 0.6, 0.8
+    col = two_mode_squeeze(r, phi, ref_dim)[:, 0].reshape(ref_dim, ref_dim)[:dim, :dim].ravel()
+    rho = sts2_dm(TwoModeStsParams(0.0, 0.0, r, phi), dim).matrix
+    assert np.abs(rho - np.outer(col, col.conj())).max() < 1e-13
+    k, l = np.divmod(np.arange(dim * dim), dim)
+    assert np.all(rho[np.subtract.outer(k - l, k - l) != 0] == 0.0)
 
 
 @pytest.mark.parametrize("dim", [12, 41, 80])
 def test_squeeze_blockwise_equals_generator_exponential(dim):
-    from scipy.linalg import expm
+    # a squeezed thermal state equals S rho_th S^dag from the whole generator,
+    # and its odd-parity elements are exact zeros
+    p = DstsParams(0.3, 0.9, -0.7)
+    rho = dsts_dm(p, dim).matrix
+    assert np.abs(rho - dsts_reference(p, dim)).max() < 1e-13
+    assert np.all(rho[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] == 0.0)
 
-    r, phi = 0.9, -0.7
-    a = annihilation(dim)
-    ad = a.conj().T
-    gen = 0.5 * r * (np.exp(1j * phi) * ad @ ad - np.exp(-1j * phi) * a @ a)
-    assert np.abs(squeeze_matrix(r, phi, dim) - expm(gen)).max() < 1e-12
+
+def test_build_is_corner_of_larger_build():
+    p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
+    assert np.array_equal(dsts_dm(p, 120).matrix, dsts_dm(p, 256).matrix[:120, :120])
+    q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
+    small = sts2_dm(q, 20).matrix
+    big = sts2_dm(q, 30).matrix.reshape(30, 30, 30, 30)[:20, :20, :20, :20]
+    assert np.array_equal(small, big.reshape(400, 400))
+
+
+@pytest.mark.parametrize("nbar,dim", [(0.5, 30), (2.0, 30), (2.0, 90), (7.0, 256)])
+def test_thermal_tail_is_true_tail(nbar, dim):
+    assert dsts_dm(DstsParams(nbar), dim).tail_mass == pytest.approx(
+        (nbar / (nbar + 1.0)) ** dim, rel=1e-9, abs=1e-15)
+
+
+def test_roadmap_state_warns_at_small_dim():
+    # the true tail at dim 30 is about 1e-3, far above TAIL_WARN
+    p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationWarning):
+            dsts_dm(p, 30)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert dsts_dm(p, 30).tail_mass > 1e-4
+
+
+def test_sts2_between_ladders_exact_zero():
+    dim = 12
+    rho = sts2_dm(TwoModeStsParams(0.4, 0.2, 0.9, 0.5), dim).matrix
+    k, l = np.divmod(np.arange(dim * dim), dim)
+    between = np.subtract.outer(k - l, k - l) != 0
+    assert np.all(rho[between] == 0.0)
+    assert np.count_nonzero(rho[~between]) > 0
 
 
 # --- one-mode density matrices -----------------------------------------------------
@@ -128,7 +172,7 @@ def test_dsts_mean_photon_number():
     for _ in range(5):
         p = random_dsts(rng, nbar_max=1.0, r_max=0.8)
         expected = p.nbar * math.cosh(2 * p.r) + math.sinh(p.r) ** 2 + abs(p.alpha) ** 2
-        assert mean_photon_number(dsts_dm(p, 120)) == pytest.approx(expected, abs=1e-8)
+        assert mean_photon_number(dsts_dm(p, 120)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dsts_cf_matches_closed_form():
@@ -138,7 +182,7 @@ def test_dsts_cf_matches_closed_form():
     g = dsts_to_cf(p)
     for _ in range(20):
         lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        assert abs(cf_numeric(rho, lam) - eval_cf1(g, lam)) < 1e-6
+        assert abs(cf_numeric(rho.matrix, lam) - eval_cf1(g, lam)) < 1e-13
 
 
 def test_truncation_warning_for_hot_state():
@@ -150,6 +194,56 @@ def test_auto_dim_selection():
     r = dsts_dm(DstsParams(0.2, 0.3, alpha=0.1j))
     assert r.tail_mass < 1e-6
     assert r.dim <= 256
+
+
+@pytest.mark.parametrize("p", [DstsParams(0.0), DstsParams(0.2, 0.3, alpha=0.1j),
+                               DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j), DstsParams(1.5)])
+def test_auto_dim_is_smallest_meeting_target(p):
+    r = dsts_dm(p)
+    assert r.tail_mass <= fock.TAIL_TARGET
+    if r.dim > 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert dsts_dm(p, r.dim - 1).tail_mass > fock.TAIL_TARGET
+
+
+def test_two_mode_auto_dim_is_smallest_meeting_target():
+    p = TwoModeStsParams(0.2, 0.1, 0.5, 0.3)
+    r = sts2_dm(p)
+    assert r.tail_mass <= fock.TAIL_TARGET
+    assert sts2_dm(p, r.dim - 1).tail_mass > fock.TAIL_TARGET
+
+
+@pytest.mark.parametrize("build,p,cap", [
+    (dsts_dm, DstsParams(0.5, 20.0, 0.1, 0.3 + 0.2j), "MAX_DIM_ONE_MODE"),
+    (dsts_dm, DstsParams(0.5, 0.2, 0.0, 1e200), "MAX_DIM_ONE_MODE"),
+    (dsts_dm, DstsParams(1e300, 300.0), "MAX_DIM_ONE_MODE"),
+    (sts2_dm, TwoModeStsParams(0.5, 0.2, 20.0, 0.4), "MAX_DIM_PER_MODE"),
+    (sts2_dm, TwoModeStsParams(1e300, 1e300, 300.0), "MAX_DIM_PER_MODE"),
+], ids=["r20", "alpha1e200", "huge-1m", "sts-r20", "huge-2m"])
+def test_auto_dim_extremes_warn_at_the_cap(monkeypatch, build, p, cap):
+    # a state beyond every allowed cut is built at the cap, with its true tail
+    monkeypatch.setattr(fock, "MAX_DIM_PER_MODE", 12)
+    with pytest.warns(TruncationWarning):
+        r = build(p)
+    assert r.dim == getattr(fock, cap)
+    assert 0.9 < r.tail_mass <= 1.0
+    assert np.all(np.isfinite(r.matrix))
+
+
+@pytest.mark.parametrize("p", [DstsParams(0.1, alpha=complex("nan")),
+                               DstsParams(0.1, alpha=complex(math.inf, 0.0)),
+                               DstsParams(0.1, 0.3, math.nan)])
+def test_oracle_rejects_non_finite_angle_or_displacement(p):
+    with pytest.raises(DomainError):
+        dsts_dm(p, 10)
+
+
+def test_oracle_rejects_dimension_below_one():
+    with pytest.raises(DomainError):
+        dsts_dm(DstsParams(0.1), 0)
+    with pytest.raises(DomainError):
+        sts2_dm(TwoModeStsParams(0.1, 0.2), 0)
 
 
 def test_caps_apply_to_explicit_dimensions(monkeypatch):
@@ -168,14 +262,20 @@ def test_sts2_no_squeezing_is_thermal_product():
     assert np.allclose(r.matrix, expected, atol=1e-14)
 
 
+@lru_cache(maxsize=1)
+def _dense_sts_reference():
+    """S2 (rho_th1 x rho_th2) S2^dag of a warm STS from the whole two-mode
+    generator at 30 per mode, far enough above dim 12 for 1e-13 there."""
+    p = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
+    return p, sts2_reference(p, 30, 30).reshape(30, 30, 30, 30)
+
+
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("dim", [6, 9, 12])
 def test_sts2_sectorwise_equals_dense_conjugation(dim):
-    p = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
-    s = two_mode_squeeze_matrix(p.r, p.phi, dim)
-    thermal = np.kron(thermal_dm(p.nbar1, dim).matrix, thermal_dm(p.nbar2, dim).matrix)
-    dense = s @ thermal @ s.conj().T
-    assert np.abs(sts2_dm(p, dim).matrix - dense).max() < 1e-14
+    p, dense = _dense_sts_reference()
+    corner = dense[:dim, :dim, :dim, :dim].reshape(dim * dim, dim * dim)
+    assert np.abs(sts2_dm(p, dim).matrix - corner).max() < 1e-13
 
 
 def test_sts2_pure_state_purity():
@@ -199,7 +299,7 @@ def test_sts2_cf_matches_closed_form():
     for _ in range(6):
         l1 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
         l2 = complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8))
-        assert abs(cf2_numeric(rho, l1, l2) - sts_cf2(p, l1, l2)) < 1e-6
+        assert abs(cf2_numeric(rho.matrix, l1, l2) - sts_cf2(p, l1, l2)) < 1e-6
 
 
 @pytest.mark.slow
@@ -224,13 +324,13 @@ def test_sts2_psd_within_tolerance():
 
 def test_numeric_fidelity_with_itself():
     rho = dsts_dm(DstsParams(0.7, 0.3, 0.2, 0.1j), 80)
-    assert uhlmann_fidelity_numeric(rho, rho) == pytest.approx(1.0, abs=1e-10)
+    assert uhlmann_fidelity_numeric(rho, rho) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_numeric_fidelity_vacuum_vs_thermal():
     for nbar in (0.5, 1.0, 2.0):
         f = uhlmann_fidelity_numeric(thermal_dm(0.0, 150), thermal_dm(nbar, 150))
-        assert f == pytest.approx(1.0 / (nbar + 1.0), abs=1e-10)
+        assert f == pytest.approx(1.0 / (nbar + 1.0), abs=1e-13)
 
 
 def test_numeric_fidelity_symmetric_and_bounded():
@@ -240,7 +340,7 @@ def test_numeric_fidelity_symmetric_and_bounded():
         r2 = dsts_dm(random_dsts(rng, nbar_max=1.0), 90)
         f12 = uhlmann_fidelity_numeric(r1, r2)
         f21 = uhlmann_fidelity_numeric(r2, r1)
-        assert abs(f12 - f21) < 1e-10
+        assert f12 == f21
         assert 0.0 <= f12 <= 1.0 + 1e-10
 
 
@@ -292,7 +392,7 @@ def test_thermal_entropy_closed_form():
 
 def test_pure_state_entropy_vanishes():
     rho = dsts_dm(DstsParams(0.0, 0.6, 0.2, 0.3 + 0j), 90)
-    assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
+    assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_oracle_converges_with_dimension():

@@ -67,6 +67,12 @@ def test_phi_wrapped_into_half_open_interval():
     assert DstsParams(nbar=0.0, r=0.1, phi=-math.pi).phi == pytest.approx(math.pi)
 
 
+def test_phi_in_range_comes_back_bit_identical():
+    for phi in np.linspace(-3.1, 3.1, 1241).tolist() + [0.4, -0.0, math.pi]:
+        assert DstsParams(0.0, 0.1, phi).phi == phi
+        assert TwoModeStsParams(0.1, 0.2, 0.3, phi).phi == phi
+
+
 def test_cf_rejects_unphysical():
     with pytest.raises(UnphysicalState):
         OneModeGaussianCF(a=0.0, b=1.0)  # det = 0.25 - 1 < 1/4
