@@ -6,43 +6,44 @@ deliberately independent of the closed forms elsewhere in the package, so the
 two routes can validate each other.  The builders derive each state's
 Gaussian data from its physical parameters themselves.
 
-Elements.  Let a Gaussian state of k modes have the complex covariance
-Q = sigma + I/2 in the ordering (a_1..a_k, a_1^dag..a_k^dag) and the mean
-beta = (alpha, conj(alpha)).  Its matrix elements have the generating function
+Elements.  A Gaussian state with complex covariance Q = sigma + I/2 in the
+ordering (a_1..a_k, a_1^dag..a_k^dag) and mean beta = (alpha, conj(alpha)) has
 
     sum_{m,n} rho_{m,n} z^m w^n / sqrt(m! n!) = rho_0 exp(v^T A v / 2 + gamma^T v),
 
-v = (z, w), with A = X (I - Q^-1)^*, X the swap of the a and a^dag halves,
-gamma = beta - A conj(beta) and rho_0 = exp(-beta^dag Q^-1 beta / 2)/sqrt(det Q)
-(V. V. Dodonov, O. V. Man'ko and V. I. Man'ko, PRA 49, 2993 (1994);
-F. M. Miatto and N. Quesada, Quantum 4, 366 (2020)).  One derivative gives
-the recurrence, here for one mode,
+v = (z, w), A = X (I - Q^-1)^* with X the swap of the halves, gamma = beta -
+A conj(beta), rho_0 = exp(-beta^dag Q^-1 beta / 2)/sqrt(det Q) (Dodonov,
+Man'ko and Man'ko, PRA 49, 2993 (1994); Miatto and Quesada, Quantum 4, 366
+(2020)).  Kets and bras couple only through terms B z_i w_i with B >= 0
+(A_01 z w for one mode; A_02 z1 w1 and A_13 z2 w2 for two), so expanding
+exp(B z w) = sum_k B^k (z w)^k / k! gives rho = Psi Psi^dag, one column of the
+factor Psi per power k.  For one mode, with ket-only amplitudes e_0 = 1,
+sqrt(j+1) e_{j+1} = gamma_0 e_j + A_00 sqrt(j) e_{j-1}, and for two modes,
 
-    sqrt(m+1) rho_{m+1,n} = gamma_0 rho_{m,n} + A_00 sqrt(m) rho_{m-1,n}
-                            + A_01 sqrt(n) rho_{m,n-1},
+    Psi[m, k] = sqrt(rho_0 A_01^k C(m, k)) e_{m-k},
+    Psi[(k1+j, k2+j), (k1, k2)] = sqrt(rho_0 A_02^k1 A_13^k2 (k1+j)! (k2+j)! / (k1! k2!)) A_01^j / j!.
 
-and the same along every other index with that index's row of A.  The
-builders write A, gamma and rho_0 in forms with positive terms only, run the
-recurrence, and average the result with its adjoint so that it is exactly
-Hermitian.  Every element is exact up to roundoff and does not depend on the
-truncation: a build at dim d is the top-left corner of any larger build, and
-1 - Tr rho is the true probability mass beyond the cut.  A cut that is too
-small therefore shows in ``tail_mass`` and raises TruncationWarning, and the
-automatic dimension is the smallest one whose true tail meets TAIL_TARGET.
+The builders write A, gamma and rho_0 with positive terms only.  Psi[m, k]
+vanishes for k > m, so no entry depends on the cut: a build at dim d is the
+top-left corner of any larger build, and 1 - ||Psi||_F^2 = 1 - Tr rho is the
+true tail mass.  A cut that is too small shows in ``tail_mass`` and raises
+TruncationWarning; the automatic dimension is the smallest whose tail meets
+TAIL_TARGET.  ``matrix`` forms rho on first use, Hermitian and positive
+semidefinite by construction.
 
-Blocks.  The recurrence never makes a nonzero out of exact zeros.  An
-undisplaced one-mode state has gamma = 0, so rho_{m,n} vanishes exactly for
-odd m + n; a two-mode squeezed thermal state couples only photon numbers with
-equal n1 - n2 in the ket and the bra, so its elements vanish exactly between
-those ladders.  ``uhlmann_fidelity_numeric`` works on the connected blocks of
-the joint nonzero pattern of its two arguments; the block results equal the
-whole-matrix ones up to roundoff.  A displaced state is one block.
+Blocks.  With gamma = 0, e_j vanishes for odd j, so Psi links rows and
+columns of one parity only; a two-mode squeezed thermal state maps column
+(k1, k2) only to rows with n1 - n2 = k1 - k2.  Everything here works on the
+connected blocks that the nonzero entries of the factors link, and rho is an
+exact zero between blocks.  A displaced state is one block.
 
-Fidelity.  F = ||sqrt(rho1) sqrt(rho2)||_1^2, the squared sum of the singular
-values of diag(sqrt w1) U1^dag U2 diag(sqrt w2), where rho_j = U_j diag(w_j)
-U_j^dag.  This needs no square root of a product of matrices, so a
-near-pure pair keeps its digits where the square roots of roundoff
-eigenvalues would otherwise enter the sum.
+Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
+the system and an ancilla whose reduction is rho.  As in the paper, the
+Uhlmann fidelity is the maximal transition probability between
+purifications, max_U |<Psi_1| (I x U) |Psi_2>|^2 over unitaries U of the
+ancilla, that is ||Psi_1^dag Psi_2||_1^2: the squared sum of the singular
+values of one small matrix per block.  No square root of a matrix and no
+eigendecomposition is taken, so a near-pure pair keeps its digits.
 """
 
 from __future__ import annotations
@@ -51,11 +52,10 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator
 
 import numpy as np
-from scipy.linalg import eigvalsh, svdvals
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, DomainError, TruncationWarning, UnphysicalState
 from .states import DstsParams, TwoModeStsParams
@@ -69,31 +69,49 @@ TAIL_TARGET = 1e-8
 TAIL_WARN = 1e-6
 
 
-def _hermiticity_defect(mat: np.ndarray, tile: int = 128) -> float:
-    """max |M - M^dag|, taken tile by tile so that each transposed tile stays
-    in cache; a two-mode matrix at dim 40 has 2.6 million entries."""
-    n = mat.shape[0]
-    worst = 0.0
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            diff = mat[i:i + tile, j:j + tile] - mat[j:j + tile, i:i + tile].conj().T
-            worst = max(worst, float(np.abs(diff).max(initial=0.0)))
-    return worst
+def _blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, columns), sorted, of the connected components of the bipartite
+    graph of a boolean pattern's set entries; unlinked rows and columns are
+    left out.  A column set in every linked row makes one block.  Otherwise
+    labels start as node ids; each round lowers both ends of every edge to
+    the smaller label, then replaces each label by that of the node it names
+    (a node of the same component), until each component holds its least id."""
+    n = pattern.shape[0]
+    linked_rows = np.flatnonzero(pattern.any(axis=1))
+    if not linked_rows.size:
+        return []
+    if pattern[linked_rows].all(axis=0).any():
+        return [(linked_rows, np.flatnonzero(pattern.any(axis=0)))]
+    rows, cols = np.nonzero(pattern)
+    cols += n
+    label = np.arange(n + pattern.shape[1])
+    while True:
+        low = np.minimum(label[rows], label[cols])
+        new = label.copy()
+        np.minimum.at(new, rows, low)
+        np.minimum.at(new, cols, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    linked = np.zeros(label.size, dtype=bool)
+    linked[rows] = linked[cols] = True
+    nodes = np.flatnonzero(linked)
+    order = nodes[np.argsort(label[nodes], kind="stable")]
+    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    return [(g[g < n], g[g >= n] - n) for g in groups]
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
-    """Truncated density operator with its per-mode dimension, mode count,
-    and the probability mass lost to truncation.
-
-    Hermiticity and the trace deficit are validated on construction; the
-    eigenvalue floor (>= -1e-10) is left to the consuming operations, which
-    decompose the matrix anyway (see ``min_eigenvalue`` for explicit checks).
-    """
+    """Truncated density operator rho = factor factor^dag on the dim**modes
+    Fock states (index k*dim + l is |k, l>), with the probability mass lost to
+    truncation.  The factor must be finite, with 1 - ||factor||_F^2 within the
+    declared tail mass; rho is then Hermitian and positive semidefinite."""
 
     dim: int
     modes: int
-    matrix: np.ndarray
+    factor: np.ndarray
     tail_mass: float
 
     def __post_init__(self):
@@ -101,24 +119,33 @@ class FockDensityMatrix:
             raise DomainError(f"truncation dimension must be >= 1, got {self.dim}")
         if self.modes not in (1, 2):
             raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
-        mat = np.asarray(self.matrix, dtype=complex)
+        psi = np.asarray(self.factor, dtype=complex)
         n = self.dim ** self.modes
-        if mat.shape != (n, n):
-            raise DimensionMismatch(
-                f"matrix shape {mat.shape} does not match dim**modes = {n}"
-            )
-        if _hermiticity_defect(mat) > 1e-12:
-            raise UnphysicalState("density matrix is not Hermitian within 1e-12")
-        deficit = abs(1.0 - float(mat.trace().real))
-        if deficit > self.tail_mass + 1e-9:
+        if psi.ndim != 2 or psi.shape[0] != n:
+            raise DimensionMismatch(f"factor shape {psi.shape} needs dim**modes = {n} rows")
+        trace = float(np.vdot(psi, psi).real)
+        if not math.isfinite(trace):
+            raise UnphysicalState("density matrix factor has non-finite entries")
+        deficit = abs(1.0 - trace)
+        if not deficit <= self.tail_mass + 1e-9:
             raise UnphysicalState(
                 f"trace deficit {deficit:.3g} exceeds declared tail mass {self.tail_mass:.3g}"
             )
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        psi.setflags(write=False)
+        object.__setattr__(self, "factor", psi)
 
-    def min_eigenvalue(self) -> float:
-        return float(eigvalsh(self.matrix).min())
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """rho = factor factor^dag, formed block by block on first use,
+        read-only and exactly Hermitian."""
+        psi = self.factor
+        rho = np.zeros((psi.shape[0],) * 2, dtype=complex)
+        for rows, cols in _blocks(psi != 0):
+            f = psi[np.ix_(rows, cols)]
+            g = f @ f.conj().T
+            rho[np.ix_(rows, rows)] = 0.5 * (g + g.conj().T)
+        rho.setflags(write=False)
+        return rho
 
 
 def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
@@ -136,19 +163,7 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
         ratio = nbar / (nbar + 1.0)
         probs = np.exp(np.arange(dim) * math.log(ratio) - math.log(nbar + 1.0))
         tail = ratio ** dim
-    return FockDensityMatrix(dim=dim, modes=1,
-                             matrix=np.diag(probs).astype(complex), tail_mass=tail)
-
-
-def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets, each sorted, of the connected components of a symmetric
-    boolean pattern; a fully set pattern is one block, found without a
-    graph search."""
-    if pattern.all():
-        return [np.arange(pattern.shape[0])]
-    _, labels = connected_components(csr_matrix(pattern), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    return FockDensityMatrix(dim=dim, modes=1, factor=np.diag(np.sqrt(probs)), tail_mass=tail)
 
 
 def _checked_dim(dim: int, cap: int) -> int:
@@ -164,6 +179,15 @@ def _smallest_dim(kept: np.ndarray) -> int:
     return int(met[0]) + 1 if met.size else len(kept)
 
 
+def _log_factorials(n: int) -> np.ndarray:  # ln k! for k < n
+    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n)))))
+
+
+def _log(x: float) -> float:
+    """ln x, and 0 for x = 0, whose powers the builders take only to the zeroth."""
+    return math.log(x) if x else 0.0
+
+
 def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     """(A_00, A_01, gamma_0, rho_0) of a DSTS; A_11 = conj(A_00),
     A_10 = A_01 and gamma_1 = conj(gamma_0).
@@ -177,8 +201,6 @@ def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     psi = phi - 2 arg alpha.  Dividing through by y keeps every factor finite;
     rho_0 underflows to 0 for a state far beyond any truncation.
     """
-    if not (math.isfinite(p.phi) and cmath.isfinite(p.alpha)):
-        raise DomainError("the Fock oracle needs a finite squeeze angle and displacement")
     y = p.nbar + 0.5
     c, s = math.cosh(2.0 * p.r), math.sinh(2.0 * p.r)
     h = y + c + 0.25 / y
@@ -192,92 +214,66 @@ def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     return a00, a01, gamma, rho0 if rho0 > 0.0 else 0.0
 
 
-def _one_mode_elements(p: DstsParams, dim: int) -> np.ndarray:
-    """rho_{m,n} for m, n < dim: row 0 along n, then each row from the two
-    above it."""
+def _lower_toeplitz(x: np.ndarray, cols: int) -> np.ndarray:
+    """The view [m, k] = x[m - k] for k <= m, 0 above the diagonal, of
+    len(x) rows and cols columns."""
+    pad = np.concatenate((np.zeros(len(x) - 1, x.dtype), x))
+    return np.lib.stride_tricks.sliding_window_view(pad, len(x))[:, ::-1][:, :cols]
+
+
+def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
+    """Psi[m, k] for m < dim: dim columns, one for a pure state (A_01 = 0),
+    none where rho_0 underflows.  sqrt(rho_0) rides along in e, whose entries
+    are Psi[j, 0] and so never exceed 1; A_01 < 1 keeps the exponent of the
+    binomial part below 0.5 ln C(m, k)."""
     a00, a01, gamma, rho0 = _one_mode_gaussian(p)
-    rho = np.zeros((dim, dim), dtype=complex)
-    if rho0 == 0.0:
-        return rho
-    sq = np.sqrt(np.arange(dim, dtype=float))
-    b00, g1 = a00.conjugate(), gamma.conjugate()
-    prev, cur = 0j, complex(rho0)
-    rho[0, 0] = cur
-    for n in range(1, dim):
-        prev, cur = cur, (g1 * cur + b00 * sq[n - 1] * prev) / sq[n]
-        rho[0, n] = cur
-    shift = a01 * sq[1:]
-    for m in range(dim - 1):
-        row = gamma * rho[m]
-        if m:
-            row += (a00 * sq[m]) * rho[m - 1]
-        if a01:
-            row[1:] += shift * rho[m, :-1]
-        rho[m + 1] = row / sq[m + 1]
-    return 0.5 * (rho + rho.conj().T)
+    cols = 0 if rho0 == 0.0 else 1 if a01 == 0.0 else dim
+    sq = [math.sqrt(j) for j in range(dim)]
+    e = [complex(math.sqrt(rho0))]
+    prev = 0j
+    for j in range(1, dim):
+        prev, cur = e[-1], (gamma * e[-1] + a00 * sq[j - 1] * prev) / sq[j]
+        e.append(cur)
+    lf = _log_factorials(dim)
+    log_binomial = lf[:, None] - _lower_toeplitz(lf, cols) - lf[:cols]
+    return _lower_toeplitz(np.array(e), cols) * np.exp(
+        0.5 * (log_binomial + np.arange(cols) * _log(a01)))
 
 
-def _sts_elements(p: TwoModeStsParams, dim: int) -> np.ndarray:
-    """t[a, b, c] = <a, b| rho |c, c - a + b> for a, b, c < dim.
+def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
+    """v[k1, k2, j] = Psi[(k1 + j, k2 + j), (k1, k2)] for k1, k2, j < dim.
 
     With y_j = nbar_j + 1/2 and D = y1 y2 + (y1 + y2) cosh(2r)/2 + 1/4, the
     determinant of each 2x2 block of Q, the nonzero entries of A are
     A_01 = conj(A_23) = e^{i phi} (y1 + y2) sinh(2r)/(2D) (ket-ket),
     A_02 = nbar1 (nbar2 + 1)/D and A_13 = nbar2 (nbar1 + 1)/D (ket-bra), and
-    rho_0 = 1/D.  Raising the first ket index keeps n2 = c - a + b fixed:
-
-        sqrt(a) t[a, b, c] = A_01 sqrt(b) t[a-1, b-1, c] + A_02 sqrt(c) t[a-1, b, c-1],
-
-    from t[0, 0, c] = A_23^c rho_0 and sqrt(b) t[0, b, c] = A_13 sqrt(b + c)
-    t[0, b-1, c].  Entries with n2 < 0 stay exact zeros; entries with
-    n2 >= dim are elements beyond the cut and are never read.  Each factor
-    below is D divided through by (y1 + y2)/2, which keeps it finite.
+    rho_0 = 1/D.  Each factor below is D divided through by (y1 + y2)/2,
+    which keeps it finite, and the entries are taken through their
+    logarithms, which keeps the factorials finite.  An axis whose coefficient
+    vanishes has length 1: a pure state has one column.
     """
-    if not math.isfinite(p.phi):
-        raise DomainError("the Fock oracle needs a finite squeeze angle")
     y1, y2 = p.nbar1 + 0.5, p.nbar2 + 0.5
     half = 0.5 * (y1 + y2)
     h = y1 * (y2 / half) + math.cosh(2.0 * p.r) + 0.25 / half  # D / half
-    a01 = cmath.exp(1j * p.phi) * (math.sinh(2.0 * p.r) / h)
+    a01 = math.sinh(2.0 * p.r) / h  # |A_01|
     a02 = (p.nbar1 / half) * ((p.nbar2 + 1.0) / h)
     a13 = (p.nbar2 / half) * ((p.nbar1 + 1.0) / h)
-    t = np.zeros((dim, dim, dim), dtype=complex)
-    t[0, 0] = (1.0 / (half * h)) * np.cumprod(np.r_[1.0, np.full(dim - 1, a01.conjugate())])
-    idx = np.arange(dim, dtype=float)
-    for b in range(1, dim):
-        t[0, b] = (a13 * np.sqrt((idx + b) / b)) * t[0, b - 1]
-    sq = np.sqrt(idx)
-    for a in range(1, dim):
-        nxt = np.zeros((dim, dim), dtype=complex)
-        nxt[1:] = (a01 * sq[1:, None]) * t[a - 1, :-1]
-        nxt[:, 1:] += (a02 * sq[1:]) * t[a - 1, :, :-1]
-        t[a] = nxt / sq[a]
-    return t
+    k1, k2, j = np.ogrid[:dim if a02 else 1, :dim if a13 else 1, :dim if a01 else 1]
+    lf = _log_factorials(2 * dim)
+    return np.exp(0.5 * (lf[k1 + j] + lf[k2 + j] - lf[k1] - lf[k2] - math.log(half)
+                         - math.log(h) + k1 * _log(a02) + k2 * _log(a13))
+                  - lf[j] + j * complex(_log(a01), p.phi))
 
 
-def _sts_matrix(t: np.ndarray) -> np.ndarray:
-    """The dim^2 x dim^2 matrix (index k*dim + l is |k, l>) of the elements
-    t[a, b, c] whose n2 lies in range, averaged with their adjoint partners
-    t[c, n2, a]; everything between n1 - n2 ladders is an exact zero."""
-    dim = t.shape[0]
-    a, b, c = np.indices(t.shape)
-    e = c - a + b
-    keep = (e >= 0) & (e < dim)
-    a, b, c, e = a[keep], b[keep], c[keep], e[keep]
-    rho = np.zeros((dim * dim, dim * dim), dtype=complex)
-    rho[a * dim + b, c * dim + e] = 0.5 * (t[a, b, c] + t[c, e, a].conj())
-    return rho
-
-
-def _finish_dm(rho: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
-    tail = max(0.0, 1.0 - float(rho.trace().real))
+def _finish_dm(psi: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
+    tail = max(0.0, 1.0 - float(np.vdot(psi, psi).real))
     if tail > TAIL_WARN:
         warnings.warn(
             f"truncated state is missing {tail:.3g} probability mass at dim {dim}",
             TruncationWarning,
             stacklevel=3,
         )
-    return FockDensityMatrix(dim=dim, modes=modes, matrix=rho, tail_mass=tail)
+    return FockDensityMatrix(dim=dim, modes=modes, factor=psi, tail_mass=tail)
 
 
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -285,13 +281,13 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
     capped at MAX_DIM_ONE_MODE."""
     if dim is None:
-        rho = _one_mode_elements(p, MAX_DIM_ONE_MODE)
-        dim = _smallest_dim(np.cumsum(rho.diagonal().real))
-        rho = np.ascontiguousarray(rho[:dim, :dim])
+        psi = _one_mode_factor(p, MAX_DIM_ONE_MODE)
+        dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)))
+        psi = np.ascontiguousarray(psi[:dim, :dim])
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
-        rho = _one_mode_elements(p, dim)
-    return _finish_dm(rho, dim, 1)
+        psi = _one_mode_factor(p, dim)
+    return _finish_dm(psi, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -299,77 +295,77 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     the per-mode truncation or, if None, the smallest one whose tail meets
     TAIL_TARGET, both capped at MAX_DIM_PER_MODE."""
     if dim is None:
-        t = _sts_elements(p, MAX_DIM_PER_MODE)
-        diag = np.einsum("aba->ab", t).real  # <a, b| rho |a, b>
-        dim = _smallest_dim(np.diagonal(diag.cumsum(0).cumsum(1)))
-        t = t[:dim, :dim, :dim]
+        v = _sts_values(p, MAX_DIM_PER_MODE)
+        k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
+        top = (np.maximum(k1, k2) + j).ravel()  # the larger photon number of the row
+        mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=MAX_DIM_PER_MODE)
+        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]))
     else:
         dim = _checked_dim(dim, MAX_DIM_PER_MODE)
-        t = _sts_elements(p, dim)
-    return _finish_dm(_sts_matrix(t), dim, 2)
+        v = _sts_values(p, dim)
+    v = v[:dim, :dim, :dim]  # column k1*n2 + k2 is (k1, k2); rows past the cut are dropped
+    k1, k2, j = np.indices(v.shape)
+    keep = (k1 + j < dim) & (k2 + j < dim)
+    psi = np.zeros((dim * dim, v.shape[0] * v.shape[1]), dtype=complex)
+    psi[((k1 + j) * dim + k2 + j)[keep], (k1 * v.shape[1] + k2)[keep]] = v[keep]
+    return _finish_dm(psi, dim, 2)
 
 
-def _check_same_shape(r1: FockDensityMatrix, r2: FockDensityMatrix) -> None:
-    if r1.matrix.shape != r2.matrix.shape or r1.modes != r2.modes:
+def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:
+    """The blocks of Psi1^dag Psi2: Psi1[rows, cols1]^dag Psi2[rows, cols2]
+    over the connected blocks of the joint pattern of both factors, with the
+    two arguments put into a canonical order within each block, so that a
+    symmetric quantity comes out exactly invariant under swapping them."""
+    if r1.dim != r2.dim or r1.modes != r2.modes:
         raise DimensionMismatch(
             f"incompatible truncations: {r1.modes} mode(s) dim {r1.dim} vs "
             f"{r2.modes} mode(s) dim {r2.dim}"
         )
+    f1, f2 = r1.factor, r2.factor
+    split = f1.shape[1]
+    for rows, cols in _blocks(np.hstack((f1 != 0, f2 != 0))):
+        cut = np.searchsorted(cols, split)
+        b1, b2 = f1[np.ix_(rows, cols[:cut])], f2[np.ix_(rows, cols[cut:] - split)]
+        if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):
+            b1, b2 = b2, b1
+        yield b1.conj().T @ b2
 
 
 def uhlmann_fidelity_numeric(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
-    """||sqrt(rho1) sqrt(rho2)||_1^2 through singular values.
-
-    Both matrices are block diagonal over the connected blocks of their joint
-    nonzero pattern, so the nuclear norm is summed block by block and squared
-    at the end.  In each block, rho_j = U_j diag(w_j) U_j^dag, and the norm is
-    the sum of the singular values of diag(sqrt w1) U1^dag U2 diag(sqrt w2).
-    Negative eigenvalues from roundoff (bounded by the type invariant at
-    -1e-10) are clipped to zero before the square roots.  The fidelity is
-    symmetric, so within each block the arguments are put into a canonical
-    order first; the result is then exactly invariant under swapping them.
-    """
-    _check_same_shape(r1, r2)
-    norm = 0.0
-    for idx in _blocks((r1.matrix != 0) | (r2.matrix != 0)):
-        block = np.ix_(idx, idx)
-        m1, m2 = r1.matrix[block], r2.matrix[block]
-        if m1.tobytes() > m2.tobytes():
-            m1, m2 = m2, m1
-        w1, u1 = np.linalg.eigh(m1)
-        w2, u2 = np.linalg.eigh(m2)
-        k = (np.sqrt(np.clip(w1, 0.0, None))[:, None] * (u1.conj().T @ u2)
-             * np.sqrt(np.clip(w2, 0.0, None)))
-        norm += np.sum(svdvals(k))
-    return float(norm ** 2)
+    """Uhlmann fidelity ||Psi1^dag Psi2||_1^2 of the two factors: the nuclear
+    norm is summed over the blocks of Psi1^dag Psi2 and squared at the end."""
+    return float(sum(np.linalg.svd(m, compute_uv=False).sum() for m in _overlaps(r1, r2)) ** 2)
 
 
 def trace_product(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
-    """Tr(rho1 rho2); real for Hermitian inputs."""
-    _check_same_shape(r1, r2)
-    return float(np.vdot(r2.matrix, r1.matrix).real)
+    """Tr(rho1 rho2) = ||Psi1^dag Psi2||_F^2."""
+    return float(sum(np.vdot(m, m).real for m in _overlaps(r1, r2)))
 
 
 def von_neumann_entropy(r: FockDensityMatrix) -> float:
-    """-Tr(rho ln rho) with eigenvalue clipping and 0 ln 0 = 0."""
-    w = np.clip(eigvalsh(r.matrix), 0.0, None)
+    """-Tr(rho ln rho) with 0 ln 0 = 0, from the eigenvalues of rho: the
+    squared singular values of the factor, block by block."""
+    w = np.concatenate([np.linalg.svd(r.factor[np.ix_(rows, cols)], compute_uv=False) ** 2
+                        for rows, cols in _blocks(r.factor != 0)] + [np.zeros(0)])
     w = w[w > 0.0]
     return float(-np.sum(w * np.log(w)))
 
 
 def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
-    """Partial trace of a two-mode matrix down to the requested mode (0 or 1)."""
+    """Partial trace of a two-mode matrix down to the requested mode (0 or 1):
+    the traced mode moves into the columns of the factor."""
     if r.modes != 2:
         raise DimensionMismatch("reduced_dm requires a two-mode density matrix")
     if mode not in (0, 1):
         raise DomainError(f"mode must be 0 or 1, got {mode}")
     d = r.dim
-    four = r.matrix.reshape(d, d, d, d)
-    red = np.einsum("albl->ab", four) if mode == 0 else np.einsum("alam->lm", four)
-    return FockDensityMatrix(dim=d, modes=1, matrix=red, tail_mass=r.tail_mass)
+    three = r.factor.reshape(d, d, -1)
+    if mode == 1:
+        three = three.transpose(1, 0, 2)
+    return FockDensityMatrix(dim=d, modes=1, factor=three.reshape(d, -1), tail_mass=r.tail_mass)
 
 
 def mean_photon_number(r: FockDensityMatrix, mode: int = 0) -> float:
     """Tr(rho a^dag a) of the requested mode."""
     rho = r if r.modes == 1 else reduced_dm(r, mode)
-    return float(np.sum(np.arange(rho.dim) * np.diag(rho.matrix).real))
+    return float(np.arange(rho.dim) @ np.sum(np.abs(rho.factor) ** 2, axis=1))

@@ -18,6 +18,7 @@ uncertainty relation.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import sys
@@ -59,10 +60,12 @@ def _range_error(occupancies: tuple, occupancy_message: str, r: float) -> ValueE
 
 
 def wrap_angle(phi: float) -> float:
-    """Reduce an angle to the interval (-pi, pi]; an angle already in it comes
-    back unchanged, bit for bit."""
+    """Reduce a finite angle to the interval (-pi, pi]; an angle already in it
+    comes back unchanged, bit for bit.  A non-finite angle raises DomainError."""
     if -math.pi < phi <= math.pi:
         return phi
+    if not math.isfinite(phi):
+        raise DomainError(f"angle must be finite, got {phi}")
     w = math.fmod(phi + math.pi, 2.0 * math.pi)
     if w < 0.0:
         w += 2.0 * math.pi
@@ -77,8 +80,8 @@ class DstsParams:
     """Physical parameters of a displaced squeezed thermal state.
 
     nbar is the finite mean thermal occupancy, 0 <= r <= R_MAX the squeeze factor,
-    phi the squeeze angle (stored in (-pi, pi]), alpha the displacement
-    amplitude.
+    phi the finite squeeze angle (stored in (-pi, pi]), alpha the finite
+    displacement amplitude.
     """
 
     nbar: float
@@ -91,6 +94,8 @@ class DstsParams:
             raise _range_error((self.nbar,), f"nbar must be >= 0, got {self.nbar}", self.r)
         object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not cmath.isfinite(self.alpha):
+            raise DomainError(f"displacement alpha must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,7 @@ def _check_cov1(qq: float, qp: float, pp: float) -> None:
 class TwoModeStsParams:
     """Physical parameters of a two-mode squeezed thermal state: finite thermal
     occupancies nbar1, nbar2 >= 0, squeeze factor 0 <= r <= R_MAX and
-    squeeze angle phi (stored in (-pi, pi])."""
+    finite squeeze angle phi (stored in (-pi, pi])."""
 
     nbar1: float
     nbar2: float

@@ -1,5 +1,7 @@
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import cvgauss
@@ -54,3 +56,10 @@ def test_no_environment_reads():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")]
     assert offenders == []
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, cvgauss; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

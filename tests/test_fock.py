@@ -19,9 +19,11 @@ from cvgauss import (
     DstsParams,
     TruncationWarning,
     TwoModeStsParams,
+    UnphysicalState,
     dsts_dm,
     dsts_to_cf,
     eval_cf1,
+    fidelity_one_mode,
     sts2_dm,
     thermal_dm,
     trace_product,
@@ -62,7 +64,7 @@ def test_thermal_domain():
         thermal_dm(0.5, 0)
 
 
-# --- recurrence builds against the matrix-exponential reference -------------------
+# --- factor builds against the matrix-exponential reference ----------------------
 
 @pytest.mark.parametrize("p", [
     DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j),
@@ -74,6 +76,18 @@ def test_thermal_domain():
 ], ids=["roadmap", "mixed", "squeezed-thermal", "displaced-thermal", "hot", "pure"])
 def test_dsts_matches_expm_reference(p):
     assert np.abs(dsts_dm(p, 120).matrix - dsts_reference(p, 120)).max() < 1e-13
+
+
+@pytest.mark.parametrize("build,ref", [
+    (lambda: dsts_dm(DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j), 120),
+     lambda: dsts_reference(DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j), 120)),
+    (lambda: sts2_dm(TwoModeStsParams(0.3, 0.6, 0.7, -1.1), 12),
+     lambda: _dense_sts_reference()[1][:12, :12, :12, :12].reshape(144, 144)),
+], ids=["dsts", "sts2"])
+def test_factor_product_matches_expm_reference(build, ref):
+    # the factor itself, multiplied out densely here, not through ``matrix``
+    psi = build().factor
+    assert np.abs(psi @ psi.conj().T - ref()).max() < 1e-13
 
 
 def test_zero_parameter_states_are_vacuum():
@@ -124,11 +138,17 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
 
 def test_build_is_corner_of_larger_build():
     p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
-    assert np.array_equal(dsts_dm(p, 120).matrix, dsts_dm(p, 256).matrix[:120, :120])
+    small, big = dsts_dm(p, 120), dsts_dm(p, 256)
+    assert np.array_equal(small.factor, big.factor[:120, :120])
+    assert not np.any(big.factor[:120, 120:])
+    assert np.array_equal(small.matrix, big.matrix[:120, :120])
     q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
-    small = sts2_dm(q, 20).matrix
-    big = sts2_dm(q, 30).matrix.reshape(30, 30, 30, 30)[:20, :20, :20, :20]
-    assert np.array_equal(small, big.reshape(400, 400))
+    small, big = sts2_dm(q, 20), sts2_dm(q, 30)
+    assert np.array_equal(small.factor.reshape(20, 20, 20, 20),
+                          big.factor.reshape(30, 30, 30, 30)[:20, :20, :20, :20])
+    # the product of the longer ladder blocks may sum in another order
+    corner = big.matrix.reshape(30, 30, 30, 30)[:20, :20, :20, :20]
+    assert np.abs(small.matrix - corner.reshape(400, 400)).max() < 1e-16
 
 
 @pytest.mark.parametrize("nbar,dim", [(0.5, 30), (2.0, 30), (2.0, 90), (7.0, 256)])
@@ -231,12 +251,13 @@ def test_auto_dim_extremes_warn_at_the_cap(monkeypatch, build, p, cap):
     assert np.all(np.isfinite(r.matrix))
 
 
-@pytest.mark.parametrize("p", [DstsParams(0.1, alpha=complex("nan")),
-                               DstsParams(0.1, alpha=complex(math.inf, 0.0)),
-                               DstsParams(0.1, 0.3, math.nan)])
+@pytest.mark.parametrize("p", [dict(nbar=0.1, alpha=complex("nan")),
+                               dict(nbar=0.1, alpha=complex(math.inf, 0.0)),
+                               dict(nbar=0.1, r=0.3, phi=math.nan)])
 def test_oracle_rejects_non_finite_angle_or_displacement(p):
+    # the state type rejects them, so no build can see one
     with pytest.raises(DomainError):
-        dsts_dm(p, 10)
+        dsts_dm(DstsParams(**p), 10)
 
 
 def test_oracle_rejects_dimension_below_one():
@@ -317,7 +338,7 @@ def test_sts2_eigenvalues_match_thermal_spectrum():
 
 def test_sts2_psd_within_tolerance():
     r = sts2_dm(TwoModeStsParams(0.4, 0.1, 0.7), 16)
-    assert r.min_eigenvalue() >= -1e-10
+    assert np.linalg.eigvalsh(r.matrix).min() >= -1e-10
 
 
 # --- fidelity / traces / entropy ------------------------------------------------------
@@ -342,6 +363,26 @@ def test_numeric_fidelity_symmetric_and_bounded():
         f21 = uhlmann_fidelity_numeric(r2, r1)
         assert f12 == f21
         assert 0.0 <= f12 <= 1.0 + 1e-10
+
+
+@pytest.mark.parametrize("dim", [120, 256])
+def test_near_pure_pair_matches_closed_form(dim):
+    # a nearly pure state against a warm one: square roots of roundoff
+    # eigenvalues cost the eigendecomposition route about 1e-8 here
+    p1 = DstsParams(0.03, 0.84, 2.79, -0.99 + 0.87j)
+    p2 = DstsParams(1.68, 0.19, -2.88, -0.005 - 0.27j)
+    numeric = uhlmann_fidelity_numeric(dsts_dm(p1, dim), dsts_dm(p2, dim))
+    assert abs(numeric - fidelity_one_mode(p1, p2)) < 1e-13
+
+
+def test_pure_state_factor_has_one_column():
+    p1 = DstsParams(0.0, 0.6, 0.2, 0.3 + 0.1j)
+    p2 = DstsParams(0.0, 0.3, -1.1, -0.2 + 0.4j)
+    r1, r2 = dsts_dm(p1, 90), dsts_dm(p2, 90)
+    assert r1.factor.shape == (90, 1)
+    assert sts2_dm(TwoModeStsParams(0.0, 0.0, 0.8, 0.3), 12).factor.shape == (144, 1)
+    assert abs(uhlmann_fidelity_numeric(r1, r2) - trace_product(r1, r2)) < 1e-15
+    assert uhlmann_fidelity_numeric(r1, r2) == uhlmann_fidelity_numeric(r2, r1)
 
 
 def _dense_uhlmann(r1, r2):
@@ -417,11 +458,20 @@ def test_reduced_dm_of_product():
 
 
 def test_density_matrix_validation():
-    with pytest.raises(Exception):
-        FockDensityMatrix(dim=4, modes=1, matrix=np.eye(3, dtype=complex), tail_mass=0.0)
-    mat = np.eye(4, dtype=complex) / 4.0
-    mat[0, 1] = 0.5  # not Hermitian
-    with pytest.raises(Exception):
-        FockDensityMatrix(dim=4, modes=1, matrix=mat, tail_mass=0.0)
-    with pytest.raises(Exception):
-        FockDensityMatrix(dim=4, modes=1, matrix=np.eye(4, dtype=complex) / 8.0, tail_mass=0.0)
+    # rho = factor factor^dag is Hermitian and positive by construction; the
+    # row count and the trace deficit are what a factor can get wrong
+    with pytest.raises(DimensionMismatch):
+        FockDensityMatrix(dim=4, modes=1, factor=np.eye(3, dtype=complex), tail_mass=0.0)
+    with pytest.raises(UnphysicalState):
+        FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0, tail_mass=0.0)
+    assert np.array_equal(FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0,
+                                            tail_mass=0.75).matrix, np.eye(4) / 16.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
+                         ids=["nan", "inf", "nan-imag"])
+def test_non_finite_factor_is_rejected(bad):
+    factor = np.eye(2, dtype=complex) / math.sqrt(2.0)
+    factor[1, 0] = bad
+    with pytest.raises(UnphysicalState, match="non-finite"):
+        FockDensityMatrix(dim=2, modes=1, factor=factor, tail_mass=1.0)

@@ -73,6 +73,22 @@ def test_phi_in_range_comes_back_bit_identical():
         assert TwoModeStsParams(0.1, 0.2, 0.3, phi).phi == phi
 
 
+@pytest.mark.parametrize("build", [lambda phi: DstsParams(0.1, 0.2, phi),
+                                   lambda phi: TwoModeStsParams(0.1, 0.2, 0.3, phi)],
+                         ids=["dsts", "sts2"])
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_angle_is_rejected(build, phi):
+    with pytest.raises(DomainError, match="angle must be finite"):
+        build(phi)
+
+
+@pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.inf),
+                                   complex(-math.inf, 1.0)], ids=["nan", "inf-im", "-inf-re"])
+def test_non_finite_displacement_is_rejected(alpha):
+    with pytest.raises(DomainError, match="alpha must be finite"):
+        DstsParams(0.1, 0.2, 0.3, alpha)
+
+
 def test_cf_rejects_unphysical():
     with pytest.raises(UnphysicalState):
         OneModeGaussianCF(a=0.0, b=1.0)  # det = 0.25 - 1 < 1/4
