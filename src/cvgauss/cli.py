@@ -155,7 +155,10 @@ def _finite(text: str) -> float:
 
 
 def _finite_list(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",") if tok.strip() != ""]
+    """argparse type of the list options: comma-separated finite numbers, at least one."""
+    if values := [_finite(tok) for tok in text.split(",") if tok.strip() != ""]:
+        return values
+    raise argparse.ArgumentTypeError(f"must list at least one finite number, got {text!r}")
 
 
 def _cmd_sweep(args) -> int:
@@ -177,7 +180,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = validate.run_suite(args.suite, oracle_dim=args.dim, oracle_tol=args.tol)
+    results = validate.run_suite(args.suite)
     print(validate.format_report(results, args.suite))
     return 0 if all(r.passed for r in results) else 3
 
@@ -226,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the oracle-vs-closed-form check suite")
     p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
-    p_val.add_argument("--dim", type=int, default=None, help="oracle truncation override")
-    p_val.add_argument("--tol", type=_finite, default=None, help="oracle tolerance override")
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

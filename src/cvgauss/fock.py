@@ -33,9 +33,11 @@ semidefinite by construction.
 
 Blocks.  With gamma = 0, e_j vanishes for odd j, so Psi links rows and
 columns of one parity only; a two-mode squeezed thermal state maps column
-(k1, k2) only to rows with n1 - n2 = k1 - k2.  Everything here works on the
-connected blocks that the nonzero entries of the factors link, and rho is an
-exact zero between blocks.  A displaced state is one block.
+(k1, k2) only to rows with n1 - n2 = k1 - k2.  Rows are labelled by these
+conserved numbers, each column by the label of the rows it reaches, and
+everything here works one label at a time; rho is an exact zero between
+labels.  A column that reaches two labels, as in a displaced state, makes
+the whole space one block.
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -69,37 +71,28 @@ TAIL_TARGET = 1e-8
 TAIL_WARN = 1e-6
 
 
-def _blocks(pattern: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, columns), sorted, of the connected components of the bipartite
-    graph of a boolean pattern's set entries; unlinked rows and columns are
-    left out.  A column set in every linked row makes one block.  Otherwise
-    labels start as node ids; each round lowers both ends of every edge to
-    the smaller label, then replaces each label by that of the node it names
-    (a node of the same component), until each component holds its least id."""
-    n = pattern.shape[0]
-    linked_rows = np.flatnonzero(pattern.any(axis=1))
-    if not linked_rows.size:
-        return []
-    if pattern[linked_rows].all(axis=0).any():
-        return [(linked_rows, np.flatnonzero(pattern.any(axis=0)))]
-    rows, cols = np.nonzero(pattern)
-    cols += n
-    label = np.arange(n + pattern.shape[1])
-    while True:
-        low = np.minimum(label[rows], label[cols])
-        new = label.copy()
-        np.minimum.at(new, rows, low)
-        np.minimum.at(new, cols, low)
-        new = new[new]
-        if np.array_equal(new, label):
+def _blocks(dim: int, modes: int, *factors: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """(rows, columns of each factor) of the blocks the factors share.  Rows
+    are labelled by the number an undisplaced state conserves, n mod 2 (one
+    mode) or n1 - n2 (two modes); each column takes the label of the rows it
+    reaches, and a block is one label's rows with its columns in every factor.
+    A column that reaches two labels (a displacement, or a factor built by
+    hand) makes everything one block.  Blocks missing a factor are left out."""
+    n = np.arange(dim ** modes)
+    row_label = n % 2 if modes == 1 else n // dim - n % dim
+    col_labels = []
+    for f in factors:
+        linked = f != 0
+        label = row_label[linked.argmax(axis=0)]  # that of the column's first linked row
+        if (linked & (row_label[:, None] != label)).any():
+            blocks = [(n, *(np.arange(g.shape[1]) for g in factors))]
             break
-        label = new
-    linked = np.zeros(label.size, dtype=bool)
-    linked[rows] = linked[cols] = True
-    nodes = np.flatnonzero(linked)
-    order = nodes[np.argsort(label[nodes], kind="stable")]
-    groups = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
-    return [(g[g < n], g[g >= n] - n) for g in groups]
+        label[~linked.any(axis=0)] = dim  # no row has label dim: zero columns
+        col_labels.append(label)
+    else:
+        blocks = [(np.flatnonzero(row_label == k), *(np.flatnonzero(c == k) for c in col_labels))
+                  for k in np.unique(row_label)]
+    return [b for b in blocks if all(c.size for c in b[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +133,7 @@ class FockDensityMatrix:
         read-only and exactly Hermitian."""
         psi = self.factor
         rho = np.zeros((psi.shape[0],) * 2, dtype=complex)
-        for rows, cols in _blocks(psi != 0):
+        for rows, cols in _blocks(self.dim, self.modes, psi):
             f = psi[np.ix_(rows, cols)]
             g = f @ f.conj().T
             rho[np.ix_(rows, rows)] = 0.5 * (g + g.conj().T)
@@ -313,19 +306,17 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:
     """The blocks of Psi1^dag Psi2: Psi1[rows, cols1]^dag Psi2[rows, cols2]
-    over the connected blocks of the joint pattern of both factors, with the
-    two arguments put into a canonical order within each block, so that a
-    symmetric quantity comes out exactly invariant under swapping them."""
+    over the blocks the two factors share, with the two arguments put into a
+    canonical order within each block, so that a symmetric quantity comes out
+    exactly invariant under swapping them."""
     if r1.dim != r2.dim or r1.modes != r2.modes:
         raise DimensionMismatch(
             f"incompatible truncations: {r1.modes} mode(s) dim {r1.dim} vs "
             f"{r2.modes} mode(s) dim {r2.dim}"
         )
     f1, f2 = r1.factor, r2.factor
-    split = f1.shape[1]
-    for rows, cols in _blocks(np.hstack((f1 != 0, f2 != 0))):
-        cut = np.searchsorted(cols, split)
-        b1, b2 = f1[np.ix_(rows, cols[:cut])], f2[np.ix_(rows, cols[cut:] - split)]
+    for rows, cols1, cols2 in _blocks(r1.dim, r1.modes, f1, f2):
+        b1, b2 = f1[np.ix_(rows, cols1)], f2[np.ix_(rows, cols2)]
         if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):
             b1, b2 = b2, b1
         yield b1.conj().T @ b2
@@ -345,10 +336,12 @@ def trace_product(r1: FockDensityMatrix, r2: FockDensityMatrix) -> float:
 def von_neumann_entropy(r: FockDensityMatrix) -> float:
     """-Tr(rho ln rho) with 0 ln 0 = 0, from the eigenvalues of rho: the
     squared singular values of the factor, block by block."""
-    w = np.concatenate([np.linalg.svd(r.factor[np.ix_(rows, cols)], compute_uv=False) ** 2
-                        for rows, cols in _blocks(r.factor != 0)] + [np.zeros(0)])
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)))
+    total = 0.0
+    for rows, cols in _blocks(r.dim, r.modes, r.factor):
+        w = np.linalg.svd(r.factor[np.ix_(rows, cols)], compute_uv=False) ** 2
+        w = w[w > 0.0]
+        total -= float(np.sum(w * np.log(w)))
+    return total
 
 
 def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:

@@ -92,12 +92,12 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
     infinite-entanglement limit (needed by the sweep endpoints); z >= 1, which
     every separable resource gives, is computed without further interpretation.
     """
-    if not (x >= 1.0 - 1e-12):
-        raise DomainError(f"x = cosh(2 r_in) must be >= 1, got {x}")
-    if not (y >= 0.5 - 1e-12):
-        raise DomainError(f"y = nbar_in + 1/2 must be >= 1/2, got {y}")
-    if not (z >= 0.0):
-        raise DomainError(f"z must be >= 0, got {z}")
+    if not 1.0 - 1e-12 <= x < math.inf:
+        raise DomainError(f"x = cosh(2 r_in) must be finite and >= 1, got {x}")
+    if not 0.5 - 1e-12 <= y < math.inf:
+        raise DomainError(f"y = nbar_in + 1/2 must be finite and >= 1/2, got {y}")
+    if not 0.0 <= z < math.inf:
+        raise DomainError(f"z must be finite and >= 0, got {z}")
     xyz = x * y * z
     delta = 4.0 * (y * y + xyz) + z * z
     purity = max(y - 0.5, 0.0) * (y + 0.5)
@@ -188,15 +188,21 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _write_curves(sweep: dict[float, list[tuple[float, float]]], outdir, stem: str,
                   header: str) -> list[Path]:
-    """One `header` CSV file per curve, named `{stem}_{key:g}.csv`."""
+    """One `header` CSV file per curve, named `{stem}_{key:g}.csv`; DomainError,
+    before any file is written, when two keys give the same name."""
+    keys: dict[str, float] = {}
+    for key in sweep:
+        name = f"{stem}_{key:g}.csv"
+        if name in keys:
+            raise DomainError(f"curves {keys[name]!r} and {key!r} would both be written to {name}")
+        keys[name] = key
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     paths = []
-    for key, rows in sweep.items():
-        path = outdir / f"{stem}_{key:g}.csv"
-        lines = [header] + [f"{u:.12g},{v:.12g}" for u, v in rows]
-        _write_atomic(path, "\n".join(lines) + "\n")
-        paths.append(path)
+    for name, key in keys.items():
+        lines = [header] + [f"{u:.12g},{v:.12g}" for u, v in sweep[key]]
+        paths.append(outdir / name)
+        _write_atomic(paths[-1], "\n".join(lines) + "\n")
     return paths
 
 

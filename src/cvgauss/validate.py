@@ -17,7 +17,6 @@ from .entanglement import (
     peres_simon_separable,
     separability_threshold_rs,
 )
-from .errors import DomainError
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
 from .nonclassicality import closest_classical_numeric, degree_q0, nonclassicality_threshold
 from .states import (
@@ -124,12 +123,12 @@ def matched_pair(build, p1, p2, dim: int | None = None
     return r1, r2
 
 
-def _check_one_mode_oracle(rng, dim: int | None, pairs: int) -> float:
+def _check_one_mode_oracle(rng, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(p1, p2)
-        numeric = fock.uhlmann_fidelity_numeric(*matched_pair(fock.dsts_dm, p1, p2, dim))
+        numeric = fock.uhlmann_fidelity_numeric(*matched_pair(fock.dsts_dm, p1, p2))
         worst = max(worst, abs(closed - numeric))
     return worst
 
@@ -249,28 +248,22 @@ def _check_svs_entropy(dim: int) -> float:
     return worst
 
 
-def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
-              oracle_tol: float | None = None) -> list[CheckResult]:
+def run_suite(suite: str = "fast") -> list[CheckResult]:
     """Run the requested suite and return one result per check."""
     if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite {suite!r}; expected 'fast' or 'full'")
-    if oracle_dim is not None and oracle_dim < 1:
-        raise DomainError(f"truncation override must be >= 1, got {oracle_dim}")
-    if oracle_tol is not None and not (oracle_tol > 0.0):
-        raise DomainError(f"tolerance override must be > 0, got {oracle_tol}")
     rng = np.random.default_rng(20260809)
     # oracle tolerances, at least 100x above the deltas of the exact oracle
-    tol_1m, tol_2m, tol_exact = ((1e-7, 1e-10, 1e-13) if oracle_tol is None
-                                 else (oracle_tol,) * 3)
+    tol_1m, tol_2m, tol_exact = 1e-7, 1e-10, 1e-13
 
     results = [
         CheckResult("dsts/cf round trip", _check_roundtrip(rng), 1e-12),
         CheckResult("cf coefficient vs covariance form", _check_cf_forms(rng), 1e-10),
         CheckResult("sts local invariants closed forms", _check_sts_invariants(rng), 1e-12),
         CheckResult("two-mode Heisenberg inequality", _check_heisenberg(rng), 1e-12),
-        # without an override, each pair at the larger of its automatic dims
+        # each pair at the larger of its automatic dims
         CheckResult("one-mode fidelity vs Fock oracle",
-                    _check_one_mode_oracle(rng, oracle_dim, pairs=8), tol_1m),
+                    _check_one_mode_oracle(rng, pairs=8), tol_1m),
         CheckResult("teleport closed form vs input/output fidelity",
                     _check_teleport_paths(rng), 1e-10),
         CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
@@ -284,14 +277,13 @@ def run_suite(suite: str = "fast", *, oracle_dim: int | None = None,
                           "entanglement", "separable"),
     ]
     if suite == "full":
-        two_dim, pure_dim = (40, 100) if oracle_dim is None else (oracle_dim,) * 2
         results += [
             CheckResult("two-mode fidelity vs Fock oracle",
-                        _check_two_mode_oracle(rng, two_dim, pairs=3), tol_2m),
+                        _check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
             # its pure states leave tails below 1e-15 at dim 100; an automatic
             # dim stops at a tail of TAIL_TARGET, too coarse for tol_exact
             CheckResult("pure-state fidelity equals trace product",
-                        _check_pure_trace_product(rng, pure_dim, pairs=6), tol_exact),
+                        _check_pure_trace_product(rng, 100, pairs=6), tol_exact),
             CheckResult("squeezed-vacuum entropy vs Fock entropy",
                         _check_svs_entropy(200), tol_exact),
         ]

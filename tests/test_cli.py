@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cvgauss import DomainError, DstsParams, cf_to_cov, dsts_to_cf, parse_state, validate
+from cvgauss import DstsParams, cf_to_cov, dsts_to_cf, parse_state, validate
 from cvgauss.cli import main
 
 
@@ -337,15 +337,21 @@ def test_pure_squeezed_states_accepted_from_r_4_6_to_6(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["validate", "--dim", "0"], "truncation override must be >= 1"),
-    (["validate", "--tol", "0"], "tolerance override must be > 0"),
     (["fidelity", "--oracle", "--dim", "0"], "truncation override must be >= 1"),
-], ids=["validate-dim", "validate-tol", "fidelity-oracle-dim"])
+], ids=["fidelity-oracle-dim"])
 def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, message):
-    if args[0] == "fidelity":
-        args = args + ["--state", pure_sts_file, "--state2", pure_sts_file]
+    args = args + ["--state", pure_sts_file, "--state2", pure_sts_file]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("option", ["--dim", "--tol"], ids=["dim", "tol"])
+def test_validate_rejects_removed_overrides(capsys, option):
+    # validate runs at its own dims and tolerances only
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--suite", "fast", option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, option", [
@@ -353,16 +359,37 @@ def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, messa
     (["sweep", "fig1", "--nbar-in", "0.1,inf"], "--nbar-in"),
     (["sweep", "fig2", "--e0", "nan"], "--e0"),
     (["sweep", "fig2", "--e0", "0.5,abc"], "--e0"),
-    (["validate", "--tol", "inf"], "--tol"),
-], ids=["r-in", "nbar-in", "e0", "e0-text", "tol"])
+], ids=["r-in", "nbar-in", "e0", "e0-text"])
 def test_non_finite_option_is_input_error(tmp_path, capsys, args, option):
-    if args[0] == "sweep":
-        args = args + ["--out", str(tmp_path / "out")]
     with pytest.raises(SystemExit) as exc:
-        main(args)
+        main(args + ["--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert f"argument {option}: must be a finite number" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, option", [
+    (["sweep", "fig1", "--nbar-in", ","], "--nbar-in"),
+    (["sweep", "fig2", "--e0", ""], "--e0"),
+    (["sweep", "fig2", "--e0", " , "], "--e0"),
+], ids=["nbar-in-comma", "e0-empty", "e0-blank"])
+def test_empty_list_option_is_input_error(tmp_path, capsys, args, option):
+    # an empty list is an error, not a request for the default curves
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"argument {option}: must list at least one finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_curves_with_one_file_name_are_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "fig1", "--out", str(out), "--nbar-in", "0.1,0.1000000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curves 0.1 and 0.1000000001 would both be "
+                                   "written to fig1_nbar_0.1.csv")
+    assert not out.exists()
 
 
 def test_teleport_asymmetric_resource(tmp_path, coherent_file, capsys):
@@ -400,18 +427,12 @@ def test_validate_fast_suite_passes(capsys):
     assert "12/12 checks passed" in out
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"oracle_dim": 0}, "truncation override must be >= 1"),
-    ({"oracle_tol": 0.0}, "tolerance override must be > 0"),
-], ids=["dim", "tol"])
-def test_run_suite_rejects_out_of_range_overrides(kwargs, message):
-    with pytest.raises(DomainError, match=message):
-        validate.run_suite("fast", **kwargs)
-
-
-def test_validate_breach_exit_code(capsys):
-    assert main(["validate", "--suite", "fast", "--tol", "1e-30"]) == 3
-    assert "FAIL" in capsys.readouterr().out
+def test_validate_breach_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(validate, "_check_coherent_row", lambda: 1.0)
+    assert main(["validate", "--suite", "fast"]) == 3
+    out = capsys.readouterr().out
+    assert re.search(r"coherent-input teleportation row +delta= 1\.00000e\+00 .* FAIL", out)
+    assert "11/12 checks passed" in out
 
 
 def test_validate_reports_are_deterministic(capsys):

@@ -413,6 +413,48 @@ def test_numeric_fidelity_blockwise_equals_dense(pair):
     assert f12 == uhlmann_fidelity_numeric(r2, r1)
 
 
+def _crossing_factor_dm():
+    """A two-mode factor built by hand: an STS factor with one more column
+    that reaches rows of every n1 - n2."""
+    f = sts2_dm(TwoModeStsParams(0.4, 0.2, 0.5, 0.7), 6).factor
+    extra = np.random.default_rng(7).normal(size=(36, 2)) @ [1.0, 1j]
+    psi = np.hstack((np.sqrt(0.8) * f, np.sqrt(0.2) * extra[:, None] / np.linalg.norm(extra)))
+    return FockDensityMatrix(dim=6, modes=2, factor=psi,
+                             tail_mass=max(0.0, 1.0 - float(np.vdot(psi, psi).real)))
+
+
+# the label rule against one SVD of the whole of Psi1^dag Psi2: the one-block
+# fallback, mixed block shapes, a single column and a factor with no columns
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("pair", [
+    lambda: (_crossing_factor_dm(), sts2_dm(TwoModeStsParams(0.3, 0.6, 0.4, -0.5), 6)),
+    lambda: (dsts_dm(DstsParams(0.5, 0.3, 0.4, 0.3 - 0.2j), 30),
+             dsts_dm(DstsParams(1.0, 0.2, -0.7), 30)),
+    lambda: (thermal_dm(0.7, 30), dsts_dm(DstsParams(0.3, 0.4, 1.0), 30)),
+    lambda: (sts2_dm(TwoModeStsParams(0.0, 0.0, 0.6, 0.3), 12),
+             sts2_dm(TwoModeStsParams(0.2, 0.4, 0.5, -0.2), 12)),
+    lambda: (dsts_dm(DstsParams(0.0, alpha=40.0), 20), dsts_dm(DstsParams(0.3, 0.2), 20)),
+], ids=["crossing-column", "displaced-undisplaced", "thermal-dsts", "pure-sts", "no-columns"])
+def test_block_rule_equals_unblocked_svd(pair):
+    r1, r2 = pair()
+    overlap = r1.factor.conj().T @ r2.factor
+    f12 = uhlmann_fidelity_numeric(r1, r2)
+    assert abs(f12 - np.linalg.svd(overlap, compute_uv=False).sum() ** 2) < 1e-13
+    assert abs(trace_product(r1, r2) - np.vdot(overlap, overlap).real) < 1e-13
+    assert f12 == uhlmann_fidelity_numeric(r2, r1)
+    assert trace_product(r1, r2) == trace_product(r2, r1)
+    for r in (r1, r2):
+        assert np.abs(r.matrix - r.factor @ r.factor.conj().T).max() < 1e-15
+
+
+def test_factor_without_columns_is_the_zero_operator():
+    with pytest.warns(TruncationWarning):
+        r = dsts_dm(DstsParams(0.0, alpha=40.0), 20)
+    assert r.factor.shape == (20, 0)
+    assert not r.matrix.any()
+    assert von_neumann_entropy(r) == 0.0
+
+
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         uhlmann_fidelity_numeric(thermal_dm(0.5, 10), thermal_dm(0.5, 12))

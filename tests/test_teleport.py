@@ -135,6 +135,10 @@ def test_variables_validation():
         teleport_fidelity(1.0, 0.4, 0.5)
     with pytest.raises(DomainError):
         teleport_fidelity(1.0, 0.5, -0.1)
+    for bad in (math.inf, math.nan):
+        for args in ((bad, 0.5, 0.5), (1.0, bad, 0.5), (1.0, 0.5, bad)):
+            with pytest.raises(DomainError, match="must be finite"):
+                teleport_fidelity(*args)
 
 
 def test_coherent_input_row():
