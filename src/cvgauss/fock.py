@@ -51,6 +51,7 @@ eigendecomposition is taken, so a near-pure pair keeps its digits.
 from __future__ import annotations
 
 import cmath
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, TruncationWarning, UnphysicalState
 from .states import DstsParams, TwoModeStsParams
+
+_logger = logging.getLogger("cvgauss")
 
 #: hard truncation caps, applied to every build, explicit dimensions included
 MAX_DIM_ONE_MODE = 256
@@ -165,11 +168,16 @@ def _checked_dim(dim: int, cap: int) -> int:
     return min(dim, cap)
 
 
-def _smallest_dim(kept: np.ndarray) -> int:
+def _smallest_dim(kept: np.ndarray, modes: int) -> int:
     """Smallest dim whose kept probability kept[dim - 1] leaves a tail of at
-    most TAIL_TARGET; len(kept), the cap, when none does."""
+    most TAIL_TARGET; len(kept), the cap, when none does.  Logs the choice at
+    DEBUG on the "cvgauss" logger."""
     met = np.flatnonzero(1.0 - kept <= TAIL_TARGET)
-    return int(met[0]) + 1 if met.size else len(kept)
+    dim = int(met[0]) + 1 if met.size else len(kept)
+    tail = max(0.0, 1.0 - float(kept[dim - 1]))
+    _logger.debug("automatic Fock dim %d per mode for %d mode(s), cap %d, cut by the cap: %s, "
+                  "tail mass %.3g", dim, modes, len(kept), not met.size, tail)
+    return dim
 
 
 def _log_factorials(n: int) -> np.ndarray:  # ln k! for k < n
@@ -275,7 +283,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     capped at MAX_DIM_ONE_MODE."""
     if dim is None:
         psi = _one_mode_factor(p, MAX_DIM_ONE_MODE)
-        dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)))
+        dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)), 1)
         psi = np.ascontiguousarray(psi[:dim, :dim])
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
@@ -292,7 +300,7 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
         k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
         top = (np.maximum(k1, k2) + j).ravel()  # the larger photon number of the row
         mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=MAX_DIM_PER_MODE)
-        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]))
+        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]), 2)
     else:
         dim = _checked_dim(dim, MAX_DIM_PER_MODE)
         v = _sts_values(p, dim)

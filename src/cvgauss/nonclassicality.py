@@ -14,7 +14,7 @@ import math
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
 from .fidelity import fidelity_one_mode_kernel
-from .states import DstsParams, wrap_angle
+from .states import DstsParams
 
 
 def nonclassicality_threshold(nbar: float) -> float:
@@ -41,34 +41,31 @@ def degree_q0(p: DstsParams) -> float:
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     """Minimize half the squared Bures distance over classical Gaussian states.
 
-    Derivative-free multi-start search with the constraint set mapped
-    smoothly onto unconstrained variables (nbar' = t^2, r' = r_c(nbar')
-    times a logistic of t).  The search over alpha' is skipped when the input
-    carries no displacement, since the fidelity is maximal at alpha' = alpha.
+    Derivative-free multi-start search over (nbar', r') only, with the
+    constraint set mapped smoothly onto unconstrained variables
+    (nbar' = t0^2, r' = r_c(nbar') logistic(t1)); phi' = phi and
+    alpha' = alpha are exact, not a heuristic.  In the kernel alpha' enters
+    only through exp(-E) with E >= 0, and E = 0 at alpha' = alpha whatever
+    phi'; phi' enters only through the non-negative term
+    4 sinh 2r sinh 2r' sin^2((phi - phi')/2) of Delta, and at E = 0
+    F = 1 / (sqrt(Delta + Lambda) - sqrt(Lambda)) falls as Delta grows.  So
+    for every (nbar', r') the fidelity is largest at (phi, alpha).
 
     Returns (closest classical state, minimum of 1 - sqrt(F)).
     """
     if is_classical(p):
         return p, 0.0
-    search_alpha = abs(p.alpha) > 0.0
     nbar, r, phi, alpha = p.nbar, p.r, p.phi, p.alpha
 
     def unpack(t):
         nb = t[0] * t[0]
-        rp = nonclassicality_threshold(nb) * logistic(t[1])
-        return nb, rp, wrap_angle(t[2]), complex(t[3], t[4]) if search_alpha else alpha
+        return nb, nonclassicality_threshold(nb) * logistic(t[1])
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_one_mode_kernel(nbar, r, phi, alpha, *unpack(t)))
+        nb, rp = unpack(t)
+        return 1.0 - math.sqrt(fidelity_one_mode_kernel(nbar, r, phi, alpha, nb, rp, phi, alpha))
 
-    starts = []
-    for k in range(n_starts):
-        nb0 = p.nbar + 0.25 * (k + 1)
-        slope = 2.0 if k % 2 == 0 else 6.0
-        start = [math.sqrt(nb0), slope, p.phi]
-        if search_alpha:
-            start += [p.alpha.real, p.alpha.imag]
-        starts.append(start)
-
+    starts = [[math.sqrt(nbar + 0.25 * (k + 1)), 2.0 if k % 2 == 0 else 6.0]
+              for k in range(n_starts)]
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return DstsParams(*unpack(x_best)), f_best
+    return DstsParams(*unpack(x_best), phi, alpha), f_best

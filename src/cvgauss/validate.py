@@ -269,7 +269,7 @@ def run_suite(suite: str = "fast") -> list[CheckResult]:
         CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
         CheckResult("separability bisection vs closed threshold",
                     _check_separability_bisection(rng, samples=10), 1e-6),
-        *_check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5, alpha_max=0.0),
+        *_check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5),
                           degree_q0, closest_classical_numeric, classical_argmin_gap,
                           "nonclassicality", "classical"),
         *_check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),

@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 from functools import lru_cache
@@ -517,3 +518,23 @@ def test_non_finite_factor_is_rejected(bad):
     factor[1, 0] = bad
     with pytest.raises(UnphysicalState, match="non-finite"):
         FockDensityMatrix(dim=2, modes=1, factor=factor, tail_mass=1.0)
+
+
+def test_automatic_dims_log_one_debug_record(caplog):
+    with caplog.at_level(logging.DEBUG, logger="cvgauss"):
+        one = dsts_dm(DstsParams(0.3, 0.5, 0.1, 0.5j))
+        two = sts2_dm(TwoModeStsParams(0.2, 0.3, 0.7))
+        with pytest.warns(TruncationWarning):
+            cut = dsts_dm(DstsParams(0.5, 20.0))
+        # an explicit dim logs nothing
+        dsts_dm(DstsParams(0.3, 0.5), 30)
+        sts2_dm(TwoModeStsParams(0.2, 0.3, 0.7), 30)
+    records = [r for r in caplog.records if r.name == "cvgauss"]
+    assert [r.levelno for r in records] == [logging.DEBUG] * 3
+    expected = [(one, 1, fock.MAX_DIM_ONE_MODE, False), (two, 2, fock.MAX_DIM_PER_MODE, False),
+                (cut, 1, fock.MAX_DIM_ONE_MODE, True)]
+    for record, (dm, modes, cap, cut_by_cap) in zip(records, expected):
+        dim, logged_modes, logged_cap, logged_cut, tail = record.args
+        assert (dim, logged_modes, logged_cap, logged_cut) == (dm.dim, modes, cap, cut_by_cap)
+        assert tail == pytest.approx(dm.tail_mass, rel=1e-6)
+        assert f"automatic Fock dim {dm.dim} " in record.getMessage()

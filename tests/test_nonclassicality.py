@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,18 @@ def test_closest_classical_with_displacement():
     # the optimum keeps the input displacement
     assert abs(state.alpha - p.alpha) <= ARGMIN_TOL
     assert_classical_argmin(p, state)
+
+
+def test_closest_classical_search_does_not_see_the_displacement():
+    # phi' = phi and alpha' = alpha by construction; at alpha' = alpha the
+    # displacement drops out of the kernel exactly
+    for p in (DstsParams(0.05, 1.0, 0.3, 0.6 - 0.4j), DstsParams(0.3, 1.0, 0.0, 0.5 + 0.1j),
+              DstsParams(1.2, 2.5, -2.9, -3.0 + 7.0j)):
+        state, value = closest_classical_numeric(p)
+        plain, plain_value = closest_classical_numeric(replace(p, alpha=0j))
+        assert (state.nbar, state.r, value) == (plain.nbar, plain.r, plain_value)
+        assert (state.phi, state.alpha) == (p.phi, p.alpha)
+        assert (plain.phi, plain.alpha) == (p.phi, 0j)
 
 
 def test_closest_classical_pinned_state():

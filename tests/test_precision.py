@@ -20,6 +20,7 @@ from cvgauss import (
     e0_from_z,
     fidelity_one_mode,
     fidelity_two_mode_sts,
+    nonclassicality_threshold,
     parse_state,
     resource_noise,
     separability_threshold_rs,
@@ -31,6 +32,7 @@ from cvgauss import (
     teleport_with_noise,
     z_from_e0,
 )
+from cvgauss.fidelity import fidelity_one_mode_kernel
 from cvgauss.states import R_MAX
 from cvgauss.teleport import FIG2_E0S
 
@@ -124,6 +126,17 @@ def test_one_mode_fidelity_matches_mpmath():
     worst = max(rel_err(fidelity_one_mode(p, q), mp_fidelity_one_mode(p, q))
                 for p, q in dsts_pairs(np.random.default_rng(1001), 400))
     assert worst <= REL_TOL
+
+
+def test_aligned_phase_and_displacement_maximize_the_fidelity_in_mpmath():
+    # the premise of closest_classical_numeric's (nbar', r') search, in the
+    # reference: turning phi' and alpha' of q onto those of p raises F
+    for p, q in dsts_pairs(np.random.default_rng(1002), 20):
+        aligned = DstsParams(q.nbar, q.r, p.phi, p.alpha)
+        ref = mp.re(mp_fidelity_one_mode(p, aligned))
+        assert mp.re(mp_fidelity_one_mode(p, q)) <= ref
+        kernel = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, p.phi, p.alpha)
+        assert rel_err(kernel, ref) <= REL_TOL
 
 
 def test_two_mode_fidelity_matches_mpmath():
@@ -339,3 +352,43 @@ def test_symmetric_resource_noise_gives_degree_e0(nbar, r):
     z = resource_noise(res)
     assume(0.0 < z < 1.0)
     assert abs(e0_from_z(z) - degree_e0(res)) <= 1e-12
+
+
+@PROPERTY
+@given(dsts(), dsts())
+def test_aligned_phase_and_displacement_maximize_the_fidelity(p, q):
+    # at every (nbar', r') = (q.nbar, q.r) the kernel is largest, up to its
+    # roundoff, at phi' = phi and alpha' = alpha, so closest_classical_numeric
+    # needs to search (nbar', r') only
+    aligned = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, p.phi, p.alpha)
+    for phi, alpha in ((q.phi, q.alpha), (q.phi, p.alpha), (p.phi, q.alpha)):
+        other = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, phi, alpha)
+        assert other <= aligned * (1.0 + 1e-15)
+
+
+@PROPERTY
+@given(log_nbar, log_r, log_r)
+def test_degree_q0_is_monotone_in_r_and_zero_at_the_threshold(nbar, r1, r2):
+    lo, hi = sorted((r1, r2))
+    assert degree_q0(DstsParams(nbar, lo)) <= degree_q0(DstsParams(nbar, hi))
+    assert degree_q0(DstsParams(nbar, nonclassicality_threshold(nbar))) == 0.0
+
+
+@PROPERTY
+@given(log_nbar, log_nbar, angle, log_r, log_r)
+def test_degree_e0_is_monotone_in_r_and_zero_at_the_threshold(nbar1, nbar2, phi, r1, r2):
+    lo, hi = sorted((r1, r2))
+    assert (degree_e0(TwoModeStsParams(nbar1, nbar2, lo, phi))
+            <= degree_e0(TwoModeStsParams(nbar1, nbar2, hi, phi)))
+    rs = separability_threshold_rs(nbar1, nbar2)
+    assert degree_e0(TwoModeStsParams(nbar1, nbar2, rs, phi)) == 0.0
+
+
+@PROPERTY
+@given(log_nbar, log_nbar, st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e))
+def test_degrees_are_continuous_past_the_threshold(nbar1, nbar2, h):
+    # both degrees grow as the square of the gap, so h past the threshold
+    # they are at most h
+    assert degree_q0(DstsParams(nbar1, nonclassicality_threshold(nbar1) + h)) <= h
+    rs = separability_threshold_rs(nbar1, nbar2)
+    assert degree_e0(TwoModeStsParams(nbar1, nbar2, rs + h)) <= h
