@@ -18,7 +18,6 @@ from .errors import (
     UnphysicalState,
 )
 from .fidelity import (
-    bures_distance,
     fidelity_one_mode,
     fidelity_two_mode_sts,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "TruncationWarning",
     "TwoModeStsParams",
     "UnphysicalState",
-    "bures_distance",
     "cf_to_cov",
     "cf_to_dsts",
     "closest_classical_numeric",

@@ -35,6 +35,9 @@ from .states import (
 
 _INPUT_ERRORS = (DomainError, UnphysicalState, DimensionMismatch, OSError)
 
+#: largest sweep grid; a larger one is refused before anything is allocated
+MAX_POINTS = 10 ** 6
+
 
 def _load_state(path: str):
     return parse_state(Path(path).read_text())
@@ -162,8 +165,8 @@ def _finite_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
-    if args.points < 2:
-        raise DomainError(f"grid size must be >= 2, got {args.points}")
+    if not 2 <= args.points <= MAX_POINTS:
+        raise DomainError(f"grid size must lie in [2, {MAX_POINTS}], got {args.points}")
     if args.figure == "fig1":
         nbars = args.nbar_in or list(teleport.FIG1_NBARS)
         grid = np.linspace(0.01, 0.99, args.points)
@@ -180,8 +183,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    results = validate.run_suite(args.suite)
-    print(validate.format_report(results, args.suite))
+    results = validate.run_suite()
+    print(validate.format_report(results))
     return 0 if all(r.passed for r in results) else 3
 
 
@@ -218,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="write figure CSV files")
     p_sweep.add_argument("figure", choices=("fig1", "fig2"))
     p_sweep.add_argument("--out", default=".", help="output directory")
-    p_sweep.add_argument("--points", type=int, default=99, help="grid size (>= 2)")
+    p_sweep.add_argument("--points", type=int, default=99,
+                         help=f"grid size (2 to {MAX_POINTS})")
     p_sweep.add_argument("--r-in", dest="r_in", type=_finite, default=teleport.FIG1_R_IN,
                          help="input squeeze factor (fig1)")
     p_sweep.add_argument("--nbar-in", dest="nbar_in", type=_finite_list, default=None,
@@ -228,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the oracle-vs-closed-form check suite")
-    p_val.add_argument("--suite", choices=("fast", "full"), default="fast")
     p_val.set_defaults(func=_cmd_validate)
 
     return parser

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import DomainError, UnphysicalState
+from .errors import UnphysicalState
 from .states import DstsParams, OneModeGaussianCF, TwoModeStsParams, cf_to_dsts
 
 
@@ -110,10 +110,3 @@ def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
     """
     return fidelity_two_mode_sts_kernel(p1.nbar1, p1.nbar2, p1.r, p1.phi,
                                         p2.nbar1, p2.nbar2, p2.r, p2.phi)
-
-
-def bures_distance(f: float) -> float:
-    """Bures distance sqrt(2 - 2 sqrt(F)) from a fidelity value in [0, 1]."""
-    if not (0.0 <= f <= 1.0):
-        raise DomainError(f"fidelity must lie in [0, 1], got {f}")
-    return math.sqrt(max(2.0 - 2.0 * math.sqrt(f), 0.0))

@@ -145,21 +145,18 @@ class FockDensityMatrix:
 
 
 def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
-    """Bose-Einstein density operator, diagonal nbar^n/(nbar+1)^(n+1); the
-    truncated geometric tail (nbar/(nbar+1))^dim is reported exactly."""
+    """Bose-Einstein density operator, diagonal nbar^n/(nbar+1)^(n+1), at dim
+    capped at MAX_DIM_ONE_MODE."""
     if not (nbar >= 0.0):
         raise DomainError(f"nbar must be >= 0, got {nbar}")
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
+    dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
     if nbar == 0.0:
         probs = np.zeros(dim)
         probs[0] = 1.0
-        tail = 0.0
     else:
         ratio = nbar / (nbar + 1.0)
         probs = np.exp(np.arange(dim) * math.log(ratio) - math.log(nbar + 1.0))
-        tail = ratio ** dim
-    return FockDensityMatrix(dim=dim, modes=1, factor=np.diag(np.sqrt(probs)), tail_mass=tail)
+    return _finish_dm(np.diag(np.sqrt(probs)), dim, 1)
 
 
 def _checked_dim(dim: int, cap: int) -> int:
@@ -350,23 +347,3 @@ def von_neumann_entropy(r: FockDensityMatrix) -> float:
         w = w[w > 0.0]
         total -= float(np.sum(w * np.log(w)))
     return total
-
-
-def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
-    """Partial trace of a two-mode matrix down to the requested mode (0 or 1):
-    the traced mode moves into the columns of the factor."""
-    if r.modes != 2:
-        raise DimensionMismatch("reduced_dm requires a two-mode density matrix")
-    if mode not in (0, 1):
-        raise DomainError(f"mode must be 0 or 1, got {mode}")
-    d = r.dim
-    three = r.factor.reshape(d, d, -1)
-    if mode == 1:
-        three = three.transpose(1, 0, 2)
-    return FockDensityMatrix(dim=d, modes=1, factor=three.reshape(d, -1), tail_mass=r.tail_mass)
-
-
-def mean_photon_number(r: FockDensityMatrix, mode: int = 0) -> float:
-    """Tr(rho a^dag a) of the requested mode."""
-    rho = r if r.modes == 1 else reduced_dm(r, mode)
-    return float(np.arange(rho.dim) @ np.sum(np.abs(rho.factor) ** 2, axis=1))

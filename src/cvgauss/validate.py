@@ -1,6 +1,5 @@
 """Self-validation suite: oracle-vs-closed-form comparisons with per-check
-deltas.  The fast suite runs in seconds; the full suite adds the two-mode
-Fock oracle at dim 40 per mode."""
+deltas, the two-mode Fock oracle at dim 40 per mode included."""
 
 from __future__ import annotations
 
@@ -186,17 +185,11 @@ def _check_separability_bisection(rng, samples: int) -> float:
     return worst
 
 
-def _angle_gap(p, state) -> float:
-    """|phi' - phi| modulo 2 pi where r' > 1e-6 defines phi', else 0."""
-    return abs(math.remainder(state.phi - p.phi, 2 * math.pi)) if state.r > 1e-6 else 0.0
-
-
 def classical_argmin_gap(p: DstsParams, state: DstsParams) -> float:
-    """How far a closest classical state found for p breaks the rules the
-    true one obeys: it lies on the threshold r' = r_c(nbar') and keeps the
-    squeeze angle (where r' > 1e-6) and the displacement."""
-    return max(abs(state.r - nonclassicality_threshold(state.nbar)), _angle_gap(p, state),
-               abs(state.alpha - p.alpha))
+    """How far a closest classical state found for p lies off the threshold
+    r' = r_c(nbar').  The search copies p's squeeze angle and displacement
+    into it, so the other rules the true one obeys hold exactly."""
+    return abs(state.r - nonclassicality_threshold(state.nbar))
 
 
 def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
@@ -204,8 +197,9 @@ def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
     true one obeys: it lies on the threshold r' = r_s(nbar1', nbar2'), raises
     both occupancies by the same amount and keeps the squeeze angle (where
     r' > 1e-6)."""
+    angle_gap = abs(math.remainder(state.phi - p.phi, 2 * math.pi)) if state.r > 1e-6 else 0.0
     return max(abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)),
-               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)), _angle_gap(p, state))
+               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)), angle_gap)
 
 
 def _check_minimizer(rng, draw, degree, search, argmin_gap, measure: str,
@@ -248,15 +242,13 @@ def _check_svs_entropy(dim: int) -> float:
     return worst
 
 
-def run_suite(suite: str = "fast") -> list[CheckResult]:
-    """Run the requested suite and return one result per check."""
-    if suite not in ("fast", "full"):
-        raise ValueError(f"unknown suite {suite!r}; expected 'fast' or 'full'")
+def run_suite() -> list[CheckResult]:
+    """Run every check and return one result per check."""
     rng = np.random.default_rng(20260809)
     # oracle tolerances, at least 100x above the deltas of the exact oracle
     tol_1m, tol_2m, tol_exact = 1e-7, 1e-10, 1e-13
 
-    results = [
+    return [
         CheckResult("dsts/cf round trip", _check_roundtrip(rng), 1e-12),
         CheckResult("cf coefficient vs covariance form", _check_cf_forms(rng), 1e-10),
         CheckResult("sts local invariants closed forms", _check_sts_invariants(rng), 1e-12),
@@ -275,27 +267,23 @@ def run_suite(suite: str = "fast") -> list[CheckResult]:
         *_check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),
                           degree_e0, closest_separable_numeric, separable_argmin_gap,
                           "entanglement", "separable"),
+        CheckResult("two-mode fidelity vs Fock oracle",
+                    _check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
+        # its pure states leave tails below 1e-15 at dim 100; an automatic
+        # dim stops at a tail of TAIL_TARGET, too coarse for tol_exact
+        CheckResult("pure-state fidelity equals trace product",
+                    _check_pure_trace_product(rng, 100, pairs=6), tol_exact),
+        CheckResult("squeezed-vacuum entropy vs Fock entropy",
+                    _check_svs_entropy(200), tol_exact),
     ]
-    if suite == "full":
-        results += [
-            CheckResult("two-mode fidelity vs Fock oracle",
-                        _check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
-            # its pure states leave tails below 1e-15 at dim 100; an automatic
-            # dim stops at a tail of TAIL_TARGET, too coarse for tol_exact
-            CheckResult("pure-state fidelity equals trace product",
-                        _check_pure_trace_product(rng, 100, pairs=6), tol_exact),
-            CheckResult("squeezed-vacuum entropy vs Fock entropy",
-                        _check_svs_entropy(200), tol_exact),
-        ]
-    return results
 
 
-def format_report(results: list[CheckResult], suite: str) -> str:
+def format_report(results: list[CheckResult]) -> str:
     lines = []
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         lines.append(f"{r.name:<{width}}  delta={r.delta:12.5e}  tol={r.tol:8.1e}  {status}")
     n_pass = sum(r.passed for r in results)
-    lines.append(f"suite {suite}: {n_pass}/{len(results)} checks passed")
+    lines.append(f"{n_pass}/{len(results)} checks passed")
     return "\n".join(lines)

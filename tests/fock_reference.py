@@ -1,4 +1,5 @@
-"""Matrix-exponential reference of the Fock oracle, for tests.
+"""Matrix-exponential reference of the Fock oracle, and the reductions of
+its matrices that only tests need.
 
 It builds D(alpha) S(r, phi) rho_th S^dag D^dag and S2 (rho_th1 x rho_th2)
 S2^dag from scipy.linalg.expm of the whole truncated generators,
@@ -11,13 +12,14 @@ at a dimension well above the one asked for, and crops the result.  A
 truncated exponential is wrong only near its cut, so the corner is exact to
 roundoff for a state that keeps its photons far below the reference
 dimension.  The characteristic functions Tr(rho D(lam)) use the same
-displacement.  Nothing here is shared with cvgauss.fock.
+displacement.  Nothing here is shared with cvgauss.fock.  ``reduced_dm``
+and ``mean_photon_number`` act on the FockDensityMatrix the oracle builds.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
-from cvgauss import DstsParams, TwoModeStsParams
+from cvgauss import DimensionMismatch, DomainError, DstsParams, FockDensityMatrix, TwoModeStsParams
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -72,3 +74,23 @@ def cf2_numeric(rho: np.ndarray, lam1: complex, lam2: complex) -> complex:
     d1 = displacement(lam1, 2 * dim)[:dim, :dim]
     d2 = displacement(lam2, 2 * dim)[:dim, :dim]
     return complex(np.trace(rho @ np.kron(d1, d2)))
+
+
+def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
+    """Partial trace of a two-mode matrix down to the requested mode (0 or 1):
+    the traced mode moves into the columns of the factor."""
+    if r.modes != 2:
+        raise DimensionMismatch("reduced_dm requires a two-mode density matrix")
+    if mode not in (0, 1):
+        raise DomainError(f"mode must be 0 or 1, got {mode}")
+    d = r.dim
+    three = r.factor.reshape(d, d, -1)
+    if mode == 1:
+        three = three.transpose(1, 0, 2)
+    return FockDensityMatrix(dim=d, modes=1, factor=three.reshape(d, -1), tail_mass=r.tail_mass)
+
+
+def mean_photon_number(r: FockDensityMatrix, mode: int = 0) -> float:
+    """Tr(rho a^dag a) of the requested mode."""
+    rho = r if r.modes == 1 else reduced_dm(r, mode)
+    return float(np.arange(rho.dim) @ np.sum(np.abs(rho.factor) ** 2, axis=1))

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from cvgauss import DstsParams, cf_to_cov, dsts_to_cf, parse_state, validate
-from cvgauss.cli import main
+from cvgauss.cli import MAX_POINTS, main
 
 
 @pytest.fixture
@@ -199,6 +199,17 @@ def test_sweep_rejects_tiny_grid(tmp_path, capsys):
     assert main(["sweep", "fig1", "--out", str(tmp_path), "--points", "1"]) == 2
 
 
+@pytest.mark.parametrize("points", [10 ** 15, MAX_POINTS + 1], ids=["huge", "bound+1"])
+def test_sweep_rejects_huge_grid(tmp_path, capsys, points):
+    # refused before the grid is allocated or the output directory is made
+    out = tmp_path / "out"
+    assert main(["sweep", "fig1", "--out", str(out), "--points", str(points)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid size must lie in [2, {MAX_POINTS}], got {points}\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_squeeze_past_r_max(tmp_path, capsys):
     assert main(["sweep", "fig1", "--out", str(tmp_path), "--r-in", "400"]) == 2
     err = capsys.readouterr().err
@@ -345,11 +356,11 @@ def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, messa
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("option", ["--dim", "--tol"], ids=["dim", "tol"])
+@pytest.mark.parametrize("option", ["--dim", "--tol", "--suite"], ids=["dim", "tol", "suite"])
 def test_validate_rejects_removed_overrides(capsys, option):
-    # validate runs at its own dims and tolerances only
+    # validate runs every check at its own dims and tolerances only
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "--suite", "fast", option, "1"])
+        main(["validate", option, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
@@ -420,25 +431,25 @@ def test_teleport_bad_resource_is_input_error(tmp_path, capsys, coherent_file, r
 
 def test_validate_fast_suite_passes(capsys):
     start = time.monotonic()
-    assert main(["validate", "--suite", "fast"]) == 0
+    assert main(["validate"]) == 0
     assert time.monotonic() - start < 30.0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert "12/12 checks passed" in out
+    assert out.endswith("\n15/15 checks passed\n")
 
 
 def test_validate_breach_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(validate, "_check_coherent_row", lambda: 1.0)
-    assert main(["validate", "--suite", "fast"]) == 3
+    assert main(["validate"]) == 3
     out = capsys.readouterr().out
     assert re.search(r"coherent-input teleportation row +delta= 1\.00000e\+00 .* FAIL", out)
-    assert "11/12 checks passed" in out
+    assert "14/15 checks passed" in out
 
 
 def test_validate_reports_are_deterministic(capsys):
-    main(["validate", "--suite", "fast"])
+    main(["validate"])
     first = capsys.readouterr().out
-    main(["validate", "--suite", "fast"])
+    main(["validate"])
     second = capsys.readouterr().out
     assert first == second
 

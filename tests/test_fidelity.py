@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from cvgauss import (
-    DomainError,
     DstsParams,
     OneModeGaussianCF,
     TwoModeStsParams,
-    bures_distance,
     cf_to_cov,
     cf_to_dsts,
     dsts_dm,
@@ -154,18 +152,3 @@ def test_two_mode_matches_fock_oracle_example():
     closed = fidelity_two_mode_sts(p1, p2)
     numeric = uhlmann_fidelity_numeric(sts2_dm(p1, 40), sts2_dm(p2, 40))
     assert abs(closed - numeric) < 1e-9
-
-
-# --- Bures distance -----------------------------------------------------------
-
-def test_bures_trivial_values():
-    assert bures_distance(1.0) == 0.0
-    assert bures_distance(0.0) == pytest.approx(math.sqrt(2.0))
-    assert bures_distance(0.25) == pytest.approx(1.0)
-
-
-def test_bures_domain():
-    with pytest.raises(DomainError):
-        bures_distance(-0.01)
-    with pytest.raises(DomainError):
-        bures_distance(1.01)

@@ -10,6 +10,8 @@ from fock_reference import (
     cf2_numeric,
     cf_numeric,
     dsts_reference,
+    mean_photon_number,
+    reduced_dm,
     sts2_reference,
     two_mode_squeeze,
 )
@@ -32,7 +34,7 @@ from cvgauss import (
     von_neumann_entropy,
 )
 from cvgauss import fock
-from cvgauss.fock import FockDensityMatrix, mean_photon_number, reduced_dm
+from cvgauss.fock import FockDensityMatrix
 from cvgauss.validate import random_dsts
 
 
@@ -47,7 +49,8 @@ def test_thermal_vacuum_is_projector():
 
 
 def test_thermal_truncated_geometric():
-    r = thermal_dm(1.0, 2)
+    with pytest.warns(TruncationWarning, match="missing 0.25 probability mass at dim 2"):
+        r = thermal_dm(1.0, 2)
     assert np.allclose(np.diag(r.matrix).real, [0.5, 0.25])
     assert r.tail_mass == pytest.approx(0.25)
 
@@ -56,6 +59,12 @@ def test_thermal_tail_bound():
     r = thermal_dm(1.0, 45)
     assert r.tail_mass < 1e-12
     assert abs(1.0 - r.matrix.trace().real) < 1e-12
+
+
+def test_thermal_dim_is_capped():
+    r = thermal_dm(0.5, 300)
+    assert r.dim == fock.MAX_DIM_ONE_MODE == 256
+    assert r.factor.shape == (256, 256)
 
 
 def test_thermal_domain():
@@ -456,6 +465,7 @@ def test_factor_without_columns_is_the_zero_operator():
     assert von_neumann_entropy(r) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         uhlmann_fidelity_numeric(thermal_dm(0.5, 10), thermal_dm(0.5, 12))

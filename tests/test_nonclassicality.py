@@ -22,9 +22,10 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_classical_argmin(p, state):
-    """The closest classical state obeys the rules of classical_argmin_gap
-    and has parameters of the built-in types."""
+    """The closest classical state lies on the threshold, keeps the squeeze
+    angle and the displacement exactly, and has parameters of the built-in types."""
     assert classical_argmin_gap(p, state) <= ARGMIN_TOL
+    assert state.phi == p.phi and state.alpha == p.alpha
     assert all(type(v) is float for v in (state.nbar, state.r, state.phi))
     assert type(state.alpha) is complex
 
