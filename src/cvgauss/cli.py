@@ -97,13 +97,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _check_dim(dim: int | None) -> None:
-    if dim is not None and dim < 1:
-        raise DomainError(f"truncation override must be >= 1, got {dim}")
-
-
 def _cmd_fidelity(args) -> int:
-    _check_dim(args.dim)
     s1 = _load_state(args.state)
     s2 = _load_state(args.state2)
     if isinstance(s1, DstsParams) and isinstance(s2, DstsParams):
@@ -114,7 +108,7 @@ def _cmd_fidelity(args) -> int:
         raise DomainError("fidelity requires two states of the same kind")
     oracle = None
     if args.oracle:
-        oracle = fock.uhlmann_fidelity_numeric(*validate.matched_pair(build, s1, s2, args.dim))
+        oracle = fock.uhlmann_fidelity_numeric(*validate.matched_pair(build, s1, s2))
     print(f"fidelity = {_fmt(value)}")
     if oracle is not None:
         print(f"oracle   = {_fmt(oracle)}")
@@ -205,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fid.add_argument("--state2", required=True, help="second state JSON file")
     p_fid.add_argument("--oracle", action="store_true",
                        help="also compute the Fock-oracle value and the delta")
-    p_fid.add_argument("--dim", type=int, default=None, help="oracle truncation override")
     p_fid.set_defaults(func=_cmd_fidelity)
 
     p_ent = sub.add_parser("entangle", help="separability threshold, verdict, and E0")

@@ -261,8 +261,9 @@ def local_invariants(m: np.ndarray) -> LocalInvariants:
 def checked_invariants(m) -> LocalInvariants:
     """Local invariants of a two-mode covariance matrix from outside, after
     checking that it is a finite symmetric 4x4 array (else DomainError) with
-    physical one-mode blocks, positive definite, and obeying the
-    uncertainty inequality to a tolerance scaled by its terms."""
+    physical one-mode blocks, positive definite, with invariants and
+    tolerance scale that fit in a double (else UnphysicalState), and obeying
+    the uncertainty inequality to a tolerance scaled by its terms."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4) or not (np.isfinite(m).all() and np.array_equal(m, m.T)):
         raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
@@ -273,8 +274,12 @@ def checked_invariants(m) -> LocalInvariants:
         raise UnphysicalState(
             f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
     inv = local_invariants(m)
+    scale = max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c * inv.det_c)
+    if not all(map(math.isfinite, (inv.det_v1, inv.det_v2, inv.det_c, inv.det_v, scale))):
+        raise UnphysicalState("covariance matrix invariants overflow a double, so the "
+                              "uncertainty inequality cannot be checked")
     gap = inv.uncertainty_gap()
-    if not gap >= -_scaled_tol(max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c ** 2)):
+    if not gap >= -_scaled_tol(scale):
         raise UnphysicalState(f"covariance matrix violates the uncertainty inequality by {gap:.3g}")
     return inv
 

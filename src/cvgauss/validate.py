@@ -1,5 +1,6 @@
 """Self-validation suite: oracle-vs-closed-form comparisons with per-check
-deltas, the two-mode Fock oracle at dim 40 per mode included."""
+deltas, the two-mode Fock oracle at dim 40 per mode included.  The public
+``check_*`` loops, which return the worst delta, are shared with the tests."""
 
 from __future__ import annotations
 
@@ -109,12 +110,10 @@ def _check_heisenberg(rng) -> float:
     return max(worst_violation, 0.0)
 
 
-def matched_pair(build, p1, p2, dim: int | None = None
-                 ) -> tuple[fock.FockDensityMatrix, fock.FockDensityMatrix]:
-    """build(p1, dim) and build(p2, dim); with dim None each state takes its
-    automatic dim and the one with the smaller dim is rebuilt at the larger,
-    so that the two truncations match."""
-    r1, r2 = build(p1, dim), build(p2, dim)
+def matched_pair(build, p1, p2) -> tuple[fock.FockDensityMatrix, fock.FockDensityMatrix]:
+    """build(p1) and build(p2), each at its automatic dim, with the one of
+    the smaller dim rebuilt at the larger, so that the two truncations match."""
+    r1, r2 = build(p1), build(p2)
     if r1.dim < r2.dim:
         r1 = build(p1, r2.dim)
     elif r2.dim < r1.dim:
@@ -122,7 +121,7 @@ def matched_pair(build, p1, p2, dim: int | None = None
     return r1, r2
 
 
-def _check_one_mode_oracle(rng, pairs: int) -> float:
+def check_one_mode_oracle(rng, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1, p2 = random_dsts(rng), random_dsts(rng)
@@ -132,7 +131,7 @@ def _check_one_mode_oracle(rng, pairs: int) -> float:
     return worst
 
 
-def _check_two_mode_oracle(rng, dim: int, pairs: int) -> float:
+def check_two_mode_oracle(rng, dim: int, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1, p2 = random_sts(rng), random_sts(rng)
@@ -177,7 +176,7 @@ def bisect_threshold(nbar1: float, nbar2: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_separability_bisection(rng, samples: int) -> float:
+def check_separability_bisection(rng, samples: int) -> float:
     worst = 0.0
     for _ in range(samples):
         n1, n2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
@@ -220,7 +219,7 @@ def _check_minimizer(rng, draw, degree, search, argmin_gap, measure: str,
             CheckResult(f"closest {closest} state vs argmin rules", worst_gap, 1e-6)]
 
 
-def _check_pure_trace_product(rng, dim: int, pairs: int) -> float:
+def check_pure_trace_product(rng, dim: int, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1 = DstsParams(0.0, rng.uniform(0, 0.8), rng.uniform(-math.pi, math.pi),
@@ -233,7 +232,7 @@ def _check_pure_trace_product(rng, dim: int, pairs: int) -> float:
     return worst
 
 
-def _check_svs_entropy(dim: int) -> float:
+def check_svs_entropy(dim: int) -> float:
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
         closed = entropy_of_entanglement_svs(r)
@@ -255,12 +254,12 @@ def run_suite() -> list[CheckResult]:
         CheckResult("two-mode Heisenberg inequality", _check_heisenberg(rng), 1e-12),
         # each pair at the larger of its automatic dims
         CheckResult("one-mode fidelity vs Fock oracle",
-                    _check_one_mode_oracle(rng, pairs=8), tol_1m),
+                    check_one_mode_oracle(rng, pairs=8), tol_1m),
         CheckResult("teleport closed form vs input/output fidelity",
                     _check_teleport_paths(rng), 1e-10),
         CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
         CheckResult("separability bisection vs closed threshold",
-                    _check_separability_bisection(rng, samples=10), 1e-6),
+                    check_separability_bisection(rng, samples=10), 1e-6),
         *_check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5),
                           degree_q0, closest_classical_numeric, classical_argmin_gap,
                           "nonclassicality", "classical"),
@@ -268,13 +267,13 @@ def run_suite() -> list[CheckResult]:
                           degree_e0, closest_separable_numeric, separable_argmin_gap,
                           "entanglement", "separable"),
         CheckResult("two-mode fidelity vs Fock oracle",
-                    _check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
+                    check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
         # its pure states leave tails below 1e-15 at dim 100; an automatic
         # dim stops at a tail of TAIL_TARGET, too coarse for tol_exact
         CheckResult("pure-state fidelity equals trace product",
-                    _check_pure_trace_product(rng, 100, pairs=6), tol_exact),
+                    check_pure_trace_product(rng, 100, pairs=6), tol_exact),
         CheckResult("squeezed-vacuum entropy vs Fock entropy",
-                    _check_svs_entropy(200), tol_exact),
+                    check_svs_entropy(200), tol_exact),
     ]
 
 

@@ -80,7 +80,7 @@ def test_fidelity_coherent_pair(tmp_path, coherent_file, vacuum_file, capsys):
 
 def test_fidelity_oracle_flag(coherent_file, vacuum_file, capsys):
     assert main(["fidelity", "--state", coherent_file, "--state2", vacuum_file,
-                 "--oracle", "--dim", "60"]) == 0
+                 "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle" in out
     delta = float([line for line in out.splitlines() if "delta" in line][0].split("=")[1])
@@ -117,6 +117,18 @@ def test_fidelity_oracle_automatic_dim_on_extreme_states(tmp_path, extreme):
 def test_fidelity_mixed_kinds_rejected(coherent_file, pure_sts_file, capsys):
     assert main(["fidelity", "--state", coherent_file, "--state2", pure_sts_file]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, message", [
+    (["entangle", "--state", "{dsts}"], "entangle requires an sts2 state descriptor"),
+    (["teleport", "--state", "{sts2}", "--resource", "{sts2}"],
+     "teleport requires a dsts input state"),
+], ids=["entangle-dsts", "teleport-sts2-input"])
+def test_command_rejects_the_other_state_kind(coherent_file, pure_sts_file, capsys,
+                                               command, message):
+    argv = [a.format(dsts=coherent_file, sts2=pure_sts_file) for a in command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_entangle_pure_sts(pure_sts_file, capsys):
@@ -347,13 +359,14 @@ def test_pure_squeezed_states_accepted_from_r_4_6_to_6(tmp_path, capsys):
     assert out.count("det V = 0.25\n") == 71 and out.count("fidelity = 1\n") == 71
 
 
-@pytest.mark.parametrize("args, message", [
-    (["fidelity", "--oracle", "--dim", "0"], "truncation override must be >= 1"),
-], ids=["fidelity-oracle-dim"])
-def test_override_out_of_range_is_input_error(pure_sts_file, capsys, args, message):
-    args = args + ["--state", pure_sts_file, "--state2", pure_sts_file]
-    assert main(args) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+@pytest.mark.parametrize("dim", ["0", "60"])
+def test_fidelity_rejects_removed_dim_option(pure_sts_file, capsys, dim):
+    # the oracle always builds at matched automatic dims
+    with pytest.raises(SystemExit) as exc:
+        main(["fidelity", "--oracle", "--dim", dim,
+              "--state", pure_sts_file, "--state2", pure_sts_file])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --dim {dim}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", ["--dim", "--tol", "--suite"], ids=["dim", "tol", "suite"])

@@ -14,11 +14,9 @@ from cvgauss import (
     peres_simon_separable,
     separability_threshold_rs,
     sts_to_cov2,
-    thermal_dm,
-    von_neumann_entropy,
 )
 from cvgauss.states import R_MAX
-from cvgauss.validate import bisect_threshold, separable_argmin_gap
+from cvgauss.validate import check_separability_bisection, check_svs_entropy, separable_argmin_gap
 
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
 E0_PURE_R1 = 0.35194572633611454
@@ -61,6 +59,9 @@ def test_peres_simon_pure_sts_is_entangled():
 def test_peres_simon_hot_sts_is_separable():
     # r_s(1, 1) = arccosh(2/sqrt 3) ~ 0.5493 > 0.5
     assert peres_simon_separable(sts_to_cov2(TwoModeStsParams(1.0, 1.0, 0.5)))
+    # a warm STS scaled by 1e70 is hot, and its invariants still fit in a double
+    # (at 1e80 they overflow)
+    assert peres_simon_separable(1e70 * sts_to_cov2(TwoModeStsParams(0.1, 0.2, 0.5)))
 
 
 def test_peres_simon_rejects_unphysical_matrix():
@@ -82,11 +83,23 @@ def test_peres_simon_rejects_sub_vacuum_blocks():
 
 
 def test_peres_simon_rejects_nan_uncertainty_gap():
-    # finite entries whose invariants overflow, so the gap is inf - inf = nan
+    # finite entries whose invariants overflow, where the gap would be inf - inf = nan
     big = 1e160
     m = [[big, 0, big, 0], [0, big, 0, -big], [big, 0, big, 0], [0, -big, 0, big]]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(UnphysicalState, match="uncertainty inequality"):
+            peres_simon_separable(m)
+
+
+@pytest.mark.parametrize("m", [
+    sts_to_cov2(TwoModeStsParams(1e100, 1e100, 0.5)),
+    sts_to_cov2(TwoModeStsParams(1e8, 1e150, 1e-8)),
+    1e80 * sts_to_cov2(TwoModeStsParams(0.1, 0.2, 0.5)),
+], ids=["hot", "lopsided", "scaled"])
+def test_peres_simon_rejects_overflowing_invariants(m):
+    # finite, physical matrices whose invariants or tolerance scale overflow
+    with np.errstate(over="ignore"):
+        with pytest.raises(UnphysicalState, match="overflow"):
             peres_simon_separable(m)
 
 
@@ -105,10 +118,7 @@ def test_peres_simon_accepts_nested_lists():
 
 
 def test_criterion_flips_exactly_at_threshold():
-    rng = np.random.default_rng(401)
-    for _ in range(10):
-        n1, n2 = rng.uniform(0.05, 3.0), rng.uniform(0.05, 3.0)
-        assert abs(bisect_threshold(n1, n2) - separability_threshold_rs(n1, n2)) < 1e-6
+    assert check_separability_bisection(np.random.default_rng(401), samples=10) < 1e-6
 
 
 def test_degree_vanishes_for_separable():
@@ -201,9 +211,7 @@ def test_closest_separable_matches_closed_form():
 
 def test_entropy_of_entanglement():
     assert entropy_of_entanglement_svs(0.0) == 0.0
-    n_red = math.sinh(1.0) ** 2
-    numeric = von_neumann_entropy(thermal_dm(n_red, 200))
-    assert entropy_of_entanglement_svs(1.0) == pytest.approx(numeric, abs=1e-8)
+    assert check_svs_entropy(200) <= 1e-13
     assert entropy_of_entanglement_svs(1.5) > entropy_of_entanglement_svs(1.0)
     with pytest.raises(DomainError):
         entropy_of_entanglement_svs(-0.5)

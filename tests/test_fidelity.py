@@ -19,7 +19,13 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from cvgauss.validate import random_dsts, random_sts
+from cvgauss.validate import (
+    check_one_mode_oracle,
+    check_pure_trace_product,
+    matched_pair,
+    random_dsts,
+    random_sts,
+)
 
 
 def test_identical_states_give_unit_fidelity():
@@ -57,15 +63,7 @@ def test_bounds():
 
 
 def test_pure_states_fidelity_equals_trace_product():
-    rng = np.random.default_rng(229)
-    for _ in range(6):
-        p1 = DstsParams(0.0, rng.uniform(0, 0.8), rng.uniform(-math.pi, math.pi),
-                        complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
-        p2 = DstsParams(0.0, rng.uniform(0, 0.8), rng.uniform(-math.pi, math.pi),
-                        complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7)))
-        closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
-        tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
-        assert abs(closed - tr) < 1e-13
+    assert check_pure_trace_product(np.random.default_rng(229), 120, pairs=6) < 1e-13
 
 
 def test_fidelity_dominates_trace_product_for_mixed_pairs():
@@ -73,7 +71,7 @@ def test_fidelity_dominates_trace_product_for_mixed_pairs():
     for _ in range(6):
         p1, p2 = random_dsts(rng), random_dsts(rng)
         closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
-        tr = trace_product(dsts_dm(p1, 120), dsts_dm(p2, 120))
+        tr = trace_product(*matched_pair(dsts_dm, p1, p2))
         assert closed >= tr - 1e-12
 
 
@@ -90,12 +88,7 @@ def test_displacement_invariance():
 
 
 def test_one_mode_matches_fock_oracle():
-    rng = np.random.default_rng(241)
-    for _ in range(6):
-        p1, p2 = random_dsts(rng), random_dsts(rng)
-        closed = fidelity_one_mode(dsts_to_cf(p1), dsts_to_cf(p2))
-        numeric = uhlmann_fidelity_numeric(dsts_dm(p1, 120), dsts_dm(p2, 120))
-        assert abs(closed - numeric) < 1e-7
+    assert check_one_mode_oracle(np.random.default_rng(241), pairs=6) < 1e-7
 
 
 def test_intermediates_invariants():

@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from contextlib import nullcontext
 from functools import lru_cache
 
 import numpy as np
@@ -88,6 +89,8 @@ def test_dsts_matches_expm_reference(p):
     assert np.abs(dsts_dm(p, 120).matrix - dsts_reference(p, 120)).max() < 1e-13
 
 
+# the sts2 case is cut at dim 12 and compared with the same corner of a dense reference
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("build,ref", [
     (lambda: dsts_dm(DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j), 120),
      lambda: dsts_reference(DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j), 120)),
@@ -126,6 +129,8 @@ def test_squeezed_vacuum_has_even_parity():
     assert abs(rho[2, 0]) > 0.1
 
 
+# dim 10 cuts the state; the test compares it with the same corner of a dim-24 reference
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_two_mode_squeeze_blockwise_equals_generator_exponential():
     # the pure STS is S2 |0, 0>; its elements between n1 - n2 ladders are exact zeros
     dim, ref_dim, r, phi = 10, 24, 0.6, 0.8
@@ -136,6 +141,8 @@ def test_two_mode_squeeze_blockwise_equals_generator_exponential():
     assert np.all(rho[np.subtract.outer(k - l, k - l) != 0] == 0.0)
 
 
+# dims 12 and 41 cut the state; the reference is cut at the same dim
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("dim", [12, 41, 80])
 def test_squeeze_blockwise_equals_generator_exponential(dim):
     # a squeezed thermal state equals S rho_th S^dag from the whole generator,
@@ -146,6 +153,8 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
     assert np.all(rho[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] == 0.0)
 
 
+# the small two-mode build is cut on purpose: it is compared with a corner
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_build_is_corner_of_larger_build():
     p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
     small, big = dsts_dm(p, 120), dsts_dm(p, 256)
@@ -163,8 +172,10 @@ def test_build_is_corner_of_larger_build():
 
 @pytest.mark.parametrize("nbar,dim", [(0.5, 30), (2.0, 30), (2.0, 90), (7.0, 256)])
 def test_thermal_tail_is_true_tail(nbar, dim):
-    assert dsts_dm(DstsParams(nbar), dim).tail_mass == pytest.approx(
-        (nbar / (nbar + 1.0)) ** dim, rel=1e-9, abs=1e-15)
+    tail = (nbar / (nbar + 1.0)) ** dim
+    with pytest.warns(TruncationWarning) if tail > fock.TAIL_WARN else nullcontext():
+        r = dsts_dm(DstsParams(nbar), dim)
+    assert r.tail_mass == pytest.approx(tail, rel=1e-9, abs=1e-15)
 
 
 def test_roadmap_state_warns_at_small_dim():
@@ -179,6 +190,8 @@ def test_roadmap_state_warns_at_small_dim():
         assert dsts_dm(p, 30).tail_mass > 1e-4
 
 
+# the zeros between ladders hold at any cut
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_sts2_between_ladders_exact_zero():
     dim = 12
     rho = sts2_dm(TwoModeStsParams(0.4, 0.2, 0.9, 0.5), dim).matrix
@@ -346,6 +359,8 @@ def test_sts2_eigenvalues_match_thermal_spectrum():
     assert np.allclose(numeric[:block], analytic[:block], atol=1e-8)
 
 
+# a cut factor still gives a positive semidefinite rho
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_sts2_psd_within_tolerance():
     r = sts2_dm(TwoModeStsParams(0.4, 0.1, 0.7), 16)
     assert np.linalg.eigvalsh(r.matrix).min() >= -1e-10
@@ -364,6 +379,8 @@ def test_numeric_fidelity_vacuum_vs_thermal():
         assert f == pytest.approx(1.0 / (nbar + 1.0), abs=1e-13)
 
 
+# symmetry and bounds hold for cut states too; dim 90 cuts two of them
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_numeric_fidelity_symmetric_and_bounded():
     rng = np.random.default_rng(617)
     for _ in range(3):
@@ -385,6 +402,8 @@ def test_near_pure_pair_matches_closed_form(dim):
     assert abs(numeric - fidelity_one_mode(p1, p2)) < 1e-13
 
 
+# the two-mode factor's shape does not depend on its cut at dim 12
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_pure_state_factor_has_one_column():
     p1 = DstsParams(0.0, 0.6, 0.2, 0.3 + 0.1j)
     p2 = DstsParams(0.0, 0.3, -1.1, -0.2 + 0.4j)
@@ -492,7 +511,8 @@ def test_pure_state_entropy_vanishes():
 def test_oracle_converges_with_dimension():
     p1 = DstsParams(0.6, 0.5, 0.3, 0.4 + 0.2j)
     p2 = DstsParams(0.2, 0.8, -0.9, -0.3 + 0.5j)
-    dms = {d: (dsts_dm(p1, d), dsts_dm(p2, d)) for d in (40, 80, 120)}
+    with pytest.warns(TruncationWarning, match="at dim 40"):
+        dms = {d: (dsts_dm(p1, d), dsts_dm(p2, d)) for d in (40, 80, 120)}
     for quantity in (
         lambda d: uhlmann_fidelity_numeric(*dms[d]),
         lambda d: trace_product(*dms[d]),
@@ -517,6 +537,10 @@ def test_density_matrix_validation():
         FockDensityMatrix(dim=4, modes=1, factor=np.eye(3, dtype=complex), tail_mass=0.0)
     with pytest.raises(UnphysicalState):
         FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0, tail_mass=0.0)
+    with pytest.raises(DomainError, match="truncation dimension must be >= 1"):
+        FockDensityMatrix(dim=0, modes=1, factor=np.zeros((0, 0)), tail_mass=1.0)
+    with pytest.raises(DomainError, match="mode count must be 1 or 2"):
+        FockDensityMatrix(dim=2, modes=3, factor=np.eye(8) / math.sqrt(8.0), tail_mass=0.0)
     assert np.array_equal(FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0,
                                             tail_mass=0.75).matrix, np.eye(4) / 16.0)
 

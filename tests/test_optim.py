@@ -16,7 +16,7 @@ from cvgauss import (
     closest_separable_numeric,
 )
 from cvgauss import entanglement, nonclassicality
-from cvgauss._optim import FATOL, MAXITER, XATOL, multistart_nelder_mead
+from cvgauss._optim import FATOL, MAXITER, XATOL, logistic, multistart_nelder_mead
 
 
 @pytest.fixture
@@ -55,6 +55,10 @@ def assert_same_run(objective, x0):
     assert nfev == nfev_ref
     assert max(abs(a - b) for a, b in zip(x, x_ref)) <= 1e-12
     assert all(type(v) is float for v in x)
+
+
+def test_logistic_is_zero_where_the_exponential_overflows():
+    assert logistic(-1000.0) == 0.0
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])

@@ -65,6 +65,7 @@ def test_phi_wrapped_into_half_open_interval():
     assert p.phi == pytest.approx(math.pi)
     assert -math.pi < p.phi <= math.pi
     assert DstsParams(nbar=0.0, r=0.1, phi=-math.pi).phi == pytest.approx(math.pi)
+    assert DstsParams(nbar=0.0, r=0.1, phi=-4.0).phi == 2.2831853071795862
 
 
 def test_phi_in_range_comes_back_bit_identical():
@@ -181,6 +182,9 @@ def test_cf_to_cov_vacuum_and_thermal():
     w = cf_to_cov(dsts_to_cf(DstsParams(nbar=1.0)))
     assert w[0, 0] == pytest.approx(1.5) and w[1, 1] == pytest.approx(1.5)
     assert w[0, 1] == w[1, 0] == 0.0
+    # at phi = 0, V_pp = a + 1/2 + Re b cancels to zero or below from r of about 9.4
+    with pytest.raises(UnphysicalState, match="diagonal covariances must be positive"):
+        cf_to_cov(dsts_to_cf(DstsParams(0.0, 9.4)))
 
 
 def test_cf_to_cov_squeezed_least_squares_fit():
@@ -441,6 +445,8 @@ def test_json_rejects_bad_input():
         parse_state({"kind": "dsts", "nbar": 0.1, "r": 0.0, "phi": 0.0, "alpha": 1.0})
     with pytest.raises(DomainError):
         parse_state(json.dumps([1, 2, 3]))
+    with pytest.raises(DomainError, match="cannot serialize object of type OneModeGaussianCF"):
+        state_to_dict(OneModeGaussianCF(0.0))
 
 
 def test_parse_state_scale_bound():

@@ -309,3 +309,14 @@ def test_fig2_csv_files(tmp_path):
     text = paths[0].read_text()
     assert text.startswith("q_in,q_out\n")
     assert len(text.strip().split("\n")) == 6
+
+
+def test_failed_csv_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    # a write that fails at the final rename removes its temp file and re-raises
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr("cvgauss.teleport.os.replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        write_fig2_csv(sweep_fig2((1.0,), [0.0, 0.5]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
