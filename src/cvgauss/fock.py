@@ -1,10 +1,10 @@
 """Truncated Fock-space oracle: density matrices for every state family in
 the package and brute-force fidelity, trace products, and entropies.
 
-Everything here works on explicit (dim x dim or dim^2 x dim^2) matrices and is
-deliberately independent of the closed forms elsewhere in the package, so the
-two routes can validate each other.  The builders derive each state's
-Gaussian data from its physical parameters themselves.
+Everything here works on explicit blocks of dim x dim or dim^2 x dim^2
+matrices and is deliberately independent of the closed forms elsewhere in the
+package, so the two routes can validate each other.  The builders derive each
+state's Gaussian data from its physical parameters themselves.
 
 Elements.  A Gaussian state with complex covariance Q = sigma + I/2 in the
 ordering (a_1..a_k, a_1^dag..a_k^dag) and mean beta = (alpha, conj(alpha)) has
@@ -33,11 +33,10 @@ semidefinite by construction.
 
 Blocks.  With gamma = 0, e_j vanishes for odd j, so Psi links rows and
 columns of one parity only; a two-mode squeezed thermal state maps column
-(k1, k2) only to rows with n1 - n2 = k1 - k2.  Rows are labelled by these
-conserved numbers, each column by the label of the rows it reaches, and
-everything here works one label at a time; rho is an exact zero between
-labels.  A column that reaches two labels, as in a displaced state, makes
-the whole space one block.
+(k1, k2) only to rows with n1 - n2 = k1 - k2.  Each builder stores Psi as one
+block per such conserved label, the rows of that label by the columns that
+start on them, and everything here works one label at a time; rho is an exact
+zero between labels.  A displaced state is one block on every row, label None.
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -56,6 +55,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterator
 
 import numpy as np
@@ -74,40 +74,27 @@ TAIL_TARGET = 1e-8
 TAIL_WARN = 1e-6
 
 
-def _blocks(dim: int, modes: int, *factors: np.ndarray) -> list[tuple[np.ndarray, ...]]:
-    """(rows, columns of each factor) of the blocks the factors share.  Rows
-    are labelled by the number an undisplaced state conserves, n mod 2 (one
-    mode) or n1 - n2 (two modes); each column takes the label of the rows it
-    reaches, and a block is one label's rows with its columns in every factor.
-    A column that reaches two labels (a displacement, or a factor built by
-    hand) makes everything one block.  Blocks missing a factor are left out."""
-    n = np.arange(dim ** modes)
-    row_label = n % 2 if modes == 1 else n // dim - n % dim
-    col_labels = []
-    for f in factors:
-        linked = f != 0
-        label = row_label[linked.argmax(axis=0)]  # that of the column's first linked row
-        if (linked & (row_label[:, None] != label)).any():
-            blocks = [(n, *(np.arange(g.shape[1]) for g in factors))]
-            break
-        label[~linked.any(axis=0)] = dim  # no row has label dim: zero columns
-        col_labels.append(label)
-    else:
-        blocks = [(np.flatnonzero(row_label == k), *(np.flatnonzero(c == k) for c in col_labels))
-                  for k in np.unique(row_label)]
-    return [b for b in blocks if all(c.size for c in b[1:])]
+def _rows(dim: int, modes: int, label: int | None, count: int | None = None) -> np.ndarray:
+    """Increasing indices (k*dim + l is |k, l>) of the states below the cut with
+    n mod 2 or n1 - n2 equal to label (all for None), or the first count."""
+    if label is None:
+        return np.arange(dim ** modes)
+    start, step, size = ((label, 2, (dim + 1 - label) // 2) if modes == 1 else
+                         (max(label, 0) * dim + max(-label, 0), dim + 1, dim - abs(label)))
+    return start + step * np.arange(size if count is None else count)
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
-    """Truncated density operator rho = factor factor^dag on the dim**modes
-    Fock states (index k*dim + l is |k, l>), with the probability mass lost to
-    truncation.  The factor must be finite, with 1 - ||factor||_F^2 within the
+    """Truncated density operator rho = Psi Psi^dag on the dim**modes Fock
+    states, with the probability mass lost to truncation.  ``blocks`` maps each
+    label, n mod 2 or n1 - n2 (or None alone: every row), to Psi on the rows of
+    the label (see _rows).  Psi must be finite, with 1 - ||Psi||_F^2 within the
     declared tail mass; rho is then Hermitian and positive semidefinite."""
 
     dim: int
     modes: int
-    factor: np.ndarray
+    blocks: dict
     tail_mass: float
 
     def __post_init__(self):
@@ -115,11 +102,16 @@ class FockDensityMatrix:
             raise DomainError(f"truncation dimension must be >= 1, got {self.dim}")
         if self.modes not in (1, 2):
             raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
-        psi = np.asarray(self.factor, dtype=complex)
-        n = self.dim ** self.modes
-        if psi.ndim != 2 or psi.shape[0] != n:
-            raise DimensionMismatch(f"factor shape {psi.shape} needs dim**modes = {n} rows")
-        trace = float(np.vdot(psi, psi).real)
+        labels = range(2) if self.modes == 1 else range(1 - self.dim, self.dim)
+        if set(self.blocks) != {None} and not all(k in labels for k in self.blocks):
+            raise DomainError(f"block labels {list(self.blocks)} are not None alone or in {labels}")
+        blocks = {k: np.ascontiguousarray(b, dtype=complex) for k, b in sorted(self.blocks.items())}
+        for label, b in blocks.items():
+            rows = _rows(self.dim, self.modes, label).size
+            if b.ndim != 2 or b.shape[0] != rows:
+                raise DimensionMismatch(f"block {label} of shape {b.shape} needs {rows} rows")
+            b.setflags(write=False)
+        trace = sum(float(np.vdot(b, b).real) for b in blocks.values())
         if not math.isfinite(trace):
             raise UnphysicalState("density matrix factor has non-finite entries")
         deficit = abs(1.0 - trace)
@@ -127,17 +119,30 @@ class FockDensityMatrix:
             raise UnphysicalState(
                 f"trace deficit {deficit:.3g} exceeds declared tail mass {self.tail_mass:.3g}"
             )
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The whole of Psi, read-only, its columns in the order of the row each
+        starts on: column s of a block starts on the block's row s."""
+        if None in self.blocks:
+            return self.blocks[None]
+        counts = [b.shape[1] for b in self.blocks.values()]
+        starts = [_rows(self.dim, self.modes, k, n) for k, n in zip(self.blocks, counts)]
+        place = np.argsort(np.argsort(np.concatenate([np.zeros(0, int), *starts]), kind="stable"))
+        psi = np.zeros((self.dim ** self.modes, place.size), dtype=complex)
+        for (label, b), cols in zip(self.blocks.items(), np.split(place, np.cumsum(counts)[:-1])):
+            psi[np.ix_(_rows(self.dim, self.modes, label), cols)] = b
         psi.setflags(write=False)
-        object.__setattr__(self, "factor", psi)
+        return psi
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """rho = factor factor^dag, formed block by block on first use,
-        read-only and exactly Hermitian."""
-        psi = self.factor
-        rho = np.zeros((psi.shape[0],) * 2, dtype=complex)
-        for rows, cols in _blocks(self.dim, self.modes, psi):
-            f = psi[np.ix_(rows, cols)]
+        """rho = Psi Psi^dag, formed block by block on first use, read-only
+        and exactly Hermitian."""
+        rho = np.zeros((self.dim ** self.modes,) * 2, dtype=complex)
+        for label, f in self.blocks.items():
+            rows = _rows(self.dim, self.modes, label)
             g = f @ f.conj().T
             rho[np.ix_(rows, rows)] = 0.5 * (g + g.conj().T)
         rho.setflags(write=False)
@@ -156,7 +161,7 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
     else:
         ratio = nbar / (nbar + 1.0)
         probs = np.exp(np.arange(dim) * math.log(ratio) - math.log(nbar + 1.0))
-    return _finish_dm(np.diag(np.sqrt(probs)), dim, 1)
+    return _finish_dm({k: np.diag(np.sqrt(probs[k::2])) for k in (0, 1)}, dim, 1)
 
 
 def _checked_dim(dim: int, cap: int) -> int:
@@ -263,15 +268,15 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
                   - lf[j] + j * complex(_log(a01), p.phi))
 
 
-def _finish_dm(psi: np.ndarray, dim: int, modes: int) -> FockDensityMatrix:
-    tail = max(0.0, 1.0 - float(np.vdot(psi, psi).real))
+def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
+    tail = max(0.0, 1.0 - sum(float(np.vdot(b, b).real) for b in blocks.values()))
     if tail > TAIL_WARN:
         warnings.warn(
             f"truncated state is missing {tail:.3g} probability mass at dim {dim}",
             TruncationWarning,
             stacklevel=3,
         )
-    return FockDensityMatrix(dim=dim, modes=modes, factor=psi, tail_mass=tail)
+    return FockDensityMatrix(dim=dim, modes=modes, blocks=blocks, tail_mass=tail)
 
 
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -281,11 +286,11 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     if dim is None:
         psi = _one_mode_factor(p, MAX_DIM_ONE_MODE)
         dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)), 1)
-        psi = np.ascontiguousarray(psi[:dim, :dim])
+        psi = psi[:dim, :dim]
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
-    return _finish_dm(psi, dim, 1)
+    return _finish_dm({None: psi} if p.alpha else {k: psi[k::2, k::2] for k in (0, 1)}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -301,27 +306,28 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     else:
         dim = _checked_dim(dim, MAX_DIM_PER_MODE)
         v = _sts_values(p, dim)
-    v = v[:dim, :dim, :dim]  # column k1*n2 + k2 is (k1, k2); rows past the cut are dropped
-    k1, k2, j = np.indices(v.shape)
-    keep = (k1 + j < dim) & (k2 + j < dim)
-    psi = np.zeros((dim * dim, v.shape[0] * v.shape[1]), dtype=complex)
-    psi[((k1 + j) * dim + k2 + j)[keep], (k1 * v.shape[1] + k2)[keep]] = v[keep]
-    return _finish_dm(psi, dim, 2)
+    n1, n2, nj = v[:dim, :dim, :dim].shape
+    blocks = {}
+    for label in range(1 - dim, dim):  # row t and column s are (t, s) + max(+-label, 0)
+        a, b = max(label, 0), max(-label, 0)
+        s = np.arange(max(0, min(n1 - a, n2 - b)))
+        j = np.arange(dim - abs(label))[:, None] - s
+        blocks[label] = np.where((j >= 0) & (j < nj), v[s + a, s + b, np.clip(j, 0, nj - 1)], 0)
+    return _finish_dm(blocks, dim, 2)
 
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:
-    """The blocks of Psi1^dag Psi2: Psi1[rows, cols1]^dag Psi2[rows, cols2]
-    over the blocks the two factors share, with the two arguments put into a
-    canonical order within each block, so that a symmetric quantity comes out
-    exactly invariant under swapping them."""
+    """The blocks of Psi1^dag Psi2, one per label the two share (the whole
+    factors if either is label None), each with its two arguments in a
+    canonical order, so that a symmetric quantity is exactly swap-invariant."""
     if r1.dim != r2.dim or r1.modes != r2.modes:
         raise DimensionMismatch(
             f"incompatible truncations: {r1.modes} mode(s) dim {r1.dim} vs "
             f"{r2.modes} mode(s) dim {r2.dim}"
         )
-    f1, f2 = r1.factor, r2.factor
-    for rows, cols1, cols2 in _blocks(r1.dim, r1.modes, f1, f2):
-        b1, b2 = f1[np.ix_(rows, cols1)], f2[np.ix_(rows, cols2)]
+    pairs = ([(r1.factor, r2.factor)] if None in r1.blocks or None in r2.blocks
+             else [(b, r2.blocks[k]) for k, b in r1.blocks.items() if k in r2.blocks])
+    for b1, b2 in pairs:
         if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):
             b1, b2 = b2, b1
         yield b1.conj().T @ b2
@@ -342,8 +348,8 @@ def von_neumann_entropy(r: FockDensityMatrix) -> float:
     """-Tr(rho ln rho) with 0 ln 0 = 0, from the eigenvalues of rho: the
     squared singular values of the factor, block by block."""
     total = 0.0
-    for rows, cols in _blocks(r.dim, r.modes, r.factor):
-        w = np.linalg.svd(r.factor[np.ix_(rows, cols)], compute_uv=False) ** 2
+    for f in r.blocks.values():
+        w = np.linalg.svd(f, compute_uv=False) ** 2
         w = w[w > 0.0]
         total -= float(np.sum(w * np.log(w)))
     return total

@@ -273,7 +273,8 @@ def checked_invariants(m) -> LocalInvariants:
     if ev_min < -_scaled_tol(float(np.abs(m).max())):
         raise UnphysicalState(
             f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
-    inv = local_invariants(m)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        inv = local_invariants(m)
     scale = max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c * inv.det_c)
     if not all(map(math.isfinite, (inv.det_v1, inv.det_v2, inv.det_c, inv.det_v, scale))):
         raise UnphysicalState("covariance matrix invariants overflow a double, so the "

@@ -78,7 +78,8 @@ def cf2_numeric(rho: np.ndarray, lam1: complex, lam2: complex) -> complex:
 
 def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     """Partial trace of a two-mode matrix down to the requested mode (0 or 1):
-    the traced mode moves into the columns of the factor."""
+    the traced mode moves into the columns of the factor, one block on every
+    row."""
     if r.modes != 2:
         raise DimensionMismatch("reduced_dm requires a two-mode density matrix")
     if mode not in (0, 1):
@@ -87,7 +88,8 @@ def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     three = r.factor.reshape(d, d, -1)
     if mode == 1:
         three = three.transpose(1, 0, 2)
-    return FockDensityMatrix(dim=d, modes=1, factor=three.reshape(d, -1), tail_mass=r.tail_mass)
+    return FockDensityMatrix(dim=d, modes=1, blocks={None: three.reshape(d, -1)},
+                             tail_mass=r.tail_mass)
 
 
 def mean_photon_number(r: FockDensityMatrix, mode: int = 0) -> float:

@@ -96,11 +96,12 @@ def test_peres_simon_rejects_nan_uncertainty_gap():
     sts_to_cov2(TwoModeStsParams(1e8, 1e150, 1e-8)),
     1e80 * sts_to_cov2(TwoModeStsParams(0.1, 0.2, 0.5)),
 ], ids=["hot", "lopsided", "scaled"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_peres_simon_rejects_overflowing_invariants(m):
-    # finite, physical matrices whose invariants or tolerance scale overflow
-    with np.errstate(over="ignore"):
-        with pytest.raises(UnphysicalState, match="overflow"):
-            peres_simon_separable(m)
+    # finite, physical matrices whose invariants or tolerance scale overflow,
+    # with no numpy warning ahead of the package's own exception
+    with pytest.raises(UnphysicalState, match="overflow"):
+        peres_simon_separable(m)
 
 
 @pytest.mark.parametrize("m", [

@@ -163,8 +163,13 @@ def test_build_is_corner_of_larger_build():
     assert np.array_equal(small.matrix, big.matrix[:120, :120])
     q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
     small, big = sts2_dm(q, 20), sts2_dm(q, 30)
-    assert np.array_equal(small.factor.reshape(20, 20, 20, 20),
-                          big.factor.reshape(30, 30, 30, 30)[:20, :20, :20, :20])
+    assert list(small.blocks) == list(range(-19, 20))
+    for label, block in small.blocks.items():
+        # row t and column s of a label are the same states at either cut
+        n = 20 - abs(label)
+        assert block.shape == (n, n)
+        assert np.array_equal(block, big.blocks[label][:n, :n])
+        assert not np.any(big.blocks[label][:n, n:])
     # the product of the longer ladder blocks may sum in another order
     corner = big.matrix.reshape(30, 30, 30, 30)[:20, :20, :20, :20]
     assert np.abs(small.matrix - corner.reshape(400, 400)).max() < 1e-16
@@ -448,12 +453,13 @@ def _crossing_factor_dm():
     f = sts2_dm(TwoModeStsParams(0.4, 0.2, 0.5, 0.7), 6).factor
     extra = np.random.default_rng(7).normal(size=(36, 2)) @ [1.0, 1j]
     psi = np.hstack((np.sqrt(0.8) * f, np.sqrt(0.2) * extra[:, None] / np.linalg.norm(extra)))
-    return FockDensityMatrix(dim=6, modes=2, factor=psi,
+    return FockDensityMatrix(dim=6, modes=2, blocks={None: psi},
                              tail_mass=max(0.0, 1.0 - float(np.vdot(psi, psi).real)))
 
 
-# the label rule against one SVD of the whole of Psi1^dag Psi2: the one-block
-# fallback, mixed block shapes, a single column and a factor with no columns
+# label blocks against one SVD of the whole of Psi1^dag Psi2: one block on
+# every row against label blocks, mixed block shapes, a single column and a
+# factor with no columns
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("pair", [
     lambda: (_crossing_factor_dm(), sts2_dm(TwoModeStsParams(0.3, 0.6, 0.4, -0.5), 6)),
@@ -534,24 +540,68 @@ def test_density_matrix_validation():
     # rho = factor factor^dag is Hermitian and positive by construction; the
     # row count and the trace deficit are what a factor can get wrong
     with pytest.raises(DimensionMismatch):
-        FockDensityMatrix(dim=4, modes=1, factor=np.eye(3, dtype=complex), tail_mass=0.0)
+        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(3, dtype=complex)}, tail_mass=0.0)
     with pytest.raises(UnphysicalState):
-        FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0, tail_mass=0.0)
+        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0}, tail_mass=0.0)
     with pytest.raises(DomainError, match="truncation dimension must be >= 1"):
-        FockDensityMatrix(dim=0, modes=1, factor=np.zeros((0, 0)), tail_mass=1.0)
+        FockDensityMatrix(dim=0, modes=1, blocks={None: np.zeros((0, 0))}, tail_mass=1.0)
     with pytest.raises(DomainError, match="mode count must be 1 or 2"):
-        FockDensityMatrix(dim=2, modes=3, factor=np.eye(8) / math.sqrt(8.0), tail_mass=0.0)
-    assert np.array_equal(FockDensityMatrix(dim=4, modes=1, factor=np.eye(4) / 4.0,
+        FockDensityMatrix(dim=2, modes=3, blocks={None: np.eye(8) / math.sqrt(8.0)}, tail_mass=0.0)
+    assert np.array_equal(FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0},
                                             tail_mass=0.75).matrix, np.eye(4) / 16.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)],
-                         ids=["nan", "inf", "nan-imag"])
-def test_non_finite_factor_is_rejected(bad):
+@pytest.mark.parametrize("modes,blocks", [
+    (1, {2: np.eye(1)}),
+    (1, {-1: np.zeros((1, 0))}),
+    (2, {3: np.zeros((0, 0))}),
+    (2, {-3: np.zeros((0, 1))}),
+    (1, {None: np.eye(3) / 3.0, 0: np.eye(2) / 3.0}),
+], ids=["parity-2", "parity-negative", "difference-dim", "difference-minus-dim", "none-mixed"])
+def test_labels_outside_the_scheme_are_rejected(modes, blocks):
+    # at dim 3: labels 0 and 1 (n mod 2) for one mode, |n1 - n2| < 3 for two,
+    # or None alone
+    with pytest.raises(DomainError, match="block labels"):
+        FockDensityMatrix(dim=3, modes=modes, blocks=blocks, tail_mass=1.0)
+
+
+@pytest.mark.parametrize("modes,label,rows",
+                         [(1, 0, 3), (1, 1, 1), (2, 0, 3), (2, -2, 4), (2, 1, 4)])
+def test_block_rows_must_fit_label(modes, label, rows):
+    # at dim 4: 2 rows per parity, 4 - |n1 - n2| rows per two-mode label
+    with pytest.raises(DimensionMismatch, match="rows"):
+        FockDensityMatrix(dim=4, modes=modes, blocks={label: np.zeros((rows, 1))}, tail_mass=1.0)
+
+
+def test_label_blocks_sit_on_their_rows():
+    r = FockDensityMatrix(dim=3, modes=2, tail_mass=0.03,
+                          blocks={-1: np.full((2, 1), 0.6), 2: np.full((1, 1), 0.5)})
+    # n1 - n2 = -1 is |0, 1> and |1, 2>; n1 - n2 = 2 is |2, 0>
+    assert np.array_equal(np.diag(r.matrix).real, [0, 0.36, 0, 0, 0, 0.36, 0.25, 0, 0])
+    assert np.array_equal(r.factor, [[0, 0], [0.6, 0], [0, 0], [0, 0], [0, 0], [0.6, 0],
+                                     [0, 0.5], [0, 0], [0, 0]])
+    # the checked blocks cannot change under the cached factor and matrix
+    with pytest.raises(TypeError):
+        r.blocks[0] = np.ones((3, 1))
+    with pytest.raises(ValueError):
+        r.blocks[2][0, 0] = 0.0
+
+
+def test_sts_build_at_the_cap_stores_only_its_blocks():
+    # a dense (64^2, 64^2) complex factor would take 268 MB
+    r = sts2_dm(TwoModeStsParams(0.3, 0.4, 0.9, 0.5), 64)
+    assert sum(b.nbytes for b in r.blocks.values()) < 4e6
+
+
+@pytest.mark.parametrize("bad,labelled", [
+    (math.nan, False), (math.inf, False), (complex(0.0, math.nan), False), (math.nan, True),
+], ids=["nan", "inf", "nan-imag", "label-block"])
+def test_non_finite_factor_is_rejected(bad, labelled):
     factor = np.eye(2, dtype=complex) / math.sqrt(2.0)
     factor[1, 0] = bad
+    blocks = {0: factor[:1], 1: factor[1:]} if labelled else {None: factor}
     with pytest.raises(UnphysicalState, match="non-finite"):
-        FockDensityMatrix(dim=2, modes=1, factor=factor, tail_mass=1.0)
+        FockDensityMatrix(dim=2, modes=1, blocks=blocks, tail_mass=1.0)
 
 
 def test_automatic_dims_log_one_debug_record(caplog):
