@@ -40,7 +40,7 @@ MAX_POINTS = 10 ** 6
 
 
 def _load_state(path: str):
-    return parse_state(Path(path).read_text())
+    return parse_state(Path(path).read_bytes())
 
 
 def _fmt(x: float) -> str:

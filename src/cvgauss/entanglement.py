@@ -17,7 +17,7 @@ import math
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
 from .fidelity import fidelity_two_mode_sts_kernel
-from .states import R_MAX, TwoModeStsParams, checked_invariants, wrap_angle
+from .states import R_MAX, TwoModeStsParams, checked_invariants
 
 #: tolerance on the separability inequality itself
 SEP_TOL = 1e-12
@@ -59,12 +59,16 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     """Minimize 1 - sqrt(F) over separable squeezed thermal states.
 
     Same smooth reparametrization and multi-start scheme as the
-    nonclassicality search: nbar'_j = t_j^2 and r' = r_s(nbar'_1, nbar'_2)
-    times a logistic, so the whole unconstrained space maps onto the
-    separable set.  Returns (closest separable state, minimum value).
+    nonclassicality search, over (nbar'_1, nbar'_2, r') only: nbar'_j = t_j^2
+    and r' = r_s(nbar'_1, nbar'_2) logistic(t_2) map the whole unconstrained
+    space onto the separable set.  phi' = phi is exact: phi' enters the kernel
+    only through the non-negative term (y1 + y2)(y1' + y2') sinh 2r sinh 2r'
+    sin^2((phi - phi')/2) of D, s does not depend on phi', and
+    F = (sqrt(D + s^2) - s)^-2 falls as D grows.
+
+    Returns (closest separable state, minimum of 1 - sqrt(F)).
     """
-    rs = separability_threshold_rs(p.nbar1, p.nbar2)
-    if p.r <= rs:
+    if p.r <= separability_threshold_rs(p.nbar1, p.nbar2):
         return p, 0.0
 
     nbar1, nbar2, r, phi = p.nbar1, p.nbar2, p.r, p.phi
@@ -72,25 +76,20 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     def unpack(t):
         m1 = t[0] * t[0]
         m2 = t[1] * t[1]
-        return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2]), wrap_angle(t[3])
+        return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2])
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(nbar1, nbar2, r, phi, *unpack(t)))
+        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(nbar1, nbar2, r, phi, *unpack(t), phi))
 
     starts = []
     for k in range(n_starts):
         d1 = 0.1 + 0.25 * (k % 2)
         d2 = 0.1 + 0.25 * ((k // 2) % 2)
         slope = 2.0 if k < 4 else 6.0
-        starts.append([
-            math.sqrt(p.nbar1 + d1),
-            math.sqrt(p.nbar2 + d2),
-            slope,
-            p.phi,
-        ])
+        starts.append([math.sqrt(nbar1 + d1), math.sqrt(nbar2 + d2), slope])
 
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return TwoModeStsParams(*unpack(x_best)), f_best
+    return TwoModeStsParams(*unpack(x_best), phi), f_best
 
 
 def entropy_of_entanglement_svs(r: float) -> float:

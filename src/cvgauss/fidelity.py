@@ -1,5 +1,5 @@
 """Closed-form Uhlmann fidelity for one-mode Gaussian pairs and two-mode
-squeezed-thermal pairs, plus the Bures distance.
+squeezed-thermal pairs.
 
 Both forms take the physical parameters and add positive terms only.  For
 one-mode states with y = nbar + 1/2, squeeze r, angle phi, displacement alpha,

@@ -348,7 +348,7 @@ def _check_scale(log_s: float, fields: str) -> None:
 
 
 def parse_state(source) -> DstsParams | TwoModeStsParams:
-    """Parse a JSON state descriptor (text or already-decoded dict).
+    """Parse a JSON state descriptor (text, bytes or already-decoded dict).
 
     Supported kinds::
 
@@ -365,7 +365,7 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise DomainError(f"invalid state JSON: {exc}") from exc
     else:
         obj = source

@@ -193,12 +193,11 @@ def classical_argmin_gap(p: DstsParams, state: DstsParams) -> float:
 
 def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
     """How far a closest separable state found for p breaks the rules the
-    true one obeys: it lies on the threshold r' = r_s(nbar1', nbar2'), raises
-    both occupancies by the same amount and keeps the squeeze angle (where
-    r' > 1e-6)."""
-    angle_gap = abs(math.remainder(state.phi - p.phi, 2 * math.pi)) if state.r > 1e-6 else 0.0
+    true one obeys: it lies on the threshold r' = r_s(nbar1', nbar2') and
+    raises both occupancies by the same amount.  The search copies p's
+    squeeze angle into it, so the rule that the angle is kept holds exactly."""
     return max(abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)),
-               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)), angle_gap)
+               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)))
 
 
 def _check_minimizer(rng, draw, degree, search, argmin_gap, measure: str,

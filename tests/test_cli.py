@@ -245,6 +245,26 @@ def test_invalid_json_is_input_error(tmp_path, capsys):
     assert main(["info", "--state", str(path)]) == 2
 
 
+@pytest.mark.parametrize("content", [b'\xff\xfe{"kind"', b"[" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+@pytest.mark.parametrize("argv", [
+    ["info", "--state", "BAD"],
+    ["fidelity", "--state", "BAD", "--state2", "GOOD"],
+    ["fidelity", "--state", "GOOD", "--state2", "BAD"],
+    ["entangle", "--state", "BAD"],
+    ["teleport", "--state", "BAD", "--resource", "GOOD"],
+    ["teleport", "--state", "GOOD", "--resource", "BAD"],
+], ids=["info", "fidelity-state", "fidelity-state2", "entangle", "teleport-state",
+        "teleport-resource"])
+def test_undecodable_state_file_is_input_error(tmp_path, capsys, coherent_file, content, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    files = {"BAD": str(path), "GOOD": coherent_file}
+    assert main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid state JSON") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("descriptor", [
     '{"kind": "dsts", "nbar": "abc", "r": 0.0, "phi": 0.0, "alpha": [0.0, 0.0]}',
     '{"kind": "dsts", "nbar": 0.1, "r": 0.0, "phi": 0.0, "alpha": [null, 0]}',

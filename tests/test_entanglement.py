@@ -26,9 +26,10 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_separable_argmin(p, state):
-    """The closest separable state obeys the rules of separable_argmin_gap
-    and has parameters of the built-in types."""
+    """The closest separable state obeys the rules of separable_argmin_gap,
+    keeps the squeeze angle exactly, and has parameters of the built-in types."""
     assert separable_argmin_gap(p, state) <= ARGMIN_TOL
+    assert state.phi == p.phi
     assert all(type(v) is float for v in (state.nbar1, state.nbar2, state.r, state.phi))
 
 

@@ -32,7 +32,7 @@ from cvgauss import (
     teleport_with_noise,
     z_from_e0,
 )
-from cvgauss.fidelity import fidelity_one_mode_kernel
+from cvgauss.fidelity import fidelity_one_mode_kernel, fidelity_two_mode_sts_kernel
 from cvgauss.states import R_MAX
 from cvgauss.teleport import FIG2_E0S
 
@@ -136,6 +136,18 @@ def test_aligned_phase_and_displacement_maximize_the_fidelity_in_mpmath():
         ref = mp.re(mp_fidelity_one_mode(p, aligned))
         assert mp.re(mp_fidelity_one_mode(p, q)) <= ref
         kernel = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, p.phi, p.alpha)
+        assert rel_err(kernel, ref) <= REL_TOL
+
+
+def test_aligned_phase_maximizes_the_two_mode_fidelity_in_mpmath():
+    # the premise of closest_separable_numeric's (nbar1', nbar2', r') search,
+    # in the reference: turning phi' of q onto that of p raises F
+    for p, q in sts_pairs(np.random.default_rng(1004), 20):
+        aligned = TwoModeStsParams(q.nbar1, q.nbar2, q.r, p.phi)
+        ref = mp_fidelity_two_mode(p, aligned)
+        assert mp_fidelity_two_mode(p, q) <= ref
+        kernel = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
+                                              q.nbar1, q.nbar2, q.r, p.phi)
         assert rel_err(kernel, ref) <= REL_TOL
 
 
@@ -364,6 +376,19 @@ def test_aligned_phase_and_displacement_maximize_the_fidelity(p, q):
     for phi, alpha in ((q.phi, q.alpha), (q.phi, p.alpha), (p.phi, q.alpha)):
         other = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, phi, alpha)
         assert other <= aligned * (1.0 + 1e-15)
+
+
+@PROPERTY
+@given(sts(), sts())
+def test_aligned_phase_maximizes_the_two_mode_fidelity(p, q):
+    # at every (nbar1', nbar2', r') = (q.nbar1, q.nbar2, q.r) the kernel is
+    # largest, up to its roundoff, at phi' = phi, so closest_separable_numeric
+    # needs to search (nbar1', nbar2', r') only
+    aligned = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
+                                           q.nbar1, q.nbar2, q.r, p.phi)
+    other = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
+                                         q.nbar1, q.nbar2, q.r, q.phi)
+    assert other <= aligned * (1.0 + 1e-15)
 
 
 @PROPERTY

@@ -449,6 +449,14 @@ def test_json_rejects_bad_input():
         state_to_dict(OneModeGaussianCF(0.0))
 
 
+@pytest.mark.parametrize("source", [b'\xff\xfe{"kind"', b'{"kind": "\xe9"}', "[" * 100_000,
+                                    b"[" * 100_000],
+                         ids=["utf16-bom-truncated", "latin1", "nested-text", "nested-bytes"])
+def test_parse_state_rejects_undecodable_json(source):
+    with pytest.raises(DomainError, match="invalid state JSON"):
+        parse_state(source)
+
+
 def test_parse_state_scale_bound():
     # benchmark-sized tails (s ~ 3e18) and r up to ~89 are accepted
     tail = {"kind": "sts2", "nbar1": 1e8, "nbar2": 1e8, "r": 12.0, "phi": 0.0}
