@@ -37,6 +37,7 @@ columns of one parity only; a two-mode squeezed thermal state maps column
 block per such conserved label, the rows of that label by the columns that
 start on them, and everything here works one label at a time; rho is an exact
 zero between labels.  A displaced state is one block on every row, label None.
+A column whose entries all underflow to zero is dropped.
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -53,7 +54,7 @@ import cmath
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator
@@ -74,34 +75,35 @@ TAIL_TARGET = 1e-8
 TAIL_WARN = 1e-6
 
 
-def _rows(dim: int, modes: int, label: int | None, count: int | None = None) -> np.ndarray:
+def _rows(dim: int, modes: int, label: int | None) -> np.ndarray:
     """Increasing indices (k*dim + l is |k, l>) of the states below the cut with
-    n mod 2 or n1 - n2 equal to label (all for None), or the first count."""
+    n mod 2 or n1 - n2 equal to label (all for None)."""
     if label is None:
         return np.arange(dim ** modes)
     start, step, size = ((label, 2, (dim + 1 - label) // 2) if modes == 1 else
                          (max(label, 0) * dim + max(-label, 0), dim + 1, dim - abs(label)))
-    return start + step * np.arange(size if count is None else count)
+    return start + step * np.arange(size)
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Truncated density operator rho = Psi Psi^dag on the dim**modes Fock
-    states, with the probability mass lost to truncation.  ``blocks`` maps each
-    label, n mod 2 or n1 - n2 (or None alone: every row), to Psi on the rows of
-    the label (see _rows).  Psi must be finite, with 1 - ||Psi||_F^2 within the
-    declared tail mass; rho is then Hermitian and positive semidefinite."""
+    states.  ``blocks`` maps each label, n mod 2 or n1 - n2 (or None alone:
+    every row), to Psi on the rows of the label (see _rows).  Psi must be
+    finite with Tr rho = ||Psi||_F^2 <= 1; ``tail_mass`` = max(0, 1 - Tr rho)."""
 
     dim: int
     modes: int
     blocks: dict
-    tail_mass: float
+    tail_mass: float = field(init=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"truncation dimension must be >= 1, got {self.dim}")
         if self.modes not in (1, 2):
             raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
+        if not self.blocks:
+            raise DomainError("a density matrix needs at least one block")
         labels = range(2) if self.modes == 1 else range(1 - self.dim, self.dim)
         if set(self.blocks) != {None} and not all(k in labels for k in self.blocks):
             raise DomainError(f"block labels {list(self.blocks)} are not None alone or in {labels}")
@@ -114,27 +116,10 @@ class FockDensityMatrix:
         trace = sum(float(np.vdot(b, b).real) for b in blocks.values())
         if not math.isfinite(trace):
             raise UnphysicalState("density matrix factor has non-finite entries")
-        deficit = abs(1.0 - trace)
-        if not deficit <= self.tail_mass + 1e-9:
-            raise UnphysicalState(
-                f"trace deficit {deficit:.3g} exceeds declared tail mass {self.tail_mass:.3g}"
-            )
+        if trace > 1.0 + 1e-9:
+            raise UnphysicalState(f"density matrix trace {trace:.12g} exceeds 1")
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
-
-    @cached_property
-    def factor(self) -> np.ndarray:
-        """The whole of Psi, read-only, its columns in the order of the row each
-        starts on: column s of a block starts on the block's row s."""
-        if None in self.blocks:
-            return self.blocks[None]
-        counts = [b.shape[1] for b in self.blocks.values()]
-        starts = [_rows(self.dim, self.modes, k, n) for k, n in zip(self.blocks, counts)]
-        place = np.argsort(np.argsort(np.concatenate([np.zeros(0, int), *starts]), kind="stable"))
-        psi = np.zeros((self.dim ** self.modes, place.size), dtype=complex)
-        for (label, b), cols in zip(self.blocks.items(), np.split(place, np.cumsum(counts)[:-1])):
-            psi[np.ix_(_rows(self.dim, self.modes, label), cols)] = b
-        psi.setflags(write=False)
-        return psi
+        object.__setattr__(self, "tail_mass", max(0.0, 1.0 - trace))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -269,14 +254,17 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
 
 
 def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
-    tail = max(0.0, 1.0 - sum(float(np.vdot(b, b).real) for b in blocks.values()))
-    if tail > TAIL_WARN:
+    for label, b in blocks.items():
+        if not (nonzero := b.any(axis=0)).all():
+            blocks[label] = b[:, nonzero]  # an all-zero column costs SVD work only
+    rho = FockDensityMatrix(dim=dim, modes=modes, blocks=blocks)
+    if rho.tail_mass > TAIL_WARN:
         warnings.warn(
-            f"truncated state is missing {tail:.3g} probability mass at dim {dim}",
+            f"truncated state is missing {rho.tail_mass:.3g} probability mass at dim {dim}",
             TruncationWarning,
             stacklevel=3,
         )
-    return FockDensityMatrix(dim=dim, modes=modes, blocks=blocks, tail_mass=tail)
+    return rho
 
 
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -317,15 +305,21 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
 
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:
-    """The blocks of Psi1^dag Psi2, one per label the two share (the whole
-    factors if either is label None), each with its two arguments in a
-    canonical order, so that a symmetric quantity is exactly swap-invariant."""
+    """Psi1^dag Psi2 up to row and column order, so that a symmetric quantity
+    is exactly swap-invariant: one block per shared label, its arguments in a
+    canonical order, or one matrix in all, a None state's columns as rows."""
     if r1.dim != r2.dim or r1.modes != r2.modes:
         raise DimensionMismatch(
             f"incompatible truncations: {r1.modes} mode(s) dim {r1.dim} vs "
             f"{r2.modes} mode(s) dim {r2.dim}"
         )
-    pairs = ([(r1.factor, r2.factor)] if None in r1.blocks or None in r2.blocks
+    if None in r2.blocks and None not in r1.blocks:
+        r1, r2 = r2, r1
+    if None in r1.blocks and None not in r2.blocks:
+        p = r1.blocks[None]
+        yield np.hstack([p[_rows(r1.dim, r1.modes, k)].conj().T @ b for k, b in r2.blocks.items()])
+        return
+    pairs = ([(r1.blocks[None], r2.blocks[None])] if None in r1.blocks
              else [(b, r2.blocks[k]) for k, b in r1.blocks.items() if k in r2.blocks])
     for b1, b2 in pairs:
         if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):

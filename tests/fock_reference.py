@@ -12,8 +12,9 @@ at a dimension well above the one asked for, and crops the result.  A
 truncated exponential is wrong only near its cut, so the corner is exact to
 roundoff for a state that keeps its photons far below the reference
 dimension.  The characteristic functions Tr(rho D(lam)) use the same
-displacement.  Nothing here is shared with cvgauss.fock.  ``reduced_dm``
-and ``mean_photon_number`` act on the FockDensityMatrix the oracle builds.
+displacement.  Nothing here is shared with cvgauss.fock.  ``whole_factor``,
+``reduced_dm`` and ``mean_photon_number`` act on the FockDensityMatrix the
+oracle builds.
 """
 
 import numpy as np
@@ -76,6 +77,20 @@ def cf2_numeric(rho: np.ndarray, lam1: complex, lam2: complex) -> complex:
     return complex(np.trace(rho @ np.kron(d1, d2)))
 
 
+def whole_factor(r: FockDensityMatrix) -> np.ndarray:
+    """The whole of Psi: each label block scattered onto the rows of its label
+    (n mod 2 for one mode, n1 - n2 for two, every row for None), the blocks'
+    columns side by side."""
+    n = np.arange(r.dim ** r.modes)
+    labels = n % 2 if r.modes == 1 else n // r.dim - n % r.dim
+    psi = []
+    for label, b in r.blocks.items():
+        cols = np.zeros((n.size, b.shape[1]), dtype=complex)
+        cols[n if label is None else labels == label] = b
+        psi.append(cols)
+    return np.hstack(psi)
+
+
 def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     """Partial trace of a two-mode matrix down to the requested mode (0 or 1):
     the traced mode moves into the columns of the factor, one block on every
@@ -85,14 +100,13 @@ def reduced_dm(r: FockDensityMatrix, mode: int) -> FockDensityMatrix:
     if mode not in (0, 1):
         raise DomainError(f"mode must be 0 or 1, got {mode}")
     d = r.dim
-    three = r.factor.reshape(d, d, -1)
+    three = whole_factor(r).reshape(d, d, -1)
     if mode == 1:
         three = three.transpose(1, 0, 2)
-    return FockDensityMatrix(dim=d, modes=1, blocks={None: three.reshape(d, -1)},
-                             tail_mass=r.tail_mass)
+    return FockDensityMatrix(dim=d, modes=1, blocks={None: three.reshape(d, -1)})
 
 
 def mean_photon_number(r: FockDensityMatrix, mode: int = 0) -> float:
     """Tr(rho a^dag a) of the requested mode."""
     rho = r if r.modes == 1 else reduced_dm(r, mode)
-    return float(np.arange(rho.dim) @ np.sum(np.abs(rho.factor) ** 2, axis=1))
+    return float(np.arange(rho.dim) @ np.sum(np.abs(whole_factor(rho)) ** 2, axis=1))

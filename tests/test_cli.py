@@ -1,13 +1,17 @@
+import io
 import json
 import math
 import re
 import subprocess
 import sys
 import time
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cvgauss import DstsParams, cf_to_cov, dsts_to_cf, parse_state, validate
+from cvgauss import DstsParams, TruncationWarning, cf_to_cov, dsts_to_cf, parse_state, validate
 from cvgauss.cli import MAX_POINTS, main
 
 
@@ -493,3 +497,66 @@ def test_module_entry_point(vacuum_file):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "classical" in proc.stdout
+
+
+# --- arbitrary descriptors through every state-reading command ---------------------
+
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e-8, 89.0, 300.0, 1e77, 1e300,
+                             sys.float_info.max, -1e-8, -1.0, 10 ** 400, -(10 ** 400)])
+_LEAF = st.one_of(st.none(), st.booleans(), st.text(max_size=4), st.integers(),
+                  st.floats(allow_nan=True, allow_infinity=True), _EXTREMES)
+_JSON = st.recursive(_LEAF, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+_FIELDS = {"dsts": ("nbar", "r", "phi", "alpha"), "sts2": ("nbar1", "nbar2", "r", "phi")}
+
+
+@st.composite
+def _value(draw, choices):
+    """Mostly one of choices, so that many descriptors reach the closed forms;
+    else an extreme number or any JSON value."""
+    pick = draw(st.integers(0, 9))
+    return draw(choices if pick < 7 else _EXTREMES if pick < 9 else _JSON)
+
+
+@st.composite
+def _descriptors(draw, kind):
+    """JSON text of a descriptor, mostly of the given kind, with fields of any
+    type or size, some missing, some extra, or now and then any JSON value."""
+    if draw(st.sampled_from([False] * 15 + [True])):
+        return json.dumps(draw(_JSON))
+    obj = {"kind": draw(_value(st.just(kind)))}
+    for name in _FIELDS.get(obj["kind"], ()) if isinstance(obj["kind"], str) else ():
+        if draw(st.sampled_from([True] * 19 + [False])):  # or the field is missing
+            number = _value(st.floats(0.0, 3.0))
+            obj[name] = draw(_value(st.lists(number, min_size=2, max_size=2))
+                             if name == "alpha" else number)
+    if draw(st.sampled_from([False] * 3 + [True])):
+        obj.update(draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=2)))
+    return json.dumps(obj)
+
+
+# each command with the kinds it reads; the files are rewritten for every
+# example, so one tmp_path serves them all
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from([("info", "dsts", "dsts"), ("info", "sts2", "sts2"),
+                             ("fidelity", "dsts", "dsts"), ("fidelity", "sts2", "sts2"),
+                             ("entangle", "sts2", "sts2"), ("teleport", "dsts", "sts2")]),
+       oracle=st.booleans(), data=st.data())
+def test_any_descriptor_exits_0_or_2(tmp_path, case, oracle, data):
+    # every command either reports or names the input error, never a traceback
+    command, *kinds = case
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, kind in zip(paths, kinds):
+        path.write_text(data.draw(_descriptors(kind)))
+    argv = [command, "--state", str(paths[0])]
+    if command == "fidelity":
+        argv += ["--state2", str(paths[1])] + (["--oracle"] if oracle else [])
+    elif command == "teleport":
+        argv += ["--resource", str(paths[1])]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("ignore", TruncationWarning)  # an oracle cut at its cap
+        code = main(argv)
+    assert code in (0, 2), (argv, [p.read_text() for p in paths], err.getvalue())
+    assert (code == 2) == err.getvalue().startswith("error: ")

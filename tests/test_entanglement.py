@@ -172,6 +172,22 @@ def test_degree_range_and_phase_independence():
     assert degree_e0(TwoModeStsParams(0.5, 0.5, rc + 1e-9)) < 1e-12
 
 
+def test_symmetric_degree_is_a_function_of_log_negativity():
+    # for nbar1 = nbar2, E0 = 1 - sech(E_N / 2), with E_N = -ln 2 nu the
+    # logarithmic negativity and nu the smallest symplectic eigenvalue of the
+    # partial transpose (Vidal and Werner, PRA 65, 032314 (2002)); both vanish
+    # on the separable set
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])  # p2 -> -p2 transposes mode 2
+    rng = np.random.default_rng(1020)
+    for _ in range(2000):
+        nbar = rng.uniform(0.0, 3.0)
+        p = TwoModeStsParams(nbar, nbar, rng.uniform(0.0, 2.5), rng.uniform(-math.pi, math.pi))
+        nu = np.abs(np.linalg.eigvals(1j * omega @ flip @ sts_to_cov2(p) @ flip)).min()
+        log_negativity = max(0.0, -math.log(2.0 * nu))
+        assert abs(degree_e0(p) - (1.0 - 1.0 / math.cosh(0.5 * log_negativity))) < 1e-10
+
+
 def test_closest_separable_trivial_for_separable_input():
     p = TwoModeStsParams(1.0, 1.0, 0.4)
     state, value = closest_separable_numeric(p)

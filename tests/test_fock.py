@@ -15,6 +15,7 @@ from fock_reference import (
     reduced_dm,
     sts2_reference,
     two_mode_squeeze,
+    whole_factor,
 )
 
 from cvgauss import (
@@ -36,7 +37,7 @@ from cvgauss import (
 )
 from cvgauss import fock
 from cvgauss.fock import FockDensityMatrix
-from cvgauss.validate import random_dsts
+from cvgauss.validate import matched_pair, random_dsts
 
 
 # --- thermal states ------------------------------------------------------------
@@ -65,7 +66,7 @@ def test_thermal_tail_bound():
 def test_thermal_dim_is_capped():
     r = thermal_dm(0.5, 300)
     assert r.dim == fock.MAX_DIM_ONE_MODE == 256
-    assert r.factor.shape == (256, 256)
+    assert whole_factor(r).shape == (256, 256)
 
 
 def test_thermal_domain():
@@ -99,7 +100,7 @@ def test_dsts_matches_expm_reference(p):
 ], ids=["dsts", "sts2"])
 def test_factor_product_matches_expm_reference(build, ref):
     # the factor itself, multiplied out densely here, not through ``matrix``
-    psi = build().factor
+    psi = whole_factor(build())
     assert np.abs(psi @ psi.conj().T - ref()).max() < 1e-13
 
 
@@ -158,8 +159,8 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
 def test_build_is_corner_of_larger_build():
     p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
     small, big = dsts_dm(p, 120), dsts_dm(p, 256)
-    assert np.array_equal(small.factor, big.factor[:120, :120])
-    assert not np.any(big.factor[:120, 120:])
+    assert np.array_equal(whole_factor(small), whole_factor(big)[:120, :120])
+    assert not np.any(whole_factor(big)[:120, 120:])
     assert np.array_equal(small.matrix, big.matrix[:120, :120])
     q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
     small, big = sts2_dm(q, 20), sts2_dm(q, 30)
@@ -413,8 +414,8 @@ def test_pure_state_factor_has_one_column():
     p1 = DstsParams(0.0, 0.6, 0.2, 0.3 + 0.1j)
     p2 = DstsParams(0.0, 0.3, -1.1, -0.2 + 0.4j)
     r1, r2 = dsts_dm(p1, 90), dsts_dm(p2, 90)
-    assert r1.factor.shape == (90, 1)
-    assert sts2_dm(TwoModeStsParams(0.0, 0.0, 0.8, 0.3), 12).factor.shape == (144, 1)
+    assert whole_factor(r1).shape == (90, 1)
+    assert whole_factor(sts2_dm(TwoModeStsParams(0.0, 0.0, 0.8, 0.3), 12)).shape == (144, 1)
     assert abs(uhlmann_fidelity_numeric(r1, r2) - trace_product(r1, r2)) < 1e-15
     assert uhlmann_fidelity_numeric(r1, r2) == uhlmann_fidelity_numeric(r2, r1)
 
@@ -450,11 +451,10 @@ def test_numeric_fidelity_blockwise_equals_dense(pair):
 def _crossing_factor_dm():
     """A two-mode factor built by hand: an STS factor with one more column
     that reaches rows of every n1 - n2."""
-    f = sts2_dm(TwoModeStsParams(0.4, 0.2, 0.5, 0.7), 6).factor
+    f = whole_factor(sts2_dm(TwoModeStsParams(0.4, 0.2, 0.5, 0.7), 6))
     extra = np.random.default_rng(7).normal(size=(36, 2)) @ [1.0, 1j]
     psi = np.hstack((np.sqrt(0.8) * f, np.sqrt(0.2) * extra[:, None] / np.linalg.norm(extra)))
-    return FockDensityMatrix(dim=6, modes=2, blocks={None: psi},
-                             tail_mass=max(0.0, 1.0 - float(np.vdot(psi, psi).real)))
+    return FockDensityMatrix(dim=6, modes=2, blocks={None: psi})
 
 
 # label blocks against one SVD of the whole of Psi1^dag Psi2: one block on
@@ -472,22 +472,35 @@ def _crossing_factor_dm():
 ], ids=["crossing-column", "displaced-undisplaced", "thermal-dsts", "pure-sts", "no-columns"])
 def test_block_rule_equals_unblocked_svd(pair):
     r1, r2 = pair()
-    overlap = r1.factor.conj().T @ r2.factor
+    overlap = whole_factor(r1).conj().T @ whole_factor(r2)
     f12 = uhlmann_fidelity_numeric(r1, r2)
     assert abs(f12 - np.linalg.svd(overlap, compute_uv=False).sum() ** 2) < 1e-13
     assert abs(trace_product(r1, r2) - np.vdot(overlap, overlap).real) < 1e-13
     assert f12 == uhlmann_fidelity_numeric(r2, r1)
     assert trace_product(r1, r2) == trace_product(r2, r1)
     for r in (r1, r2):
-        assert np.abs(r.matrix - r.factor @ r.factor.conj().T).max() < 1e-15
+        psi = whole_factor(r)
+        assert np.abs(r.matrix - psi @ psi.conj().T).max() < 1e-15
 
 
 def test_factor_without_columns_is_the_zero_operator():
     with pytest.warns(TruncationWarning):
         r = dsts_dm(DstsParams(0.0, alpha=40.0), 20)
-    assert r.factor.shape == (20, 0)
+    assert whole_factor(r).shape == (20, 0)
     assert not r.matrix.any()
     assert von_neumann_entropy(r) == 0.0
+
+
+def test_columns_that_underflow_to_zero_are_dropped():
+    # the nearly pure state is rebuilt at the warm one's automatic dim 244,
+    # where most of its columns underflow to exact zeros
+    p1, p2 = DstsParams(1.99e-8, 0.629, -0.616), DstsParams(1.166, 1.094, 2.618)
+    r1, r2 = matched_pair(dsts_dm, p1, p2)
+    assert r1.dim == 244
+    for block in r1.blocks.values():
+        assert block.shape[0] == 122 and block.shape[1] < 122
+        assert block.any(axis=0).all()
+    assert abs(uhlmann_fidelity_numeric(r1, r2) - fidelity_one_mode(p1, p2)) < 1e-13
 
 
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
@@ -538,17 +551,23 @@ def test_reduced_dm_of_product():
 
 def test_density_matrix_validation():
     # rho = factor factor^dag is Hermitian and positive by construction; the
-    # row count and the trace deficit are what a factor can get wrong
+    # row count and a trace above 1 are what a factor can get wrong
     with pytest.raises(DimensionMismatch):
-        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(3, dtype=complex)}, tail_mass=0.0)
-    with pytest.raises(UnphysicalState):
-        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0}, tail_mass=0.0)
+        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(3, dtype=complex)})
+    with pytest.raises(UnphysicalState, match="trace"):
+        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 1.9})
     with pytest.raises(DomainError, match="truncation dimension must be >= 1"):
-        FockDensityMatrix(dim=0, modes=1, blocks={None: np.zeros((0, 0))}, tail_mass=1.0)
+        FockDensityMatrix(dim=0, modes=1, blocks={None: np.zeros((0, 0))})
     with pytest.raises(DomainError, match="mode count must be 1 or 2"):
-        FockDensityMatrix(dim=2, modes=3, blocks={None: np.eye(8) / math.sqrt(8.0)}, tail_mass=0.0)
-    assert np.array_equal(FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0},
-                                            tail_mass=0.75).matrix, np.eye(4) / 16.0)
+        FockDensityMatrix(dim=2, modes=3, blocks={None: np.eye(8) / math.sqrt(8.0)})
+    with pytest.raises(DomainError, match="at least one block"):
+        FockDensityMatrix(dim=2, modes=1, blocks={})
+    # the tail mass is what the factor lacks of trace 1
+    r = FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0})
+    assert r.tail_mass == 0.75
+    assert np.array_equal(r.matrix, np.eye(4) / 16.0)
+    with pytest.raises(TypeError):
+        FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 4.0}, tail_mass=0.75)
 
 
 @pytest.mark.parametrize("modes,blocks", [
@@ -562,7 +581,7 @@ def test_labels_outside_the_scheme_are_rejected(modes, blocks):
     # at dim 3: labels 0 and 1 (n mod 2) for one mode, |n1 - n2| < 3 for two,
     # or None alone
     with pytest.raises(DomainError, match="block labels"):
-        FockDensityMatrix(dim=3, modes=modes, blocks=blocks, tail_mass=1.0)
+        FockDensityMatrix(dim=3, modes=modes, blocks=blocks)
 
 
 @pytest.mark.parametrize("modes,label,rows",
@@ -570,17 +589,15 @@ def test_labels_outside_the_scheme_are_rejected(modes, blocks):
 def test_block_rows_must_fit_label(modes, label, rows):
     # at dim 4: 2 rows per parity, 4 - |n1 - n2| rows per two-mode label
     with pytest.raises(DimensionMismatch, match="rows"):
-        FockDensityMatrix(dim=4, modes=modes, blocks={label: np.zeros((rows, 1))}, tail_mass=1.0)
+        FockDensityMatrix(dim=4, modes=modes, blocks={label: np.zeros((rows, 1))})
 
 
 def test_label_blocks_sit_on_their_rows():
-    r = FockDensityMatrix(dim=3, modes=2, tail_mass=0.03,
-                          blocks={-1: np.full((2, 1), 0.6), 2: np.full((1, 1), 0.5)})
+    r = FockDensityMatrix(dim=3, modes=2, blocks={-1: np.full((2, 1), 0.6), 2: np.full((1, 1), 0.5)})
     # n1 - n2 = -1 is |0, 1> and |1, 2>; n1 - n2 = 2 is |2, 0>
     assert np.array_equal(np.diag(r.matrix).real, [0, 0.36, 0, 0, 0, 0.36, 0.25, 0, 0])
-    assert np.array_equal(r.factor, [[0, 0], [0.6, 0], [0, 0], [0, 0], [0, 0], [0.6, 0],
-                                     [0, 0.5], [0, 0], [0, 0]])
-    # the checked blocks cannot change under the cached factor and matrix
+    assert r.tail_mass == pytest.approx(0.03, abs=1e-15)
+    # the checked blocks cannot change under the cached matrix
     with pytest.raises(TypeError):
         r.blocks[0] = np.ones((3, 1))
     with pytest.raises(ValueError):
@@ -601,7 +618,7 @@ def test_non_finite_factor_is_rejected(bad, labelled):
     factor[1, 0] = bad
     blocks = {0: factor[:1], 1: factor[1:]} if labelled else {None: factor}
     with pytest.raises(UnphysicalState, match="non-finite"):
-        FockDensityMatrix(dim=2, modes=1, blocks=blocks, tail_mass=1.0)
+        FockDensityMatrix(dim=2, modes=1, blocks=blocks)
 
 
 def test_automatic_dims_log_one_debug_record(caplog):
