@@ -38,7 +38,6 @@ from .nonclassicality import (
 )
 from .states import (
     DstsParams,
-    LocalInvariants,
     OneModeGaussianCF,
     TwoModeStsParams,
     cf_to_cov,
@@ -52,7 +51,6 @@ from .states import (
     sts_to_cov2,
 )
 from .teleport import (
-    e0_from_z,
     resource_noise,
     sweep_fig1,
     sweep_fig2,
@@ -71,7 +69,6 @@ __all__ = [
     "DomainError",
     "DstsParams",
     "FockDensityMatrix",
-    "LocalInvariants",
     "OneModeGaussianCF",
     "TruncationWarning",
     "TwoModeStsParams",
@@ -84,7 +81,6 @@ __all__ = [
     "degree_q0",
     "dsts_dm",
     "dsts_to_cf",
-    "e0_from_z",
     "entropy_of_entanglement_svs",
     "eval_cf1",
     "eval_cf1_cov",

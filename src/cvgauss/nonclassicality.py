@@ -29,13 +29,18 @@ def is_classical(p: DstsParams) -> bool:
     return p.r <= nonclassicality_threshold(p.nbar)
 
 
-def degree_q0(p: DstsParams) -> float:
-    """Bures degree of nonclassicality; 0 on the classical set, otherwise
-    1 - sqrt(sech(r - r_c)).  Independent of phi and alpha."""
-    gap = p.r - nonclassicality_threshold(p.nbar)
+def degree_q0_kernel(nbar: float, r: float) -> float:
+    """:func:`degree_q0` on the floats nbar and r of a checked state."""
+    gap = r - nonclassicality_threshold(nbar)
     if gap <= 0.0:
         return 0.0
     return 1.0 - math.sqrt(1.0 / math.cosh(gap))
+
+
+def degree_q0(p: DstsParams) -> float:
+    """Bures degree of nonclassicality; 0 on the classical set, otherwise
+    1 - sqrt(sech(r - r_c)).  Independent of phi and alpha."""
+    return degree_q0_kernel(p.nbar, p.r)
 
 
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):

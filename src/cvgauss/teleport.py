@@ -20,6 +20,9 @@ z.  For a symmetric resource (nbar1 = nbar2) at phi = 0, z = e^{-2 (r - r_s)}
 with r_s its separability threshold, so the fidelity depends on the resource
 only through its entanglement E0 = (1 - sqrt z)^2/(1 + z).  Any other resource
 adds more noise than a symmetric one of the same E0.
+
+The figure sweeps check each grid value and curve key once, then run on the
+float kernels of the channel (:func:`teleport_with_noise_kernel`) and of Q0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
-from .nonclassicality import degree_q0
+from .nonclassicality import degree_q0_kernel
 from .states import R_MAX, DstsParams, OneModeGaussianCF, TwoModeStsParams
 
 #: parameters of the paper's two figures, the defaults of ``cvgauss sweep``
@@ -52,6 +55,17 @@ def resource_noise(resource: TwoModeStsParams) -> float:
     return z
 
 
+def teleport_with_noise_kernel(nbar: float, r: float, z: float) -> tuple[float, float]:
+    """(nbar_out, r_out) of :func:`teleport_with_noise` on floats that the
+    caller has checked: nbar >= 0, 0 <= r <= R_MAX and finite z >= 0."""
+    e2r = math.exp(2.0 * r)
+    y = nbar + 0.5
+    down = y / e2r + z
+    nbar_out = ((nbar * (nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
+                / (math.sqrt((y * e2r + z) * down) + 0.5))
+    return nbar_out, 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * r) / down)
+
+
 def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
                         z: float) -> DstsParams | OneModeGaussianCF:
     """Output of the protocol for added thermal noise z, in the form of the
@@ -62,13 +76,7 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
         raise DomainError(f"added noise z must be finite and >= 0, got {z}")
     if isinstance(state, OneModeGaussianCF):
         return OneModeGaussianCF(a=state.a + z, b=state.b, c=state.c)
-    e2r = math.exp(2.0 * state.r)
-    y = state.nbar + 0.5
-    down = y / e2r + z
-    nbar = ((state.nbar * (state.nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
-            / (math.sqrt((y * e2r + z) * down) + 0.5))
-    r = 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * state.r) / down)
-    return DstsParams(nbar=nbar, r=r, phi=state.phi, alpha=state.alpha)
+    return DstsParams(*teleport_with_noise_kernel(state.nbar, state.r, z), state.phi, state.alpha)
 
 
 def teleport_symmetric_sts(state: DstsParams | OneModeGaussianCF, nbar: float,
@@ -141,37 +149,36 @@ def z_from_e0(e0: float) -> float:
 def sweep_fig1(r_in: float, nbar_in_list: Sequence[float],
                e0_grid: Iterable[float]) -> dict[float, list[tuple[float, float]]]:
     """Teleportation fidelity versus resource entanglement, one curve per
-    input occupancy, all at the same input squeeze factor."""
+    input occupancy, all at the same input squeeze factor; every argument is
+    checked before any curve is built."""
     if not (0.0 <= r_in <= R_MAX):
         raise DomainError(f"input squeeze factor must lie in [0, R_MAX = {R_MAX:.6g}], "
                           f"got {r_in}")
+    nbars = [float(n) for n in nbar_in_list]
+    for nbar_in in nbars:
+        if not 0.0 <= nbar_in < math.inf:
+            raise DomainError(f"input occupancy must be finite and >= 0, got {nbar_in}")
     x = math.cosh(2.0 * r_in)
-    grid = [float(e) for e in e0_grid]
-    out: dict[float, list[tuple[float, float]]] = {}
-    for nbar_in in nbar_in_list:
-        y = float(nbar_in) + 0.5
-        out[float(nbar_in)] = [(e0, teleport_fidelity(x, y, z_from_e0(e0))) for e0 in grid]
-    return out
+    grid = [(e0, z_from_e0(e0)) for e0 in map(float, e0_grid)]
+    return {nbar_in: [(e0, teleport_fidelity(x, nbar_in + 0.5, z)) for e0, z in grid]
+            for nbar_in in nbars}
 
 
 def sweep_fig2(e0_list: Sequence[float],
                qin_grid: Iterable[float]) -> dict[float, list[tuple[float, float]]]:
     """Nonclassicality of the teleported state versus that of the input, for
-    squeezed-vacuum inputs, one curve per resource entanglement."""
-    grid = [float(q) for q in qin_grid]
-    for q_in in grid:
+    squeezed-vacuum inputs, one curve per resource entanglement; every
+    argument is checked before any curve is built."""
+    grid = []
+    for q_in in map(float, qin_grid):
         if not (0.0 <= q_in < 1.0):
             raise DomainError(f"Q_in must lie in [0, 1), got {q_in}")
-    out: dict[float, list[tuple[float, float]]] = {}
-    for e0 in e0_list:
-        z = z_from_e0(float(e0))
-        rows = []
-        for q_in in grid:
-            # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
-            r_in = math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0
-            rows.append((q_in, degree_q0(teleport_with_noise(DstsParams(nbar=0.0, r=r_in), z))))
-        out[float(e0)] = rows
-    return out
+        # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
+        grid.append((q_in, math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0))
+    curves = {e0: z_from_e0(e0) for e0 in map(float, e0_list)}
+    return {e0: [(q_in, degree_q0_kernel(*teleport_with_noise_kernel(0.0, r_in, z)))
+                 for q_in, r_in in grid]
+            for e0, z in curves.items()}
 
 
 def _write_atomic(path: Path, text: str) -> None:

@@ -4,9 +4,11 @@ import math
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -440,6 +442,15 @@ def test_sweep_curves_with_one_file_name_are_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_negative_occupancy_is_input_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "fig1", "--out", str(out), "--nbar-in", "-0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input occupancy must be finite and >= 0, got -0.5\n"
+    assert not out.exists()
+
+
 def test_teleport_asymmetric_resource(tmp_path, coherent_file, capsys):
     # coherent input, F = 1/(1 + z), z = (nbar1 + nbar2 + 1)(e^{-2r} + 2 sinh 2r sin^2(phi/2))
     resource = _resource_file(tmp_path, 0.3, 1.1, 0.8, 0.5)
@@ -560,3 +571,68 @@ def test_any_descriptor_exits_0_or_2(tmp_path, case, oracle, data):
         code = main(argv)
     assert code in (0, 2), (argv, [p.read_text() for p in paths], err.getvalue())
     assert (code == 2) == err.getvalue().startswith("error: ")
+
+
+# --- arbitrary sweep options ----------------------------------------------------------
+
+_EXTREME_TEXT = st.sampled_from(["0", "-0.0", "1", "-1", "-0.5", "1e-320", "nan", "-nan", "inf",
+                                 "-inf", "1e308", "-1e308", "354.9", "400", "1.0000001"])
+
+
+@st.composite
+def _number_text(draw):
+    """Mostly a number in [0, 1], which every option accepts; else an extreme
+    number, any float or any text."""
+    pick = draw(st.integers(0, 9))
+    if pick < 6:
+        return repr(draw(st.floats(0.0, 1.0)))
+    return draw(_EXTREME_TEXT if pick < 8 else st.floats().map(repr) if pick < 9
+                else st.text(max_size=5))
+
+
+def _small_or_not_a_grid(text):
+    """True unless the text is a valid grid size above 40, which would only
+    make the property slow."""
+    try:
+        return not 40 < int(text) <= MAX_POINTS
+    except ValueError:
+        return True
+
+
+@st.composite
+def _points_text(draw):
+    """Mostly a valid grid size up to 40; else one out of range, or any text."""
+    pick = draw(st.integers(0, 9))
+    if pick < 7:
+        return str(draw(st.integers(2, 40)))
+    return draw(st.sampled_from([str(MAX_POINTS + 1), str(10 ** 15), "1" * 400, "1", "0", "-3",
+                                 "-0", "2.5", "1e3", "nan"]) if pick < 9
+                else st.text(max_size=5).filter(_small_or_not_a_grid))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(figure=st.sampled_from(["fig1", "fig2"]),
+       options=st.fixed_dictionaries({}, optional={
+           "--points": _points_text(), "--r-in": _number_text(),
+           "--nbar-in": st.lists(_number_text(), max_size=3).map(",".join),
+           "--e0": st.lists(_number_text(), max_size=3).map(",".join)}))
+def test_any_sweep_options_exit_0_or_2(tmp_path, figure, options):
+    # every option string either gives finite curves or exits 2 with no file written
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "out"
+    argv = ["sweep", figure, f"--out={out}"] + [f"{k}={v}" for k, v in options.items()]
+    stdout, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the option
+            code = exc.code
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert stdout.getvalue() == "" and not out.exists(), (argv, err.getvalue())
+        return
+    paths = [Path(line) for line in stdout.getvalue().splitlines()]
+    assert paths and sorted(paths) == sorted(out.iterdir()), argv
+    for path in paths:
+        for line in path.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), (argv, path.name, line)

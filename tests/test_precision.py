@@ -17,7 +17,6 @@ from cvgauss import (
     degree_e0,
     degree_q0,
     dsts_to_cf,
-    e0_from_z,
     fidelity_one_mode,
     fidelity_two_mode_sts,
     nonclassicality_threshold,
@@ -34,7 +33,7 @@ from cvgauss import (
 )
 from cvgauss.fidelity import fidelity_one_mode_kernel, fidelity_two_mode_sts_kernel
 from cvgauss.states import R_MAX
-from cvgauss.teleport import FIG2_E0S
+from cvgauss.teleport import FIG2_E0S, e0_from_z
 
 pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")

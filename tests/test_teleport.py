@@ -10,8 +10,8 @@ from cvgauss import (
     DstsParams,
     TwoModeStsParams,
     degree_e0,
+    degree_q0,
     dsts_to_cf,
-    e0_from_z,
     eval_cf1,
     fidelity_one_mode,
     resource_noise,
@@ -24,7 +24,14 @@ from cvgauss import (
     teleport_with_noise,
     z_from_e0,
 )
-from cvgauss.teleport import write_fig1_csv, write_fig2_csv
+from cvgauss.teleport import (
+    FIG1_NBARS,
+    FIG1_R_IN,
+    FIG2_E0S,
+    e0_from_z,
+    write_fig1_csv,
+    write_fig2_csv,
+)
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -275,6 +282,62 @@ def test_fig2_noise_degrades_nonclassicality():
 def test_fig2_vacuum_input_stays_classical():
     sweep = sweep_fig2((0.615,), [0.0])
     assert sweep[0.615][0][1] == 0.0
+
+
+def _r_in(q_in):
+    # the squeezed-vacuum squeeze factor with Q0 = q_in
+    return math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0
+
+
+def _seeded_grids():
+    """r_in, occupancies, the E0 grid of fig1, the E0 curves and Q_in grid of
+    fig2, with the endpoints E0 = 0 and 1 and Q_in = 1 - 2^-50."""
+    rng = np.random.default_rng(557)
+    e0s = [0.0, 1.0] + list(rng.uniform(0.0, 1.0, 30))
+    qs = [0.0, 1.0 - 2.0 ** -50] + list(rng.uniform(0.0, 1.0, 30))
+    return float(rng.uniform(0.0, 3.0)), [0.0] + list(rng.uniform(0.0, 10.0, 4)), e0s, e0s, qs
+
+
+@pytest.mark.parametrize("grids", [
+    (FIG1_R_IN, FIG1_NBARS, np.linspace(0.01, 0.99, 99), FIG2_E0S, np.linspace(0.0, 0.99, 99)),
+    _seeded_grids(),
+], ids=["default", "seeded"])
+def test_sweeps_equal_the_typed_route_bit_for_bit(grids):
+    # the CSV bytes rest on these values, compared with == rather than hashed
+    r_in, nbars, e0_grid, e0s, qs = grids
+    for nbar, rows in sweep_fig1(r_in, nbars, e0_grid).items():
+        assert rows == [(float(e0), teleport_fidelity(math.cosh(2.0 * r_in), nbar + 0.5,
+                                                      z_from_e0(float(e0)))) for e0 in e0_grid]
+    for e0, rows in sweep_fig2(e0s, qs).items():
+        z = z_from_e0(e0)
+        assert rows == [(float(q), degree_q0(teleport_with_noise(DstsParams(0.0, _r_in(float(q))), z)))
+                        for q in qs]
+
+
+def test_sweeps_check_grid_and_curve_keys_before_any_curve(monkeypatch):
+    # a bad E0 or Q_in is refused with no curve to build, and a bad curve key
+    # after good ones is refused before the first point
+    with pytest.raises(DomainError, match="E0"):
+        sweep_fig1(1.0, [], [2.0])
+    with pytest.raises(DomainError, match="Q_in"):
+        sweep_fig2([], [2.0])
+
+    def no_point(*args):
+        raise AssertionError("a curve point was computed")
+
+    monkeypatch.setattr("cvgauss.teleport.teleport_fidelity", no_point)
+    monkeypatch.setattr("cvgauss.teleport.teleport_with_noise_kernel", no_point)
+    with pytest.raises(DomainError, match="occupancy"):
+        sweep_fig1(1.0, [0.1, -0.5], [0.5])
+    with pytest.raises(DomainError, match="E0"):
+        sweep_fig2([0.5, 2.0], [0.5])
+
+
+@pytest.mark.parametrize("nbar_in", [-0.5, -1e-300, math.nan, math.inf, -math.inf])
+def test_sweep_rejects_bad_input_occupancy(nbar_in):
+    for grid in ([0.5], []):
+        with pytest.raises(DomainError, match="occupancy must be finite and >= 0"):
+            sweep_fig1(1.0, [0.1, nbar_in], grid)
 
 
 def test_sweep_rejects_bad_grids():
