@@ -31,13 +31,13 @@ TruncationWarning; the automatic dimension is the smallest whose tail meets
 TAIL_TARGET.  ``matrix`` forms rho on first use, Hermitian and positive
 semidefinite by construction.
 
-Blocks.  With gamma = 0, e_j vanishes for odd j, so Psi links rows and
-columns of one parity only; a two-mode squeezed thermal state maps column
-(k1, k2) only to rows with n1 - n2 = k1 - k2.  Each builder stores Psi as one
-block per such conserved label, the rows of that label by the columns that
-start on them, and everything here works one label at a time; rho is an exact
-zero between labels.  A displaced state is one block on every row, label None.
-A column whose entries all underflow to zero is dropped.
+Blocks.  Each mode count has one layout.  A one-mode state is one block on
+every row, label None.  A two-mode squeezed thermal state maps column
+(k1, k2) only to rows with n1 - n2 = k1 - k2, so its builder stores Psi as one
+block per such label L, |L| < dim, the rows of that label by the columns that
+start on them; rho is an exact zero between labels.  Everything here works
+one label at a time.  A column whose entries all underflow to zero is
+dropped.
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -75,21 +75,19 @@ TAIL_TARGET = 1e-8
 TAIL_WARN = 1e-6
 
 
-def _rows(dim: int, modes: int, label: int | None) -> np.ndarray:
+def _rows(dim: int, label: int | None) -> np.ndarray:
     """Increasing indices (k*dim + l is |k, l>) of the states below the cut with
-    n mod 2 or n1 - n2 equal to label (all for None)."""
+    n1 - n2 equal to label; every one-mode state for None."""
     if label is None:
-        return np.arange(dim ** modes)
-    start, step, size = ((label, 2, (dim + 1 - label) // 2) if modes == 1 else
-                         (max(label, 0) * dim + max(-label, 0), dim + 1, dim - abs(label)))
-    return start + step * np.arange(size)
+        return np.arange(dim)
+    return max(label, 0) * dim + max(-label, 0) + (dim + 1) * np.arange(dim - abs(label))
 
 
 @dataclass(frozen=True, eq=False)
 class FockDensityMatrix:
     """Truncated density operator rho = Psi Psi^dag on the dim**modes Fock
-    states.  ``blocks`` maps each label, n mod 2 or n1 - n2 (or None alone:
-    every row), to Psi on the rows of the label (see _rows).  Psi must be
+    states.  ``blocks`` maps each label to Psi on the rows of the label (see
+    _rows): None alone, every row, for one mode; n1 - n2 for two.  Psi must be
     finite with Tr rho = ||Psi||_F^2 <= 1; ``tail_mass`` = max(0, 1 - Tr rho)."""
 
     dim: int
@@ -104,12 +102,12 @@ class FockDensityMatrix:
             raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
         if not self.blocks:
             raise DomainError("a density matrix needs at least one block")
-        labels = range(2) if self.modes == 1 else range(1 - self.dim, self.dim)
-        if set(self.blocks) != {None} and not all(k in labels for k in self.blocks):
-            raise DomainError(f"block labels {list(self.blocks)} are not None alone or in {labels}")
+        labels = [None] if self.modes == 1 else range(1 - self.dim, self.dim)
+        if not all(k in labels for k in self.blocks):
+            raise DomainError(f"block labels {list(self.blocks)} are not in {labels}")
         blocks = {k: np.ascontiguousarray(b, dtype=complex) for k, b in sorted(self.blocks.items())}
         for label, b in blocks.items():
-            rows = _rows(self.dim, self.modes, label).size
+            rows = _rows(self.dim, label).size
             if b.ndim != 2 or b.shape[0] != rows:
                 raise DimensionMismatch(f"block {label} of shape {b.shape} needs {rows} rows")
             b.setflags(write=False)
@@ -127,7 +125,7 @@ class FockDensityMatrix:
         and exactly Hermitian."""
         rho = np.zeros((self.dim ** self.modes,) * 2, dtype=complex)
         for label, f in self.blocks.items():
-            rows = _rows(self.dim, self.modes, label)
+            rows = _rows(self.dim, label)
             g = f @ f.conj().T
             rho[np.ix_(rows, rows)] = 0.5 * (g + g.conj().T)
         rho.setflags(write=False)
@@ -146,7 +144,7 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
     else:
         ratio = nbar / (nbar + 1.0)
         probs = np.exp(np.arange(dim) * math.log(ratio) - math.log(nbar + 1.0))
-    return _finish_dm({k: np.diag(np.sqrt(probs[k::2])) for k in (0, 1)}, dim, 1)
+    return _finish_dm({None: np.diag(np.sqrt(probs))}, dim, 1)
 
 
 def _checked_dim(dim: int, cap: int) -> int:
@@ -278,7 +276,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
-    return _finish_dm({None: psi} if p.alpha else {k: psi[k::2, k::2] for k in (0, 1)}, dim, 1)
+    return _finish_dm({None: psi}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -307,21 +305,15 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:
     """Psi1^dag Psi2 up to row and column order, so that a symmetric quantity
     is exactly swap-invariant: one block per shared label, its arguments in a
-    canonical order, or one matrix in all, a None state's columns as rows."""
+    canonical order."""
     if r1.dim != r2.dim or r1.modes != r2.modes:
         raise DimensionMismatch(
             f"incompatible truncations: {r1.modes} mode(s) dim {r1.dim} vs "
             f"{r2.modes} mode(s) dim {r2.dim}"
         )
-    if None in r2.blocks and None not in r1.blocks:
-        r1, r2 = r2, r1
-    if None in r1.blocks and None not in r2.blocks:
-        p = r1.blocks[None]
-        yield np.hstack([p[_rows(r1.dim, r1.modes, k)].conj().T @ b for k, b in r2.blocks.items()])
-        return
-    pairs = ([(r1.blocks[None], r2.blocks[None])] if None in r1.blocks
-             else [(b, r2.blocks[k]) for k, b in r1.blocks.items() if k in r2.blocks])
-    for b1, b2 in pairs:
+    for label, b1 in r1.blocks.items():
+        if (b2 := r2.blocks.get(label)) is None:
+            continue
         if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):
             b1, b2 = b2, b1
         yield b1.conj().T @ b2

@@ -154,7 +154,7 @@ def sweep_fig1(r_in: float, nbar_in_list: Sequence[float],
     if not (0.0 <= r_in <= R_MAX):
         raise DomainError(f"input squeeze factor must lie in [0, R_MAX = {R_MAX:.6g}], "
                           f"got {r_in}")
-    nbars = [float(n) for n in nbar_in_list]
+    nbars = [float(n) + 0.0 for n in nbar_in_list]  # + 0.0 keys -0.0 as 0.0
     for nbar_in in nbars:
         if not 0.0 <= nbar_in < math.inf:
             raise DomainError(f"input occupancy must be finite and >= 0, got {nbar_in}")
@@ -175,7 +175,7 @@ def sweep_fig2(e0_list: Sequence[float],
             raise DomainError(f"Q_in must lie in [0, 1), got {q_in}")
         # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
         grid.append((q_in, math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0))
-    curves = {e0: z_from_e0(e0) for e0 in map(float, e0_list)}
+    curves = {e0 + 0.0: z_from_e0(e0) for e0 in map(float, e0_list)}  # + 0.0 keys -0.0 as 0.0
     return {e0: [(q_in, degree_q0_kernel(*teleport_with_noise_kernel(0.0, r_in, z)))
                  for q_in, r_in in grid]
             for e0, z in curves.items()}

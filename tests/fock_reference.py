@@ -79,10 +79,10 @@ def cf2_numeric(rho: np.ndarray, lam1: complex, lam2: complex) -> complex:
 
 def whole_factor(r: FockDensityMatrix) -> np.ndarray:
     """The whole of Psi: each label block scattered onto the rows of its label
-    (n mod 2 for one mode, n1 - n2 for two, every row for None), the blocks'
-    columns side by side."""
+    (n1 - n2 for two modes, every row for None), the blocks' columns side by
+    side."""
     n = np.arange(r.dim ** r.modes)
-    labels = n % 2 if r.modes == 1 else n // r.dim - n % r.dim
+    labels = n // r.dim - n % r.dim
     psi = []
     for label, b in r.blocks.items():
         cols = np.zeros((n.size, b.shape[1]), dtype=complex)

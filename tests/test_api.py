@@ -1,10 +1,34 @@
 import ast
+import cmath
+import dataclasses
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 import cvgauss
+from cvgauss import (
+    DomainError,
+    DstsParams,
+    OneModeGaussianCF,
+    TwoModeStsParams,
+    UnphysicalState,
+    degree_e0,
+    degree_q0,
+    dsts_to_cf,
+    fidelity_one_mode,
+    fidelity_two_mode_sts,
+    peres_simon_separable,
+    resource_noise,
+    sts_to_cov2,
+    teleport_fidelity_from_states,
+    teleport_symmetric_sts,
+    teleport_with_noise,
+)
+from cvgauss.states import R_MAX
 
 SRC = Path(cvgauss.__file__).parent
 
@@ -63,3 +87,39 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# --- every public closed form on every constructible state ------------------------------
+
+_DBL_MAX = sys.float_info.max
+_nbar = st.one_of(st.just(0.0), st.floats(0.0, _DBL_MAX),
+                  st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e))
+_r = st.one_of(st.just(0.0), st.just(R_MAX), st.floats(0.0, R_MAX),
+               st.floats(-300.0, math.log10(R_MAX)).map(lambda e: 10.0 ** e))
+_phi = st.floats(allow_nan=False, allow_infinity=False)
+_alpha = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_dsts = st.builds(DstsParams, _nbar, _r, _phi, _alpha)
+_sts = st.builds(TwoModeStsParams, _nbar, _nbar, _r, _phi)
+
+
+def _finite(value) -> bool:
+    if isinstance(value, (DstsParams, OneModeGaussianCF)):
+        return all(map(_finite, dataclasses.astuple(value)))
+    return cmath.isfinite(value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(p=_dsts, q=_dsts, s=_sts, t=_sts, z=_nbar)
+def test_closed_forms_give_a_finite_value_or_a_package_error(p, q, s, t, z):
+    calls = [
+        (fidelity_one_mode, p, q), (fidelity_two_mode_sts, s, t), (degree_q0, p),
+        (degree_e0, s), (dsts_to_cf, p), (lambda m: peres_simon_separable(sts_to_cov2(m)), s),
+        (resource_noise, s), (teleport_with_noise, p, z), (teleport_symmetric_sts, p, s.nbar1, s.r),
+        (teleport_fidelity_from_states, p, s.nbar1, s.r),
+    ]
+    for f, *args in calls:
+        try:
+            value = f(*args)
+        except (DomainError, UnphysicalState):
+            continue
+        assert _finite(value), (f, args, value)

@@ -442,6 +442,15 @@ def test_sweep_curves_with_one_file_name_are_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("figure,option,name", [
+    ("fig1", "--nbar-in=-0.0,0", "fig1_nbar_0.csv"), ("fig2", "--e0=-0.0", "fig2_e0_0.csv"),
+])
+def test_sweep_negative_zero_curve_is_written_as_zero(tmp_path, capsys, figure, option, name):
+    out = tmp_path / "out"
+    assert main(["sweep", figure, "--out", str(out), "--points", "5", option]) == 0
+    assert [p.name for p in out.iterdir()] == [name]
+
+
 def test_sweep_negative_occupancy_is_input_error(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["sweep", "fig1", "--out", str(out), "--nbar-in", "-0.5"]) == 2

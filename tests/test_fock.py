@@ -431,7 +431,7 @@ def _dense_uhlmann(r1, r2):
 
 # hot states at small dims keep every eigenvalue far above roundoff, where the
 # square roots of the two routes agree to the last digits; the cases cover
-# n1 - n2 blocks, a diagonal pattern, parity blocks and one dense block
+# n1 - n2 blocks, a diagonal pattern, a checkerboard pattern and one dense block
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("pair", [
     lambda: (sts2_dm(TwoModeStsParams(1.5, 2.0, 0.4, 0.3), 8),
@@ -448,28 +448,17 @@ def test_numeric_fidelity_blockwise_equals_dense(pair):
     assert f12 == uhlmann_fidelity_numeric(r2, r1)
 
 
-def _crossing_factor_dm():
-    """A two-mode factor built by hand: an STS factor with one more column
-    that reaches rows of every n1 - n2."""
-    f = whole_factor(sts2_dm(TwoModeStsParams(0.4, 0.2, 0.5, 0.7), 6))
-    extra = np.random.default_rng(7).normal(size=(36, 2)) @ [1.0, 1j]
-    psi = np.hstack((np.sqrt(0.8) * f, np.sqrt(0.2) * extra[:, None] / np.linalg.norm(extra)))
-    return FockDensityMatrix(dim=6, modes=2, blocks={None: psi})
-
-
-# label blocks against one SVD of the whole of Psi1^dag Psi2: one block on
-# every row against label blocks, mixed block shapes, a single column and a
-# factor with no columns
+# blocks against one SVD of the whole of Psi1^dag Psi2: mixed block shapes,
+# a single column and a factor with no columns
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 @pytest.mark.parametrize("pair", [
-    lambda: (_crossing_factor_dm(), sts2_dm(TwoModeStsParams(0.3, 0.6, 0.4, -0.5), 6)),
     lambda: (dsts_dm(DstsParams(0.5, 0.3, 0.4, 0.3 - 0.2j), 30),
              dsts_dm(DstsParams(1.0, 0.2, -0.7), 30)),
     lambda: (thermal_dm(0.7, 30), dsts_dm(DstsParams(0.3, 0.4, 1.0), 30)),
     lambda: (sts2_dm(TwoModeStsParams(0.0, 0.0, 0.6, 0.3), 12),
              sts2_dm(TwoModeStsParams(0.2, 0.4, 0.5, -0.2), 12)),
     lambda: (dsts_dm(DstsParams(0.0, alpha=40.0), 20), dsts_dm(DstsParams(0.3, 0.2), 20)),
-], ids=["crossing-column", "displaced-undisplaced", "thermal-dsts", "pure-sts", "no-columns"])
+], ids=["displaced-undisplaced", "thermal-dsts", "pure-sts", "no-columns"])
 def test_block_rule_equals_unblocked_svd(pair):
     r1, r2 = pair()
     overlap = whole_factor(r1).conj().T @ whole_factor(r2)
@@ -497,9 +486,9 @@ def test_columns_that_underflow_to_zero_are_dropped():
     p1, p2 = DstsParams(1.99e-8, 0.629, -0.616), DstsParams(1.166, 1.094, 2.618)
     r1, r2 = matched_pair(dsts_dm, p1, p2)
     assert r1.dim == 244
-    for block in r1.blocks.values():
-        assert block.shape[0] == 122 and block.shape[1] < 122
-        assert block.any(axis=0).all()
+    (block,) = r1.blocks.values()
+    assert block.shape == (244, 86)
+    assert block.any(axis=0).all()
     assert abs(uhlmann_fidelity_numeric(r1, r2) - fidelity_one_mode(p1, p2)) < 1e-13
 
 
@@ -576,18 +565,20 @@ def test_density_matrix_validation():
     (2, {3: np.zeros((0, 0))}),
     (2, {-3: np.zeros((0, 1))}),
     (1, {None: np.eye(3) / 3.0, 0: np.eye(2) / 3.0}),
-], ids=["parity-2", "parity-negative", "difference-dim", "difference-minus-dim", "none-mixed"])
+    (1, {0: np.eye(3) / 3.0}),
+    (2, {None: np.eye(9) / 9.0}),
+], ids=["parity-2", "parity-negative", "difference-dim", "difference-minus-dim", "none-mixed",
+        "one-mode-label", "two-mode-none"])
 def test_labels_outside_the_scheme_are_rejected(modes, blocks):
-    # at dim 3: labels 0 and 1 (n mod 2) for one mode, |n1 - n2| < 3 for two,
-    # or None alone
+    # at dim 3: None alone for one mode, n1 - n2 with |n1 - n2| < 3 for two
     with pytest.raises(DomainError, match="block labels"):
         FockDensityMatrix(dim=3, modes=modes, blocks=blocks)
 
 
 @pytest.mark.parametrize("modes,label,rows",
-                         [(1, 0, 3), (1, 1, 1), (2, 0, 3), (2, -2, 4), (2, 1, 4)])
+                         [(1, None, 3), (2, 0, 3), (2, -2, 4), (2, 1, 4)])
 def test_block_rows_must_fit_label(modes, label, rows):
-    # at dim 4: 2 rows per parity, 4 - |n1 - n2| rows per two-mode label
+    # at dim 4: 4 rows for one mode, 4 - |n1 - n2| rows per two-mode label
     with pytest.raises(DimensionMismatch, match="rows"):
         FockDensityMatrix(dim=4, modes=modes, blocks={label: np.zeros((rows, 1))})
 
@@ -616,9 +607,9 @@ def test_sts_build_at_the_cap_stores_only_its_blocks():
 def test_non_finite_factor_is_rejected(bad, labelled):
     factor = np.eye(2, dtype=complex) / math.sqrt(2.0)
     factor[1, 0] = bad
-    blocks = {0: factor[:1], 1: factor[1:]} if labelled else {None: factor}
+    modes, label = (2, 0) if labelled else (1, None)  # two-mode label 0 is |0, 0> and |1, 1>
     with pytest.raises(UnphysicalState, match="non-finite"):
-        FockDensityMatrix(dim=2, modes=1, blocks=blocks)
+        FockDensityMatrix(dim=2, modes=modes, blocks={label: factor})
 
 
 def test_automatic_dims_log_one_debug_record(caplog):

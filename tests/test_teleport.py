@@ -340,6 +340,11 @@ def test_sweep_rejects_bad_input_occupancy(nbar_in):
             sweep_fig1(1.0, [0.1, nbar_in], grid)
 
 
+def test_negative_zero_curve_keys_are_positive_zero():
+    for curves in (sweep_fig1(1.0, [-0.0], [0.5]), sweep_fig2([-0.0], [0.5])):
+        assert [math.copysign(1.0, key) for key in curves] == [1.0]
+
+
 def test_sweep_rejects_bad_grids():
     with pytest.raises(DomainError):
         sweep_fig1(-0.5, (0.0,), [0.5])
