@@ -16,7 +16,7 @@ import math
 
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
-from .fidelity import fidelity_two_mode_sts_kernel
+from .fidelity import aligned_sts_distance
 from .states import R_MAX, TwoModeStsParams, checked_invariants
 
 #: tolerance on the separability inequality itself
@@ -71,7 +71,8 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     if p.r <= separability_threshold_rs(p.nbar1, p.nbar2):
         return p, 0.0
 
-    nbar1, nbar2, r, phi = p.nbar1, p.nbar2, p.r, p.phi
+    nbar1, nbar2 = p.nbar1, p.nbar2
+    distance = aligned_sts_distance(nbar1, nbar2, p.r)
 
     def unpack(t):
         m1 = t[0] * t[0]
@@ -79,7 +80,7 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
         return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2])
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(nbar1, nbar2, r, phi, *unpack(t), phi))
+        return distance(*unpack(t))
 
     starts = []
     for k in range(n_starts):
@@ -89,7 +90,7 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
         starts.append([math.sqrt(nbar1 + d1), math.sqrt(nbar2 + d2), slope])
 
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return TwoModeStsParams(*unpack(x_best), phi), f_best
+    return TwoModeStsParams(*unpack(x_best), p.phi), f_best
 
 
 def entropy_of_entanglement_svs(r: float) -> float:

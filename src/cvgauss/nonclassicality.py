@@ -13,7 +13,7 @@ import math
 
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
-from .fidelity import fidelity_one_mode_kernel
+from .fidelity import aligned_one_mode_distance
 from .states import DstsParams
 
 
@@ -60,17 +60,16 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     """
     if is_classical(p):
         return p, 0.0
-    nbar, r, phi, alpha = p.nbar, p.r, p.phi, p.alpha
+    distance = aligned_one_mode_distance(p.nbar, p.r)
 
     def unpack(t):
         nb = t[0] * t[0]
         return nb, nonclassicality_threshold(nb) * logistic(t[1])
 
     def objective(t):
-        nb, rp = unpack(t)
-        return 1.0 - math.sqrt(fidelity_one_mode_kernel(nbar, r, phi, alpha, nb, rp, phi, alpha))
+        return distance(*unpack(t))
 
-    starts = [[math.sqrt(nbar + 0.25 * (k + 1)), 2.0 if k % 2 == 0 else 6.0]
+    starts = [[math.sqrt(p.nbar + 0.25 * (k + 1)), 2.0 if k % 2 == 0 else 6.0]
               for k in range(n_starts)]
     x_best, f_best = multistart_nelder_mead(objective, starts)
-    return DstsParams(*unpack(x_best), phi, alpha), f_best
+    return DstsParams(*unpack(x_best), p.phi, p.alpha), f_best

@@ -183,7 +183,7 @@ def dsts_to_cf(p: DstsParams) -> OneModeGaussianCF:
     """
     nph = p.nbar + 0.5
     a = nph * math.cosh(2.0 * p.r) - 0.5
-    b = -nph * np.exp(1j * p.phi) * math.sinh(2.0 * p.r)
+    b = -nph * cmath.exp(1j * p.phi) * math.sinh(2.0 * p.r)
     return OneModeGaussianCF(a=a, b=b, c=p.alpha)
 
 
@@ -226,19 +226,29 @@ def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
 def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
     """(a1, a2, g) of a squeezed thermal state: a_j + 1/2 = sqrt(det V_j), the
     local invariant of mode j, and the cross coupling
-    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r."""
-    ch2 = math.cosh(p.r) ** 2
-    sh2 = math.sinh(p.r) ** 2
+    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r.  Where nbar1 + nbar2
+    overflows, g is formed from half of it and doubled last, so it stays
+    finite (and is 0 at r = 0) wherever its true value is; UnphysicalState
+    where a coefficient exceeds the largest double."""
+    sh, ch = math.sinh(p.r), math.cosh(p.r)
+    ch2, sh2 = ch ** 2, sh ** 2
     a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
     a2 = (p.nbar2 + 0.5) * ch2 + (p.nbar1 + 0.5) * sh2 - 0.5
-    g = (p.nbar1 + p.nbar2 + 1.0) * np.exp(1j * p.phi) * math.sinh(p.r) * math.cosh(p.r)
+    n = p.nbar1 + p.nbar2 + 1.0
+    if n < math.inf:
+        g = n * cmath.exp(1j * p.phi) * sh * ch
+    else:
+        g = 2.0 * ((0.5 * p.nbar1 + 0.5 * p.nbar2 + 0.5) * cmath.exp(1j * p.phi) * sh * ch)
+    if not (a1 < math.inf and a2 < math.inf and cmath.isfinite(g)):
+        raise UnphysicalState("squeezed thermal covariance entries overflow double precision")
     return a1, a2, g
 
 
 def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
     """Read-only 4x4 covariance matrix of a two-mode squeezed thermal state,
     mode blocks (a_j + 1/2) I and cross block [[Re g, Im g], [Im g, -Re g]]
-    (unchecked: the parameters are valid by construction)."""
+    (unchecked: the parameters are valid by construction); UnphysicalState
+    where an entry exceeds the largest double."""
     a1, a2, g = _sts_coefficients(p)
     m = np.array([[a1 + 0.5, 0.0, g.real, g.imag],
                   [0.0, a1 + 0.5, g.imag, -g.real],
@@ -267,8 +277,9 @@ def checked_invariants(m) -> LocalInvariants:
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4) or not (np.isfinite(m).all() and np.array_equal(m, m.T)):
         raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
+    rows = m.tolist()  # Python floats: an overflow in the check is inf, not a warning
     for i in (0, 2):
-        _check_cov1(m[i, i], m[i, i + 1], m[i + 1, i + 1])
+        _check_cov1(rows[i][i], rows[i][i + 1], rows[i + 1][i + 1])
     ev_min = float(np.linalg.eigvalsh(m).min())
     if ev_min < -_scaled_tol(float(np.abs(m).max())):
         raise UnphysicalState(

@@ -11,16 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 import cvgauss
 from cvgauss import (
+    ConvergenceFailure,
     DomainError,
     DstsParams,
     OneModeGaussianCF,
     TwoModeStsParams,
     UnphysicalState,
+    closest_classical_numeric,
+    closest_separable_numeric,
     degree_e0,
     degree_q0,
     dsts_to_cf,
     fidelity_one_mode,
     fidelity_two_mode_sts,
+    is_classical,
     peres_simon_separable,
     resource_noise,
     sts_to_cov2,
@@ -28,6 +32,7 @@ from cvgauss import (
     teleport_symmetric_sts,
     teleport_with_noise,
 )
+from cvgauss.entanglement import separability_threshold_rs
 from cvgauss.states import R_MAX
 
 SRC = Path(cvgauss.__file__).parent
@@ -123,3 +128,18 @@ def test_closed_forms_give_a_finite_value_or_a_package_error(p, q, s, t, z):
         except (DomainError, UnphysicalState):
             continue
         assert _finite(value), (f, args, value)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(p=_dsts, s=_sts)
+def test_searches_give_a_state_in_the_set_or_a_package_error(p, s):
+    def separable(t):
+        return t.r <= separability_threshold_rs(t.nbar1, t.nbar2) + 1e-12
+
+    for search, state, inside in ((closest_classical_numeric, p, is_classical),
+                                  (closest_separable_numeric, s, separable)):
+        try:
+            closest, value = search(state, n_starts=2)
+        except (DomainError, UnphysicalState, ConvergenceFailure):
+            continue
+        assert 0.0 <= value <= 1.0 and inside(closest), (search, state, closest, value)

@@ -294,6 +294,31 @@ def test_sts_to_cov2_is_read_only_array():
         m[0, 0] = 1.0
 
 
+def test_sts_to_cov2_is_finite_where_its_entries_are_and_refuses_where_they_overflow():
+    # nbar1 + nbar2 overflows: the cross block is exactly 0 at r = 0 and finite at small r
+    m = sts_to_cov2(TwoModeStsParams(1e308, 1e308, 0.0))
+    assert np.isfinite(m).all() and not m[:2, 2:].any() and not m[2:, :2].any()
+    assert m[0, 0] == m[2, 2] == 1e308
+    m = sts_to_cov2(TwoModeStsParams(1e308, 1e308, 1e-3, 0.4))
+    g = 1e308 * math.sinh(2e-3)  # (nbar1 + nbar2 + 1) sinh r cosh r
+    assert m[0, 2] == pytest.approx(g * math.cos(0.4), rel=1e-15)
+    assert m[0, 3] == pytest.approx(g * math.sin(0.4), rel=1e-15)
+    # (nbar + 1/2) cosh^2 r is about 1e560
+    with pytest.raises(UnphysicalState, match="overflow double precision"):
+        sts_to_cov2(TwoModeStsParams(1e300, 1e300, 300.0, 0.3))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("convert, state", [
+    (dsts_to_cf, DstsParams(1e300, 300.0, 0.3)),
+    (lambda s: checked_invariants(sts_to_cov2(s)), TwoModeStsParams(1e308, 1e308, 0.0)),
+    (sts_to_cov2, TwoModeStsParams(1e300, 1e300, 300.0, 0.3)),
+], ids=["dsts_to_cf", "checked_invariants", "sts_to_cov2"])
+def test_overflowing_conversions_raise_without_a_warning(convert, state):
+    with pytest.raises(UnphysicalState):
+        convert(state)
+
+
 def test_sts_to_cov2_pure_det():
     inv = local_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.9)))
     assert inv.det_v == pytest.approx(1.0 / 16.0, abs=1e-13)
