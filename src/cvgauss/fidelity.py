@@ -71,30 +71,26 @@ def fidelity_one_mode_kernel(n1: float, r1: float, phi1: float, a1: complex,
 def aligned_one_mode_distance(n1: float, r1: float):
     """The objective of the one-mode distance search: the function
     (n2, r2) -> 1 - sqrt(F) with F = fidelity_one_mode_kernel(n1, r1, phi, alpha,
-    n2, r2, phi, alpha), equal to it bit for bit, exceptions included, for any
-    finite phi and alpha, on which it does not depend.
+    n2, r2, phi, alpha), for any finite phi and alpha, on which it does not
+    depend.
 
     With phi' = phi and alpha' = alpha the sin^2 term of Delta and E are exactly
     0, so only Delta and Lambda remain, in the kernel's operations and order,
-    with the terms of (n1, r1) taken once.  The sin^2 term is 0 only while
-    4 sinh 2r1 sinh 2r2 < e^{2(r1 + r2)} is finite (else inf * 0), so past
-    r2 = 354 - r1, or at a nan r2, the kernel itself is called."""
+    with the terms of (n1, r1) taken once.  It equals the kernel bit for bit
+    wherever the kernel's 4 sinh 2r1 sinh 2r2 is finite; past that, near
+    r1 + r2 = 355, the kernel reads the dropped term as inf * 0 = nan, and this
+    stays finite where F is."""
     y1 = n1 + 0.5
     y1y1 = y1 * y1
     e1 = math.exp(2.0 * r1)
     p1 = 4.0 * (n1 * (n1 + 1.0))
-    r2_max = 354.0 - r1
 
     def distance(n2: float, r2: float) -> float:
-        if r2 <= r2_max:
-            y2 = n2 + 0.5
-            e2 = math.exp(2.0 * r2)
-            delta = y1y1 + y2 * y2 + y1 * y2 * (e1 / e2 + e2 / e1)
-            lam = p1 * (n2 * (n2 + 1.0))
-            f = clamp_unit((math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
-        else:
-            f = fidelity_one_mode_kernel(n1, r1, 0.0, 0j, n2, r2, 0.0, 0j)
-        return 1.0 - math.sqrt(f)
+        y2 = n2 + 0.5
+        e2 = math.exp(2.0 * r2)
+        delta = y1y1 + y2 * y2 + y1 * y2 * (e1 / e2 + e2 / e1)
+        lam = p1 * (n2 * (n2 + 1.0))
+        return 1.0 - math.sqrt(clamp_unit((math.sqrt(delta + lam) + math.sqrt(lam)) / delta))
 
     return distance
 
@@ -146,38 +142,30 @@ def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
 def aligned_sts_distance(n1: float, n2: float, r: float):
     """The objective of the STS distance search: the function
     (n1p, n2p, rp) -> 1 - sqrt(F) with F = fidelity_two_mode_sts_kernel(n1, n2,
-    r, phi, n1p, n2p, rp, phi), equal to it bit for bit, exceptions included,
-    for any finite phi, on which it does not depend.
+    r, phi, n1p, n2p, rp, phi), for any finite phi, on which it does not depend.
 
     With phi' = phi the sin^2 term of D is exactly 0, so only the rest of D
     and s remain, in the kernel's operations and order, with the terms of
-    (n1, n2, r) taken once; e^{2r'} is needed only where |r - r'| >= 1.  The
-    sin^2 term is 0 only while (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is
-    finite, and it is below (y1 + y2) e^{2r} (y1' + y2') e^{2r'} / 4.  So with
-    b = 708 - ln(y1 + y2) - 2r the objective computes where
-    y1' + y2' <= e^{b/2} and 2r' <= b/2, and calls the kernel elsewhere."""
+    (n1, n2, r) taken once; e^{2r'} is needed only where |r - r'| >= 1.  It
+    equals the kernel bit for bit wherever the kernel's
+    (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past that the kernel reads
+    the dropped term as inf * 0 = nan, and this stays finite where F is."""
     y1, y2 = n1 + 0.5, n2 + 0.5
     y1y2 = y1 * y2
     m1, m2 = n1 + 1.0, n2 + 1.0
     e1 = math.exp(2.0 * r)
-    half_budget = 0.5 * (708.0 - math.log(y1 + y2) - 2.0 * r)
-    y_max, rp_max = math.exp(half_budget), 0.5 * half_budget
 
     def distance(n1p: float, n2p: float, rp: float) -> float:
         y1p, y2p = n1p + 0.5, n2p + 0.5
-        if y1p + y2p <= y_max and rp <= rp_max:
-            u = r - rp
-            if abs(u) < 1.0:
-                sh2 = math.sinh(u) ** 2
-            else:
-                e2 = math.exp(2.0 * rp)
-                sh2 = 0.25 * (e1 / e2 + e2 / e1) - 0.5
-            d = y1y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
-            s = (math.sqrt((n1 * n1p) * (m2 * (n2p + 1.0)))
-                 + math.sqrt((n2 * n2p) * (m1 * (n1p + 1.0))))
-            f = clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
+        u = r - rp
+        if abs(u) < 1.0:
+            sh2 = math.sinh(u) ** 2
         else:
-            f = fidelity_two_mode_sts_kernel(n1, n2, r, 0.0, n1p, n2p, rp, 0.0)
-        return 1.0 - math.sqrt(f)
+            e2 = math.exp(2.0 * rp)
+            sh2 = 0.25 * (e1 / e2 + e2 / e1) - 0.5
+        d = y1y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
+        s = (math.sqrt((n1 * n1p) * (m2 * (n2p + 1.0)))
+             + math.sqrt((n2 * n2p) * (m1 * (n1p + 1.0))))
+        return 1.0 - math.sqrt(clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2))
 
     return distance

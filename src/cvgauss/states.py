@@ -226,19 +226,15 @@ def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
 def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
     """(a1, a2, g) of a squeezed thermal state: a_j + 1/2 = sqrt(det V_j), the
     local invariant of mode j, and the cross coupling
-    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r.  Where nbar1 + nbar2
-    overflows, g is formed from half of it and doubled last, so it stays
-    finite (and is 0 at r = 0) wherever its true value is; UnphysicalState
-    where a coefficient exceeds the largest double."""
+    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r, formed from half of
+    nbar1 + nbar2 + 1 and doubled last, so it stays finite (and is 0 at r = 0)
+    wherever its true value is; UnphysicalState where a coefficient exceeds
+    the largest double."""
     sh, ch = math.sinh(p.r), math.cosh(p.r)
     ch2, sh2 = ch ** 2, sh ** 2
     a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
     a2 = (p.nbar2 + 0.5) * ch2 + (p.nbar1 + 0.5) * sh2 - 0.5
-    n = p.nbar1 + p.nbar2 + 1.0
-    if n < math.inf:
-        g = n * cmath.exp(1j * p.phi) * sh * ch
-    else:
-        g = 2.0 * ((0.5 * p.nbar1 + 0.5 * p.nbar2 + 0.5) * cmath.exp(1j * p.phi) * sh * ch)
+    g = 2.0 * ((0.5 * p.nbar1 + 0.5 * p.nbar2 + 0.5) * cmath.exp(1j * p.phi) * sh * ch)
     if not (a1 < math.inf and a2 < math.inf and cmath.isfinite(g)):
         raise UnphysicalState("squeezed thermal covariance entries overflow double precision")
     return a1, a2, g
