@@ -78,8 +78,8 @@ def aligned_one_mode_distance(n1: float, r1: float):
     0, so only Delta and Lambda remain, in the kernel's operations and order,
     with the terms of (n1, r1) taken once.  It equals the kernel bit for bit
     wherever the kernel's 4 sinh 2r1 sinh 2r2 is finite; past that, near
-    r1 + r2 = 355, the kernel reads the dropped term as inf * 0 = nan, and this
-    stays finite where F is."""
+    r1 + r2 = 355, the kernel reads the dropped term as inf * 0 = nan, which
+    this does not compute."""
     y1 = n1 + 0.5
     y1y1 = y1 * y1
     e1 = math.exp(2.0 * r1)
@@ -149,7 +149,7 @@ def aligned_sts_distance(n1: float, n2: float, r: float):
     (n1, n2, r) taken once; e^{2r'} is needed only where |r - r'| >= 1.  It
     equals the kernel bit for bit wherever the kernel's
     (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past that the kernel reads
-    the dropped term as inf * 0 = nan, and this stays finite where F is."""
+    the dropped term as inf * 0 = nan, which this does not compute."""
     y1, y2 = n1 + 0.5, n2 + 0.5
     y1y2 = y1 * y2
     m1, m2 = n1 + 1.0, n2 + 1.0
