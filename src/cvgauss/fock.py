@@ -24,7 +24,8 @@ sqrt(j+1) e_{j+1} = gamma_0 e_j + A_00 sqrt(j) e_{j-1}, and for two modes,
     Psi[(k1+j, k2+j), (k1, k2)] = sqrt(rho_0 A_02^k1 A_13^k2 (k1+j)! (k2+j)! / (k1! k2!)) A_01^j / j!.
 
 The builders write A, gamma and rho_0 with positive terms only.  Psi[m, k]
-vanishes for k > m, so no entry depends on the cut: a build at dim d is the
+vanishes for k > m, so no entry depends on the cut.  Up to the columns a
+one-mode build drops (at most 2^-120 of mass, below), a build at dim d is the
 top-left corner of any larger build, and 1 - ||Psi||_F^2 = 1 - Tr rho is the
 true tail mass.  A cut that is too small shows in ``tail_mass`` and raises
 TruncationWarning; the automatic dimension is the smallest whose tail meets
@@ -36,8 +37,9 @@ every row, label None.  A two-mode squeezed thermal state maps column
 (k1, k2) only to rows with n1 - n2 = k1 - k2, so its builder stores Psi as one
 block per such label L, |L| < dim, the rows of that label by the columns that
 start on them; rho is an exact zero between labels.  Everything here works
-one label at a time.  A column whose entries all underflow to zero is
-dropped.
+one label at a time.  A one-mode build drops its trailing columns once
+together they carry at most 2^-120 of mass (see dsts_dm); every build drops
+a column whose entries all underflow to zero.
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -55,7 +57,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterator
 
@@ -73,6 +75,8 @@ MAX_DIM_PER_MODE = 64
 TAIL_TARGET = 1e-8
 #: tail mass above which builders emit TruncationWarning
 TAIL_WARN = 1e-6
+#: the most mass the trailing columns a one-mode build drops may carry (see dsts_dm)
+_DROP_MASS = 2.0 ** -120
 
 
 def _rows(dim: int, label: int | None) -> np.ndarray:
@@ -207,6 +211,16 @@ def _lower_toeplitz(x: np.ndarray, cols: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(pad, len(x))[:, ::-1][:, :cols]
 
 
+@lru_cache(maxsize=16)
+def _log_binomial(dim: int, cols: int) -> np.ndarray:
+    """ln C(m, k) for m < dim and k < cols, read-only; above the diagonal it
+    reads ln(m!/k!), which the zeros of the Toeplitz factor mask."""
+    lf = _log_factorials(dim)
+    table = lf[:, None] - _lower_toeplitz(lf, cols) - lf[:cols]
+    table.setflags(write=False)
+    return table
+
+
 def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
     """Psi[m, k] for m < dim: dim columns, one for a pure state (A_01 = 0),
     none where rho_0 underflows.  sqrt(rho_0) rides along in e, whose entries
@@ -220,10 +234,8 @@ def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
     for j in range(1, dim):
         prev, cur = e[-1], (gamma * e[-1] + a00 * sq[j - 1] * prev) / sq[j]
         e.append(cur)
-    lf = _log_factorials(dim)
-    log_binomial = lf[:, None] - _lower_toeplitz(lf, cols) - lf[:cols]
     return _lower_toeplitz(np.array(e), cols) * np.exp(
-        0.5 * (log_binomial + np.arange(cols) * _log(a01)))
+        0.5 * (_log_binomial(dim, cols) + np.arange(cols) * _log(a01)))
 
 
 def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
@@ -268,7 +280,22 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     """Displaced squeezed thermal state as a truncated density matrix, at dim
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
-    capped at MAX_DIM_ONE_MODE."""
+    capped at MAX_DIM_ONE_MODE.
+
+    After the row cut, the trailing columns of Psi that together carry at
+    most 2^-120 (the sum of |Psi[m, k]|^2 over them) are dropped, so both
+    routes to the same dim keep the same block; the kept columns are a
+    prefix of the full factor, bit for bit.  Column k carries about A_01^k,
+    so a mixed state sheds its high columns and each SVD shrinks.  No
+    result moves by more than roundoff.  Write Psi = [Psi', T] with
+    ||T||_F <= 2^-60.  For two states, Psi_1^dag Psi_2 minus Psi_1'^dag Psi_2'
+    (padded with zeros) is made of the blocks Psi_1'^dag T_2, T_1^dag Psi_2'
+    and T_1^dag T_2; as ||Psi||_F <= 1, its Frobenius norm is at most
+    2 * 2^-60, and its rank is at most dim <= 256, so its trace norm is at
+    most sqrt(256) * 2 * 2^-60 = 2^-55.  The fidelity, the square of a trace
+    norm at most 1, moves by at most 2^-54, below half an ulp of 1; the trace
+    product and tail_mass move by at most 3 * 2^-120 and 2^-120.
+    """
     if dim is None:
         psi = _one_mode_factor(p, MAX_DIM_ONE_MODE)
         dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)), 1)
@@ -276,7 +303,8 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
-    return _finish_dm({None: psi}, dim, 1)
+    trailing = np.cumsum(np.sum(np.abs(psi) ** 2, axis=0)[::-1])[::-1]  # columns k onward
+    return _finish_dm({None: psi[:, :np.count_nonzero(trailing > _DROP_MASS)]}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -314,7 +342,7 @@ def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarr
     for label, b1 in r1.blocks.items():
         if (b2 := r2.blocks.get(label)) is None:
             continue
-        if (b1.shape, b1.tobytes()) > (b2.shape, b2.tobytes()):
+        if b1.shape > b2.shape or b1.shape == b2.shape and b1.tobytes() > b2.tobytes():
             b1, b2 = b2, b1
         yield b1.conj().T @ b2
 

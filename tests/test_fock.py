@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from cf_reference import sts_cf2
 from fock_reference import (
     cf2_numeric,
@@ -154,14 +155,34 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
     assert np.all(rho[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] == 0.0)
 
 
+def _assert_drop_rule(block, p, kept):
+    """block is the one-mode factor of p at its dim cut after its first
+    ``kept`` columns: the fewest whose dropped rest carries <= 2^-120."""
+    full = fock._one_mode_factor(p, block.shape[0])
+    assert block.shape[1] == kept
+    assert np.array_equal(block, full[:, :kept])
+    assert np.sum(np.abs(full[:, kept:]) ** 2) <= 2.0 ** -120
+    assert np.sum(np.abs(full[:, kept - 1:]) ** 2) > 2.0 ** -120
+
+
 # the small two-mode build is cut on purpose: it is compared with a corner
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_build_is_corner_of_larger_build():
+    # each one-mode build keeps a prefix of its columns, which the larger
+    # build extends; the columns only the larger one keeps carry <= 2^-120
+    # on the smaller one's rows
     p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
     small, big = dsts_dm(p, 120), dsts_dm(p, 256)
-    assert np.array_equal(whole_factor(small), whole_factor(big)[:120, :120])
-    assert not np.any(whole_factor(big)[:120, 120:])
-    assert np.array_equal(small.matrix, big.matrix[:120, :120])
+    _assert_drop_rule(small.blocks[None], p, 75)
+    _assert_drop_rule(big.blocks[None], p, 109)
+    assert np.array_equal(whole_factor(small), whole_factor(big)[:120, :75])
+    assert np.sum(np.abs(whole_factor(big)[:120, 75:]) ** 2) <= 2.0 ** -120
+    corner = FockDensityMatrix(dim=120, modes=1, blocks={None: big.blocks[None][:120, :75]})
+    assert np.array_equal(small.matrix, corner.matrix)
+    assert np.abs(small.matrix - big.matrix[:120, :120]).max() < 1e-16
+    # the automatic dim and an explicit one of the same size keep the same block
+    auto = dsts_dm(p)
+    assert np.array_equal(auto.blocks[None], dsts_dm(p, auto.dim).blocks[None])
     q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
     small, big = sts2_dm(q, 20), sts2_dm(q, 30)
     assert list(small.blocks) == list(range(-19, 20))
@@ -482,14 +503,49 @@ def test_factor_without_columns_is_the_zero_operator():
 
 def test_columns_that_underflow_to_zero_are_dropped():
     # the nearly pure state is rebuilt at the warm one's automatic dim 244,
-    # where most of its columns underflow to exact zeros
+    # where 158 of its columns underflow to exact zeros and all but 5 of the
+    # other 86 carry less than 2^-120 together
     p1, p2 = DstsParams(1.99e-8, 0.629, -0.616), DstsParams(1.166, 1.094, 2.618)
     r1, r2 = matched_pair(dsts_dm, p1, p2)
     assert r1.dim == 244
-    (block,) = r1.blocks.values()
-    assert block.shape == (244, 86)
-    assert block.any(axis=0).all()
+    assert np.count_nonzero(fock._one_mode_factor(p1, 244).any(axis=0)) == 86
+    _assert_drop_rule(r1.blocks[None], p1, 5)
+    _assert_drop_rule(r2.blocks[None], p2, 144)
+    assert r1.blocks[None].any(axis=0).all()
     assert abs(uhlmann_fidelity_numeric(r1, r2) - fidelity_one_mode(p1, p2)) < 1e-13
+
+
+# the one-mode domains of the fock_oracle benchmark and of validate
+_mixed = st.builds(DstsParams, st.floats(0.0, 2.0), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi),
+                   st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+_pure = st.builds(DstsParams, st.just(0.0), st.floats(0.0, 0.8), st.floats(-math.pi, math.pi),
+                  st.builds(complex, st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)))
+
+
+# dim 120 cuts the hottest corner of the domain, as in the benchmark
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("automatic", [False, True], ids=["dim120", "automatic"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(p1=st.one_of(_mixed, _pure), p2=st.one_of(_mixed, _pure))
+def test_dropped_columns_leave_the_fidelity_of_the_full_factors(automatic, p1, p2):
+    r1, r2 = matched_pair(dsts_dm, p1, p2) if automatic else (dsts_dm(p1, 120), dsts_dm(p2, 120))
+    full = [fock._one_mode_factor(p, r1.dim) for p in (p1, p2)]
+    kept = [np.zeros_like(f) for f in full]
+    for k, r in zip(kept, (r1, r2)):
+        k[:, :r.blocks[None].shape[1]] = r.blocks[None]
+    untrimmed = _svd_fidelity(*full)
+    # what the dropped values move: the kept columns padded with zeros back
+    # to the full shape
+    assert abs(_svd_fidelity(*kept) - untrimmed) <= 1e-15
+    # the smaller SVD rounds differently: 1.55e-15 apart on a nearly pure
+    # state at dim 120, where the trimmed value is the closed form's to the bit
+    f12 = uhlmann_fidelity_numeric(r1, r2)
+    assert abs(f12 - untrimmed) <= 16 * np.finfo(float).eps
+    assert f12 == uhlmann_fidelity_numeric(r2, r1)
+
+
+def _svd_fidelity(psi1, psi2):
+    return np.linalg.svd(psi1.conj().T @ psi2, compute_uv=False).sum() ** 2
 
 
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
