@@ -157,15 +157,15 @@ def _checked_dim(dim: int, cap: int) -> int:
     return min(dim, cap)
 
 
-def _smallest_dim(kept: np.ndarray, modes: int) -> int:
+def _smallest_dim(kept: np.ndarray, modes: int, cap: int) -> int:
     """Smallest dim whose kept probability kept[dim - 1] leaves a tail of at
-    most TAIL_TARGET; len(kept), the cap, when none does.  Logs the choice at
-    DEBUG on the "cvgauss" logger."""
+    most TAIL_TARGET; len(kept), which is then the cap, when none does.  Logs
+    the choice at DEBUG on the "cvgauss" logger."""
     met = np.flatnonzero(1.0 - kept <= TAIL_TARGET)
     dim = int(met[0]) + 1 if met.size else len(kept)
     tail = max(0.0, 1.0 - float(kept[dim - 1]))
     _logger.debug("automatic Fock dim %d per mode for %d mode(s), cap %d, cut by the cap: %s, "
-                  "tail mass %.3g", dim, modes, len(kept), not met.size, tail)
+                  "tail mass %.3g", dim, modes, cap, not met.size, tail)
     return dim
 
 
@@ -297,8 +297,17 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     product and tail_mass move by at most 3 * 2^-120 and 2^-120.
     """
     if dim is None:
-        psi = _one_mode_factor(p, MAX_DIM_ONE_MODE)
-        dim = _smallest_dim(np.cumsum(np.sum(np.abs(psi) ** 2, axis=1)), 1)
+        # a build at one size is the top-left corner of one at any larger size,
+        # so the size doubles from 32 up to the cap, and the first whose kept
+        # probability meets TAIL_TARGET decides the dim
+        size = min(32, MAX_DIM_ONE_MODE)
+        while True:
+            psi = _one_mode_factor(p, size)
+            kept = np.cumsum(np.sum(np.abs(psi) ** 2, axis=1))
+            if 1.0 - kept[-1] <= TAIL_TARGET or size == MAX_DIM_ONE_MODE:
+                break
+            size = min(2 * size, MAX_DIM_ONE_MODE)
+        dim = _smallest_dim(kept, 1, MAX_DIM_ONE_MODE)
         psi = psi[:dim, :dim]
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
@@ -316,7 +325,7 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
         k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
         top = (np.maximum(k1, k2) + j).ravel()  # the larger photon number of the row
         mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=MAX_DIM_PER_MODE)
-        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]), 2)
+        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]), 2, MAX_DIM_PER_MODE)
     else:
         dim = _checked_dim(dim, MAX_DIM_PER_MODE)
         v = _sts_values(p, dim)

@@ -41,6 +41,10 @@ R_MAX = 0.5 * math.log(sys.float_info.max)
 _DBL_MAX = sys.float_info.max
 
 
+#: relative roundoff of (a+1/2)^2 - |b|^2 - 1/4 below which cf_to_dsts reads nbar as 0
+_PURE_TOL = 64.0 * sys.float_info.epsilon
+
+
 def _scaled_tol(scale: float) -> float:
     return PHYS_TOL * max(1.0, scale)
 
@@ -75,6 +79,14 @@ def wrap_angle(phi: float) -> float:
     return w
 
 
+def _normalise_phi(params) -> None:
+    """Store the angle of a parameter type as a float in (-pi, pi]; one that
+    already is one is left in place."""
+    phi = params.phi
+    if phi.__class__ is not float or not -math.pi < phi <= math.pi:
+        object.__setattr__(params, "phi", wrap_angle(float(phi)))
+
+
 @dataclass(frozen=True)
 class DstsParams:
     """Physical parameters of a displaced squeezed thermal state.
@@ -92,10 +104,13 @@ class DstsParams:
     def __post_init__(self):
         if not (_DBL_MAX >= self.nbar >= 0.0 <= self.r <= R_MAX):
             raise _range_error((self.nbar,), f"nbar must be >= 0, got {self.nbar}", self.r)
-        object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
-        object.__setattr__(self, "alpha", complex(self.alpha))
-        if not cmath.isfinite(self.alpha):
-            raise DomainError(f"displacement alpha must be finite, got {self.alpha}")
+        _normalise_phi(self)
+        alpha = self.alpha
+        if alpha.__class__ is not complex:
+            alpha = complex(alpha)
+            object.__setattr__(self, "alpha", alpha)
+        if not cmath.isfinite(alpha):
+            raise DomainError(f"displacement alpha must be finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -110,15 +125,20 @@ class OneModeGaussianCF:
     c: complex = 0j
 
     def __post_init__(self):
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-        if not (self.a >= -PHYS_TOL):
-            raise UnphysicalState(f"coefficient a must be >= 0, got {self.a}")
+        a, b = self.a, self.b
+        if b.__class__ is not complex:
+            b = complex(b)
+            object.__setattr__(self, "b", b)
+        if self.c.__class__ is not complex:
+            object.__setattr__(self, "c", complex(self.c))
+        if not (a >= -PHYS_TOL):
+            raise UnphysicalState(f"coefficient a must be >= 0, got {a}")
         try:
-            det = self.det_cov()
+            aa = (a + 0.5) ** 2
+            det = aa - abs(b) ** 2  # det_cov()
         except OverflowError:
             raise UnphysicalState("(a+1/2)^2 - |b|^2 overflows double precision") from None
-        if not det >= 0.25 - _scaled_tol((self.a + 0.5) ** 2):
+        if not det >= 0.25 - _scaled_tol(aa):
             raise UnphysicalState(
                 f"(a+1/2)^2 - |b|^2 = {det:.6g} < 1/4: "
                 "state violates the uncertainty relation"
@@ -155,7 +175,7 @@ class TwoModeStsParams:
         if not (_DBL_MAX >= self.nbar1 >= 0.0 <= self.nbar2 <= _DBL_MAX
                 and 0.0 <= self.r <= R_MAX):
             raise _range_error((self.nbar1, self.nbar2), "thermal occupancies must be >= 0", self.r)
-        object.__setattr__(self, "phi", wrap_angle(float(self.phi)))
+        _normalise_phi(self)
 
 
 @dataclass(frozen=True)
@@ -182,9 +202,9 @@ def dsts_to_cf(p: DstsParams) -> OneModeGaussianCF:
     a = (nbar + 1/2) cosh 2r - 1/2,  b = -(nbar + 1/2) e^{i phi} sinh 2r,  c = alpha.
     """
     nph = p.nbar + 0.5
-    a = nph * math.cosh(2.0 * p.r) - 0.5
-    b = -nph * cmath.exp(1j * p.phi) * math.sinh(2.0 * p.r)
-    return OneModeGaussianCF(a=a, b=b, c=p.alpha)
+    r2 = 2.0 * p.r
+    return OneModeGaussianCF(nph * math.cosh(r2) - 0.5,
+                             -nph * cmath.exp(1j * p.phi) * math.sinh(r2), p.alpha)
 
 
 def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
@@ -193,13 +213,14 @@ def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
     when b = 0, and nbar as 0 when (a+1/2)^2 - |b|^2 - 1/4 is within its
     roundoff, eps (a+1/2)^2, which sqrt(Lambda) in the fidelity would magnify.
     """
-    det = g.det_cov()
-    pure = det - 0.25 <= 64.0 * sys.float_info.epsilon * (g.a + 0.5) ** 2
-    nbar = 0.0 if pure else math.sqrt(det) - 0.5
+    aph, b = g.a + 0.5, g.b
+    b_abs = abs(b)
+    det = aph ** 2 - b_abs ** 2  # g.det_cov()
+    pure = det - 0.25 <= _PURE_TOL * aph ** 2
     # tanh 2r = |b| / (a + 1/2), strictly < 1 for physical states
-    r = 0.5 * math.atanh(min(abs(g.b) / (g.a + 0.5), 1.0 - 1e-16))
-    phi = math.atan2((-g.b).imag, (-g.b).real) if g.b != 0.0 else 0.0
-    return DstsParams(nbar=nbar, r=r, phi=phi, alpha=g.c)
+    return DstsParams(0.0 if pure else math.sqrt(det) - 0.5,
+                      0.5 * math.atanh(min(b_abs / aph, 1.0 - 1e-16)),
+                      math.atan2(-b.imag, -b.real) if b != 0.0 else 0.0, g.c)
 
 
 def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
@@ -271,13 +292,15 @@ def checked_invariants(m) -> LocalInvariants:
     tolerance scale that fit in a double (else UnphysicalState), and obeying
     the uncertainty inequality to a tolerance scaled by its terms."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (4, 4) or not (np.isfinite(m).all() and np.array_equal(m, m.T)):
+    # Python floats: an overflow in the check is inf, not a warning
+    rows = m.tolist() if m.shape == (4, 4) else None
+    if rows is None or not (all(map(math.isfinite, entries := sum(rows, [])))
+                            and rows == list(map(list, zip(*rows)))):
         raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
-    rows = m.tolist()  # Python floats: an overflow in the check is inf, not a warning
     for i in (0, 2):
         _check_cov1(rows[i][i], rows[i][i + 1], rows[i + 1][i + 1])
     ev_min = float(np.linalg.eigvalsh(m).min())
-    if ev_min < -_scaled_tol(float(np.abs(m).max())):
+    if ev_min < -_scaled_tol(max(map(abs, entries))):
         raise UnphysicalState(
             f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
@@ -328,6 +351,13 @@ def eval_cf1_cov(v: np.ndarray, lam: complex, displacement: complex = 0j) -> com
 #: largest log s of a covariance scale s whose fourth power is a finite double
 _LOG_SCALE_MAX = 0.5 * R_MAX
 
+#: bounds on the occupancy (the sum of the two for sts2) and on r below which
+#: the scale test cannot fail, so parse_state runs it only past one of them:
+#: ln(1e70 + 1/2) + ln cosh 8 = 168.5 for dsts and ln(1e70 + 1) + 2 ln cosh 4
+#: = 167.8 for sts2, both well under _LOG_SCALE_MAX = 177.4
+_SCALE_SAFE_NBAR = 1e70
+_SCALE_SAFE_R = 4.0
+
 
 def _log_cosh(x: float) -> float:
     """log cosh x for x >= 0, without overflow."""
@@ -342,8 +372,10 @@ def _require(obj: dict, key: str, kind: str):
 
 def _real(value, name: str) -> float:
     """A descriptor's numeric field as a float: a finite real number, not a bool."""
+    if value.__class__ is float and -_DBL_MAX <= value <= _DBL_MAX:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not abs(value) <= sys.float_info.max:
+            or not abs(value) <= _DBL_MAX:
         raise DomainError(f"field '{name}' must be a finite real number, got {value!r}")
     return float(value)
 
@@ -387,7 +419,7 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         r = _real(_require(obj, "r", kind), "r")
         phi = _real(_require(obj, "phi", kind), "phi")
         alpha = complex(_real(alpha[0], "alpha"), _real(alpha[1], "alpha"))
-        if nbar >= 0.0 and r >= 0.0:
+        if nbar >= 0.0 and r >= 0.0 and (nbar > _SCALE_SAFE_NBAR or r > _SCALE_SAFE_R):
             _check_scale(math.log(nbar + 0.5) + _log_cosh(2.0 * r), "'nbar' or 'r'")
         return DstsParams(nbar, r, phi, alpha)
     if kind == "sts2":
@@ -395,7 +427,8 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
         nbar2 = _real(_require(obj, "nbar2", kind), "nbar2")
         r = _real(_require(obj, "r", kind), "r")
         phi = _real(_require(obj, "phi", kind), "phi")
-        if nbar1 >= 0.0 and nbar2 >= 0.0 and r >= 0.0:
+        if nbar1 >= 0.0 and nbar2 >= 0.0 and r >= 0.0 \
+                and (nbar1 + nbar2 > _SCALE_SAFE_NBAR or r > _SCALE_SAFE_R):
             _check_scale(math.log(nbar1 + nbar2 + 1.0) + 2.0 * _log_cosh(r),
                          "'nbar1', 'nbar2' or 'r'")
         return TwoModeStsParams(nbar1, nbar2, r, phi)

@@ -22,7 +22,8 @@ only through its entanglement E0 = (1 - sqrt z)^2/(1 + z).  Any other resource
 adds more noise than a symmetric one of the same E0.
 
 The figure sweeps check each grid value and curve key once, then run on the
-float kernels of the channel (:func:`teleport_with_noise_kernel`) and of Q0.
+float kernels of the fidelity (:func:`teleport_fidelity_kernel`), of the
+channel (:func:`teleport_with_noise_kernel`) and of Q0.
 """
 
 from __future__ import annotations
@@ -106,6 +107,11 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
         raise DomainError(f"y = nbar_in + 1/2 must be finite and >= 1/2, got {y}")
     if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be finite and >= 0, got {z}")
+    return teleport_fidelity_kernel(x, y, z)
+
+
+def teleport_fidelity_kernel(x: float, y: float, z: float) -> float:
+    """:func:`teleport_fidelity` on floats that the caller has checked."""
     xyz = x * y * z
     delta = 4.0 * (y * y + xyz) + z * z
     purity = max(y - 0.5, 0.0) * (y + 0.5)
@@ -121,7 +127,7 @@ def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float
     the displacement cancels because the channel preserves alpha.
     """
     z = resource_noise(TwoModeStsParams(nbar, nbar, r))
-    return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
+    return teleport_fidelity_kernel(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
 
 
 def e0_from_z(z: float) -> float:
@@ -160,7 +166,7 @@ def sweep_fig1(r_in: float, nbar_in_list: Sequence[float],
             raise DomainError(f"input occupancy must be finite and >= 0, got {nbar_in}")
     x = math.cosh(2.0 * r_in)
     grid = [(e0, z_from_e0(e0)) for e0 in map(float, e0_grid)]
-    return {nbar_in: [(e0, teleport_fidelity(x, nbar_in + 0.5, z)) for e0, z in grid]
+    return {nbar_in: [(e0, teleport_fidelity_kernel(x, nbar_in + 0.5, z)) for e0, z in grid]
             for nbar_in in nbars}
 
 

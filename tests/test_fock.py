@@ -275,6 +275,29 @@ def test_auto_dim_is_smallest_meeting_target(p):
             assert dsts_dm(p, r.dim - 1).tail_mass > fock.TAIL_TARGET
 
 
+def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice():
+    # the automatic route builds at 32, 64, 128 and then 256 until one meets
+    # TAIL_TARGET; it keeps the dim a build at the cap chooses, and the block
+    # an explicit build at that dim makes, bit for bit
+    rng = np.random.default_rng(29)
+    states = [random_dsts(rng) for _ in range(40)] + [DstsParams(2.0, 1.0, 0.3, 1 + 1j)]
+    dims = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        for p in states:
+            auto = dsts_dm(p)
+            explicit = dsts_dm(p, auto.dim)
+            assert auto.blocks[None].tobytes() == explicit.blocks[None].tobytes()
+            assert auto.blocks[None].shape == explicit.blocks[None].shape
+            assert auto.tail_mass == explicit.tail_mass
+            rows = np.sum(np.abs(fock._one_mode_factor(p, fock.MAX_DIM_ONE_MODE)) ** 2, axis=1)
+            met = np.flatnonzero(1.0 - np.cumsum(rows) <= fock.TAIL_TARGET)
+            assert auto.dim == (met[0] + 1 if met.size else fock.MAX_DIM_ONE_MODE)
+            dims.add(auto.dim)
+    # each size of the doubling is the one that decides some dim
+    assert {next(s for s in (32, 64, 128, 256) if d <= s) for d in dims} == {32, 64, 128, 256}
+
+
 def test_two_mode_auto_dim_is_smallest_meeting_target():
     p = TwoModeStsParams(0.2, 0.1, 0.5, 0.3)
     r = sts2_dm(p)

@@ -23,7 +23,7 @@ from cvgauss import (
     state_to_dict,
     sts_to_cov2,
 )
-from cvgauss.states import R_MAX, checked_invariants
+from cvgauss.states import _LOG_SCALE_MAX, R_MAX, _log_cosh, checked_invariants
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -88,6 +88,25 @@ def test_non_finite_angle_is_rejected(build, phi):
 def test_non_finite_displacement_is_rejected(alpha):
     with pytest.raises(DomainError, match="alpha must be finite"):
         DstsParams(0.1, 0.2, 0.3, alpha)
+
+
+def test_parameter_types_store_plain_floats_and_complexes():
+    for phi, stored in ((np.float64(0.3), 0.3), (2, 2.0), (np.float64(4.0), 4.0 - 2.0 * math.pi),
+                        (-1, -1.0), (np.float32(0.5), 0.5)):
+        for p in (DstsParams(0.1, 0.2, phi), TwoModeStsParams(0.1, 0.2, 0.3, phi)):
+            assert type(p.phi) is float and p.phi == stored
+    for alpha in (0.5, 1, np.float64(-0.25), np.complex128(0.5 - 1j)):
+        p = DstsParams(0.1, 0.2, 0.3, alpha)
+        assert type(p.alpha) is complex and p.alpha == complex(alpha)
+    g = OneModeGaussianCF(0.5, 0.25, 1)
+    assert (type(g.b), type(g.c)) == (complex, complex) and (g.b, g.c) == (0.25 + 0j, 1 + 0j)
+    g = OneModeGaussianCF(0.5, np.complex128(0.25j), np.float64(-2.0))
+    assert (type(g.b), type(g.c)) == (complex, complex) and (g.b, g.c) == (0.25j, -2 + 0j)
+    # an angle that is not a number fails where float() does
+    with pytest.raises(TypeError):
+        DstsParams(0.1, 0.2, None)
+    with pytest.raises(ValueError):
+        TwoModeStsParams(0.1, 0.2, 0.3, "abc")
 
 
 def test_cf_rejects_unphysical():
@@ -221,6 +240,31 @@ def test_cov_validation():
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(UnphysicalState, match="uncertainty relation"):
         checked_invariants(singular)
+
+
+def _bad_covariances():
+    vacuum = 0.5 * np.eye(4)
+    for i, j in ((0, 0), (3, 3), (1, 2), (0, 3)):
+        for bad in (math.nan, math.inf, -math.inf):
+            m = vacuum.copy()
+            m[i, j] = bad
+            yield m  # an off-diagonal one also breaks the symmetry
+            m[j, i] = bad
+            yield m
+    for i, j in ((0, 1), (1, 3), (2, 0)):
+        m = vacuum.copy()
+        m[i, j] = 0.01
+        yield m
+    yield vacuum[:3, :3]
+    yield vacuum.ravel()
+    yield [[0.5, 0.0], [0.0, 0.5]]
+    yield np.eye(5)
+
+
+@pytest.mark.parametrize("m", list(_bad_covariances()))
+def test_checked_invariants_names_non_finite_asymmetric_or_misshapen_input(m):
+    with pytest.raises(DomainError, match=r"^covariance matrix must be a finite symmetric 4x4 array$"):
+        checked_invariants(m)
 
 
 # --- CF evaluation ----------------------------------------------------------
@@ -497,3 +541,56 @@ def test_parse_state_scale_bound():
     # the sign checks come first
     with pytest.raises(DomainError, match="nbar must be >= 0"):
         parse_state(dict(near, nbar=-1))
+
+
+def _scale_test_result(kind: str, occupancy: float, r: float):
+    """parse_state's result on a state with the given occupancy (split in
+    half between the modes for sts2) and r, next to the result the exact scale
+    test on every state gives: the parsed state, or the error message."""
+    if kind == "dsts":
+        obj = {"kind": kind, "nbar": occupancy, "r": r, "phi": 0.3, "alpha": [0.1, 0.2]}
+        log_s, fields = math.log(occupancy + 0.5) + _log_cosh(2.0 * r), "'nbar' or 'r'"
+        built = DstsParams(occupancy, r, 0.3, 0.1 + 0.2j)
+    else:
+        half = 0.5 * occupancy
+        obj = {"kind": kind, "nbar1": half, "nbar2": half, "r": r, "phi": 0.3}
+        log_s = math.log(half + half + 1.0) + 2.0 * _log_cosh(r)
+        fields, built = "'nbar1', 'nbar2' or 'r'", TwoModeStsParams(half, half, r, 0.3)
+    expected = built if log_s <= _LOG_SCALE_MAX else (
+        f"field {fields} too large: covariance scale exp({log_s:.6g}) has no finite fourth power")
+    try:
+        return parse_state(obj), expected
+    except DomainError as exc:
+        return str(exc), expected
+
+
+def _limit(f, lo: float, hi: float) -> float:
+    """The largest double x in [lo, hi] with f(x) true, for f true at lo, false
+    at hi and monotone in between."""
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("kind", ["dsts", "sts2"])
+def test_parse_state_scale_test_is_unchanged_around_its_fast_path(kind):
+    # the test runs only past occupancy 1e70 or r = 4: on both sides of those
+    # bounds and at the exact limit of the test the verdict and the message
+    # are those of the test on every state
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, 0.0))
+    occupancies = [0.0, 1.0, down(1e70), 1e70, up(1e70), 1e75]
+    radii = [0.0, 0.7, down(4.0), 4.0, up(4.0), 80.0]
+    cases = [(n, r) for n in occupancies for r in radii]
+    for n in occupancies[:-1]:  # the largest accepted r and the next double
+        last = _limit(lambda r: not isinstance(_scale_test_result(kind, n, r)[1], str), 0.0, 100.0)
+        cases += [(n, last), (n, up(last))]
+    for r in radii[:-1]:  # the largest accepted occupancy and the next double
+        last = _limit(lambda n: not isinstance(_scale_test_result(kind, n, r)[1], str), 0.0, 1e80)
+        cases += [(last, r), (up(last), r)]
+    verdicts = set()
+    for n, r in cases:
+        got, expected = _scale_test_result(kind, n, r)
+        assert got == expected, (n, r)
+        verdicts.add(isinstance(got, str))
+    assert verdicts == {False, True}
