@@ -135,7 +135,7 @@ class OneModeGaussianCF:
             raise UnphysicalState(f"coefficient a must be >= 0, got {a}")
         try:
             aa = (a + 0.5) ** 2
-            det = aa - abs(b) ** 2  # det_cov()
+            det = aa - abs(b) ** 2  # det V
         except OverflowError:
             raise UnphysicalState("(a+1/2)^2 - |b|^2 overflows double precision") from None
         if not det >= 0.25 - _scaled_tol(aa):
@@ -143,10 +143,6 @@ class OneModeGaussianCF:
                 f"(a+1/2)^2 - |b|^2 = {det:.6g} < 1/4: "
                 "state violates the uncertainty relation"
             )
-
-    def det_cov(self) -> float:
-        """Determinant of the associated covariance matrix, (a+1/2)^2 - |b|^2."""
-        return (self.a + 0.5) ** 2 - abs(self.b) ** 2
 
 
 def _check_cov1(qq: float, qp: float, pp: float) -> None:
@@ -215,7 +211,7 @@ def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
     """
     aph, b = g.a + 0.5, g.b
     b_abs = abs(b)
-    det = aph ** 2 - b_abs ** 2  # g.det_cov()
+    det = aph ** 2 - b_abs ** 2  # det V
     pure = det - 0.25 <= _PURE_TOL * aph ** 2
     # tanh 2r = |b| / (a + 1/2), strictly < 1 for physical states
     return DstsParams(0.0 if pure else math.sqrt(det) - 0.5,

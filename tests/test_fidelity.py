@@ -242,4 +242,3 @@ def test_sin2_half_difference_is_the_exact_sum_to_the_bit():
         assert _sin2_half_difference(a, b).hex() == _sin2_by_exact_sum(a, b).hex(), (a, b)
         rounds.add(round((a - b) / (2.0 * math.pi)))
     assert rounds == {-1, 0, 1}
-

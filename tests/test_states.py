@@ -248,7 +248,7 @@ def _bad_covariances():
         for bad in (math.nan, math.inf, -math.inf):
             m = vacuum.copy()
             m[i, j] = bad
-            yield m  # an off-diagonal one also breaks the symmetry
+            yield m.copy()  # an off-diagonal one also breaks the symmetry
             m[j, i] = bad
             yield m
     for i, j in ((0, 1), (1, 3), (2, 0)):
@@ -263,7 +263,8 @@ def _bad_covariances():
 
 @pytest.mark.parametrize("m", list(_bad_covariances()))
 def test_checked_invariants_names_non_finite_asymmetric_or_misshapen_input(m):
-    with pytest.raises(DomainError, match=r"^covariance matrix must be a finite symmetric 4x4 array$"):
+    with pytest.raises(DomainError,
+                       match=r"^covariance matrix must be a finite symmetric 4x4 array$"):
         checked_invariants(m)
 
 
