@@ -39,12 +39,8 @@ def _sin2_half_difference(phi1: float, phi2: float) -> float:
     """sin^2((phi1 - phi2) / 2) with the half difference reduced modulo pi by an
     exact sum, so that angles on both sides of the cut at +-pi keep all digits."""
     k = round((phi1 - phi2) / (2.0 * math.pi))
-    if k == 0:  # the exact sum is the one rounding of the difference
-        s = math.sin(0.5 * phi1 - 0.5 * phi2)
-    else:
-        # pi = math.pi + 1.2246467991473532e-16 to twice double precision
-        s = math.sin(math.fsum((0.5 * phi1, -0.5 * phi2, -k * math.pi,
-                                -k * 1.2246467991473532e-16)))
+    # pi = math.pi + 1.2246467991473532e-16 to twice double precision
+    s = math.sin(math.fsum((0.5 * phi1, -0.5 * phi2, -k * math.pi, -k * 1.2246467991473532e-16)))
     return s * s
 
 

@@ -277,10 +277,48 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
     return rho
 
 
+#: values of u = 2t (nbar + 1/2) e^{2r} in (0, 1) at which _tail_bound_size bounds the tail
+_CHERNOFF_U = (0.7, 0.9, 0.97, 0.99, 0.997)
+
+
+def _tail_bound_size(p: DstsParams) -> int:
+    """The smallest multiple of 16 up to 128 rows at which a Chernoff bound
+    puts the tail mass of p at most TAIL_TARGET; the cap where none does.
+
+    For s > 1, P(n >= N) <= E[s^n] s^-N.  The Weyl symbol of s^n is
+    (1 - t) exp(t |x|^2), t = (s - 1)/(s + 1), so for a Gaussian state of
+    quadrature covariance V (vacuum I/2) and mean d, E[s^n]
+    = (1 - t) det(I - 2tV)^(-1/2) exp(t d^T (I - 2tV)^-1 d).  V has the
+    eigenvalues y e^{+-2r}, y = nbar + 1/2, and |d|^2 = 2|alpha|^2, so for
+    u = 2t y e^{2r} < 1
+
+        ln P(n >= N) <= ln(1 - t) - ln(1 - u)/2 - ln(1 - u e^{-4r})/2
+                        + 2t |alpha|^2/(1 - u) - N ln((1 + t)/(1 - t)),
+
+    linear in N for each u.  The size stops at 128: numpy sums a row of at
+    most 128 entries, a multiple of 8, in the order it sums the first 128
+    entries of the row at the cap, so the row masses and the dim they decide
+    are those of the cap build, bit for bit; wider rows it splits elsewhere.
+    """
+    y = p.nbar + 0.5
+    alpha2 = abs(p.alpha) * abs(p.alpha)
+    n = math.inf
+    for u in _CHERNOFF_U:
+        t = 0.5 * u * math.exp(-2.0 * p.r) / y
+        slope = math.log1p(t) - math.log1p(-t)
+        if slope > 0.0:
+            rest = (math.log1p(-t) - 0.5 * math.log1p(-u) - 0.5 * math.log1p(-u * math.exp(-4.0 * p.r))
+                    + 2.0 * t * alpha2 / (1.0 - u) - math.log(TAIL_TARGET))
+            n = min(n, rest / slope)
+    return min(16 * max(1, math.ceil(n / 16)) if n <= 128 else MAX_DIM_ONE_MODE, MAX_DIM_ONE_MODE)
+
+
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     """Displaced squeezed thermal state as a truncated density matrix, at dim
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
-    capped at MAX_DIM_ONE_MODE.
+    capped at MAX_DIM_ONE_MODE.  The automatic route reads that dim off one
+    build at the size _tail_bound_size gives, whose rows are those of the
+    cap build, so it chooses the dim the cap build would.
 
     After the row cut, the trailing columns of Psi that together carry at
     most 2^-120 (the sum of |Psi[m, k]|^2 over them) are dropped, so both
@@ -297,16 +335,13 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     product and tail_mass move by at most 3 * 2^-120 and 2^-120.
     """
     if dim is None:
-        # a build at one size is the top-left corner of one at any larger size,
-        # so the size doubles from 32 up to the cap, and the first whose kept
-        # probability meets TAIL_TARGET decides the dim
-        size = min(32, MAX_DIM_ONE_MODE)
+        size = _tail_bound_size(p)
         while True:
             psi = _one_mode_factor(p, size)
             kept = np.cumsum(np.sum(np.abs(psi) ** 2, axis=1))
             if 1.0 - kept[-1] <= TAIL_TARGET or size == MAX_DIM_ONE_MODE:
                 break
-            size = min(2 * size, MAX_DIM_ONE_MODE)
+            size = MAX_DIM_ONE_MODE  # the bound met TAIL_TARGET only up to roundoff
         dim = _smallest_dim(kept, 1, MAX_DIM_ONE_MODE)
         psi = psi[:dim, :dim]
     else:

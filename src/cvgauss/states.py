@@ -41,10 +41,6 @@ R_MAX = 0.5 * math.log(sys.float_info.max)
 _DBL_MAX = sys.float_info.max
 
 
-#: relative roundoff of (a+1/2)^2 - |b|^2 - 1/4 below which cf_to_dsts reads nbar as 0
-_PURE_TOL = 64.0 * sys.float_info.epsilon
-
-
 def _scaled_tol(scale: float) -> float:
     return PHYS_TOL * max(1.0, scale)
 
@@ -198,9 +194,9 @@ def dsts_to_cf(p: DstsParams) -> OneModeGaussianCF:
     a = (nbar + 1/2) cosh 2r - 1/2,  b = -(nbar + 1/2) e^{i phi} sinh 2r,  c = alpha.
     """
     nph = p.nbar + 0.5
-    r2 = 2.0 * p.r
-    return OneModeGaussianCF(nph * math.cosh(r2) - 0.5,
-                             -nph * cmath.exp(1j * p.phi) * math.sinh(r2), p.alpha)
+    a = nph * math.cosh(2.0 * p.r) - 0.5
+    b = -nph * cmath.exp(1j * p.phi) * math.sinh(2.0 * p.r)
+    return OneModeGaussianCF(a, b, p.alpha)
 
 
 def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
@@ -209,14 +205,13 @@ def cf_to_dsts(g: OneModeGaussianCF) -> DstsParams:
     when b = 0, and nbar as 0 when (a+1/2)^2 - |b|^2 - 1/4 is within its
     roundoff, eps (a+1/2)^2, which sqrt(Lambda) in the fidelity would magnify.
     """
-    aph, b = g.a + 0.5, g.b
-    b_abs = abs(b)
-    det = aph ** 2 - b_abs ** 2  # det V
-    pure = det - 0.25 <= _PURE_TOL * aph ** 2
+    det = (g.a + 0.5) ** 2 - abs(g.b) ** 2
+    pure = det - 0.25 <= 64.0 * sys.float_info.epsilon * (g.a + 0.5) ** 2
+    nbar = 0.0 if pure else math.sqrt(det) - 0.5
     # tanh 2r = |b| / (a + 1/2), strictly < 1 for physical states
-    return DstsParams(0.0 if pure else math.sqrt(det) - 0.5,
-                      0.5 * math.atanh(min(b_abs / aph, 1.0 - 1e-16)),
-                      math.atan2(-b.imag, -b.real) if b != 0.0 else 0.0, g.c)
+    r = 0.5 * math.atanh(min(abs(g.b) / (g.a + 0.5), 1.0 - 1e-16))
+    phi = math.atan2((-g.b).imag, (-g.b).real) if g.b != 0.0 else 0.0
+    return DstsParams(nbar, r, phi, g.c)
 
 
 def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
@@ -288,10 +283,11 @@ def checked_invariants(m) -> LocalInvariants:
     tolerance scale that fit in a double (else UnphysicalState), and obeying
     the uncertainty inequality to a tolerance scaled by its terms."""
     m = np.asarray(m, dtype=float)
-    # Python floats: an overflow in the check is inf, not a warning
-    rows = m.tolist() if m.shape == (4, 4) else None
-    if rows is None or not (all(map(math.isfinite, entries := sum(rows, [])))
-                            and rows == list(map(list, zip(*rows)))):
+    # Python floats: an overflow in the check is inf, not a warning; a
+    # misshapen array reads as one nan
+    rows = m.tolist() if m.shape == (4, 4) else [[math.nan]]
+    entries = [x for row in rows for x in row]
+    if not (all(map(math.isfinite, entries)) and rows == list(map(list, zip(*rows)))):
         raise DomainError("covariance matrix must be a finite symmetric 4x4 array")
     for i in (0, 2):
         _check_cov1(rows[i][i], rows[i][i + 1], rows[i + 1][i + 1])

@@ -22,7 +22,6 @@ from cvgauss import (
     uhlmann_fidelity_numeric,
 )
 from cvgauss.fidelity import (
-    _sin2_half_difference,
     aligned_one_mode_distance,
     aligned_sts_distance,
     fidelity_one_mode_kernel,
@@ -213,32 +212,3 @@ def test_sts_objective_is_the_kernel_to_the_bit(n1, n2, r, phi, n1p, n2p, rp):
 
     assert (_outcome(aligned_sts_distance(n1, n2, r), n1p, n2p, rp)
             == _outcome(through_kernel, n1p, n2p, rp))
-
-
-def _sin2_by_exact_sum(phi1, phi2):
-    """sin^2((phi1 - phi2) / 2) with the half difference reduced by the exact
-    sum on every pair."""
-    k = round((phi1 - phi2) / (2.0 * math.pi))
-    s = math.sin(math.fsum((0.5 * phi1, -0.5 * phi2, -k * math.pi, -k * 1.2246467991473532e-16)))
-    return s * s
-
-
-def test_sin2_half_difference_is_the_exact_sum_to_the_bit():
-    # a pair less than pi apart takes one rounded difference; that is the
-    # exact sum's result, at the ends of (-pi, pi] and on either side of the cut
-    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, -math.inf))
-    edges = [math.pi, down(math.pi), -down(math.pi), up(-math.pi), 0.0, -0.0, 5e-324, -5e-324,
-             1e-300, 0.5 * math.pi, down(0.5 * math.pi), -0.5 * math.pi, 3.0, -3.0, 1.0]
-    rng = np.random.default_rng(41)
-    spread = rng.uniform(-math.pi, math.pi, 20_000).tolist()
-    near_cut = (math.pi - 10.0 ** rng.uniform(-16, 0, 2_000)).tolist()
-    pairs = [(a, b) for a in edges for b in edges]
-    pairs += list(zip(spread[::2], spread[1::2]))
-    pairs += [(a, -b) for a, b in zip(near_cut[::2], near_cut[1::2])]  # across the cut
-    pairs += [(a, b) for a, b in zip(near_cut[::2], near_cut[1::2])]
-    pairs += [(a, down(a)) for a in spread[:2_000]]
-    rounds = set()
-    for a, b in pairs:
-        assert _sin2_half_difference(a, b).hex() == _sin2_by_exact_sum(a, b).hex(), (a, b)
-        rounds.add(round((a - b) / (2.0 * math.pi)))
-    assert rounds == {-1, 0, 1}

@@ -38,6 +38,7 @@ from cvgauss import (
 )
 from cvgauss import fock
 from cvgauss.fock import FockDensityMatrix
+from cvgauss.states import R_MAX
 from cvgauss.validate import matched_pair, random_dsts
 
 
@@ -276,12 +277,12 @@ def test_auto_dim_is_smallest_meeting_target(p):
 
 
 def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice():
-    # the automatic route builds at 32, 64, 128 and then 256 until one meets
-    # TAIL_TARGET; it keeps the dim a build at the cap chooses, and the block
-    # an explicit build at that dim makes, bit for bit
+    # the automatic route builds once, at the size the tail bound gives; it
+    # keeps the dim a build at the cap chooses, and the block an explicit
+    # build at that dim makes, bit for bit
     rng = np.random.default_rng(29)
     states = [random_dsts(rng) for _ in range(40)] + [DstsParams(2.0, 1.0, 0.3, 1 + 1j)]
-    dims = set()
+    sizes = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for p in states:
@@ -293,9 +294,32 @@ def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice():
             rows = np.sum(np.abs(fock._one_mode_factor(p, fock.MAX_DIM_ONE_MODE)) ** 2, axis=1)
             met = np.flatnonzero(1.0 - np.cumsum(rows) <= fock.TAIL_TARGET)
             assert auto.dim == (met[0] + 1 if met.size else fock.MAX_DIM_ONE_MODE)
-            dims.add(auto.dim)
-    # each size of the doubling is the one that decides some dim
-    assert {next(s for s in (32, 64, 128, 256) if d <= s) for d in dims} == {32, 64, 128, 256}
+            # the bound holds: its size already meets the target
+            size = fock._tail_bound_size(p)
+            assert size >= auto.dim and (size == fock.MAX_DIM_ONE_MODE or 1.0 - sum(rows[:size]) <= fock.TAIL_TARGET)
+            sizes.add(size)
+    # the states are built at sizes from 32 to 128 rows and at the cap
+    assert {32, 64, 128, fock.MAX_DIM_ONE_MODE} <= sizes
+
+
+def test_auto_dim_build_falls_back_to_the_cap_where_the_bound_size_falls_short(monkeypatch):
+    # a size that misses TAIL_TARGET, which the bound gives only through
+    # roundoff, is followed by the build at the cap
+    p = DstsParams(0.5, 0.5, 0.3, 0.5 + 0.5j)
+    expected = dsts_dm(p)
+    assert 16 < expected.dim < fock.MAX_DIM_ONE_MODE
+    monkeypatch.setattr(fock, "_tail_bound_size", lambda q: 16)
+    auto = dsts_dm(p)
+    assert auto.dim == expected.dim
+    assert auto.blocks[None].tobytes() == expected.blocks[None].tobytes()
+
+
+def test_tail_bound_size_is_the_cap_for_extreme_states():
+    for p in (DstsParams(1e300, 300.0), DstsParams(0.0, R_MAX, 0.0, 1e300), DstsParams(0.5, 0.2, 0.0, 1e200),
+              DstsParams(1.7e308, 0.0), DstsParams(0.5, 20.0)):
+        assert fock._tail_bound_size(p) == fock.MAX_DIM_ONE_MODE
+    # a vacuum is certified at the smallest size
+    assert fock._tail_bound_size(DstsParams(0.0)) == 16
 
 
 def test_two_mode_auto_dim_is_smallest_meeting_target():
