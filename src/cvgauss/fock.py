@@ -306,7 +306,7 @@ def _tail_bound_size(p: DstsParams) -> int:
     for u in _CHERNOFF_U:
         t = 0.5 * u * math.exp(-2.0 * p.r) / y
         slope = math.log1p(t) - math.log1p(-t)
-        if slope > 0.0:
+        if slope > 0.0:  # t underflows to 0 only for a state far past any cut
             rest = (math.log1p(-t) - 0.5 * math.log1p(-u) - 0.5 * math.log1p(-u * math.exp(-4.0 * p.r))
                     + 2.0 * t * alpha2 / (1.0 - u) - math.log(TAIL_TARGET))
             n = min(n, rest / slope)

@@ -297,6 +297,9 @@ def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice():
             # the bound holds: its size already meets the target
             size = fock._tail_bound_size(p)
             assert size >= auto.dim and (size == fock.MAX_DIM_ONE_MODE or 1.0 - sum(rows[:size]) <= fock.TAIL_TARGET)
+            # and its row masses are the cap build's, bit for bit
+            part = np.sum(np.abs(fock._one_mode_factor(p, size)) ** 2, axis=1)
+            assert part.tobytes() == rows[:size].tobytes()
             sizes.add(size)
     # the states are built at sizes from 32 to 128 rows and at the cap
     assert {32, 64, 128, fock.MAX_DIM_ONE_MODE} <= sizes
