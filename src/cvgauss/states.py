@@ -127,8 +127,8 @@ class OneModeGaussianCF:
             object.__setattr__(self, "b", b)
         if self.c.__class__ is not complex:
             object.__setattr__(self, "c", complex(self.c))
-        if not (a >= -PHYS_TOL):
-            raise UnphysicalState(f"coefficient a must be >= 0, got {a}")
+        if not (-PHYS_TOL <= a < math.inf):
+            raise UnphysicalState(f"coefficient a must be finite and >= 0, got {a}")
         try:
             aa = (a + 0.5) ** 2
             det = aa - abs(b) ** 2  # det V

@@ -21,9 +21,11 @@ with r_s its separability threshold, so the fidelity depends on the resource
 only through its entanglement E0 = (1 - sqrt z)^2/(1 + z).  Any other resource
 adds more noise than a symmetric one of the same E0.
 
-The figure sweeps check each grid value and curve key once, then run on the
-float kernels of the fidelity (:func:`teleport_fidelity_kernel`), of the
-channel (:func:`teleport_with_noise_kernel`) and of Q0.
+The figure sweeps check each grid value and curve key once, then compute each
+curve over the whole grid in numpy arrays, with the operations of the float
+kernels of the fidelity (:func:`teleport_fidelity_kernel`), of the channel
+(:func:`teleport_with_noise_kernel`) and of Q0 in the same order, so each point
+has the bits the kernels give; the transcendentals stay with :mod:`math`.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from array import array
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
-from .nonclassicality import degree_q0_kernel
+from .nonclassicality import nonclassicality_threshold
 from .states import R_MAX, DstsParams, OneModeGaussianCF, TwoModeStsParams
 
 #: parameters of the paper's two figures, the defaults of ``cvgauss sweep``
@@ -165,9 +170,31 @@ def sweep_fig1(r_in: float, nbar_in_list: Sequence[float],
         if not 0.0 <= nbar_in < math.inf:
             raise DomainError(f"input occupancy must be finite and >= 0, got {nbar_in}")
     x = math.cosh(2.0 * r_in)
-    grid = [(e0, z_from_e0(e0)) for e0 in map(float, e0_grid)]
-    return {nbar_in: [(e0, teleport_fidelity_kernel(x, nbar_in + 0.5, z)) for e0, z in grid]
-            for nbar_in in nbars}
+    e0s = []
+    for e0 in map(float, e0_grid):
+        if not 0.0 <= e0 <= 1.0:
+            z_from_e0(e0)  # raises
+        e0s.append(e0)
+    e0 = np.array(e0s, dtype=float)
+    curves = {}
+    with np.errstate(all="ignore"):
+        # z_from_e0, teleport_fidelity_kernel and clamp_unit on the whole grid:
+        # the same correctly rounded operations in the same order, so the same bits
+        w = (1.0 - e0) / (1.0 + np.sqrt(e0 * (2.0 - e0)))
+        z = w * w
+        zz = z * z
+        for nbar_in in nbars:
+            y = nbar_in + 0.5
+            xyz = x * y * z
+            delta = 4.0 * (y * y + xyz) + zz
+            purity = max(y - 0.5, 0.0) * (y + 0.5)
+            lam = 4.0 * purity * (purity + 2.0 * xyz + zz)
+            f = (np.sqrt(delta + lam) + np.sqrt(lam)) / delta
+            unit = (0.0 <= f) & (f <= 1.0 + 1e-12)
+            if not unit.all():
+                clamp_unit(float(f[unit.argmin()]))  # raises for the first point outside
+            curves[nbar_in] = list(zip(e0s, np.minimum(f, 1.0).tolist()))
+    return curves
 
 
 def sweep_fig2(e0_list: Sequence[float],
@@ -175,16 +202,38 @@ def sweep_fig2(e0_list: Sequence[float],
     """Nonclassicality of the teleported state versus that of the input, for
     squeezed-vacuum inputs, one curve per resource entanglement; every
     argument is checked before any curve is built."""
-    grid = []
+    qs, two_r = [], []
     for q_in in map(float, qin_grid):
         if not (0.0 <= q_in < 1.0):
             raise DomainError(f"Q_in must lie in [0, 1), got {q_in}")
+        qs.append(q_in)
         # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
-        grid.append((q_in, math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0))
-    curves = {e0 + 0.0: z_from_e0(e0) for e0 in map(float, e0_list)}  # + 0.0 keys -0.0 as 0.0
-    return {e0: [(q_in, degree_q0_kernel(*teleport_with_noise_kernel(0.0, r_in, z)))
-                 for q_in, r_in in grid]
-            for e0, z in curves.items()}
+        two_r.append(2.0 * math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0)
+    noises = {e0 + 0.0: z_from_e0(e0) for e0 in map(float, e0_list)}  # + 0.0 keys -0.0 as 0.0
+    # teleport_with_noise_kernel(0.0, r_in, z), then degree_q0_kernel, on the whole
+    # grid: the arithmetic in arrays, each transcendental from math, whose bits
+    # numpy's own can miss
+    n = len(qs)
+    e2r = np.fromiter(map(math.exp, two_r), float, n)
+    sinh2r = np.fromiter(map(math.sinh, two_r), float, n)  # 2 y sinh 2r at y = 1/2
+    curves = {}
+    with np.errstate(all="ignore"):
+        up, down0, cosh_sum = 0.5 * e2r, 0.5 / e2r, 0.5 * (e2r + 1.0 / e2r)
+        for e0, z in noises.items():
+            down = down0 + z
+            # nbar (nbar + 1) = 0 at nbar = 0 drops from the numerator
+            nbar_out = z * (cosh_sum + z) / (np.sqrt((up + z) * down) + 0.5)
+            occupied = nbar_out >= 0.0
+            if not occupied.all():
+                nonclassicality_threshold(float(nbar_out[occupied.argmin()]))  # raises
+            gap = (0.25 * np.fromiter(map(math.log1p, (sinh2r / down).tolist()), float, n)
+                   - 0.5 * np.fromiter(map(math.log1p, (2.0 * nbar_out).tolist()), float, n))
+            quantum = ~(gap <= 0.0)
+            q_out = np.zeros(n)
+            q_out[quantum] = 1.0 - np.sqrt(
+                1.0 / np.fromiter(map(math.cosh, gap[quantum].tolist()), float))
+            curves[e0] = list(zip(qs, q_out.tolist()))
+    return curves
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -211,11 +260,19 @@ def _write_curves(sweep: dict[float, list[tuple[float, float]]], outdir, stem: s
         keys[name] = key
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    # each distinct grid column formatted once, keyed by its bits so that 0.0 and -0.0 differ
+    columns: dict[bytes, list[str]] = {}
     paths = []
     for name, key in keys.items():
-        lines = [header] + [f"{u:.12g},{v:.12g}" for u, v in sweep[key]]
+        us = [u for u, _ in sweep[key]]
+        bits = array("d", us).tobytes()
+        if bits not in columns:
+            columns[bits] = [f"{u:.12g}" for u in us]
+        fields = [header] * (2 * len(us) + 1)
+        fields[1::2] = columns[bits]
+        fields[2::2] = [v for _, v in sweep[key]]
         paths.append(outdir / name)
-        _write_atomic(paths[-1], "\n".join(lines) + "\n")
+        _write_atomic(paths[-1], ("%s\n" + "%s,%.12g\n" * len(us)) % tuple(fields))
     return paths
 
 

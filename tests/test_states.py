@@ -18,6 +18,7 @@ from cvgauss import (
     dsts_to_cf,
     eval_cf1,
     eval_cf1_cov,
+    fidelity_one_mode,
     local_invariants,
     parse_state,
     state_to_dict,
@@ -118,6 +119,17 @@ def test_cf_rejects_unphysical():
         OneModeGaussianCF(a=1.0, b=math.nan)
     with pytest.raises(UnphysicalState, match="overflows double precision"):
         OneModeGaussianCF(a=1e200)
+
+
+@pytest.mark.parametrize("a", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("use", [
+    cf_to_dsts,
+    lambda cf: fidelity_one_mode(cf, DstsParams(0.0)),
+], ids=["cf_to_dsts", "fidelity_one_mode"])
+def test_non_finite_cf_coefficient_is_rejected(use, a):
+    # an infinite a once passed (det = inf >= 1/4) and read as the vacuum
+    with pytest.raises(UnphysicalState, match="coefficient a must be finite and >= 0"):
+        use(OneModeGaussianCF(a))
 
 
 @pytest.mark.parametrize("r", [200.0, 354.0, R_MAX])

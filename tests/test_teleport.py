@@ -1,14 +1,18 @@
 import csv
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from cf_reference import sts_cf2
+from hypothesis import given, settings, strategies as st
 
 from cvgauss import (
     DomainError,
     DstsParams,
     TwoModeStsParams,
+    UnphysicalState,
     degree_e0,
     degree_q0,
     dsts_to_cf,
@@ -32,6 +36,7 @@ from cvgauss.teleport import (
     write_fig1_csv,
     write_fig2_csv,
 )
+from cvgauss.states import R_MAX
 from cvgauss.validate import random_dsts, random_sts
 
 
@@ -314,6 +319,63 @@ def test_sweeps_equal_the_typed_route_bit_for_bit(grids):
                         for q in qs]
 
 
+def _typed_fig1(r_in, nbars, e0s):
+    # every E0 is checked before any point, as the sweep does
+    zs = [z_from_e0(e0) for e0 in e0s]
+    return {nbar + 0.0: [(e0, teleport_fidelity(math.cosh(2.0 * r_in), nbar + 0.5, z))
+                         for e0, z in zip(e0s, zs)] for nbar in nbars}
+
+
+def _typed_fig2(e0s, qs):
+    zs = {e0 + 0.0: z_from_e0(e0) for e0 in e0s}
+    return {e0: [(q, degree_q0(teleport_with_noise(DstsParams(0.0, _r_in(q)), z))) for q in qs]
+            for e0, z in zs.items()}
+
+
+def _outcome(sweep, *args):
+    """The curves as bits, or the type and message of the exception; a warning
+    raised on the way is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            curves = sweep(*args)
+        except Exception as exc:
+            return type(exc), str(exc)
+    return {key: [(u.hex(), v.hex()) for u, v in rows] for key, rows in curves.items()}
+
+
+def _with_one_bad(good, bad):
+    # a grid of good values, some with one bad value at any place
+    return st.tuples(st.lists(good, max_size=40), st.none() | bad, st.integers(0, 40)).map(
+        lambda t: t[0] if t[1] is None else t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+
+
+_E0 = (st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0 ** -53, 0.615, 0.425])
+       | st.floats(0.0, 1.0))
+_BAD_E0 = st.sampled_from([-1e-300, 1.0 + 2.0 ** -52, -math.inf, math.inf, math.nan])
+_Q_IN = (st.sampled_from([0.0, -0.0, 5e-324, 1.0 - 2.0 ** -50, 1.0 - 2.0 ** -53])
+         | st.floats(0.0, 1.0, exclude_max=True))
+_NBAR = (st.sampled_from([0.0, -0.0, 1e154, 1e200, 1e300, sys.float_info.max])
+         | st.floats(0.0, 10.0) | st.floats(0.0, sys.float_info.max))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(r_in=st.sampled_from([0.0, 1.0, R_MAX]) | st.floats(0.0, R_MAX),
+       nbars=st.lists(_NBAR, max_size=4), e0_grid=_with_one_bad(_E0, _BAD_E0),
+       e0s=_with_one_bad(_E0, _BAD_E0).map(lambda g: g[:4]), qs=st.lists(_Q_IN, max_size=40))
+def test_sweeps_equal_the_typed_route_bit_for_bit_on_any_grid(r_in, nbars, e0_grid, e0s, qs):
+    # the same bits, or the same exception at the first failing point, and no warning
+    assert _outcome(sweep_fig1, r_in, nbars, e0_grid) == _outcome(_typed_fig1, r_in, nbars, e0_grid)
+    assert _outcome(sweep_fig2, e0s, qs) == _outcome(_typed_fig2, e0s, qs)
+
+
+def test_typed_route_comparison_sees_overflow_and_bad_grids():
+    # the property above compares failures too: these are three of them
+    assert _outcome(sweep_fig1, 1.0, [0.1, 1e300], [0.5])[0] is UnphysicalState
+    assert _outcome(sweep_fig1, 1.0, [0.1], [0.5, math.nan])[0] is DomainError
+    assert _outcome(sweep_fig2, [0.5, 1.5], [0.5])[0] is DomainError
+
+
 def test_sweeps_check_grid_and_curve_keys_before_any_curve(monkeypatch):
     # a bad E0 or Q_in is refused with no curve to build, and a bad curve key
     # after good ones is refused before the first point
@@ -322,11 +384,12 @@ def test_sweeps_check_grid_and_curve_keys_before_any_curve(monkeypatch):
     with pytest.raises(DomainError, match="Q_in"):
         sweep_fig2([], [2.0])
 
-    def no_point(*args):
-        raise AssertionError("a curve point was computed")
+    class NoArrays:
+        # the sweeps compute every curve point in numpy arrays
+        def __getattr__(self, name):
+            raise AssertionError(f"a curve point was computed (np.{name})")
 
-    monkeypatch.setattr("cvgauss.teleport.teleport_fidelity", no_point)
-    monkeypatch.setattr("cvgauss.teleport.teleport_with_noise_kernel", no_point)
+    monkeypatch.setattr("cvgauss.teleport.np", NoArrays())
     with pytest.raises(DomainError, match="occupancy"):
         sweep_fig1(1.0, [0.1, -0.5], [0.5])
     with pytest.raises(DomainError, match="E0"):
@@ -377,6 +440,27 @@ def test_fig2_csv_files(tmp_path):
     text = paths[0].read_text()
     assert text.startswith("q_in,q_out\n")
     assert len(text.strip().split("\n")) == 6
+
+
+def _row_by_row(header, rows):
+    return (header + "\n" + "".join(f"{u:.12g},{v:.12g}\n" for u, v in rows)).encode()
+
+
+@pytest.mark.parametrize("write, header", [(write_fig1_csv, "e0,fidelity"),
+                                           (write_fig2_csv, "q_in,q_out")])
+def test_csv_bytes_equal_the_row_by_row_format(tmp_path, write, header):
+    # curves that share a grid, one whose grid equals it under == but not in
+    # its signed zeros, one with another grid and an empty one; values at
+    # 1e-300 and ones that round to 1 at 12 digits
+    grid = [0.0, -0.0, 1e-300, 0.5, 1.0 - 2.0 ** -50, 1.0]
+    flipped = [-0.0, 0.0, 1e-300, 0.5, 1.0 - 2.0 ** -50, 1.0]
+    values = [-0.0, 0.0, 1e-300, 0.9999999999996, 0.99999999999949, 1.0 / 3.0]
+    sweep = {0.0: list(zip(grid, values)), 0.1: list(zip(grid, values[::-1])),
+             0.2: list(zip(flipped, values)), 0.3: list(zip(values, grid)), 0.4: []}
+    paths = write(sweep, tmp_path)
+    assert len(paths) == len(sweep)
+    for path, rows in zip(paths, sweep.values()):
+        assert path.read_bytes() == _row_by_row(header, rows), path.name
 
 
 def test_failed_csv_write_leaves_no_temp_file(tmp_path, monkeypatch):
