@@ -61,10 +61,10 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     Same smooth reparametrization and multi-start scheme as the
     nonclassicality search, over (nbar'_1, nbar'_2, r') only: nbar'_j = t_j^2
     and r' = r_s(nbar'_1, nbar'_2) logistic(t_2) map the whole unconstrained
-    space onto the separable set.  phi' = phi is exact: phi' enters the kernel
-    only through the non-negative term (y1 + y2)(y1' + y2') sinh 2r sinh 2r'
-    sin^2((phi - phi')/2) of D, s does not depend on phi', and
-    F = (sqrt(D + s^2) - s)^-2 falls as D grows.
+    space onto the separable set.  phi' = phi is exact: phi' enters
+    fidelity_two_mode_sts only through the non-negative term
+    (y1 + y2)(y1' + y2') sinh 2r sinh 2r' sin^2((phi - phi')/2) of D, s does
+    not depend on phi', and F = (sqrt(D + s^2) - s)^-2 falls as D grows.
 
     Returns (closest separable state, minimum of 1 - sqrt(F)).
     """

@@ -51,11 +51,13 @@ def _mean_form(y: float, e2r: float, phi: float, d: complex) -> float:
     return y * (w.real * w.real / e2r + w.imag * w.imag * e2r)
 
 
-def fidelity_one_mode_kernel(n1: float, r1: float, phi1: float, a1: complex,
-                             n2: float, r2: float, phi2: float, a2: complex) -> float:
-    """F of the module docstring on the unchecked parameters (nbar, r, phi,
-    alpha) of two displaced squeezed thermal states; UnphysicalState where an
-    intermediate overflows."""
+def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
+                      s2: DstsParams | OneModeGaussianCF) -> float:
+    """Uhlmann fidelity F of the module docstring for two one-mode Gaussian
+    states, each given by its physical parameters or by its CF coefficients
+    (converted by cf_to_dsts); UnphysicalState where an intermediate overflows."""
+    p1, p2 = (cf_to_dsts(s) if isinstance(s, OneModeGaussianCF) else s for s in (s1, s2))
+    n1, r1, phi1, n2, r2, phi2 = p1.nbar, p1.r, p1.phi, p2.nbar, p2.r, p2.phi
     y1, y2 = n1 + 0.5, n2 + 0.5
     # 2 cosh 2(r - r') as e1/e2 + e2/e1, since r - r' may round
     e1, e2 = math.exp(2.0 * r1), math.exp(2.0 * r2)
@@ -63,23 +65,23 @@ def fidelity_one_mode_kernel(n1: float, r1: float, phi1: float, a1: complex,
         e1 / e2 + e2 / e1 + 4.0 * math.sinh(2.0 * r1) * math.sinh(2.0 * r2)
         * _sin2_half_difference(phi1, phi2))
     lam = 4.0 * (n1 * (n1 + 1.0)) * (n2 * (n2 + 1.0))
-    d = a1 - a2
+    d = p1.alpha - p2.alpha
     expo = (_mean_form(y1, e1, phi1, d) + _mean_form(y2, e2, phi2, d)) / delta
     return clamp_unit(math.exp(-expo) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
 
 
 def aligned_one_mode_distance(n1: float, r1: float):
     """The objective of the one-mode distance search: the function
-    (n2, r2) -> 1 - sqrt(F) with F = fidelity_one_mode_kernel(n1, r1, phi, alpha,
-    n2, r2, phi, alpha), for any finite phi and alpha, on which it does not
-    depend.
+    (n2, r2) -> 1 - sqrt(F) with F = fidelity_one_mode(DstsParams(n1, r1, phi,
+    alpha), DstsParams(n2, r2, phi, alpha)), for any finite phi and alpha, on
+    which it does not depend.
 
     With phi' = phi and alpha' = alpha the sin^2 term of Delta and E are exactly
-    0, so only Delta and Lambda remain, in the kernel's operations and order,
-    with the terms of (n1, r1) taken once.  It equals the kernel bit for bit
-    wherever the kernel's 4 sinh 2r1 sinh 2r2 is finite; past that, near
-    r1 + r2 = 355, the kernel reads the dropped term as inf * 0 = nan, which
-    this does not compute."""
+    0, so only Delta and Lambda remain, in the operations and order of
+    :func:`fidelity_one_mode`, with the terms of (n1, r1) taken once.  It
+    equals that function bit for bit wherever its 4 sinh 2r1 sinh 2r2 is
+    finite; past that, near r1 + r2 = 355, the function reads the dropped
+    term as inf * 0 = nan, which this does not compute."""
     y1 = n1 + 0.5
     y1y1 = y1 * y1
     e1 = math.exp(2.0 * r1)
@@ -95,19 +97,23 @@ def aligned_one_mode_distance(n1: float, r1: float):
     return distance
 
 
-def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
-                      s2: DstsParams | OneModeGaussianCF) -> float:
-    """Uhlmann fidelity of two one-mode Gaussian states, each given by its
-    physical parameters or by its CF coefficients (converted by cf_to_dsts)."""
-    p1, p2 = (cf_to_dsts(s) if isinstance(s, OneModeGaussianCF) else s for s in (s1, s2))
-    return fidelity_one_mode_kernel(p1.nbar, p1.r, p1.phi, p1.alpha, p2.nbar, p2.r, p2.phi, p2.alpha)
+def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
+    """Uhlmann fidelity of two two-mode squeezed thermal states,
 
+        F = ((sqrt(D + s^2) + s) / D)^2,  s = sqrt X1 + sqrt X2,
 
-def fidelity_two_mode_sts_kernel(n1: float, n2: float, r: float, phi: float,
-                                 n1p: float, n2p: float, rp: float, phip: float) -> float:
-    """F of :func:`fidelity_two_mode_sts` on the unchecked parameters (nbar1,
-    nbar2, r, phi) of two squeezed thermal states; UnphysicalState where an
-    intermediate overflows."""
+    the rationalized (sqrt(D + s^2) - s)^(-2), with X1 = nbar1 nbar1'
+    (nbar2 + 1)(nbar2' + 1), X2 likewise with the modes swapped, and, for
+    y_j = nbar_j + 1/2 and u = r - r',
+
+        D = sqrt det(V + V') = y1 y2 + y1' y2' + (y1 y2' + y1' y2) cosh^2 u
+            + (y1 y1' + y2 y2') sinh^2 u
+            + (y1 + y2)(y1' + y2') sinh 2r sinh 2r' sin^2 ((phi - phi')/2);
+
+    UnphysicalState where an intermediate overflows.
+    """
+    n1, n2, r, phi = p1.nbar1, p1.nbar2, p1.r, p1.phi
+    n1p, n2p, rp, phip = p2.nbar1, p2.nbar2, p2.r, p2.phi
     y1, y2, y1p, y2p = n1 + 0.5, n2 + 0.5, n1p + 0.5, n2p + 0.5
     # sinh^2 u from u = r - r' below |u| = 1, where its rounding costs under an
     # ulp, else from e^{2r} / e^{2r'}, where the subtraction loses under 2x
@@ -122,34 +128,19 @@ def fidelity_two_mode_sts_kernel(n1: float, n2: float, r: float, phi: float,
     return clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
 
 
-def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
-    """Uhlmann fidelity of two two-mode squeezed thermal states,
-
-        F = ((sqrt(D + s^2) + s) / D)^2,  s = sqrt X1 + sqrt X2,
-
-    the rationalized (sqrt(D + s^2) - s)^(-2), with X1 = nbar1 nbar1'
-    (nbar2 + 1)(nbar2' + 1), X2 likewise with the modes swapped, and, for
-    y_j = nbar_j + 1/2 and u = r - r',
-
-        D = sqrt det(V + V') = y1 y2 + y1' y2' + (y1 y2' + y1' y2) cosh^2 u
-            + (y1 y1' + y2 y2') sinh^2 u
-            + (y1 + y2)(y1' + y2') sinh 2r sinh 2r' sin^2 ((phi - phi')/2).
-    """
-    return fidelity_two_mode_sts_kernel(p1.nbar1, p1.nbar2, p1.r, p1.phi,
-                                        p2.nbar1, p2.nbar2, p2.r, p2.phi)
-
-
 def aligned_sts_distance(n1: float, n2: float, r: float):
     """The objective of the STS distance search: the function
-    (n1p, n2p, rp) -> 1 - sqrt(F) with F = fidelity_two_mode_sts_kernel(n1, n2,
-    r, phi, n1p, n2p, rp, phi), for any finite phi, on which it does not depend.
+    (n1p, n2p, rp) -> 1 - sqrt(F) with F = fidelity_two_mode_sts(
+    TwoModeStsParams(n1, n2, r, phi), TwoModeStsParams(n1p, n2p, rp, phi)), for
+    any finite phi, on which it does not depend.
 
     With phi' = phi the sin^2 term of D is exactly 0, so only the rest of D
-    and s remain, in the kernel's operations and order, with the terms of
-    (n1, n2, r) taken once; e^{2r'} is needed only where |r - r'| >= 1.  It
-    equals the kernel bit for bit wherever the kernel's
-    (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past that the kernel reads
-    the dropped term as inf * 0 = nan, which this does not compute."""
+    and s remain, in the operations and order of
+    :func:`fidelity_two_mode_sts`, with the terms of (n1, n2, r) taken once;
+    e^{2r'} is needed only where |r - r'| >= 1.  It equals that function bit
+    for bit wherever its (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past
+    that the function reads the dropped term as inf * 0 = nan, which this does
+    not compute."""
     y1, y2 = n1 + 0.5, n2 + 0.5
     y1y2 = y1 * y2
     m1, m2 = n1 + 1.0, n2 + 1.0

@@ -29,18 +29,13 @@ def is_classical(p: DstsParams) -> bool:
     return p.r <= nonclassicality_threshold(p.nbar)
 
 
-def degree_q0_kernel(nbar: float, r: float) -> float:
-    """:func:`degree_q0` on the floats nbar and r of a checked state."""
-    gap = r - nonclassicality_threshold(nbar)
-    if gap <= 0.0:
-        return 0.0
-    return 1.0 - math.sqrt(1.0 / math.cosh(gap))
-
-
 def degree_q0(p: DstsParams) -> float:
     """Bures degree of nonclassicality; 0 on the classical set, otherwise
     1 - sqrt(sech(r - r_c)).  Independent of phi and alpha."""
-    return degree_q0_kernel(p.nbar, p.r)
+    gap = p.r - nonclassicality_threshold(p.nbar)
+    if gap <= 0.0:
+        return 0.0
+    return 1.0 - math.sqrt(1.0 / math.cosh(gap))
 
 
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
@@ -49,9 +44,9 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     Derivative-free multi-start search over (nbar', r') only, with the
     constraint set mapped smoothly onto unconstrained variables
     (nbar' = t0^2, r' = r_c(nbar') logistic(t1)); phi' = phi and
-    alpha' = alpha are exact, not a heuristic.  In the kernel alpha' enters
-    only through exp(-E) with E >= 0, and E = 0 at alpha' = alpha whatever
-    phi'; phi' enters only through the non-negative term
+    alpha' = alpha are exact, not a heuristic.  In fidelity_one_mode alpha'
+    enters only through exp(-E) with E >= 0, and E = 0 at alpha' = alpha
+    whatever phi'; phi' enters only through the non-negative term
     4 sinh 2r sinh 2r' sin^2((phi - phi')/2) of Delta, and at E = 0
     F = 1 / (sqrt(Delta + Lambda) - sqrt(Lambda)) falls as Delta grows.  So
     for every (nbar', r') the fidelity is largest at (phi, alpha).

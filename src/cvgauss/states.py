@@ -59,28 +59,24 @@ def _range_error(occupancies: tuple, occupancy_message: str, r: float) -> ValueE
     return UnphysicalState(f"thermal occupancy {max(occupancies)} overflows double precision")
 
 
-def wrap_angle(phi: float) -> float:
-    """Reduce a finite angle to the interval (-pi, pi]; an angle already in it
-    comes back unchanged, bit for bit.  A non-finite angle raises DomainError."""
-    if -math.pi < phi <= math.pi:
-        return phi
-    if not math.isfinite(phi):
-        raise DomainError(f"angle must be finite, got {phi}")
-    w = math.fmod(phi + math.pi, 2.0 * math.pi)
-    if w < 0.0:
-        w += 2.0 * math.pi
-    w -= math.pi
-    if w == -math.pi:
-        w = math.pi
-    return w
-
-
 def _normalise_phi(params) -> None:
-    """Store the angle of a parameter type as a float in (-pi, pi]; one that
-    already is one is left in place."""
+    """Store the angle of a parameter type as a float in (-pi, pi]; a float
+    already in it is left in place, bit for bit, and a non-finite angle
+    raises DomainError."""
     phi = params.phi
-    if phi.__class__ is not float or not -math.pi < phi <= math.pi:
-        object.__setattr__(params, "phi", wrap_angle(float(phi)))
+    if phi.__class__ is not float:
+        phi = float(phi)
+    if not -math.pi < phi <= math.pi:
+        if not math.isfinite(phi):
+            raise DomainError(f"angle must be finite, got {phi}")
+        phi = math.fmod(phi + math.pi, 2.0 * math.pi)
+        if phi < 0.0:
+            phi += 2.0 * math.pi
+        phi -= math.pi
+        if phi == -math.pi:
+            phi = math.pi
+    if phi is not params.phi:
+        object.__setattr__(params, "phi", phi)
 
 
 @dataclass(frozen=True)
@@ -112,7 +108,7 @@ class DstsParams:
 @dataclass(frozen=True)
 class OneModeGaussianCF:
     """Exponent coefficients (a, b, c) of a one-mode Gaussian characteristic
-    function; a is real, b and c complex.  Physicality requires
+    function; a is real, b and c complex, c finite.  Physicality requires
     (a + 1/2)^2 - |b|^2 >= 1/4.  a = 0 (vacuum, coherent states) is allowed.
     """
 
@@ -121,12 +117,13 @@ class OneModeGaussianCF:
     c: complex = 0j
 
     def __post_init__(self):
-        a, b = self.a, self.b
+        a, b, c = self.a, self.b, self.c
         if b.__class__ is not complex:
             b = complex(b)
             object.__setattr__(self, "b", b)
-        if self.c.__class__ is not complex:
-            object.__setattr__(self, "c", complex(self.c))
+        if c.__class__ is not complex:
+            c = complex(c)
+            object.__setattr__(self, "c", c)
         if not (-PHYS_TOL <= a < math.inf):
             raise UnphysicalState(f"coefficient a must be finite and >= 0, got {a}")
         try:
@@ -139,6 +136,8 @@ class OneModeGaussianCF:
                 f"(a+1/2)^2 - |b|^2 = {det:.6g} < 1/4: "
                 "state violates the uncertainty relation"
             )
+        if not cmath.isfinite(c):
+            raise DomainError(f"coefficient c must be finite, got {c}")
 
 
 def _check_cov1(qq: float, qp: float, pp: float) -> None:
@@ -235,13 +234,15 @@ def cf_to_cov(g: OneModeGaussianCF) -> np.ndarray:
 # two-mode conversions
 
 
-def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
-    """(a1, a2, g) of a squeezed thermal state: a_j + 1/2 = sqrt(det V_j), the
-    local invariant of mode j, and the cross coupling
-    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r, formed from half of
+def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
+    """Read-only 4x4 covariance matrix of a two-mode squeezed thermal state,
+    mode blocks (a_j + 1/2) I and cross block [[Re g, Im g], [Im g, -Re g]]
+    (unchecked: the parameters are valid by construction).  a_j + 1/2 =
+    sqrt(det V_j) is the local invariant of mode j, and the cross coupling
+    g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r is formed from half of
     nbar1 + nbar2 + 1 and doubled last, so it stays finite (and is 0 at r = 0)
-    wherever its true value is; UnphysicalState where a coefficient exceeds
-    the largest double."""
+    wherever its true value is; UnphysicalState where an entry exceeds the
+    largest double."""
     sh, ch = math.sinh(p.r), math.cosh(p.r)
     ch2, sh2 = ch ** 2, sh ** 2
     a1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2 - 0.5
@@ -249,15 +250,6 @@ def _sts_coefficients(p: TwoModeStsParams) -> tuple[float, float, complex]:
     g = 2.0 * ((0.5 * p.nbar1 + 0.5 * p.nbar2 + 0.5) * cmath.exp(1j * p.phi) * sh * ch)
     if not (a1 < math.inf and a2 < math.inf and cmath.isfinite(g)):
         raise UnphysicalState("squeezed thermal covariance entries overflow double precision")
-    return a1, a2, g
-
-
-def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
-    """Read-only 4x4 covariance matrix of a two-mode squeezed thermal state,
-    mode blocks (a_j + 1/2) I and cross block [[Re g, Im g], [Im g, -Re g]]
-    (unchecked: the parameters are valid by construction); UnphysicalState
-    where an entry exceeds the largest double."""
-    a1, a2, g = _sts_coefficients(p)
     m = np.array([[a1 + 0.5, 0.0, g.real, g.imag],
                   [0.0, a1 + 0.5, g.imag, -g.real],
                   [g.real, g.imag, a2 + 0.5, 0.0],

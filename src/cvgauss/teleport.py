@@ -22,10 +22,10 @@ only through its entanglement E0 = (1 - sqrt z)^2/(1 + z).  Any other resource
 adds more noise than a symmetric one of the same E0.
 
 The figure sweeps check each grid value and curve key once, then compute each
-curve over the whole grid in numpy arrays, with the operations of the float
-kernels of the fidelity (:func:`teleport_fidelity_kernel`), of the channel
-(:func:`teleport_with_noise_kernel`) and of Q0 in the same order, so each point
-has the bits the kernels give; the transcendentals stay with :mod:`math`.
+curve over the whole grid in numpy arrays, with the operations of
+:func:`teleport_fidelity`, of :func:`teleport_with_noise` and of
+:func:`~cvgauss.nonclassicality.degree_q0` in the same order, so each point
+has the bits those functions give; the transcendentals stay with :mod:`math`.
 """
 
 from __future__ import annotations
@@ -61,17 +61,6 @@ def resource_noise(resource: TwoModeStsParams) -> float:
     return z
 
 
-def teleport_with_noise_kernel(nbar: float, r: float, z: float) -> tuple[float, float]:
-    """(nbar_out, r_out) of :func:`teleport_with_noise` on floats that the
-    caller has checked: nbar >= 0, 0 <= r <= R_MAX and finite z >= 0."""
-    e2r = math.exp(2.0 * r)
-    y = nbar + 0.5
-    down = y / e2r + z
-    nbar_out = ((nbar * (nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
-                / (math.sqrt((y * e2r + z) * down) + 0.5))
-    return nbar_out, 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * r) / down)
-
-
 def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
                         z: float) -> DstsParams | OneModeGaussianCF:
     """Output of the protocol for added thermal noise z, in the form of the
@@ -82,7 +71,14 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
         raise DomainError(f"added noise z must be finite and >= 0, got {z}")
     if isinstance(state, OneModeGaussianCF):
         return OneModeGaussianCF(a=state.a + z, b=state.b, c=state.c)
-    return DstsParams(*teleport_with_noise_kernel(state.nbar, state.r, z), state.phi, state.alpha)
+    nbar, r = state.nbar, state.r
+    e2r = math.exp(2.0 * r)
+    y = nbar + 0.5
+    down = y / e2r + z
+    nbar_out = ((nbar * (nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
+                / (math.sqrt((y * e2r + z) * down) + 0.5))
+    r_out = 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * r) / down)
+    return DstsParams(nbar_out, r_out, state.phi, state.alpha)
 
 
 def teleport_symmetric_sts(state: DstsParams | OneModeGaussianCF, nbar: float,
@@ -112,11 +108,6 @@ def teleport_fidelity(x: float, y: float, z: float) -> float:
         raise DomainError(f"y = nbar_in + 1/2 must be finite and >= 1/2, got {y}")
     if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be finite and >= 0, got {z}")
-    return teleport_fidelity_kernel(x, y, z)
-
-
-def teleport_fidelity_kernel(x: float, y: float, z: float) -> float:
-    """:func:`teleport_fidelity` on floats that the caller has checked."""
     xyz = x * y * z
     delta = 4.0 * (y * y + xyz) + z * z
     purity = max(y - 0.5, 0.0) * (y + 0.5)
@@ -132,7 +123,7 @@ def teleport_fidelity_from_states(input_state: DstsParams, nbar: float, r: float
     the displacement cancels because the channel preserves alpha.
     """
     z = resource_noise(TwoModeStsParams(nbar, nbar, r))
-    return teleport_fidelity_kernel(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
+    return teleport_fidelity(math.cosh(2.0 * input_state.r), input_state.nbar + 0.5, z)
 
 
 def e0_from_z(z: float) -> float:
@@ -178,8 +169,8 @@ def sweep_fig1(r_in: float, nbar_in_list: Sequence[float],
     e0 = np.array(e0s, dtype=float)
     curves = {}
     with np.errstate(all="ignore"):
-        # z_from_e0, teleport_fidelity_kernel and clamp_unit on the whole grid:
-        # the same correctly rounded operations in the same order, so the same bits
+        # z_from_e0 and teleport_fidelity, clamp included, on the whole grid: the
+        # same correctly rounded operations in the same order, so the same bits
         w = (1.0 - e0) / (1.0 + np.sqrt(e0 * (2.0 - e0)))
         z = w * w
         zz = z * z
@@ -210,7 +201,7 @@ def sweep_fig2(e0_list: Sequence[float],
         # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
         two_r.append(2.0 * math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0)
     noises = {e0 + 0.0: z_from_e0(e0) for e0 in map(float, e0_list)}  # + 0.0 keys -0.0 as 0.0
-    # teleport_with_noise_kernel(0.0, r_in, z), then degree_q0_kernel, on the whole
+    # teleport_with_noise(DstsParams(0.0, r_in), z), then degree_q0, on the whole
     # grid: the arithmetic in arrays, each transcendental from math, whose bits
     # numpy's own can miss
     n = len(qs)

@@ -44,12 +44,12 @@ class CheckResult:
         return self.delta <= self.tol
 
 
-def random_dsts(rng, nbar_max=2.0, r_max=1.0, alpha_max=1.0) -> DstsParams:
+def random_dsts(rng, nbar_max=2.0, r_max=1.0) -> DstsParams:
     return DstsParams(
         nbar=rng.uniform(0.0, nbar_max),
         r=rng.uniform(0.0, r_max),
         phi=rng.uniform(-math.pi, math.pi),
-        alpha=complex(rng.uniform(-alpha_max, alpha_max), rng.uniform(-alpha_max, alpha_max)),
+        alpha=complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
     )
 
 

@@ -21,12 +21,7 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from cvgauss.fidelity import (
-    aligned_one_mode_distance,
-    aligned_sts_distance,
-    fidelity_one_mode_kernel,
-    fidelity_two_mode_sts_kernel,
-)
+from cvgauss.fidelity import aligned_one_mode_distance, aligned_sts_distance
 from cvgauss.states import R_MAX
 from cvgauss.validate import (
     check_one_mode_oracle,
@@ -156,7 +151,7 @@ def test_two_mode_matches_fock_oracle_example():
     assert abs(closed - numeric) < 1e-9
 
 
-# --- the per-search objectives against the public kernels ---------------------
+# --- the per-search objectives against the typed fidelities -------------------
 
 def _outcome(f, *args):
     """f(*args) as its exact bits, or the type and message of what it raised."""
@@ -180,35 +175,36 @@ _nbar = st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.floats(-8.0, 8.0).map(la
                   st.floats(0.0, sys.float_info.max))
 _r = st.one_of(st.just(0.0), st.floats(0.0, 1.5), st.floats(-6.0, math.log10(12.0)).map(lambda e: 10.0 ** e),
                st.floats(0.0, R_MAX))
-# the trial squeeze of a search may leave the constructible range
-_trial_r = st.one_of(_r, st.floats(0.0, 400.0), st.just(math.inf))
 _phi = st.floats(-math.pi, math.pi)
 _alpha = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
 
-# The objectives drop the kernels' sin^2 term at phi' = phi.  Where its
-# coefficient overflows, the kernel reads that term as inf * 0 = nan, so the
-# two agree only where the coefficient is finite.
+# The objectives are compared on trial points that construct a state, so the
+# trial squeeze stays within R_MAX.  They drop the sin^2 term of the fidelities
+# at phi' = phi.  Where its coefficient overflows, the fidelity reads that term
+# as inf * 0 = nan, so the two agree only where the coefficient is finite.
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(n1=_nbar, r1=_r, phi=_phi, alpha=_alpha, n2=_nbar, r2=_trial_r)
-def test_one_mode_objective_is_the_kernel_to_the_bit(n1, r1, phi, alpha, n2, r2):
+@given(n1=_nbar, r1=_r, phi=_phi, alpha=_alpha, n2=_nbar, r2=_r)
+def test_one_mode_objective_is_the_fidelity_to_the_bit(n1, r1, phi, alpha, n2, r2):
     assume(_finite(lambda: 4.0 * math.sinh(2.0 * r1) * math.sinh(2.0 * r2)))
+    p = DstsParams(n1, r1, phi, alpha)
 
-    def through_kernel(n2, r2):
-        return 1.0 - math.sqrt(fidelity_one_mode_kernel(n1, r1, phi, alpha, n2, r2, phi, alpha))
+    def through_fidelity(n2, r2):
+        return 1.0 - math.sqrt(fidelity_one_mode(p, DstsParams(n2, r2, phi, alpha)))
 
-    assert _outcome(aligned_one_mode_distance(n1, r1), n2, r2) == _outcome(through_kernel, n2, r2)
+    assert _outcome(aligned_one_mode_distance(n1, r1), n2, r2) == _outcome(through_fidelity, n2, r2)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(n1=_nbar, n2=_nbar, r=_r, phi=_phi, n1p=_nbar, n2p=_nbar, rp=_trial_r)
-def test_sts_objective_is_the_kernel_to_the_bit(n1, n2, r, phi, n1p, n2p, rp):
+@given(n1=_nbar, n2=_nbar, r=_r, phi=_phi, n1p=_nbar, n2p=_nbar, rp=_r)
+def test_sts_objective_is_the_fidelity_to_the_bit(n1, n2, r, phi, n1p, n2p, rp):
     assume(_finite(lambda: ((n1 + 0.5) + (n2 + 0.5)) * ((n1p + 0.5) + (n2p + 0.5))
                    * (math.sinh(2.0 * r) * math.sinh(2.0 * rp))))
+    p = TwoModeStsParams(n1, n2, r, phi)
 
-    def through_kernel(n1p, n2p, rp):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(n1, n2, r, phi, n1p, n2p, rp, phi))
+    def through_fidelity(n1p, n2p, rp):
+        return 1.0 - math.sqrt(fidelity_two_mode_sts(p, TwoModeStsParams(n1p, n2p, rp, phi)))
 
     assert (_outcome(aligned_sts_distance(n1, n2, r), n1p, n2p, rp)
-            == _outcome(through_kernel, n1p, n2p, rp))
+            == _outcome(through_fidelity, n1p, n2p, rp))

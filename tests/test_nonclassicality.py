@@ -137,7 +137,7 @@ def test_closest_classical_with_displacement():
 
 def test_closest_classical_search_does_not_see_the_displacement():
     # phi' = phi and alpha' = alpha by construction; at alpha' = alpha the
-    # displacement drops out of the kernel exactly
+    # displacement drops out of the fidelity exactly
     for p in (DstsParams(0.05, 1.0, 0.3, 0.6 - 0.4j), DstsParams(0.3, 1.0, 0.0, 0.5 + 0.1j),
               DstsParams(1.2, 2.5, -2.9, -3.0 + 7.0j)):
         state, value = closest_classical_numeric(p)

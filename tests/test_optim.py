@@ -14,11 +14,12 @@ from cvgauss import (
     TwoModeStsParams,
     closest_classical_numeric,
     closest_separable_numeric,
+    fidelity_one_mode,
+    fidelity_two_mode_sts,
 )
 from cvgauss import entanglement, nonclassicality, validate
 from cvgauss._optim import FATOL, MAXITER, XATOL, logistic, multistart_nelder_mead
 from cvgauss.entanglement import separability_threshold_rs
-from cvgauss.fidelity import fidelity_one_mode_kernel, fidelity_two_mode_sts_kernel
 from cvgauss.nonclassicality import nonclassicality_threshold
 
 
@@ -160,17 +161,16 @@ def test_each_search_logs_one_record(caplog):
     assert all(m.startswith("Nelder-Mead: 8 starts, 8 converged") for m in messages)
 
 
-def _kernel_search(p, starts):
+def _fidelity_search(p, starts):
     """The distance search of p from the given starts, on the objective
-    1 - sqrt(F) taken through the public kernel at phi' = phi, alpha' = alpha."""
+    1 - sqrt(F) taken through the typed fidelity at phi' = phi, alpha' = alpha."""
     if isinstance(p, DstsParams):
         def unpack(t):
             nb = t[0] * t[0]
             return nb, nonclassicality_threshold(nb) * logistic(t[1])
 
         def objective(t):
-            return 1.0 - math.sqrt(fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha,
-                                                            *unpack(t), p.phi, p.alpha))
+            return 1.0 - math.sqrt(fidelity_one_mode(p, DstsParams(*unpack(t), p.phi, p.alpha)))
 
         x, f = multistart_nelder_mead(objective, starts)
         return DstsParams(*unpack(x), p.phi, p.alpha), f
@@ -180,14 +180,13 @@ def _kernel_search(p, starts):
         return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2])
 
     def objective(t):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
-                                                            *unpack(t), p.phi))
+        return 1.0 - math.sqrt(fidelity_two_mode_sts(p, TwoModeStsParams(*unpack(t), p.phi)))
 
     x, f = multistart_nelder_mead(objective, starts)
     return TwoModeStsParams(*unpack(x), p.phi), f
 
 
-def test_searches_equal_the_kernel_objective_search_on_validate_states(monkeypatch):
+def test_searches_equal_the_fidelity_objective_search_on_validate_states(monkeypatch):
     starts = []
 
     def spy(objective, x0s):
@@ -210,4 +209,4 @@ def test_searches_equal_the_kernel_objective_search_on_validate_states(monkeypat
     assert [type(p) for p, _ in searched] == [DstsParams] * 2 + [TwoModeStsParams] * 2
     assert len(starts) == 4
     for (p, found), x0s in zip(searched, starts):
-        assert found == _kernel_search(p, x0s)
+        assert found == _fidelity_search(p, x0s)

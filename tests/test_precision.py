@@ -31,7 +31,6 @@ from cvgauss import (
     teleport_with_noise,
     z_from_e0,
 )
-from cvgauss.fidelity import fidelity_one_mode_kernel, fidelity_two_mode_sts_kernel
 from cvgauss.states import R_MAX
 from cvgauss.teleport import FIG2_E0S, e0_from_z
 
@@ -134,8 +133,7 @@ def test_aligned_phase_and_displacement_maximize_the_fidelity_in_mpmath():
         aligned = DstsParams(q.nbar, q.r, p.phi, p.alpha)
         ref = mp.re(mp_fidelity_one_mode(p, aligned))
         assert mp.re(mp_fidelity_one_mode(p, q)) <= ref
-        kernel = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, p.phi, p.alpha)
-        assert rel_err(kernel, ref) <= REL_TOL
+        assert rel_err(fidelity_one_mode(p, aligned), ref) <= REL_TOL
 
 
 def test_aligned_phase_maximizes_the_two_mode_fidelity_in_mpmath():
@@ -145,9 +143,7 @@ def test_aligned_phase_maximizes_the_two_mode_fidelity_in_mpmath():
         aligned = TwoModeStsParams(q.nbar1, q.nbar2, q.r, p.phi)
         ref = mp_fidelity_two_mode(p, aligned)
         assert mp_fidelity_two_mode(p, q) <= ref
-        kernel = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
-                                              q.nbar1, q.nbar2, q.r, p.phi)
-        assert rel_err(kernel, ref) <= REL_TOL
+        assert rel_err(fidelity_two_mode_sts(p, aligned), ref) <= REL_TOL
 
 
 def test_two_mode_fidelity_matches_mpmath():
@@ -368,26 +364,23 @@ def test_symmetric_resource_noise_gives_degree_e0(nbar, r):
 @PROPERTY
 @given(dsts(), dsts())
 def test_aligned_phase_and_displacement_maximize_the_fidelity(p, q):
-    # at every (nbar', r') = (q.nbar, q.r) the kernel is largest, up to its
+    # at every (nbar', r') = (q.nbar, q.r) the fidelity is largest, up to its
     # roundoff, at phi' = phi and alpha' = alpha, so closest_classical_numeric
     # needs to search (nbar', r') only
-    aligned = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, p.phi, p.alpha)
+    aligned = fidelity_one_mode(p, DstsParams(q.nbar, q.r, p.phi, p.alpha))
     for phi, alpha in ((q.phi, q.alpha), (q.phi, p.alpha), (p.phi, q.alpha)):
-        other = fidelity_one_mode_kernel(p.nbar, p.r, p.phi, p.alpha, q.nbar, q.r, phi, alpha)
+        other = fidelity_one_mode(p, DstsParams(q.nbar, q.r, phi, alpha))
         assert other <= aligned * (1.0 + 1e-15)
 
 
 @PROPERTY
 @given(sts(), sts())
 def test_aligned_phase_maximizes_the_two_mode_fidelity(p, q):
-    # at every (nbar1', nbar2', r') = (q.nbar1, q.nbar2, q.r) the kernel is
+    # at every (nbar1', nbar2', r') = (q.nbar1, q.nbar2, q.r) the fidelity is
     # largest, up to its roundoff, at phi' = phi, so closest_separable_numeric
     # needs to search (nbar1', nbar2', r') only
-    aligned = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
-                                           q.nbar1, q.nbar2, q.r, p.phi)
-    other = fidelity_two_mode_sts_kernel(p.nbar1, p.nbar2, p.r, p.phi,
-                                         q.nbar1, q.nbar2, q.r, q.phi)
-    assert other <= aligned * (1.0 + 1e-15)
+    aligned = fidelity_two_mode_sts(p, TwoModeStsParams(q.nbar1, q.nbar2, q.r, p.phi))
+    assert fidelity_two_mode_sts(p, q) <= aligned * (1.0 + 1e-15)
 
 
 @PROPERTY

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cf_reference import sts_cf2
 
@@ -61,18 +62,29 @@ def test_non_finite_occupancy_is_rejected(build):
         build(math.nan)
 
 
-def test_phi_wrapped_into_half_open_interval():
-    p = DstsParams(nbar=0.0, r=0.1, phi=3.0 * math.pi)
-    assert p.phi == pytest.approx(math.pi)
-    assert -math.pi < p.phi <= math.pi
-    assert DstsParams(nbar=0.0, r=0.1, phi=-math.pi).phi == pytest.approx(math.pi)
-    assert DstsParams(nbar=0.0, r=0.1, phi=-4.0).phi == 2.2831853071795862
-
-
-def test_phi_in_range_comes_back_bit_identical():
-    for phi in np.linspace(-3.1, 3.1, 1241).tolist() + [0.4, -0.0, math.pi]:
-        assert DstsParams(0.0, 0.1, phi).phi == phi
-        assert TwoModeStsParams(0.1, 0.2, 0.3, phi).phi == phi
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+@given(st.floats())
+@example(-math.pi)
+@example(math.pi)
+@example(-0.0)
+@example(3.0 * math.pi)
+@example(-4.0)
+def test_phi_wrapped_into_half_open_interval(phi):
+    # every float, in both parameter types: a finite angle is stored as a float
+    # in (-pi, pi] congruent to it modulo 2 pi, one already there keeps its bits
+    # (-0.0 included), and a non-finite one raises
+    for build in (lambda phi: DstsParams(0.1, 0.2, phi),
+                  lambda phi: TwoModeStsParams(0.1, 0.2, 0.3, phi)):
+        if not math.isfinite(phi):
+            with pytest.raises(DomainError, match="angle must be finite"):
+                build(phi)
+            continue
+        stored = build(phi).phi
+        assert type(stored) is float and -math.pi < stored <= math.pi
+        assert abs(math.remainder(phi - stored, 2.0 * math.pi)) \
+            <= 2.0 * math.ulp(phi) + 8.0 * math.ulp(math.pi)
+        if -math.pi < phi <= math.pi:
+            assert stored.hex() == phi.hex()
 
 
 @pytest.mark.parametrize("build", [lambda phi: DstsParams(0.1, 0.2, phi),
@@ -91,9 +103,17 @@ def test_non_finite_displacement_is_rejected(alpha):
         DstsParams(0.1, 0.2, 0.3, alpha)
 
 
+@pytest.mark.parametrize("c", [math.inf, math.nan, complex(0.0, math.inf)],
+                         ids=["inf", "nan", "inf-im"])
+def test_non_finite_cf_displacement_is_rejected(c):
+    with pytest.raises(DomainError, match="coefficient c must be finite"):
+        OneModeGaussianCF(0.0, 0j, c)
+
+
 def test_parameter_types_store_plain_floats_and_complexes():
     for phi, stored in ((np.float64(0.3), 0.3), (2, 2.0), (np.float64(4.0), 4.0 - 2.0 * math.pi),
-                        (-1, -1.0), (np.float32(0.5), 0.5)):
+                        (-1, -1.0), (np.float32(0.5), 0.5), (-4.0, 2.2831853071795862),
+                        (-math.pi, math.pi)):
         for p in (DstsParams(0.1, 0.2, phi), TwoModeStsParams(0.1, 0.2, 0.3, phi)):
             assert type(p.phi) is float and p.phi == stored
     for alpha in (0.5, 1, np.float64(-0.25), np.complex128(0.5 - 1j)):
