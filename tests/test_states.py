@@ -87,6 +87,12 @@ def test_phi_wrapped_into_half_open_interval(phi):
             assert stored.hex() == phi.hex()
 
 
+def test_phi_in_range_comes_back_bit_identical():
+    for phi in np.linspace(-3.1, 3.1, 1241).tolist() + [0.4, -0.0, math.pi]:
+        assert DstsParams(0.0, 0.1, phi).phi == phi
+        assert TwoModeStsParams(0.1, 0.2, 0.3, phi).phi == phi
+
+
 @pytest.mark.parametrize("build", [lambda phi: DstsParams(0.1, 0.2, phi),
                                    lambda phi: TwoModeStsParams(0.1, 0.2, 0.3, phi)],
                          ids=["dsts", "sts2"])
