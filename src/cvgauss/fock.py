@@ -25,7 +25,7 @@ sqrt(j+1) e_{j+1} = gamma_0 e_j + A_00 sqrt(j) e_{j-1}, and for two modes,
 
 The builders write A, gamma and rho_0 with positive terms only.  Psi[m, k]
 vanishes for k > m, so no entry depends on the cut.  Up to the columns a
-one-mode build drops (at most 2^-120 of mass, below), a build at dim d is the
+build's block drops (at most 2^-120 of mass, below), a build at dim d is the
 top-left corner of any larger build, and 1 - ||Psi||_F^2 = 1 - Tr rho is the
 true tail mass.  A cut that is too small shows in ``tail_mass`` and raises
 TruncationWarning; the automatic dimension is the smallest whose tail meets
@@ -37,9 +37,8 @@ every row, label None.  A two-mode squeezed thermal state maps column
 (k1, k2) only to rows with n1 - n2 = k1 - k2, so its builder stores Psi as one
 block per such label L, |L| < dim, the rows of that label by the columns that
 start on them; rho is an exact zero between labels.  Everything here works
-one label at a time.  A one-mode build drops its trailing columns once
-together they carry at most 2^-120 of mass (see dsts_dm); every build drops
-a column whose entries all underflow to zero.
+one label at a time.  Every block keeps the shortest prefix of its columns
+whose dropped rest carries at most 2^-120 of mass (see _finish_dm).
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -75,7 +74,7 @@ MAX_DIM_PER_MODE = 64
 TAIL_TARGET = 1e-8
 #: tail mass above which builders emit TruncationWarning
 TAIL_WARN = 1e-6
-#: the most mass the trailing columns a one-mode build drops may carry (see dsts_dm)
+#: the most mass the trailing columns a build drops from a block may carry (see _finish_dm)
 _DROP_MASS = 2.0 ** -120
 
 
@@ -152,9 +151,9 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
 
 
 def _checked_dim(dim: int, cap: int) -> int:
-    if dim < 1:
-        raise DomainError(f"dim must be >= 1, got {dim}")
-    return min(dim, cap)
+    if not isinstance(dim, (int, np.integer)) or dim < 1:
+        raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
+    return min(int(dim), cap)
 
 
 def _smallest_dim(kept: np.ndarray, modes: int, cap: int) -> int:
@@ -264,9 +263,19 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
 
 
 def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
+    """The density matrix of the label blocks of Psi, each cut to the shortest
+    prefix of its columns whose dropped rest T carries at most _DROP_MASS; a
+    non-finite column is kept, for FockDensityMatrix to reject.  Column k
+    carries about A_01^k (A_02^k1 A_13^k2 for two modes), so a mixed state
+    sheds its high columns and each SVD shrinks.  On label L, Psi_1^dag Psi_2
+    moves by Psi_1L^dag T_2L + T_1L^dag Psi_2L', of rank <= dim and Frobenius
+    norm <= 2^-60 (||Psi_1L||_F + ||Psi_2L||_F).  By Cauchy-Schwarz over the
+    labels and ||Psi||_F <= 1, the fidelity moves by at most sqrt(dim * labels)
+    * 2^-58 (2^-54 for one mode at dim <= 256, 2^-51.5 for two at dim 64), the
+    trace product by 3 * 2^-120 and tail_mass by 2^-120 per label."""
     for label, b in blocks.items():
-        if not (nonzero := b.any(axis=0)).all():
-            blocks[label] = b[:, nonzero]  # an all-zero column costs SVD work only
+        trailing = np.cumsum(np.sum(np.abs(b) ** 2, axis=0)[::-1])[::-1]  # columns k onward
+        blocks[label] = b[:, :np.count_nonzero(~(trailing <= _DROP_MASS))]  # nan is kept
     rho = FockDensityMatrix(dim=dim, modes=modes, blocks=blocks)
     if rho.tail_mass > TAIL_WARN:
         warnings.warn(
@@ -318,21 +327,8 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
     capped at MAX_DIM_ONE_MODE.  The automatic route reads that dim off one
     build at the size _tail_bound_size gives, whose rows are those of the
-    cap build, so it chooses the dim the cap build would.
-
-    After the row cut, the trailing columns of Psi that together carry at
-    most 2^-120 (the sum of |Psi[m, k]|^2 over them) are dropped, so both
-    routes to the same dim keep the same block; the kept columns are a
-    prefix of the full factor, bit for bit.  Column k carries about A_01^k,
-    so a mixed state sheds its high columns and each SVD shrinks.  No
-    result moves by more than roundoff.  Write Psi = [Psi', T] with
-    ||T||_F <= 2^-60.  For two states, Psi_1^dag Psi_2 minus Psi_1'^dag Psi_2'
-    (padded with zeros) is made of the blocks Psi_1'^dag T_2, T_1^dag Psi_2'
-    and T_1^dag T_2; as ||Psi||_F <= 1, its Frobenius norm is at most
-    2 * 2^-60, and its rank is at most dim <= 256, so its trace norm is at
-    most sqrt(256) * 2 * 2^-60 = 2^-55.  The fidelity, the square of a trace
-    norm at most 1, moves by at most 2^-54, below half an ulp of 1; the trace
-    product and tail_mass move by at most 3 * 2^-120 and 2^-120.
+    cap build, so it chooses the dim the cap build would and keeps the block
+    of an explicit build at that dim, bit for bit.
     """
     if dim is None:
         size = _tail_bound_size(p)
@@ -347,8 +343,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     else:
         dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
-    trailing = np.cumsum(np.sum(np.abs(psi) ** 2, axis=0)[::-1])[::-1]  # columns k onward
-    return _finish_dm({None: psi[:, :np.count_nonzero(trailing > _DROP_MASS)]}, dim, 1)
+    return _finish_dm({None: psi}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:

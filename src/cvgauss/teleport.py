@@ -66,7 +66,8 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
     """Output of the protocol for added thermal noise z, in the form of the
     input: CF coefficients (a + z, b, c), or the parameters of the module
     docstring as the positive sums nbar_out = (nbar (nbar + 1) + z (2 y cosh 2r
-    + z)) / (y_out + 1/2) and 4 r_out = log1p(2 y sinh 2r / (y e^{-2r} + z))."""
+    + z)) / (y_out + 1/2) and 4 r_out = log1p(2 y sinh 2r / (y e^{-2r} + z));
+    UnphysicalState when y e^{2r} or r_out overflows double precision."""
     if not 0.0 <= z < math.inf:
         raise DomainError(f"added noise z must be finite and >= 0, got {z}")
     if isinstance(state, OneModeGaussianCF):
@@ -78,7 +79,11 @@ def teleport_with_noise(state: DstsParams | OneModeGaussianCF,
     nbar_out = ((nbar * (nbar + 1.0) + z * (y * (e2r + 1.0 / e2r) + z))
                 / (math.sqrt((y * e2r + z) * down) + 0.5))
     r_out = 0.25 * math.log1p(2.0 * y * math.sinh(2.0 * r) / down)
-    return DstsParams(nbar_out, r_out, state.phi, state.alpha)
+    try:
+        return DstsParams(nbar_out, r_out, state.phi, state.alpha)
+    except (DomainError, UnphysicalState):  # nbar_out is nan or inf, or r_out is inf
+        raise UnphysicalState(f"output of the channel for {state} and z = {z} "
+                              "overflows double precision") from None
 
 
 def teleport_symmetric_sts(state: DstsParams | OneModeGaussianCF, nbar: float,

@@ -66,9 +66,11 @@ def test_thermal_tail_bound():
 
 
 def test_thermal_dim_is_capped():
-    r = thermal_dm(0.5, 300)
+    r, full = _build_with_full_blocks(thermal_dm, 0.5, 300)
     assert r.dim == fock.MAX_DIM_ONE_MODE == 256
-    assert whole_factor(r).shape == (256, 256)
+    assert full[None].shape == (256, 256)
+    # column n carries (1/3)^n 2/3, so the 180 from n = 76 on carry under 2^-120
+    _assert_drop_rule(r.blocks[None], full[None], 76)
 
 
 def test_thermal_domain():
@@ -76,6 +78,12 @@ def test_thermal_domain():
         thermal_dm(-0.5, 10)
     with pytest.raises(DomainError):
         thermal_dm(0.5, 0)
+
+
+def test_thermal_with_infinite_occupancy_is_unphysical():
+    # its factor is all nan, and a non-finite column is never dropped
+    with pytest.raises(UnphysicalState, match="non-finite"):
+        thermal_dm(math.inf, 10)
 
 
 # --- factor builds against the matrix-exponential reference ----------------------
@@ -156,44 +164,65 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
     assert np.all(rho[np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1] == 0.0)
 
 
-def _assert_drop_rule(block, p, kept):
-    """block is the one-mode factor of p at its dim cut after its first
-    ``kept`` columns: the fewest whose dropped rest carries <= 2^-120."""
-    full = fock._one_mode_factor(p, block.shape[0])
-    assert block.shape[1] == kept
+def _build_with_full_blocks(build, p, dim):
+    """build(p, dim) and the label blocks its builder wrote, before _finish_dm
+    dropped any column."""
+    full, finish = {}, fock._finish_dm
+
+    def spy(blocks, dim, modes):
+        full.update(blocks)
+        return finish(blocks, dim, modes)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fock, "_finish_dm", spy)
+        return build(p, dim), full
+
+
+def _assert_drop_rule(block, full, kept=None):
+    """block is the factor block ``full`` cut after its first ``kept``
+    columns (all it has, if None): the fewest whose dropped rest carries
+    <= 2^-120."""
+    kept = block.shape[1] if kept is None else kept
+    assert block.shape == (full.shape[0], kept)
     assert np.array_equal(block, full[:, :kept])
     assert np.sum(np.abs(full[:, kept:]) ** 2) <= 2.0 ** -120
-    assert np.sum(np.abs(full[:, kept - 1:]) ** 2) > 2.0 ** -120
+    assert kept == 0 or np.sum(np.abs(full[:, kept - 1:]) ** 2) > 2.0 ** -120
 
 
 # the small two-mode build is cut on purpose: it is compared with a corner
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_build_is_corner_of_larger_build():
-    # each one-mode build keeps a prefix of its columns, which the larger
-    # build extends; the columns only the larger one keeps carry <= 2^-120
-    # on the smaller one's rows
+    # each block keeps a prefix of its columns, which the larger build
+    # extends; the columns only the larger one keeps carry <= 2^-120 on the
+    # smaller one's rows
     p = DstsParams(0.5, 1.0, 0.3, 0.5 + 0.2j)
     small, big = dsts_dm(p, 120), dsts_dm(p, 256)
-    _assert_drop_rule(small.blocks[None], p, 75)
-    _assert_drop_rule(big.blocks[None], p, 109)
+    _assert_drop_rule(small.blocks[None], fock._one_mode_factor(p, 120), 75)
+    _assert_drop_rule(big.blocks[None], fock._one_mode_factor(p, 256), 109)
     assert np.array_equal(whole_factor(small), whole_factor(big)[:120, :75])
     assert np.sum(np.abs(whole_factor(big)[:120, 75:]) ** 2) <= 2.0 ** -120
     assert np.array_equal(small.matrix, big.matrix[:120, :120])
     # the automatic dim and an explicit one of the same size keep the same block
     auto = dsts_dm(p)
     assert np.array_equal(auto.blocks[None], dsts_dm(p, auto.dim).blocks[None])
+    # the STS keeps 776 of its 784 columns at dim 28 and 1 188 of 1 296 at 36
     q = TwoModeStsParams(0.3, 0.6, 0.7, -1.1)
-    small, big = sts2_dm(q, 20), sts2_dm(q, 30)
-    assert list(small.blocks) == list(range(-19, 20))
+    (small, small_full), (big, big_full) = (_build_with_full_blocks(sts2_dm, q, d) for d in (28, 36))
+    assert list(small.blocks) == list(range(-27, 28))
+    assert sum(b.shape[1] for b in small.blocks.values()) == 776
+    assert sum(b.shape[1] for b in big.blocks.values()) == 1188
     for label, block in small.blocks.items():
         # row t and column s of a label are the same states at either cut
-        n = 20 - abs(label)
-        assert block.shape == (n, n)
-        assert np.array_equal(block, big.blocks[label][:n, :n])
+        n, kept = 28 - abs(label), block.shape[1]
+        assert small_full[label].shape == (n, n)
+        _assert_drop_rule(block, small_full[label])
+        _assert_drop_rule(big.blocks[label], big_full[label])
+        assert np.array_equal(block, big.blocks[label][:n, :kept])
+        assert np.sum(np.abs(big.blocks[label][:n, kept:]) ** 2) <= 2.0 ** -120
         assert not np.any(big.blocks[label][:n, n:])
     # the product of the longer ladder blocks may sum in another order
-    corner = big.matrix.reshape(30, 30, 30, 30)[:20, :20, :20, :20]
-    assert np.abs(small.matrix - corner.reshape(400, 400)).max() < 1e-16
+    corner = big.matrix.reshape(36, 36, 36, 36)[:28, :28, :28, :28]
+    assert np.abs(small.matrix - corner.reshape(784, 784)).max() < 1e-16
 
 
 @pytest.mark.parametrize("nbar,dim", [(0.5, 30), (2.0, 30), (2.0, 90), (7.0, 256)])
@@ -363,6 +392,15 @@ def test_oracle_rejects_dimension_below_one():
         dsts_dm(DstsParams(0.1), 0)
     with pytest.raises(DomainError):
         sts2_dm(TwoModeStsParams(0.1, 0.2), 0)
+
+
+@pytest.mark.parametrize("dim", [10.0, 1e3, math.nan, math.inf, "10"])
+@pytest.mark.parametrize("build,p", [
+    (thermal_dm, 0.3), (dsts_dm, DstsParams(0.3, 0.2)), (sts2_dm, TwoModeStsParams(0.3, 0.4, 0.9, 0.5)),
+], ids=["thermal", "dsts", "sts2"])
+def test_oracle_rejects_dimension_that_is_not_an_integer(build, p, dim):
+    with pytest.raises(DomainError, match="dim must be an integer >= 1"):
+        build(p, dim)
 
 
 def test_caps_apply_to_explicit_dimensions(monkeypatch):
@@ -557,8 +595,8 @@ def test_columns_that_underflow_to_zero_are_dropped():
     r1, r2 = matched_pair(dsts_dm, p1, p2)
     assert r1.dim == 244
     assert np.count_nonzero(fock._one_mode_factor(p1, 244).any(axis=0)) == 86
-    _assert_drop_rule(r1.blocks[None], p1, 5)
-    _assert_drop_rule(r2.blocks[None], p2, 144)
+    _assert_drop_rule(r1.blocks[None], fock._one_mode_factor(p1, 244), 5)
+    _assert_drop_rule(r2.blocks[None], fock._one_mode_factor(p2, 244), 144)
     assert r1.blocks[None].any(axis=0).all()
     assert abs(uhlmann_fidelity_numeric(r1, r2) - fidelity_one_mode(p1, p2)) < 1e-13
 
@@ -590,6 +628,30 @@ def test_dropped_columns_leave_the_fidelity_of_the_full_factors(automatic, p1, p
     assert abs(_svd_fidelity(*padded) - untrimmed) <= 1e-15
     # the smaller SVD rounds differently: 1.55e-15 apart on a nearly pure
     # state at dim 120, where the trimmed value is the closed form's to the bit
+    f12 = uhlmann_fidelity_numeric(r1, r2)
+    assert abs(f12 - untrimmed) <= 16 * np.finfo(float).eps
+    assert f12 == uhlmann_fidelity_numeric(r2, r1)
+
+
+# fock_oracle's and validate's two-mode domain at their dim 40, which cuts its
+# hottest corner
+_sts = st.builds(TwoModeStsParams, st.floats(0.0, 0.6), st.floats(0.0, 0.6), st.floats(0.0, 1.0),
+                 st.floats(-math.pi, math.pi))
+
+
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(p1=_sts, p2=_sts)
+def test_dropped_columns_leave_the_two_mode_fidelity_of_the_full_blocks(p1, p2):
+    (r1, full1), (r2, full2) = _build_with_full_blocks(sts2_dm, p1, 40), _build_with_full_blocks(sts2_dm, p2, 40)
+    padded = [{k: np.pad(b, ((0, 0), (0, f[k].shape[1] - b.shape[1]))) for k, b in r.blocks.items()}
+              for f, r in ((full1, r1), (full2, r2))]
+
+    def svd_fidelity(f1, f2):
+        return sum(np.linalg.svd(f1[k].conj().T @ f2[k], compute_uv=False).sum() for k in f1) ** 2
+
+    untrimmed = svd_fidelity(full1, full2)
+    assert abs(svd_fidelity(*padded) - untrimmed) <= 1e-15
     f12 = uhlmann_fidelity_numeric(r1, r2)
     assert abs(f12 - untrimmed) <= 16 * np.finfo(float).eps
     assert f12 == uhlmann_fidelity_numeric(r2, r1)

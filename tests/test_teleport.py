@@ -138,6 +138,14 @@ def test_resource_parameter_validation():
                 teleport_with_noise(state, z)
 
 
+@pytest.mark.parametrize("state,z", [(DstsParams(1e10, 350.0), 0.5), (DstsParams(0.0, 354.5), 0.0)],
+                         ids=["nbar-out-nan", "r-out-inf"])
+def test_channel_output_that_overflows_is_unphysical(state, z):
+    # valid inputs whose y e^{2r}, or 2 y sinh 2r / (y e^{-2r} + z), overflows
+    with pytest.raises(UnphysicalState, match="output of the channel .* overflows double precision"):
+        teleport_with_noise(state, z)
+
+
 # --- closed-form fidelity -------------------------------------------------------
 
 def test_variables_validation():
