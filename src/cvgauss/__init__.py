@@ -44,7 +44,6 @@ from .states import (
     cf_to_dsts,
     dsts_to_cf,
     eval_cf1,
-    eval_cf1_cov,
     local_invariants,
     parse_state,
     state_to_dict,
@@ -83,7 +82,6 @@ __all__ = [
     "dsts_to_cf",
     "entropy_of_entanglement_svs",
     "eval_cf1",
-    "eval_cf1_cov",
     "fidelity_one_mode",
     "fidelity_two_mode_sts",
     "is_classical",

@@ -99,8 +99,7 @@ class FockDensityMatrix:
     tail_mass: float = field(init=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"truncation dimension must be >= 1, got {self.dim}")
+        _checked_dim(self.dim)
         if self.modes not in (1, 2):
             raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
         if not self.blocks:
@@ -140,7 +139,7 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
     capped at MAX_DIM_ONE_MODE."""
     if not (nbar >= 0.0):
         raise DomainError(f"nbar must be >= 0, got {nbar}")
-    dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
+    dim = min(_checked_dim(dim), MAX_DIM_ONE_MODE)
     if nbar == 0.0:
         probs = np.zeros(dim)
         probs[0] = 1.0
@@ -150,10 +149,12 @@ def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
     return _finish_dm({None: np.diag(np.sqrt(probs))}, dim, 1)
 
 
-def _checked_dim(dim: int, cap: int) -> int:
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
+def _checked_dim(dim: int) -> int:
+    """dim as an int, after DomainError unless it is a Python or numpy
+    integer, not a bool, and at least 1."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
-    return min(int(dim), cap)
+    return int(dim)
 
 
 def _smallest_dim(kept: np.ndarray, modes: int, cap: int) -> int:
@@ -341,7 +342,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
         dim = _smallest_dim(kept, 1, MAX_DIM_ONE_MODE)
         psi = psi[:dim, :dim]
     else:
-        dim = _checked_dim(dim, MAX_DIM_ONE_MODE)
+        dim = min(_checked_dim(dim), MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
     return _finish_dm({None: psi}, dim, 1)
 
@@ -357,7 +358,7 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
         mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=MAX_DIM_PER_MODE)
         dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]), 2, MAX_DIM_PER_MODE)
     else:
-        dim = _checked_dim(dim, MAX_DIM_PER_MODE)
+        dim = min(_checked_dim(dim), MAX_DIM_PER_MODE)
         v = _sts_values(p, dim)
     n1, n2, nj = v[:dim, :dim, :dim].shape
     blocks = {}

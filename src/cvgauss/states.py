@@ -270,11 +270,17 @@ def local_invariants(m: np.ndarray) -> LocalInvariants:
 
 def checked_invariants(m) -> LocalInvariants:
     """Local invariants of a two-mode covariance matrix from outside, after
-    checking that it is a finite symmetric 4x4 array (else DomainError) with
-    physical one-mode blocks, positive definite, with invariants and
-    tolerance scale that fit in a double (else UnphysicalState), and obeying
-    the uncertainty inequality to a tolerance scaled by its terms."""
-    m = np.asarray(m, dtype=float)
+    checking that it is a finite symmetric 4x4 array of real numbers (else
+    DomainError) with physical one-mode blocks, positive definite, with
+    invariants and tolerance scale that fit in a double (else
+    UnphysicalState), and obeying the uncertainty inequality to a tolerance
+    scaled by its terms."""
+    try:
+        m = np.asarray(m)
+        # a float cast would drop the imaginary part of a complex entry
+        m = m.astype(float, copy=False) if m.dtype.kind != "c" else np.empty(0)
+    except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not reals
+        m = np.empty(0)
     # Python floats: an overflow in the check is inf, not a warning; a
     # misshapen array reads as one nan
     rows = m.tolist() if m.shape == (4, 4) else [[math.nan]]
@@ -314,18 +320,6 @@ def eval_cf1(g: OneModeGaussianCF, lam: complex) -> complex:
         - g.c * np.conj(lam)
     )
     return complex(np.exp(expo))
-
-
-def eval_cf1_cov(v: np.ndarray, lam: complex, displacement: complex = 0j) -> complex:
-    """Evaluate the same CF through the covariance-matrix form
-    exp(-X V X/2 - i Xi.X) with lam = -(i/sqrt 2)(x + i y)."""
-    lam = complex(lam)
-    x = -math.sqrt(2.0) * lam.imag
-    y = math.sqrt(2.0) * lam.real
-    xi = math.sqrt(2.0) * displacement.real
-    eta = math.sqrt(2.0) * displacement.imag
-    quad = v[0, 0] * x * x + 2.0 * v[0, 1] * x * y + v[1, 1] * y * y
-    return complex(np.exp(-0.5 * quad - 1j * (xi * x + eta * y)))
 
 
 # ---------------------------------------------------------------------------

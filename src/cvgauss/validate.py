@@ -1,6 +1,11 @@
-"""Self-validation suite: oracle-vs-closed-form comparisons with per-check
-deltas, the two-mode Fock oracle at dim 40 per mode included.  The public
-``check_*`` loops, which return the worst delta, are shared with the tests."""
+"""Self-validation suite behind ``cvgauss validate``.  Each row checks closed
+forms of the paper (the Uhlmann fidelities, the Bures degrees Q0 and E0, the
+Peres-Simon threshold, the teleportation fidelity) against a second route:
+the Fock oracle, two-mode at dim 40 per mode included, the numeric Bures
+searches, the Peres-Simon bisection, the fidelity between a state and its
+teleported output, or a known special value.  The state representations are
+checked against each other in the tests alone.  The public ``check_*``
+loops, which return the worst delta, are shared with the tests."""
 
 from __future__ import annotations
 
@@ -19,17 +24,7 @@ from .entanglement import (
 )
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
 from .nonclassicality import closest_classical_numeric, degree_q0, nonclassicality_threshold
-from .states import (
-    DstsParams,
-    TwoModeStsParams,
-    cf_to_cov,
-    cf_to_dsts,
-    dsts_to_cf,
-    eval_cf1,
-    eval_cf1_cov,
-    local_invariants,
-    sts_to_cov2,
-)
+from .states import DstsParams, TwoModeStsParams, sts_to_cov2
 from .teleport import teleport_fidelity, teleport_with_noise
 
 
@@ -62,54 +57,6 @@ def random_sts(rng, nbar_max=0.6, r_max=1.0) -> TwoModeStsParams:
     )
 
 
-def _check_roundtrip(rng) -> float:
-    worst = 0.0
-    for _ in range(40):
-        p = random_dsts(rng, nbar_max=5.0, r_max=2.0)
-        q = cf_to_dsts(dsts_to_cf(p))
-        worst = max(worst, abs(q.nbar - p.nbar), abs(q.r - p.r),
-                    abs(q.phi - p.phi), abs(q.alpha - p.alpha))
-    return worst
-
-
-def _check_cf_forms(rng) -> float:
-    worst = 0.0
-    for _ in range(10):
-        g = dsts_to_cf(random_dsts(rng))
-        v = cf_to_cov(g)
-        for _ in range(10):
-            lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            worst = max(worst, abs(eval_cf1(g, lam) - eval_cf1_cov(v, lam, g.c)))
-    return worst
-
-
-def _check_sts_invariants(rng) -> float:
-    worst = 0.0
-    for _ in range(25):
-        p = random_sts(rng, nbar_max=2.0, r_max=1.5)
-        inv = local_invariants(sts_to_cov2(p))
-        ch2, sh2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
-        n1 = (p.nbar1 + 0.5) * ch2 + (p.nbar2 + 0.5) * sh2
-        n2 = (p.nbar2 + 0.5) * ch2 + (p.nbar1 + 0.5) * sh2
-        g = (p.nbar1 + p.nbar2 + 1.0) * math.sinh(p.r) * math.cosh(p.r)
-        worst = max(
-            worst,
-            abs(math.sqrt(inv.det_v1) - n1),
-            abs(math.sqrt(inv.det_v2) - n2),
-            abs(math.sqrt(-inv.det_c) - g),
-            abs(math.sqrt(inv.det_v) - (p.nbar1 + 0.5) * (p.nbar2 + 0.5)),
-        )
-    return worst
-
-
-def _check_heisenberg(rng) -> float:
-    worst_violation = 0.0
-    for _ in range(25):
-        inv = local_invariants(sts_to_cov2(random_sts(rng, nbar_max=2.0, r_max=1.5)))
-        worst_violation = max(worst_violation, -inv.uncertainty_gap())
-    return max(worst_violation, 0.0)
-
-
 def matched_pair(build, p1, p2) -> tuple[fock.FockDensityMatrix, fock.FockDensityMatrix]:
     """build(p1) and build(p2), each at its automatic dim, with the one of
     the smaller dim rebuilt at the larger, so that the two truncations match."""
@@ -131,12 +78,12 @@ def check_one_mode_oracle(rng, pairs: int) -> float:
     return worst
 
 
-def check_two_mode_oracle(rng, dim: int, pairs: int) -> float:
+def check_two_mode_oracle(rng, pairs: int) -> float:
     worst = 0.0
     for _ in range(pairs):
         p1, p2 = random_sts(rng), random_sts(rng)
         closed = fidelity_two_mode_sts(p1, p2)
-        numeric = fock.uhlmann_fidelity_numeric(fock.sts2_dm(p1, dim), fock.sts2_dm(p2, dim))
+        numeric = fock.uhlmann_fidelity_numeric(fock.sts2_dm(p1, 40), fock.sts2_dm(p2, 40))
         worst = max(worst, abs(closed - numeric))
     return worst
 
@@ -231,11 +178,11 @@ def check_pure_trace_product(rng, dim: int, pairs: int) -> float:
     return worst
 
 
-def check_svs_entropy(dim: int) -> float:
+def check_svs_entropy() -> float:
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
         closed = entropy_of_entanglement_svs(r)
-        numeric = fock.von_neumann_entropy(fock.thermal_dm(math.sinh(r) ** 2, dim))
+        numeric = fock.von_neumann_entropy(fock.thermal_dm(math.sinh(r) ** 2, 200))
         worst = max(worst, abs(closed - numeric))
     return worst
 
@@ -243,14 +190,12 @@ def check_svs_entropy(dim: int) -> float:
 def run_suite() -> list[CheckResult]:
     """Run every check and return one result per check."""
     rng = np.random.default_rng(20260809)
+    # skip the draws of four rows now in the tests, so each row keeps its states
+    rng.bit_generator.advance(650)
     # oracle tolerances, at least 100x above the deltas of the exact oracle
     tol_1m, tol_2m, tol_exact = 1e-7, 1e-10, 1e-13
 
     return [
-        CheckResult("dsts/cf round trip", _check_roundtrip(rng), 1e-12),
-        CheckResult("cf coefficient vs covariance form", _check_cf_forms(rng), 1e-10),
-        CheckResult("sts local invariants closed forms", _check_sts_invariants(rng), 1e-12),
-        CheckResult("two-mode Heisenberg inequality", _check_heisenberg(rng), 1e-12),
         # each pair at the larger of its automatic dims
         CheckResult("one-mode fidelity vs Fock oracle",
                     check_one_mode_oracle(rng, pairs=8), tol_1m),
@@ -266,13 +211,13 @@ def run_suite() -> list[CheckResult]:
                           degree_e0, closest_separable_numeric, separable_argmin_gap,
                           "entanglement", "separable"),
         CheckResult("two-mode fidelity vs Fock oracle",
-                    check_two_mode_oracle(rng, 40, pairs=3), tol_2m),
+                    check_two_mode_oracle(rng, pairs=3), tol_2m),
         # its pure states leave tails below 1e-15 at dim 100; an automatic
         # dim stops at a tail of TAIL_TARGET, too coarse for tol_exact
         CheckResult("pure-state fidelity equals trace product",
                     check_pure_trace_product(rng, 100, pairs=6), tol_exact),
         CheckResult("squeezed-vacuum entropy vs Fock entropy",
-                    check_svs_entropy(200), tol_exact),
+                    check_svs_entropy(), tol_exact),
     ]
 
 

@@ -1,5 +1,8 @@
-"""Two-mode characteristic function of a squeezed thermal state, the reference
-of the teleport channel law and of the Fock oracle's two-mode CF.
+"""Characteristic functions written from their formulas alone, sharing no code
+with cvgauss: the references of the teleport channel law, of the Fock
+oracle's two-mode CF and of the one-mode coefficient form ``eval_cf1``.
+
+The two-mode squeezed thermal state has
 
     chi(lam1, lam2) = exp[-(a1 + 1/2)|lam1|^2 - (a2 + 1/2)|lam2|^2
                           + conj(g) lam1 lam2 + g conj(lam1) conj(lam2)],
@@ -8,7 +11,9 @@ of the teleport channel law and of the Fock oracle's two-mode CF.
     a2 + 1/2 = (nbar2 + 1/2) cosh^2 r + (nbar1 + 1/2) sinh^2 r,
     g = (nbar1 + nbar2 + 1) e^{i phi} sinh r cosh r.
 
-It is written from these formulas alone and shares no code with cvgauss.
+A one-mode Gaussian state with covariance matrix V and displacement
+(xi + i eta)/sqrt 2 has chi = exp(-X V X/2 - i Xi.X), where X = (x, y),
+Xi = (xi, eta) and lam = -(i/sqrt 2)(x + i y).
 """
 
 import cmath
@@ -26,3 +31,14 @@ def sts_cf2(p: TwoModeStsParams, lam1: complex, lam2: complex) -> complex:
     return cmath.exp(-n1 * abs(lam1) ** 2 - n2 * abs(lam2) ** 2
                      + g.conjugate() * lam1 * lam2
                      + g * lam1.conjugate() * lam2.conjugate())
+
+
+def eval_cf1_cov(v, lam: complex, displacement: complex = 0j) -> complex:
+    """The one-mode CF from the 2x2 covariance matrix v and the displacement."""
+    lam = complex(lam)
+    x = -math.sqrt(2.0) * lam.imag
+    y = math.sqrt(2.0) * lam.real
+    xi = math.sqrt(2.0) * displacement.real
+    eta = math.sqrt(2.0) * displacement.imag
+    quad = v[0, 0] * x * x + 2.0 * v[0, 1] * x * y + v[1, 1] * y * y
+    return cmath.exp(-0.5 * quad - 1j * (xi * x + eta * y))

@@ -63,7 +63,7 @@ def test_criterion_1_one_mode_fidelity_oracle():
 def test_criterion_2_two_mode_fidelity_oracle():
     rng = np.random.default_rng(1002)
     start = time.monotonic()
-    worst = check_two_mode_oracle(rng, 40, pairs=10)
+    worst = check_two_mode_oracle(rng, pairs=10)
     elapsed = time.monotonic() - start
     ok = worst <= 1e-9 and elapsed <= 600.0
     _report(2, "two-mode STS fidelity vs Fock oracle (10 pairs, dim 40/mode)",

@@ -492,7 +492,7 @@ def test_validate_fast_suite_passes(capsys):
     assert time.monotonic() - start < 30.0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
-    assert out.endswith("\n15/15 checks passed\n")
+    assert out.endswith("\n11/11 checks passed\n")
 
 
 def test_validate_breach_exit_code(monkeypatch, capsys):
@@ -500,7 +500,7 @@ def test_validate_breach_exit_code(monkeypatch, capsys):
     assert main(["validate"]) == 3
     out = capsys.readouterr().out
     assert re.search(r"coherent-input teleportation row +delta= 1\.00000e\+00 .* FAIL", out)
-    assert "14/15 checks passed" in out
+    assert "10/11 checks passed" in out
 
 
 def test_validate_reports_are_deterministic(capsys):

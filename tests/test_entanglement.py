@@ -229,7 +229,7 @@ def test_closest_separable_matches_closed_form():
 
 def test_entropy_of_entanglement():
     assert entropy_of_entanglement_svs(0.0) == 0.0
-    assert check_svs_entropy(200) <= 1e-13
+    assert check_svs_entropy() <= 1e-13
     assert entropy_of_entanglement_svs(1.5) > entropy_of_entanglement_svs(1.0)
     with pytest.raises(DomainError):
         entropy_of_entanglement_svs(-0.5)

@@ -394,13 +394,19 @@ def test_oracle_rejects_dimension_below_one():
         sts2_dm(TwoModeStsParams(0.1, 0.2), 0)
 
 
-@pytest.mark.parametrize("dim", [10.0, 1e3, math.nan, math.inf, "10"])
+@pytest.mark.parametrize("dim", [10.0, 1e3, math.nan, math.inf, "10", True])
 @pytest.mark.parametrize("build,p", [
     (thermal_dm, 0.3), (dsts_dm, DstsParams(0.3, 0.2)), (sts2_dm, TwoModeStsParams(0.3, 0.4, 0.9, 0.5)),
 ], ids=["thermal", "dsts", "sts2"])
 def test_oracle_rejects_dimension_that_is_not_an_integer(build, p, dim):
     with pytest.raises(DomainError, match="dim must be an integer >= 1"):
         build(p, dim)
+
+
+@pytest.mark.parametrize("dim", [4.0, True])
+def test_density_matrix_rejects_dimension_that_is_not_an_integer(dim):
+    with pytest.raises(DomainError, match="dim must be an integer >= 1"):
+        FockDensityMatrix(dim=dim, modes=1, blocks={None: np.eye(4) / 4.0})
 
 
 def test_caps_apply_to_explicit_dimensions(monkeypatch):
@@ -710,7 +716,7 @@ def test_density_matrix_validation():
         FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(3, dtype=complex)})
     with pytest.raises(UnphysicalState, match="trace"):
         FockDensityMatrix(dim=4, modes=1, blocks={None: np.eye(4) / 1.9})
-    with pytest.raises(DomainError, match="truncation dimension must be >= 1"):
+    with pytest.raises(DomainError, match="dim must be an integer >= 1"):
         FockDensityMatrix(dim=0, modes=1, blocks={None: np.zeros((0, 0))})
     with pytest.raises(DomainError, match="mode count must be 1 or 2"):
         FockDensityMatrix(dim=2, modes=3, blocks={None: np.eye(8) / math.sqrt(8.0)})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cf_reference import sts_cf2
+from cf_reference import eval_cf1_cov, sts_cf2
 
 from cvgauss import (
     DomainError,
@@ -18,7 +18,6 @@ from cvgauss import (
     cf_to_dsts,
     dsts_to_cf,
     eval_cf1,
-    eval_cf1_cov,
     fidelity_one_mode,
     local_invariants,
     parse_state,
@@ -297,6 +296,12 @@ def _bad_covariances():
     yield vacuum.ravel()
     yield [[0.5, 0.0], [0.0, 0.5]]
     yield np.eye(5)
+    # entries that are not real numbers, and a nesting that is no array
+    yield [[1j, 0, 0, 0]] * 4
+    yield [[1, 2], [3]]
+    yield "abc"
+    yield vacuum + 0.01j
+    yield [[10 ** 400, 0, 0, 0]] + vacuum.tolist()[1:]
 
 
 @pytest.mark.parametrize("m", list(_bad_covariances()))
