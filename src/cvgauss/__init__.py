@@ -25,7 +25,6 @@ from .fock import (
     FockDensityMatrix,
     dsts_dm,
     sts2_dm,
-    thermal_dm,
     trace_product,
     uhlmann_fidelity_numeric,
     von_neumann_entropy,
@@ -44,7 +43,6 @@ from .states import (
     cf_to_dsts,
     dsts_to_cf,
     eval_cf1,
-    local_invariants,
     parse_state,
     state_to_dict,
     sts_to_cov2,
@@ -85,7 +83,6 @@ __all__ = [
     "fidelity_one_mode",
     "fidelity_two_mode_sts",
     "is_classical",
-    "local_invariants",
     "nonclassicality_threshold",
     "parse_state",
     "peres_simon_separable",
@@ -100,7 +97,6 @@ __all__ = [
     "teleport_fidelity_from_states",
     "teleport_symmetric_sts",
     "teleport_with_noise",
-    "thermal_dm",
     "trace_product",
     "uhlmann_fidelity_numeric",
     "von_neumann_entropy",

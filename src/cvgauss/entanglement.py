@@ -41,8 +41,8 @@ def separability_threshold_rs(nbar1: float, nbar2: float) -> float:
 def peres_simon_separable(m) -> bool:
     """Partial-transposition separability test in invariant form on a 4x4
     covariance matrix, which :func:`checked_invariants` validates first."""
-    inv = checked_invariants(m)
-    sep_gap = inv.det_v - 0.25 * (inv.det_v1 + inv.det_v2) + 0.0625 - 0.5 * abs(inv.det_c)
+    det_v1, det_v2, det_c, det_v = checked_invariants(m)
+    sep_gap = det_v - 0.25 * (det_v1 + det_v2) + 0.0625 - 0.5 * abs(det_c)
     return sep_gap >= -SEP_TOL
 
 

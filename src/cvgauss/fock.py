@@ -134,21 +134,6 @@ class FockDensityMatrix:
         return rho
 
 
-def thermal_dm(nbar: float, dim: int) -> FockDensityMatrix:
-    """Bose-Einstein density operator, diagonal nbar^n/(nbar+1)^(n+1), at dim
-    capped at MAX_DIM_ONE_MODE."""
-    if not (nbar >= 0.0):
-        raise DomainError(f"nbar must be >= 0, got {nbar}")
-    dim = min(_checked_dim(dim), MAX_DIM_ONE_MODE)
-    if nbar == 0.0:
-        probs = np.zeros(dim)
-        probs[0] = 1.0
-    else:
-        ratio = nbar / (nbar + 1.0)
-        probs = np.exp(np.arange(dim) * math.log(ratio) - math.log(nbar + 1.0))
-    return _finish_dm({None: np.diag(np.sqrt(probs))}, dim, 1)
-
-
 def _checked_dim(dim: int) -> int:
     """dim as an int, after DomainError unless it is a Python or numpy
     integer, not a bool, and at least 1."""
@@ -178,6 +163,15 @@ def _log(x: float) -> float:
     return math.log(x) if x else 0.0
 
 
+def _abs2(z: complex) -> float:
+    """|z| |z|, and inf where |z| overflows, for which abs raises OverflowError."""
+    try:
+        a = abs(z)
+    except OverflowError:
+        return math.inf
+    return a * a
+
+
 def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     """(A_00, A_01, gamma_0, rho_0) of a DSTS; A_11 = conj(A_00),
     A_10 = A_01 and gamma_1 = conj(gamma_0).
@@ -197,9 +191,10 @@ def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     a00 = cmath.exp(1j * p.phi) * (s / h)
     a01 = (p.nbar / y) * ((p.nbar + 1.0) / h)
     gamma = p.alpha * ((c + 0.5 / y) / h) - a00 * p.alpha.conjugate()
-    psi = p.phi - 2.0 * cmath.phase(p.alpha)
+    # math.atan2 gives cmath.phase's bits, and 0 where cmath.phase raises on an underflow
+    psi = p.phi - 2.0 * math.atan2(p.alpha.imag, p.alpha.real)
     k = (math.exp(-2.0 * p.r) + 2.0 * s * math.sin(0.5 * psi) ** 2 + 0.5 / y) / h
-    rho0 = math.exp(-k * (abs(p.alpha) * abs(p.alpha))) / math.sqrt(y * h)
+    rho0 = math.exp(-k * _abs2(p.alpha)) / math.sqrt(y * h)
     # rho0 is nan only where h overflows and |alpha|^2 does too; it is 0 there
     return a00, a01, gamma, rho0 if rho0 > 0.0 else 0.0
 
@@ -311,7 +306,7 @@ def _tail_bound_size(p: DstsParams) -> int:
     are those of the cap build, bit for bit; wider rows it splits elsewhere.
     """
     y = p.nbar + 0.5
-    alpha2 = abs(p.alpha) * abs(p.alpha)
+    alpha2 = _abs2(p.alpha)
     n = math.inf
     for u in _CHERNOFF_U:
         t = 0.5 * u * math.exp(-2.0 * p.r) / y

@@ -169,20 +169,6 @@ class TwoModeStsParams:
         _normalise_phi(self)
 
 
-@dataclass(frozen=True)
-class LocalInvariants:
-    """The four invariants under local symplectic transformations."""
-
-    det_v1: float
-    det_v2: float
-    det_c: float
-    det_v: float
-
-    def uncertainty_gap(self) -> float:
-        """Two-mode uncertainty gap det V - (det V1 + det V2 + 2 det C)/4 + 1/16 >= 0."""
-        return self.det_v - 0.25 * (self.det_v1 + self.det_v2 + 2.0 * self.det_c) + 0.0625
-
-
 # ---------------------------------------------------------------------------
 # one-mode conversions
 
@@ -258,27 +244,23 @@ def sts_to_cov2(p: TwoModeStsParams) -> np.ndarray:
     return m
 
 
-def local_invariants(m: np.ndarray) -> LocalInvariants:
-    """Determinants of the mode blocks, the cross block and the whole matrix."""
-    return LocalInvariants(
-        det_v1=float(m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]),
-        det_v2=float(m[2, 2] * m[3, 3] - m[2, 3] * m[2, 3]),
-        det_c=float(m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]),
-        det_v=float(np.linalg.det(m)),
-    )
-
-
-def checked_invariants(m) -> LocalInvariants:
-    """Local invariants of a two-mode covariance matrix from outside, after
-    checking that it is a finite symmetric 4x4 array of real numbers (else
+def checked_invariants(m) -> tuple[float, float, float, float]:
+    """The invariants under local symplectic transformations of a two-mode
+    covariance matrix from outside: (det V1, det V2, det C, det V), the
+    determinants of the mode blocks, the cross block and the whole matrix.
+    First checks that m is a finite symmetric 4x4 array of real numbers (else
     DomainError) with physical one-mode blocks, positive definite, with
     invariants and tolerance scale that fit in a double (else
-    UnphysicalState), and obeying the uncertainty inequality to a tolerance
-    scaled by its terms."""
+    UnphysicalState), and obeying the uncertainty inequality
+    det V - (det V1 + det V2 + 2 det C)/4 + 1/16 >= 0 to a tolerance scaled
+    by its terms."""
     try:
         m = np.asarray(m)
-        # a float cast would drop the imaginary part of a complex entry
-        m = m.astype(float, copy=False) if m.dtype.kind != "c" else np.empty(0)
+        # a float cast would drop the imaginary part of a complex entry and
+        # read text such as "0.5" or a truth value as a number
+        numbers_only = m.dtype.kind in "iuf" or (m.dtype.kind == "O" and not any(
+            isinstance(x, (str, bytes, bool, np.bool_)) for x in m.flat))
+        m = m.astype(float, copy=False) if numbers_only else np.empty(0)
     except (TypeError, ValueError, OverflowError):  # ragged, or entries that are not reals
         m = np.empty(0)
     # Python floats: an overflow in the check is inf, not a warning; a
@@ -294,15 +276,18 @@ def checked_invariants(m) -> LocalInvariants:
         raise UnphysicalState(
             f"covariance matrix not positive definite (min eigenvalue {ev_min:.6g})")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        inv = local_invariants(m)
-    scale = max(inv.det_v1 * inv.det_v2, abs(inv.det_v), inv.det_c * inv.det_c)
-    if not all(map(math.isfinite, (inv.det_v1, inv.det_v2, inv.det_c, inv.det_v, scale))):
+        det_v = float(np.linalg.det(m))
+    det_v1 = rows[0][0] * rows[1][1] - rows[0][1] * rows[0][1]
+    det_v2 = rows[2][2] * rows[3][3] - rows[2][3] * rows[2][3]
+    det_c = rows[0][2] * rows[1][3] - rows[0][3] * rows[1][2]
+    scale = max(det_v1 * det_v2, abs(det_v), det_c * det_c)
+    if not all(map(math.isfinite, (det_v1, det_v2, det_c, det_v, scale))):
         raise UnphysicalState("covariance matrix invariants overflow a double, so the "
                               "uncertainty inequality cannot be checked")
-    gap = inv.uncertainty_gap()
+    gap = det_v - 0.25 * (det_v1 + det_v2 + 2.0 * det_c) + 0.0625
     if not gap >= -_scaled_tol(scale):
         raise UnphysicalState(f"covariance matrix violates the uncertainty inequality by {gap:.3g}")
-    return inv
+    return det_v1, det_v2, det_c, det_v
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def check_svs_entropy() -> float:
     worst = 0.0
     for r in (0.5, 1.0, 1.5):
         closed = entropy_of_entanglement_svs(r)
-        numeric = fock.von_neumann_entropy(fock.thermal_dm(math.sinh(r) ** 2, 200))
+        numeric = fock.von_neumann_entropy(fock.dsts_dm(DstsParams(math.sinh(r) ** 2), 200))
         worst = max(worst, abs(closed - numeric))
     return worst
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cvgauss
@@ -14,6 +15,7 @@ from cvgauss import (
     ConvergenceFailure,
     DomainError,
     DstsParams,
+    FockDensityMatrix,
     OneModeGaussianCF,
     TwoModeStsParams,
     UnphysicalState,
@@ -21,12 +23,14 @@ from cvgauss import (
     closest_separable_numeric,
     degree_e0,
     degree_q0,
+    dsts_dm,
     dsts_to_cf,
     fidelity_one_mode,
     fidelity_two_mode_sts,
     is_classical,
     peres_simon_separable,
     resource_noise,
+    sts2_dm,
     sts_to_cov2,
     teleport_fidelity_from_states,
     teleport_symmetric_sts,
@@ -128,6 +132,20 @@ def test_closed_forms_give_a_finite_value_or_a_package_error(p, q, s, t, z):
         except (DomainError, UnphysicalState):
             continue
         assert _finite(value), (f, args, value)
+
+
+# a state cut short by its dim is still a matrix
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(p=_dsts, s=_sts, dim=st.integers(1, 6))
+def test_fock_builders_give_a_matrix_or_a_package_error(p, s, dim):
+    for build, state in ((dsts_dm, p), (sts2_dm, s)):
+        for d in (None, dim):
+            try:
+                rho = build(state, d)
+            except (DomainError, UnphysicalState):
+                continue
+            assert isinstance(rho, FockDensityMatrix) and 0.0 <= rho.tail_mass <= 1.0, (state, d)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=50)

@@ -10,7 +10,6 @@ from cvgauss import (
     closest_separable_numeric,
     degree_e0,
     entropy_of_entanglement_svs,
-    local_invariants,
     peres_simon_separable,
     separability_threshold_rs,
     sts_to_cov2,
@@ -76,9 +75,10 @@ def test_peres_simon_rejects_unphysical_matrix():
 
 def test_peres_simon_rejects_sub_vacuum_blocks():
     # eps I is positive definite and passes the two-mode inequality for any
-    # eps (gap = (eps^2 - 1/4)^2), but each mode block has det = eps^2 < 1/4
+    # eps: det V1 = det V2 = eps^2, det C = 0 and det V = eps^4 leave the gap
+    # (eps^2 - 1/4)^2, but each mode block has det = eps^2 < 1/4
     eps = 0.4
-    assert local_invariants(eps * np.eye(4)).uncertainty_gap() > 0.0
+    assert np.linalg.det(eps * np.eye(4)) - 0.5 * eps ** 2 + 0.0625 > 0.0
     with pytest.raises(UnphysicalState, match="uncertainty relation"):
         peres_simon_separable(eps * np.eye(4))
 

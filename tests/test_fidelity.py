@@ -17,7 +17,6 @@ from cvgauss import (
     fidelity_two_mode_sts,
     sts2_dm,
     sts_to_cov2,
-    thermal_dm,
     trace_product,
     uhlmann_fidelity_numeric,
 )
@@ -48,7 +47,7 @@ def test_coherent_pair_closed_form():
 def test_thermal_zero_vs_one_is_half():
     f = fidelity_one_mode(dsts_to_cf(DstsParams(0.0)), dsts_to_cf(DstsParams(1.0)))
     assert f == pytest.approx(0.5, abs=1e-12)
-    oracle = uhlmann_fidelity_numeric(thermal_dm(0.0, 200), thermal_dm(1.0, 200))
+    oracle = uhlmann_fidelity_numeric(dsts_dm(DstsParams(0.0), 200), dsts_dm(DstsParams(1.0), 200))
     assert abs(f - oracle) < 1e-13
 
 

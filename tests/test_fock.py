@@ -15,6 +15,7 @@ from fock_reference import (
     mean_photon_number,
     reduced_dm,
     sts2_reference,
+    thermal,
     two_mode_squeeze,
     whole_factor,
 )
@@ -31,7 +32,6 @@ from cvgauss import (
     eval_cf1,
     fidelity_one_mode,
     sts2_dm,
-    thermal_dm,
     trace_product,
     uhlmann_fidelity_numeric,
     von_neumann_entropy,
@@ -42,10 +42,10 @@ from cvgauss.states import R_MAX
 from cvgauss.validate import matched_pair, random_dsts
 
 
-# --- thermal states ------------------------------------------------------------
+# --- thermal states, the DSTS at r = 0 and alpha = 0 --------------------------------
 
 def test_thermal_vacuum_is_projector():
-    r = thermal_dm(0.0, 5)
+    r = dsts_dm(DstsParams(0.0), 5)
     expected = np.zeros((5, 5))
     expected[0, 0] = 1.0
     assert np.allclose(r.matrix, expected)
@@ -54,19 +54,19 @@ def test_thermal_vacuum_is_projector():
 
 def test_thermal_truncated_geometric():
     with pytest.warns(TruncationWarning, match="missing 0.25 probability mass at dim 2"):
-        r = thermal_dm(1.0, 2)
+        r = dsts_dm(DstsParams(1.0), 2)
     assert np.allclose(np.diag(r.matrix).real, [0.5, 0.25])
     assert r.tail_mass == pytest.approx(0.25)
 
 
 def test_thermal_tail_bound():
-    r = thermal_dm(1.0, 45)
+    r = dsts_dm(DstsParams(1.0), 45)
     assert r.tail_mass < 1e-12
     assert abs(1.0 - r.matrix.trace().real) < 1e-12
 
 
 def test_thermal_dim_is_capped():
-    r, full = _build_with_full_blocks(thermal_dm, 0.5, 300)
+    r, full = _build_with_full_blocks(dsts_dm, DstsParams(0.5), 300)
     assert r.dim == fock.MAX_DIM_ONE_MODE == 256
     assert full[None].shape == (256, 256)
     # column n carries (1/3)^n 2/3, so the 180 from n = 76 on carry under 2^-120
@@ -75,15 +75,18 @@ def test_thermal_dim_is_capped():
 
 def test_thermal_domain():
     with pytest.raises(DomainError):
-        thermal_dm(-0.5, 10)
+        dsts_dm(DstsParams(-0.5), 10)
     with pytest.raises(DomainError):
-        thermal_dm(0.5, 0)
+        dsts_dm(DstsParams(0.5), 0)
 
 
 def test_thermal_with_infinite_occupancy_is_unphysical():
-    # its factor is all nan, and a non-finite column is never dropped
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        dsts_dm(DstsParams(math.inf), 10)
+    # a factor that is all nan, as an infinite occupancy would give: a
+    # non-finite column is never dropped
     with pytest.raises(UnphysicalState, match="non-finite"):
-        thermal_dm(math.inf, 10)
+        fock._finish_dm({None: np.full((10, 10), math.nan)}, 10, 1)
 
 
 # --- factor builds against the matrix-exponential reference ----------------------
@@ -365,9 +368,11 @@ def test_two_mode_auto_dim_is_smallest_meeting_target():
     (dsts_dm, DstsParams(0.5, 20.0, 0.1, 0.3 + 0.2j), "MAX_DIM_ONE_MODE"),
     (dsts_dm, DstsParams(0.5, 0.2, 0.0, 1e200), "MAX_DIM_ONE_MODE"),
     (dsts_dm, DstsParams(1e300, 300.0), "MAX_DIM_ONE_MODE"),
+    # |alpha| overflows a double, so abs(alpha) raises
+    (dsts_dm, DstsParams(0.0, alpha=complex(3e300, 1.7976931348623157e308)), "MAX_DIM_ONE_MODE"),
     (sts2_dm, TwoModeStsParams(0.5, 0.2, 20.0, 0.4), "MAX_DIM_PER_MODE"),
     (sts2_dm, TwoModeStsParams(1e300, 1e300, 300.0), "MAX_DIM_PER_MODE"),
-], ids=["r20", "alpha1e200", "huge-1m", "sts-r20", "huge-2m"])
+], ids=["r20", "alpha1e200", "huge-1m", "alpha-overflows", "sts-r20", "huge-2m"])
 def test_auto_dim_extremes_warn_at_the_cap(monkeypatch, build, p, cap):
     # a state beyond every allowed cut is built at the cap, with its true tail
     monkeypatch.setattr(fock, "MAX_DIM_PER_MODE", 12)
@@ -387,6 +392,13 @@ def test_oracle_rejects_non_finite_angle_or_displacement(p):
         dsts_dm(DstsParams(**p), 10)
 
 
+def test_oracle_builds_a_displacement_whose_angle_underflows():
+    # arg alpha = atan2(5e-324, 3) underflows to 0, where cmath.phase raises
+    r = dsts_dm(DstsParams(0.0, 0.1, 0.0, 3.0 + 5e-324j))
+    expected = dsts_dm(DstsParams(0.0, 0.1, 0.0, 3.0), r.dim)
+    assert r.blocks[None].tobytes() == expected.blocks[None].tobytes()
+
+
 def test_oracle_rejects_dimension_below_one():
     with pytest.raises(DomainError):
         dsts_dm(DstsParams(0.1), 0)
@@ -396,7 +408,7 @@ def test_oracle_rejects_dimension_below_one():
 
 @pytest.mark.parametrize("dim", [10.0, 1e3, math.nan, math.inf, "10", True])
 @pytest.mark.parametrize("build,p", [
-    (thermal_dm, 0.3), (dsts_dm, DstsParams(0.3, 0.2)), (sts2_dm, TwoModeStsParams(0.3, 0.4, 0.9, 0.5)),
+    (dsts_dm, DstsParams(0.3)), (dsts_dm, DstsParams(0.3, 0.2)), (sts2_dm, TwoModeStsParams(0.3, 0.4, 0.9, 0.5)),
 ], ids=["thermal", "dsts", "sts2"])
 def test_oracle_rejects_dimension_that_is_not_an_integer(build, p, dim):
     with pytest.raises(DomainError, match="dim must be an integer >= 1"):
@@ -421,7 +433,7 @@ def test_caps_apply_to_explicit_dimensions(monkeypatch):
 
 def test_sts2_no_squeezing_is_thermal_product():
     r = sts2_dm(TwoModeStsParams(0.5, 0.2, 0.0), 16)
-    expected = np.kron(thermal_dm(0.5, 16).matrix, thermal_dm(0.2, 16).matrix)
+    expected = np.kron(thermal(0.5, 16), thermal(0.2, 16))
     assert np.allclose(r.matrix, expected, atol=1e-14)
 
 
@@ -494,7 +506,7 @@ def test_numeric_fidelity_with_itself():
 
 def test_numeric_fidelity_vacuum_vs_thermal():
     for nbar in (0.5, 1.0, 2.0):
-        f = uhlmann_fidelity_numeric(thermal_dm(0.0, 150), thermal_dm(nbar, 150))
+        f = uhlmann_fidelity_numeric(dsts_dm(DstsParams(0.0), 150), dsts_dm(DstsParams(nbar), 150))
         assert f == pytest.approx(1.0 / (nbar + 1.0), abs=1e-13)
 
 
@@ -549,7 +561,7 @@ def _dense_uhlmann(r1, r2):
 @pytest.mark.parametrize("pair", [
     lambda: (sts2_dm(TwoModeStsParams(1.5, 2.0, 0.4, 0.3), 8),
              sts2_dm(TwoModeStsParams(2.5, 1.0, 0.2, -1.0), 8)),
-    lambda: (thermal_dm(2.0, 20), thermal_dm(3.0, 20)),
+    lambda: (dsts_dm(DstsParams(2.0), 20), dsts_dm(DstsParams(3.0), 20)),
     lambda: (dsts_dm(DstsParams(2.0, 0.3, 0.5), 16), dsts_dm(DstsParams(3.0, 0.2, -1.0), 16)),
     lambda: (dsts_dm(DstsParams(2.0, 0.3, 0.5, 0.2 + 0.1j), 16),
              dsts_dm(DstsParams(3.0, 0.2, -1.0, -0.1j), 16)),
@@ -567,7 +579,7 @@ def test_numeric_fidelity_blockwise_equals_dense(pair):
 @pytest.mark.parametrize("pair", [
     lambda: (dsts_dm(DstsParams(0.5, 0.3, 0.4, 0.3 - 0.2j), 30),
              dsts_dm(DstsParams(1.0, 0.2, -0.7), 30)),
-    lambda: (thermal_dm(0.7, 30), dsts_dm(DstsParams(0.3, 0.4, 1.0), 30)),
+    lambda: (dsts_dm(DstsParams(0.7), 30), dsts_dm(DstsParams(0.3, 0.4, 1.0), 30)),
     lambda: (sts2_dm(TwoModeStsParams(0.0, 0.0, 0.6, 0.3), 12),
              sts2_dm(TwoModeStsParams(0.2, 0.4, 0.5, -0.2), 12)),
     lambda: (dsts_dm(DstsParams(0.0, alpha=40.0), 20), dsts_dm(DstsParams(0.3, 0.2), 20)),
@@ -666,20 +678,20 @@ def test_dropped_columns_leave_the_two_mode_fidelity_of_the_full_blocks(p1, p2):
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
 def test_dimension_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        uhlmann_fidelity_numeric(thermal_dm(0.5, 10), thermal_dm(0.5, 12))
+        uhlmann_fidelity_numeric(dsts_dm(DstsParams(0.5), 10), dsts_dm(DstsParams(0.5), 12))
     with pytest.raises(DimensionMismatch):
-        trace_product(thermal_dm(0.5, 10), thermal_dm(0.5, 12))
+        trace_product(dsts_dm(DstsParams(0.5), 10), dsts_dm(DstsParams(0.5), 12))
 
 
 def test_thermal_purity():
-    r = thermal_dm(1.0, 200)
+    r = dsts_dm(DstsParams(1.0), 200)
     assert trace_product(r, r) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_thermal_entropy_closed_form():
     for nbar in (0.3, 1.0, 2.5):
         expected = (nbar + 1) * math.log(nbar + 1) - nbar * math.log(nbar)
-        assert von_neumann_entropy(thermal_dm(nbar, 220)) == pytest.approx(expected, abs=1e-8)
+        assert von_neumann_entropy(dsts_dm(DstsParams(nbar), 220)) == pytest.approx(expected, abs=1e-8)
 
 
 def test_pure_state_entropy_vanishes():
@@ -705,8 +717,8 @@ def test_oracle_converges_with_dimension():
 
 def test_reduced_dm_of_product():
     r = sts2_dm(TwoModeStsParams(0.7, 0.2, 0.0), 24)
-    assert np.allclose(reduced_dm(r, 0).matrix, thermal_dm(0.7, 24).matrix, atol=1e-12)
-    assert np.allclose(reduced_dm(r, 1).matrix, thermal_dm(0.2, 24).matrix, atol=1e-12)
+    assert np.allclose(reduced_dm(r, 0).matrix, thermal(0.7, 24), atol=1e-12)
+    assert np.allclose(reduced_dm(r, 1).matrix, thermal(0.2, 24), atol=1e-12)
 
 
 def test_density_matrix_validation():

@@ -310,6 +310,9 @@ def test_two_mode_properties(p, q):
     assert 0.0 <= f <= 1.0
     assert abs(fidelity_two_mode_sts(q, p) - f) <= 1e-15 * f
     assert abs(fidelity_two_mode_sts(p, p) - 1.0) <= 1e-15
+    # relabelling the modes of both states leaves F unchanged, bit for bit
+    p2, q2 = (TwoModeStsParams(s.nbar2, s.nbar1, s.r, s.phi) for s in (p, q))
+    assert fidelity_two_mode_sts(p2, q2) == f
 
 
 @PROPERTY

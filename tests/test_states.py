@@ -19,11 +19,12 @@ from cvgauss import (
     dsts_to_cf,
     eval_cf1,
     fidelity_one_mode,
-    local_invariants,
     parse_state,
+    peres_simon_separable,
     state_to_dict,
     sts_to_cov2,
 )
+from cvgauss.entanglement import SEP_TOL
 from cvgauss.states import _LOG_SCALE_MAX, R_MAX, _log_cosh, checked_invariants
 from cvgauss.validate import random_dsts, random_sts
 
@@ -302,6 +303,10 @@ def _bad_covariances():
     yield "abc"
     yield vacuum + 0.01j
     yield [[10 ** 400, 0, 0, 0]] + vacuum.tolist()[1:]
+    # text and truth values, which a float cast would read as numbers
+    yield np.eye(4, dtype=bool)
+    yield [[str(x) for x in row] for row in vacuum.tolist()]
+    yield np.array(vacuum.astype(str), dtype=object)
 
 
 @pytest.mark.parametrize("m", list(_bad_covariances()))
@@ -408,60 +413,100 @@ def test_overflowing_conversions_raise_without_a_warning(convert, state):
 
 
 def test_sts_to_cov2_pure_det():
-    inv = local_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.9)))
-    assert inv.det_v == pytest.approx(1.0 / 16.0, abs=1e-13)
+    *_, det_v = checked_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.9)))
+    assert det_v == pytest.approx(1.0 / 16.0, abs=1e-13)
 
 
 def test_sts_to_cov2_invariants_example():
     p = TwoModeStsParams(nbar1=0.5, nbar2=0.2, r=0.8, phi=0.3)
-    inv = local_invariants(sts_to_cov2(p))
+    det_v1, det_v2, det_c, det_v = checked_invariants(sts_to_cov2(p))
     ch2, sh2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
-    assert math.sqrt(inv.det_v1) == pytest.approx(1.0 * ch2 + 0.7 * sh2, abs=1e-12)
-    assert math.sqrt(inv.det_v2) == pytest.approx(0.7 * ch2 + 1.0 * sh2, abs=1e-12)
-    assert math.sqrt(-inv.det_c) == pytest.approx(1.7 * math.sinh(p.r) * math.cosh(p.r), abs=1e-12)
-    assert math.sqrt(inv.det_v) == pytest.approx(1.0 * 0.7, abs=1e-12)
+    assert math.sqrt(det_v1) == pytest.approx(1.0 * ch2 + 0.7 * sh2, abs=1e-12)
+    assert math.sqrt(det_v2) == pytest.approx(0.7 * ch2 + 1.0 * sh2, abs=1e-12)
+    assert math.sqrt(-det_c) == pytest.approx(1.7 * math.sinh(p.r) * math.cosh(p.r), abs=1e-12)
+    assert math.sqrt(det_v) == pytest.approx(1.0 * 0.7, abs=1e-12)
 
 
 def test_sts_invariants_randomized_grid():
     rng = np.random.default_rng(47)
     for _ in range(50):
         p = random_sts(rng, nbar_max=2.0, r_max=1.5)
-        inv = local_invariants(sts_to_cov2(p))
+        det_v1, det_v2, det_c, det_v = checked_invariants(sts_to_cov2(p))
         ch2, sh2 = math.cosh(p.r) ** 2, math.sinh(p.r) ** 2
         n1, n2 = p.nbar1 + 0.5, p.nbar2 + 0.5
-        assert abs(math.sqrt(inv.det_v1) - (n1 * ch2 + n2 * sh2)) < 1e-12
-        assert abs(math.sqrt(inv.det_v2) - (n2 * ch2 + n1 * sh2)) < 1e-12
-        assert abs(math.sqrt(-inv.det_c)
+        assert abs(math.sqrt(det_v1) - (n1 * ch2 + n2 * sh2)) < 1e-12
+        assert abs(math.sqrt(det_v2) - (n2 * ch2 + n1 * sh2)) < 1e-12
+        assert abs(math.sqrt(-det_c)
                    - (p.nbar1 + p.nbar2 + 1) * math.sinh(p.r) * math.cosh(p.r)) < 1e-12
-        assert abs(math.sqrt(inv.det_v) - n1 * n2) < 1e-12
+        assert abs(math.sqrt(det_v) - n1 * n2) < 1e-12
 
 
 def test_sts_cov_heisenberg_inequality_on_grid():
     rng = np.random.default_rng(53)
     for _ in range(50):
-        gap = local_invariants(sts_to_cov2(random_sts(rng, nbar_max=2.0, r_max=1.5))).uncertainty_gap()
-        assert gap >= -1e-12
+        assert uncertainty_gap(sts_to_cov2(random_sts(rng, nbar_max=2.0, r_max=1.5))) >= -1e-12
 
 
 def test_phi_zero_cross_block_convention():
     p = TwoModeStsParams(0.3, 0.1, 0.6, 0.0)
     m = sts_to_cov2(p)
-    c = math.sqrt(-local_invariants(m).det_c)
+    c = math.sqrt(-checked_invariants(m)[2])
     assert np.allclose(m[:2, 2:], np.diag([c, -c]), atol=1e-12)
 
 
 # --- local invariants -------------------------------------------------------
 
 def test_local_invariants_vacuum_product():
-    m = sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.0))
-    inv = local_invariants(m)
-    assert (inv.det_v1, inv.det_v2, inv.det_c) == (0.25, 0.25, 0.0)
-    assert inv.det_v == pytest.approx(1.0 / 16.0, abs=1e-16)
+    *blocks, det_v = checked_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 0.0)))
+    assert blocks == [0.25, 0.25, 0.0]
+    assert det_v == pytest.approx(1.0 / 16.0, abs=1e-16)
 
 
 def test_local_invariants_sts_cross_determinant():
-    inv = local_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 1.0)))
-    assert inv.det_c == pytest.approx(-(math.sinh(1.0) * math.cosh(1.0)) ** 2, abs=1e-12)
+    det_c = checked_invariants(sts_to_cov2(TwoModeStsParams(0.0, 0.0, 1.0)))[2]
+    assert det_c == pytest.approx(-(math.sinh(1.0) * math.cosh(1.0)) ** 2, abs=1e-12)
+
+
+def invariants_reference(m):
+    """(det V1, det V2, det C, det V) from the cofactors of the numpy entries
+    and numpy's determinant, unchecked."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(m[0, 0] * m[1, 1] - m[0, 1] * m[0, 1]),
+                float(m[2, 2] * m[3, 3] - m[2, 3] * m[2, 3]),
+                float(m[0, 2] * m[1, 3] - m[0, 3] * m[1, 2]),
+                float(np.linalg.det(m)))
+
+
+def uncertainty_gap(m):
+    """det V - (det V1 + det V2 + 2 det C)/4 + 1/16, >= 0 for a physical V."""
+    det_v1, det_v2, det_c, det_v = invariants_reference(m)
+    return det_v - 0.25 * (det_v1 + det_v2 + 2.0 * det_c) + 0.0625
+
+
+_nbar = st.one_of(st.just(0.0), st.floats(0.0, sys.float_info.max),
+                  st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e))
+_r = st.one_of(st.just(0.0), st.floats(0.0, R_MAX),
+               st.floats(-300.0, math.log10(R_MAX)).map(lambda e: 10.0 ** e))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.builds(TwoModeStsParams, _nbar, _nbar, _r, st.floats(-4.0, 4.0)))
+def test_checked_invariants_are_the_cofactors_and_decide_the_verdict(p):
+    # bit for bit: the block determinants from the entries, det V from numpy
+    try:
+        m = sts_to_cov2(p)
+    except UnphysicalState:
+        return
+    det_v1, det_v2, det_c, det_v = ref = invariants_reference(m)
+    try:
+        inv = checked_invariants(m)
+    except UnphysicalState as err:
+        assert "overflow" in str(err)
+        assert not all(map(math.isfinite, (*ref, det_v1 * det_v2, det_c * det_c)))
+        return
+    assert np.array(inv).tobytes() == np.array(ref).tobytes()
+    sep_gap = det_v - 0.25 * (det_v1 + det_v2) + 0.0625 - 0.5 * abs(det_c)
+    assert peres_simon_separable(m) is (sep_gap >= -SEP_TOL)
 
 
 def _det4_cofactor(m):
@@ -486,9 +531,9 @@ def test_local_invariants_match_cofactor_determinants():
         w = rng.normal(scale=0.05, size=(4, 4))
         full = base + w @ w.T
         inv = checked_invariants(full)
-        assert inv == local_invariants(full)
-        assert inv.det_v == pytest.approx(_det4_cofactor(full.tolist()), rel=1e-10)
-        assert inv.det_c == pytest.approx(
+        assert inv == invariants_reference(full)
+        assert inv[3] == pytest.approx(_det4_cofactor(full.tolist()), rel=1e-10)
+        assert inv[2] == pytest.approx(
             full[0, 2] * full[1, 3] - full[0, 3] * full[1, 2], abs=1e-12)
 
 
