@@ -29,8 +29,8 @@ build's block drops (at most 2^-120 of mass, below), a build at dim d is the
 top-left corner of any larger build, and 1 - ||Psi||_F^2 = 1 - Tr rho is the
 true tail mass.  A cut that is too small shows in ``tail_mass`` and raises
 TruncationWarning; the automatic dimension is the smallest whose tail meets
-TAIL_TARGET.  ``matrix`` forms rho on first use, Hermitian and positive
-semidefinite by construction.
+TAIL_TARGET, read off builds of doubling size.  ``matrix`` forms rho on
+first use, Hermitian and positive semidefinite by construction.
 
 Blocks.  Each mode count has one layout.  A one-mode state is one block on
 every row, label None.  A two-mode squeezed thermal state maps column
@@ -140,18 +140,6 @@ def _checked_dim(dim: int) -> int:
     if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
         raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
     return int(dim)
-
-
-def _smallest_dim(kept: np.ndarray, modes: int, cap: int) -> int:
-    """Smallest dim whose kept probability kept[dim - 1] leaves a tail of at
-    most TAIL_TARGET; len(kept), which is then the cap, when none does.  Logs
-    the choice at DEBUG on the "cvgauss" logger."""
-    met = np.flatnonzero(1.0 - kept <= TAIL_TARGET)
-    dim = int(met[0]) + 1 if met.size else len(kept)
-    tail = max(0.0, 1.0 - float(kept[dim - 1]))
-    _logger.debug("automatic Fock dim %d per mode for %d mode(s), cap %d, cut by the cap: %s, "
-                  "tail mass %.3g", dim, modes, cap, not met.size, tail)
-    return dim
 
 
 def _log_factorials(n: int) -> np.ndarray:  # ln k! for k < n
@@ -282,76 +270,58 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
     return rho
 
 
-#: values of u = 2t (nbar + 1/2) e^{2r} in (0, 1) at which _tail_bound_size bounds the tail
-_CHERNOFF_U = (0.7, 0.9, 0.97, 0.99, 0.997)
-
-
-def _tail_bound_size(p: DstsParams) -> int:
-    """The smallest multiple of 16 up to 128 rows at which a Chernoff bound
-    puts the tail mass of p at most TAIL_TARGET; the cap where none does.
-
-    For s > 1, P(n >= N) <= E[s^n] s^-N.  The Weyl symbol of s^n is
-    (1 - t) exp(t |x|^2), t = (s - 1)/(s + 1), so for a Gaussian state of
-    quadrature covariance V (vacuum I/2) and mean d, E[s^n]
-    = (1 - t) det(I - 2tV)^(-1/2) exp(t d^T (I - 2tV)^-1 d).  V has the
-    eigenvalues y e^{+-2r}, y = nbar + 1/2, and |d|^2 = 2|alpha|^2, so for
-    u = 2t y e^{2r} < 1
-
-        ln P(n >= N) <= ln(1 - t) - ln(1 - u)/2 - ln(1 - u e^{-4r})/2
-                        + 2t |alpha|^2/(1 - u) - N ln((1 + t)/(1 - t)),
-
-    linear in N for each u.  The size stops at 128: numpy sums a row of at
-    most 128 entries, a multiple of 8, in the order it sums the first 128
-    entries of the row at the cap, so the row masses and the dim they decide
-    are those of the cap build, bit for bit; wider rows it splits elsewhere.
-    """
-    y = p.nbar + 0.5
-    alpha2 = _abs2(p.alpha)
-    n = math.inf
-    for u in _CHERNOFF_U:
-        t = 0.5 * u * math.exp(-2.0 * p.r) / y
-        slope = math.log1p(t) - math.log1p(-t)
-        if slope > 0.0:  # t underflows to 0 only for a state far past any cut
-            rest = (math.log1p(-t) - 0.5 * math.log1p(-u) - 0.5 * math.log1p(-u * math.exp(-4.0 * p.r))
-                    + 2.0 * t * alpha2 / (1.0 - u) - math.log(TAIL_TARGET))
-            n = min(n, rest / slope)
-    return min(16 * max(1, math.ceil(n / 16)) if n <= 128 else MAX_DIM_ONE_MODE, MAX_DIM_ONE_MODE)
+def _automatic_dim(build, p, first: int, cap: int, modes: int) -> tuple[int, np.ndarray]:
+    """(dim, build(p, size)) for dim=None: the size per mode doubles from
+    first up to the cap until the build's rows (row n: the states whose
+    larger photon number is n) keep all but TAIL_TARGET; dim is the smallest
+    whose tail meets it there, the cap where none does.  Each build is the
+    corner of the cap build, and so are its row masses, bit for bit: numpy
+    sums a one-mode row of at most 128 entries, a multiple of 8, in the order
+    it sums the first entries of the row at the cap, and np.bincount adds a
+    two-mode row's entries in the same order at any size.  So dim is the one
+    the cap build chooses; it is logged at DEBUG on the "cvgauss" logger."""
+    size = min(first, cap)
+    while True:
+        v = build(p, size)
+        if modes == 1:
+            mass = np.sum(np.abs(v) ** 2, axis=1)
+        else:
+            k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
+            top = (np.maximum(k1, k2) + j).ravel()
+            mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=size)[:size]
+        kept = np.cumsum(mass)
+        if 1.0 - kept[-1] <= TAIL_TARGET or size == cap:
+            break
+        size = min(2 * size, cap)
+    met = np.flatnonzero(1.0 - kept <= TAIL_TARGET)
+    dim = int(met[0]) + 1 if met.size else size
+    _logger.debug("automatic Fock dim %d per mode for %d mode(s), cap %d, cut by the cap: %s, "
+                  "tail mass %.3g", dim, modes, cap, not met.size, max(0.0, 1.0 - float(kept[dim - 1])))
+    return dim, v
 
 
 def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     """Displaced squeezed thermal state as a truncated density matrix, at dim
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
-    capped at MAX_DIM_ONE_MODE.  The automatic route reads that dim off one
-    build at the size _tail_bound_size gives, whose rows are those of the
-    cap build, so it chooses the dim the cap build would and keeps the block
-    of an explicit build at that dim, bit for bit.
-    """
+    capped at MAX_DIM_ONE_MODE.  The automatic route builds at 32, 64, 128
+    and 256 rows until one meets the target (see _automatic_dim) and keeps
+    the block of an explicit build at the dim it reads off, bit for bit."""
     if dim is None:
-        size = _tail_bound_size(p)
-        while True:
-            psi = _one_mode_factor(p, size)
-            kept = np.cumsum(np.sum(np.abs(psi) ** 2, axis=1))
-            if 1.0 - kept[-1] <= TAIL_TARGET or size == MAX_DIM_ONE_MODE:
-                break
-            size = MAX_DIM_ONE_MODE  # the bound met TAIL_TARGET only up to roundoff
-        dim = _smallest_dim(kept, 1, MAX_DIM_ONE_MODE)
-        psi = psi[:dim, :dim]
+        dim, psi = _automatic_dim(_one_mode_factor, p, 32, MAX_DIM_ONE_MODE, 1)
     else:
         dim = min(_checked_dim(dim), MAX_DIM_ONE_MODE)
         psi = _one_mode_factor(p, dim)
-    return _finish_dm({None: psi}, dim, 1)
+    return _finish_dm({None: psi[:dim, :dim]}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     """Two-mode squeezed thermal state as a truncated density matrix; dim is
     the per-mode truncation or, if None, the smallest one whose tail meets
-    TAIL_TARGET, both capped at MAX_DIM_PER_MODE."""
+    TAIL_TARGET, both capped at MAX_DIM_PER_MODE.  The automatic route builds
+    at 16, 32 and 64 per mode until one meets the target (see _automatic_dim)
+    and keeps the blocks of an explicit build at the dim it reads off."""
     if dim is None:
-        v = _sts_values(p, MAX_DIM_PER_MODE)
-        k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
-        top = (np.maximum(k1, k2) + j).ravel()  # the larger photon number of the row
-        mass = np.bincount(top, np.abs(v.ravel()) ** 2, minlength=MAX_DIM_PER_MODE)
-        dim = _smallest_dim(np.cumsum(mass[:MAX_DIM_PER_MODE]), 2, MAX_DIM_PER_MODE)
+        dim, v = _automatic_dim(_sts_values, p, 16, MAX_DIM_PER_MODE, 2)
     else:
         dim = min(_checked_dim(dim), MAX_DIM_PER_MODE)
         v = _sts_values(p, dim)

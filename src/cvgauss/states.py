@@ -96,6 +96,10 @@ class DstsParams:
     def __post_init__(self):
         if not (_DBL_MAX >= self.nbar >= 0.0 <= self.r <= R_MAX):
             raise _range_error((self.nbar,), f"nbar must be >= 0, got {self.nbar}", self.r)
+        # stored as floats, whose overflow raises where a numpy scalar's only warns
+        if self.nbar.__class__ is not float or self.r.__class__ is not float:
+            object.__setattr__(self, "nbar", float(self.nbar))
+            object.__setattr__(self, "r", float(self.r))
         _normalise_phi(self)
         alpha = self.alpha
         if alpha.__class__ is not complex:
@@ -127,6 +131,9 @@ class OneModeGaussianCF:
         if not (-PHYS_TOL <= a < math.inf):
             raise UnphysicalState(f"coefficient a must be finite and >= 0, got {a}")
         try:
+            if a.__class__ is not float:  # a numpy scalar's overflow would only warn
+                a = float(a)
+                object.__setattr__(self, "a", a)
             aa = (a + 0.5) ** 2
             det = aa - abs(b) ** 2  # det V
         except OverflowError:
@@ -166,6 +173,10 @@ class TwoModeStsParams:
         if not (_DBL_MAX >= self.nbar1 >= 0.0 <= self.nbar2 <= _DBL_MAX
                 and 0.0 <= self.r <= R_MAX):
             raise _range_error((self.nbar1, self.nbar2), "thermal occupancies must be >= 0", self.r)
+        if not self.nbar1.__class__ is self.nbar2.__class__ is self.r.__class__ is float:
+            object.__setattr__(self, "nbar1", float(self.nbar1))
+            object.__setattr__(self, "nbar2", float(self.nbar2))
+            object.__setattr__(self, "r", float(self.r))
         _normalise_phi(self)
 
 
@@ -367,7 +378,8 @@ def parse_state(source) -> DstsParams | TwoModeStsParams:
     if isinstance(source, (str, bytes)):
         try:
             obj = json.loads(source)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError and an integer too long to convert are ValueErrors
+        except (ValueError, RecursionError) as exc:
             raise DomainError(f"invalid state JSON: {exc}") from exc
     else:
         obj = source

@@ -308,53 +308,93 @@ def test_auto_dim_is_smallest_meeting_target(p):
             assert dsts_dm(p, r.dim - 1).tail_mass > fock.TAIL_TARGET
 
 
-def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice():
-    # the automatic route builds once, at the size the tail bound gives; it
-    # keeps the dim a build at the cap chooses, and the block an explicit
-    # build at that dim makes, bit for bit
+def _record_sizes(monkeypatch, name):
+    """The sizes at which the builders call fock.<name> from now on."""
+    sizes, build = [], getattr(fock, name)
+    monkeypatch.setattr(fock, name, lambda p, size: sizes.append(size) or build(p, size))
+    return sizes
+
+
+def test_auto_dim_build_is_the_explicit_build_and_the_cap_size_choice(monkeypatch):
+    # the automatic route builds at 32, 64, 128 and 256 rows until one keeps
+    # all but TAIL_TARGET; it keeps the dim a build at the cap chooses, and
+    # the block an explicit build at that dim makes, bit for bit
     rng = np.random.default_rng(29)
     states = [random_dsts(rng) for _ in range(40)] + [DstsParams(2.0, 1.0, 0.3, 1 + 1j)]
-    sizes = set()
+    reached = set()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         for p in states:
+            rows = np.sum(np.abs(fock._one_mode_factor(p, fock.MAX_DIM_ONE_MODE)) ** 2, axis=1)
+            sizes = _record_sizes(monkeypatch, "_one_mode_factor")
             auto = dsts_dm(p)
+            monkeypatch.undo()
             explicit = dsts_dm(p, auto.dim)
             assert auto.blocks[None].tobytes() == explicit.blocks[None].tobytes()
             assert auto.blocks[None].shape == explicit.blocks[None].shape
             assert auto.tail_mass == explicit.tail_mass
-            rows = np.sum(np.abs(fock._one_mode_factor(p, fock.MAX_DIM_ONE_MODE)) ** 2, axis=1)
             met = np.flatnonzero(1.0 - np.cumsum(rows) <= fock.TAIL_TARGET)
             assert auto.dim == (met[0] + 1 if met.size else fock.MAX_DIM_ONE_MODE)
-            # the bound holds: its size already meets the target
-            size = fock._tail_bound_size(p)
+            # the ladder stops at the first size that meets the target
+            assert sizes == [32, 64, 128, 256][:len(sizes)]
+            size = sizes[-1]
             assert size >= auto.dim and (size == fock.MAX_DIM_ONE_MODE or 1.0 - sum(rows[:size]) <= fock.TAIL_TARGET)
-            # and its row masses are the cap build's, bit for bit
-            part = np.sum(np.abs(fock._one_mode_factor(p, size)) ** 2, axis=1)
-            assert part.tobytes() == rows[:size].tobytes()
-            sizes.add(size)
-    # the states are built at sizes from 32 to 128 rows and at the cap
-    assert {32, 64, 128, fock.MAX_DIM_ONE_MODE} <= sizes
+            # and the row masses of every size are the cap build's, bit for bit
+            for size in sizes:
+                part = np.sum(np.abs(fock._one_mode_factor(p, size)) ** 2, axis=1)
+                assert part.tobytes() == rows[:size].tobytes()
+            reached.update(sizes)
+    assert {32, 64, 128, fock.MAX_DIM_ONE_MODE} <= reached
 
 
-def test_auto_dim_build_falls_back_to_the_cap_where_the_bound_size_falls_short(monkeypatch):
-    # a size that misses TAIL_TARGET, which the bound gives only through
-    # roundoff, is followed by the build at the cap
-    p = DstsParams(0.5, 0.5, 0.3, 0.5 + 0.5j)
-    expected = dsts_dm(p)
-    assert 16 < expected.dim < fock.MAX_DIM_ONE_MODE
-    monkeypatch.setattr(fock, "_tail_bound_size", lambda q: 16)
+def test_auto_dim_build_doubles_up_to_the_cap_where_smaller_sizes_fall_short(monkeypatch):
+    # a state of dim between 128 and 256 is built at every size of the ladder,
+    # and a vacuum only at the first
+    p = DstsParams(1.0, 1.0, 0.3, 0.5 + 0.5j)
+    sizes = _record_sizes(monkeypatch, "_one_mode_factor")
     auto = dsts_dm(p)
-    assert auto.dim == expected.dim
-    assert auto.blocks[None].tobytes() == expected.blocks[None].tobytes()
+    assert sizes == [32, 64, 128, fock.MAX_DIM_ONE_MODE]
+    assert 128 < auto.dim < fock.MAX_DIM_ONE_MODE
+    sizes.clear()
+    assert dsts_dm(DstsParams(0.0)).dim == 1 and sizes == [32]
+    monkeypatch.undo()
+    assert auto.blocks[None].tobytes() == dsts_dm(p, auto.dim).blocks[None].tobytes()
 
 
-def test_tail_bound_size_is_the_cap_for_extreme_states():
-    for p in (DstsParams(1e300, 300.0), DstsParams(0.0, R_MAX, 0.0, 1e300), DstsParams(0.5, 0.2, 0.0, 1e200),
-              DstsParams(1.7e308, 0.0), DstsParams(0.5, 20.0)):
-        assert fock._tail_bound_size(p) == fock.MAX_DIM_ONE_MODE
-    # a vacuum is certified at the smallest size
-    assert fock._tail_bound_size(DstsParams(0.0)) == 16
+def test_two_mode_auto_dim_is_the_cap_build_choice(monkeypatch):
+    # sts2_dm builds at 16, 32 and 64 per mode until one keeps all but
+    # TAIL_TARGET; its dim, blocks and tail are those the cap build chooses
+    rng = np.random.default_rng(32)
+    states = [TwoModeStsParams(*rng.uniform(0.0, s, 3), rng.uniform(-3.0, 3.0))
+              for s in (0.3, 1.0, 2.5) for _ in range(8)]
+    reached = set()
+    for p in states:
+        v = fock._sts_values(p, fock.MAX_DIM_PER_MODE)
+        k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
+        mass = np.bincount((np.maximum(k1, k2) + j).ravel(), np.abs(v.ravel()) ** 2,
+                           minlength=fock.MAX_DIM_PER_MODE)
+        met = np.flatnonzero(1.0 - np.cumsum(mass[:fock.MAX_DIM_PER_MODE]) <= fock.TAIL_TARGET)
+        dim = met[0] + 1 if met.size else fock.MAX_DIM_PER_MODE
+        sizes = _record_sizes(monkeypatch, "_sts_values")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            auto = sts2_dm(p)
+        monkeypatch.undo()
+        assert sizes == [16, 32, 64][:len(sizes)] and sizes[-1] >= dim
+        reached.update(sizes)
+        assert auto.dim == dim
+        # the blocks an explicit build at dim makes from the cap build's values
+        monkeypatch.setattr(fock, "_sts_values", lambda q, size: v)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            capped = sts2_dm(p, dim)
+        monkeypatch.undo()
+        assert auto.tail_mass == capped.tail_mass
+        assert list(auto.blocks) == list(capped.blocks)
+        for label, b in auto.blocks.items():
+            assert b.shape == capped.blocks[label].shape
+            assert b.tobytes() == capped.blocks[label].tobytes()
+    assert reached == {16, 32, 64}
 
 
 def test_two_mode_auto_dim_is_smallest_meeting_target():
@@ -368,11 +408,13 @@ def test_two_mode_auto_dim_is_smallest_meeting_target():
     (dsts_dm, DstsParams(0.5, 20.0, 0.1, 0.3 + 0.2j), "MAX_DIM_ONE_MODE"),
     (dsts_dm, DstsParams(0.5, 0.2, 0.0, 1e200), "MAX_DIM_ONE_MODE"),
     (dsts_dm, DstsParams(1e300, 300.0), "MAX_DIM_ONE_MODE"),
+    (dsts_dm, DstsParams(0.0, R_MAX, 0.0, 1e300), "MAX_DIM_ONE_MODE"),
+    (dsts_dm, DstsParams(1.7e308, 0.0), "MAX_DIM_ONE_MODE"),
     # |alpha| overflows a double, so abs(alpha) raises
     (dsts_dm, DstsParams(0.0, alpha=complex(3e300, 1.7976931348623157e308)), "MAX_DIM_ONE_MODE"),
     (sts2_dm, TwoModeStsParams(0.5, 0.2, 20.0, 0.4), "MAX_DIM_PER_MODE"),
     (sts2_dm, TwoModeStsParams(1e300, 1e300, 300.0), "MAX_DIM_PER_MODE"),
-], ids=["r20", "alpha1e200", "huge-1m", "alpha-overflows", "sts-r20", "huge-2m"])
+], ids=["r20", "alpha1e200", "huge-1m", "r-max-alpha1e300", "hot-1m", "alpha-overflows", "sts-r20", "huge-2m"])
 def test_auto_dim_extremes_warn_at_the_cap(monkeypatch, build, p, cap):
     # a state beyond every allowed cut is built at the cap, with its true tail
     monkeypatch.setattr(fock, "MAX_DIM_PER_MODE", 12)

@@ -19,10 +19,12 @@ from cvgauss import (
     dsts_to_cf,
     eval_cf1,
     fidelity_one_mode,
+    fidelity_two_mode_sts,
     parse_state,
     peres_simon_separable,
     state_to_dict,
     sts_to_cov2,
+    teleport_with_noise,
 )
 from cvgauss.entanglement import SEP_TOL
 from cvgauss.states import _LOG_SCALE_MAX, R_MAX, _log_cosh, checked_invariants
@@ -36,6 +38,17 @@ def test_dsts_params_rejects_negative():
         DstsParams(nbar=-0.1)
     with pytest.raises(DomainError):
         DstsParams(nbar=0.0, r=-1.0)
+
+
+def test_parameter_types_store_real_fields_as_floats():
+    # numpy scalars and ints become the same Python floats; a float is kept as given
+    x = 0.1 + 0.2
+    made = (DstsParams(np.float64(x), np.float32(0.5)), TwoModeStsParams(np.float64(x), 2, np.float64(0.5)),
+            OneModeGaussianCF(np.float64(x)))
+    values = [made[0].nbar, made[0].r, made[1].nbar1, made[1].nbar2, made[1].r, made[2].a]
+    assert [v.__class__ for v in values] == [float] * 6
+    assert values == [x, 0.5, x, 2.0, 0.5, x]
+    assert DstsParams(x).nbar is x and TwoModeStsParams(0.2, x).nbar2 is x and OneModeGaussianCF(x).a is x
 
 
 @pytest.mark.parametrize("build", [lambda r: DstsParams(0.0, r),
@@ -406,7 +419,16 @@ def test_sts_to_cov2_is_finite_where_its_entries_are_and_refuses_where_they_over
     (dsts_to_cf, DstsParams(1e300, 300.0, 0.3)),
     (lambda s: checked_invariants(sts_to_cov2(s)), TwoModeStsParams(1e308, 1e308, 0.0)),
     (sts_to_cov2, TwoModeStsParams(1e300, 1e300, 300.0, 0.3)),
-], ids=["dsts_to_cf", "checked_invariants", "sts_to_cov2"])
+    # numpy scalars are stored as floats, whose overflow raises where numpy's warns
+    (sts_to_cov2, TwoModeStsParams(np.float64(1e300), np.float64(1e300), np.float64(300.0), 0.3)),
+    (dsts_to_cf, DstsParams(np.float64(1e300), np.float64(300.0), 0.3)),
+    (lambda s: fidelity_one_mode(s, s), DstsParams(np.float64(1e300), 300.0)),
+    (lambda s: fidelity_two_mode_sts(s, s), TwoModeStsParams(np.float64(1e300), np.float64(1e300), 300.0)),
+    (lambda s: teleport_with_noise(s, 0.1), DstsParams(np.float64(1e300), 300.0)),
+    (OneModeGaussianCF, np.float64(1e200)),
+], ids=["dsts_to_cf", "checked_invariants", "sts_to_cov2", "sts_to_cov2-numpy", "dsts_to_cf-numpy",
+        "fidelity_one_mode-numpy", "fidelity_two_mode_sts-numpy", "teleport_with_noise-numpy",
+        "cf-numpy"])
 def test_overflowing_conversions_raise_without_a_warning(convert, state):
     with pytest.raises(UnphysicalState):
         convert(state)
@@ -608,8 +630,8 @@ def test_json_rejects_bad_input():
 
 
 @pytest.mark.parametrize("source", [b'\xff\xfe{"kind"', b'{"kind": "\xe9"}', "[" * 100_000,
-                                    b"[" * 100_000],
-                         ids=["utf16-bom-truncated", "latin1", "nested-text", "nested-bytes"])
+                                    b"[" * 100_000, '{"kind": "dsts", "nbar": ' + "9" * 5000 + "}"],
+                         ids=["utf16-bom-truncated", "latin1", "nested-text", "nested-bytes", "long-int"])
 def test_parse_state_rejects_undecodable_json(source):
     with pytest.raises(DomainError, match="invalid state JSON"):
         parse_state(source)
@@ -630,6 +652,54 @@ def test_parse_state_scale_bound():
     # the sign checks come first
     with pytest.raises(DomainError, match="nbar must be >= 0"):
         parse_state(dict(near, nbar=-1))
+
+
+_FIELDS = {"dsts": ("nbar", "r", "phi", "alpha"), "sts2": ("nbar1", "nbar2", "r", "phi")}
+_occupancy = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, sys.float_info.max),
+                       st.floats(-300.0, 308.0).map(lambda e: 10.0 ** e))
+_squeeze = st.one_of(st.floats(0.0, 2.0), st.floats(0.0, 400.0))
+_junk = st.one_of(st.floats(), st.integers(-2 ** 1100, 2 ** 1100), st.booleans(), st.none(),
+                  st.text(max_size=4), st.lists(st.floats(-1.0, 1.0), max_size=3),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def _descriptors(draw):
+    """A dsts or sts2 descriptor from the whole domain and past it, with up to
+    two fields, the kind among them, dropped or replaced by a value of any
+    JSON type (a float may be nan, inf or huge, an integer past the doubles)."""
+    kind = draw(st.sampled_from(["dsts", "sts2"]))
+    values = {"nbar": _occupancy, "nbar1": _occupancy, "nbar2": _occupancy, "r": _squeeze,
+              "phi": st.floats(-10.0, 10.0),
+              "alpha": st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2)}
+    obj = {"kind": kind, **{name: draw(values[name]) for name in _FIELDS[kind]}}
+    for key in draw(st.lists(st.sampled_from(sorted(obj)), max_size=2, unique=True)):
+        if draw(st.booleans()):
+            del obj[key]
+        elif key == "alpha" and draw(st.booleans()):
+            obj[key] = [draw(st.one_of(st.floats(-1.0, 1.0), _junk)) for _ in range(2)]
+        else:
+            obj[key] = draw(_junk)
+    return obj
+
+
+def _parsed(source):
+    """parse_state's state, or the message of its package error."""
+    try:
+        return parse_state(source)
+    except (DomainError, UnphysicalState) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(obj=_descriptors())
+def test_parse_state_gives_a_state_or_a_package_error_and_round_trips(obj):
+    # a bare OverflowError, ZeroDivisionError, TypeError or ValueError fails the test
+    parsed = _parsed(obj)
+    assert _parsed(json.dumps(obj)) == parsed  # the text of the descriptor reads the same
+    if not isinstance(parsed, str):
+        text = json.dumps(state_to_dict(parsed))
+        assert parse_state(text) == parsed and json.dumps(state_to_dict(parse_state(text))) == text
 
 
 def _scale_test_result(kind: str, occupancy: float, r: float):
