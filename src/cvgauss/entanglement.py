@@ -13,9 +13,10 @@ of entanglement past the threshold is E0 = 1 - sech(r - r_s).
 from __future__ import annotations
 
 import math
+import sys
 
 from ._optim import logistic, multistart_nelder_mead
-from .errors import DomainError
+from .errors import DomainError, UnphysicalState
 from .fidelity import aligned_sts_distance
 from .states import R_MAX, TwoModeStsParams, checked_invariants
 
@@ -40,9 +41,14 @@ def separability_threshold_rs(nbar1: float, nbar2: float) -> float:
 
 def peres_simon_separable(m) -> bool:
     """Partial-transposition separability test in invariant form on a 4x4
-    covariance matrix, which :func:`checked_invariants` validates first."""
+    covariance matrix, which :func:`checked_invariants` validates first.  A gap
+    inside the roundoff of the invariants, once that exceeds 1/16 (the det V
+    of the vacuum), raises UnphysicalState: sts_to_cov2 reaches it from r ~ 8."""
     det_v1, det_v2, det_c, det_v = checked_invariants(m)
     sep_gap = det_v - 0.25 * (det_v1 + det_v2) + 0.0625 - 0.5 * abs(det_c)
+    roundoff = 16.0 * sys.float_info.epsilon * max(det_v1 * det_v2, abs(det_v), det_c * det_c)
+    if roundoff > 0.0625 and abs(sep_gap) <= roundoff:
+        raise UnphysicalState(f"separability gap {sep_gap:.3g} is within roundoff {roundoff:.3g}")
     return sep_gap >= -SEP_TOL
 
 

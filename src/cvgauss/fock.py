@@ -270,16 +270,20 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
     return rho
 
 
-def _automatic_dim(build, p, first: int, cap: int, modes: int) -> tuple[int, np.ndarray]:
-    """(dim, build(p, size)) for dim=None: the size per mode doubles from
-    first up to the cap until the build's rows (row n: the states whose
-    larger photon number is n) keep all but TAIL_TARGET; dim is the smallest
-    whose tail meets it there, the cap where none does.  Each build is the
-    corner of the cap build, and so are its row masses, bit for bit: numpy
-    sums a one-mode row of at most 128 entries, a multiple of 8, in the order
-    it sums the first entries of the row at the cap, and np.bincount adds a
-    two-mode row's entries in the same order at any size.  So dim is the one
-    the cap build chooses; it is logged at DEBUG on the "cvgauss" logger."""
+def _sized_build(build, p, dim, first: int, cap: int, modes: int) -> tuple[int, np.ndarray]:
+    """(dim, build(p, size)): an explicit dim is checked, capped and built at.
+    For dim=None the size per mode doubles from first up to the cap until the
+    build's rows (row n: the states whose larger photon number is n) keep all
+    but TAIL_TARGET; dim is the smallest whose tail meets it there, the cap
+    where none does.  Each build is the corner of the cap build, and so are
+    its row masses, bit for bit: numpy sums a one-mode row of at most 128
+    entries, a multiple of 8, in the order it sums the first entries of the
+    row at the cap, and np.bincount adds a two-mode row's entries in the same
+    order at any size.  So dim is the one the cap build chooses; it is logged
+    at DEBUG on the "cvgauss" logger."""
+    if dim is not None:
+        dim = min(_checked_dim(dim), cap)
+        return dim, build(p, dim)
     size = min(first, cap)
     while True:
         v = build(p, size)
@@ -304,13 +308,9 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     """Displaced squeezed thermal state as a truncated density matrix, at dim
     or, if None, at the smallest dim whose tail meets TAIL_TARGET; both are
     capped at MAX_DIM_ONE_MODE.  The automatic route builds at 32, 64, 128
-    and 256 rows until one meets the target (see _automatic_dim) and keeps
+    and 256 rows until one meets the target (see _sized_build) and keeps
     the block of an explicit build at the dim it reads off, bit for bit."""
-    if dim is None:
-        dim, psi = _automatic_dim(_one_mode_factor, p, 32, MAX_DIM_ONE_MODE, 1)
-    else:
-        dim = min(_checked_dim(dim), MAX_DIM_ONE_MODE)
-        psi = _one_mode_factor(p, dim)
+    dim, psi = _sized_build(_one_mode_factor, p, dim, 32, MAX_DIM_ONE_MODE, 1)
     return _finish_dm({None: psi[:dim, :dim]}, dim, 1)
 
 
@@ -318,13 +318,9 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     """Two-mode squeezed thermal state as a truncated density matrix; dim is
     the per-mode truncation or, if None, the smallest one whose tail meets
     TAIL_TARGET, both capped at MAX_DIM_PER_MODE.  The automatic route builds
-    at 16, 32 and 64 per mode until one meets the target (see _automatic_dim)
+    at 16, 32 and 64 per mode until one meets the target (see _sized_build)
     and keeps the blocks of an explicit build at the dim it reads off."""
-    if dim is None:
-        dim, v = _automatic_dim(_sts_values, p, 16, MAX_DIM_PER_MODE, 2)
-    else:
-        dim = min(_checked_dim(dim), MAX_DIM_PER_MODE)
-        v = _sts_values(p, dim)
+    dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE, 2)
     n1, n2, nj = v[:dim, :dim, :dim].shape
     blocks = {}
     for label in range(1 - dim, dim):  # row t and column s are (t, s) + max(+-label, 0)

@@ -41,7 +41,6 @@ import numpy as np
 
 from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
-from .nonclassicality import nonclassicality_threshold
 from .states import R_MAX, DstsParams, OneModeGaussianCF, TwoModeStsParams
 
 #: parameters of the paper's two figures, the defaults of ``cvgauss sweep``
@@ -219,9 +218,6 @@ def sweep_fig2(e0_list: Sequence[float],
             down = down0 + z
             # nbar (nbar + 1) = 0 at nbar = 0 drops from the numerator
             nbar_out = z * (cosh_sum + z) / (np.sqrt((up + z) * down) + 0.5)
-            occupied = nbar_out >= 0.0
-            if not occupied.all():
-                nonclassicality_threshold(float(nbar_out[occupied.argmin()]))  # raises
             gap = (0.25 * np.fromiter(map(math.log1p, (sinh2r / down).tolist()), float, n)
                    - 0.5 * np.fromiter(map(math.log1p, (2.0 * nbar_out).tolist()), float, n))
             quantum = ~(gap <= 0.0)

@@ -5,7 +5,8 @@ the Fock oracle, two-mode at dim 40 per mode included, the numeric Bures
 searches, the Peres-Simon bisection, the fidelity between a state and its
 teleported output, or a known special value.  The state representations are
 checked against each other in the tests alone.  The public ``check_*``
-loops, which return the worst delta, are shared with the tests."""
+loops, which return the worst delta (``check_minimizer`` its two rows), are
+shared with the tests."""
 
 from __future__ import annotations
 
@@ -88,7 +89,7 @@ def check_two_mode_oracle(rng, pairs: int) -> float:
     return worst
 
 
-def _check_teleport_paths(rng) -> float:
+def _check_teleport_paths() -> float:
     worst = 0.0
     for r_in in np.linspace(0.0, 1.2, 5):
         for nbar_in in np.linspace(0.0, 2.0, 5):
@@ -100,7 +101,7 @@ def _check_teleport_paths(rng) -> float:
     return worst
 
 
-def _check_coherent_row() -> float:
+def check_coherent_row() -> float:
     worst = 0.0
     for z in np.linspace(0.05, 1.5, 30):
         f = teleport_fidelity(1.0, 0.5, float(z))
@@ -147,13 +148,13 @@ def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
                abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)))
 
 
-def _check_minimizer(rng, draw, degree, search, argmin_gap, measure: str,
-                     closest: str) -> list[CheckResult]:
-    """A distance search on two random states past their threshold against
-    the closed-form degree, and the state it returns against the argmin rules."""
+def check_minimizer(rng, draw, degree, search, argmin_gap, measure: str, closest: str,
+                    samples: int) -> list[CheckResult]:
+    """A distance search on random states draw(rng) past their threshold
+    against the closed-form degree, and the state it returns by argmin_gap."""
     worst, worst_gap = 0.0, 0.0
     found = 0
-    while found < 2:
+    while found < samples:
         p = draw(rng)
         if degree(p) <= 0.01:
             continue
@@ -200,16 +201,16 @@ def run_suite() -> list[CheckResult]:
         CheckResult("one-mode fidelity vs Fock oracle",
                     check_one_mode_oracle(rng, pairs=8), tol_1m),
         CheckResult("teleport closed form vs input/output fidelity",
-                    _check_teleport_paths(rng), 1e-10),
-        CheckResult("coherent-input teleportation row", _check_coherent_row(), 1e-12),
+                    _check_teleport_paths(), 1e-10),
+        CheckResult("coherent-input teleportation row", check_coherent_row(), 1e-12),
         CheckResult("separability bisection vs closed threshold",
                     check_separability_bisection(rng, samples=10), 1e-6),
-        *_check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5),
-                          degree_q0, closest_classical_numeric, classical_argmin_gap,
-                          "nonclassicality", "classical"),
-        *_check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),
-                          degree_e0, closest_separable_numeric, separable_argmin_gap,
-                          "entanglement", "separable"),
+        *check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5),
+                         degree_q0, closest_classical_numeric, classical_argmin_gap,
+                         "nonclassicality", "classical", samples=2),
+        *check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),
+                         degree_e0, closest_separable_numeric, separable_argmin_gap,
+                         "entanglement", "separable", samples=2),
         CheckResult("two-mode fidelity vs Fock oracle",
                     check_two_mode_oracle(rng, pairs=3), tol_2m),
         # its pure states leave tails below 1e-15 at dim 100; an automatic

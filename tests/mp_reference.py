@@ -7,6 +7,8 @@ at r <= 89 and still keep more than 80.  It checks roundoff; the Fock oracle
 checks the derivations.
 """
 
+from types import SimpleNamespace
+
 import mpmath
 
 from cvgauss import DstsParams, TwoModeStsParams
@@ -102,3 +104,47 @@ def mp_resource_noise(p: TwoModeStsParams):
     with mp.workdps(DPS):
         r, phi = mpf(p.r), mpf(p.phi)
         return (mpf(p.nbar1) + mpf(p.nbar2) + 1) * (mp.cosh(2 * r) - mp.cos(phi) * mp.sinh(2 * r))
+
+
+def mp_degree_e0(p: TwoModeStsParams):
+    """1 - sech(r - r_s) past the threshold r_s, the textbook form."""
+    with mp.workdps(DPS):
+        gap = mpf(p.r) - mp_separability_threshold(p.nbar1, p.nbar2)
+        return 1 - 1 / mp.cosh(gap) if gap > 0 else mpf(0)
+
+
+# The closest classical and separable states: with g = r - r_c (one mode) or
+# g = r - r_s (STS) and V the input covariance, V' = V - (V_g - I/2), V_g the
+# squeezed vacuum of squeeze g at the input's angle (for STS the two-mode
+# squeezed vacuum); phi and alpha are kept.  Each map returns the state's
+# fields at DPS digits, which mp_cov1 and mp_cov_sts read as they are.
+
+def mp_closest_classical(p: DstsParams):
+    """P' = nbar (nbar + 1) e^{2g} with e^{2g} = e^{2r}/(2 nbar + 1), then
+    y' = sqrt(1/4 + P'), nbar' = P'/(y' + 1/2) and 4 r' = log1p(4 P')."""
+    with mp.workdps(DPS):
+        nbar = mpf(p.nbar)
+        big_p = nbar * (nbar + 1) * mp.exp(2 * mpf(p.r)) / (2 * nbar + 1)
+        y = mp.sqrt(mpf(0.25) + big_p)
+        return SimpleNamespace(nbar=big_p / (y + mpf(0.5)), r=mp.log1p(4 * big_p) / 4,
+                               phi=p.phi, alpha=p.alpha)
+
+
+def mp_closest_separable(p: TwoModeStsParams):
+    """With N = nbar1 + nbar2 + 1 and d = |nbar1 - nbar2|: 4 r' = log1p((B - A)/A)
+    for A = N e^{-2r} - expm1(-2g) and B - A = 2[(nbar1 + nbar2) sinh 2r
+    + 2 cosh(2r - r_s) sinh r_s]; with s = sinh^2 r' and w = sqrt(d^2 + sinh^2 2r'),
+    the smaller occupancy is (2s - d + w)/2, or 2s(1 + d)/(w + d - 2s) for
+    2s < d, and the larger one d more, so nbar1' - nbar2' = nbar1 - nbar2."""
+    with mp.workdps(DPS):
+        n1, n2, r = mpf(p.nbar1), mpf(p.nbar2), mpf(p.r)
+        rs = mp_separability_threshold(p.nbar1, p.nbar2)
+        a = (n1 + n2 + 1) * mp.exp(-2 * r) - mp.expm1(-2 * (r - rs))
+        b_minus_a = 2 * ((n1 + n2) * mp.sinh(2 * r) + 2 * mp.cosh(2 * r - rs) * mp.sinh(rs))
+        r_new = mp.log1p(b_minus_a / a) / 4
+        d, s = abs(n1 - n2), mp.sinh(r_new) ** 2
+        w = mp.sqrt(d * d + mp.sinh(2 * r_new) ** 2)
+        small = (2 * s - d + w) / 2 if 2 * s >= d else 2 * s * (1 + d) / (w + d - 2 * s)
+        big = small + d
+        return SimpleNamespace(nbar1=big if n1 >= n2 else small, nbar2=small if n1 >= n2 else big,
+                               r=r_new, phi=p.phi)

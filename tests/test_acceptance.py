@@ -30,6 +30,8 @@ from cvgauss import (
 )
 from cvgauss.validate import (
     bisect_threshold,
+    check_coherent_row,
+    check_minimizer,
     check_one_mode_oracle,
     check_separability_bisection,
     check_two_mode_oracle,
@@ -85,46 +87,35 @@ def test_criterion_3_separability_boundary():
     assert worst_exact <= 1e-6
 
 
+def _minimizer_report(number: int, title: str, results) -> None:
+    value, argmin = results
+    _report(number, title, value.passed and argmin.passed,
+            f"max value delta {value.delta:.3e} (tol {value.tol:.0e}), "
+            f"max argmin gap {argmin.delta:.3e} (tol {argmin.tol:.0e})")
+    assert value.passed
+    assert argmin.passed
+
+
 def test_criterion_4_entanglement_measure_minimization():
-    rng = np.random.default_rng(1004)
-    worst_value, worst_gap = 0.0, 0.0
-    found = 0
-    while found < 10:
-        p = TwoModeStsParams(rng.uniform(0.0, 0.8), rng.uniform(0.0, 0.8),
-                             rng.uniform(0.0, 1.5), rng.uniform(-math.pi, math.pi))
-        if degree_e0(p) <= 0.02:
-            continue
-        found += 1
-        state, value = closest_separable_numeric(p)
-        worst_value = max(worst_value, abs(value - degree_e0(p)))
-        worst_gap = max(worst_gap, separable_argmin_gap(p, state))
-    ok = worst_value <= 1e-4 and worst_gap <= 1e-6
-    _report(4, "closest-separable minimization vs closed E0 (10 entangled states)",
-            ok, f"max value delta {worst_value:.3e} (tol 1e-04), "
-                f"max argmin gap {worst_gap:.3e} (tol 1e-06)")
-    assert worst_value <= 1e-4
-    assert worst_gap <= 1e-6
+    results = check_minimizer(
+        np.random.default_rng(1004),
+        lambda g: TwoModeStsParams(g.uniform(0.0, 0.8), g.uniform(0.0, 0.8),
+                                   g.uniform(0.0, 1.5), g.uniform(-math.pi, math.pi)),
+        degree_e0, closest_separable_numeric, separable_argmin_gap,
+        "entanglement", "separable", samples=10)
+    _minimizer_report(4, "closest-separable minimization vs closed E0 (10 entangled states)",
+                      results)
 
 
 def test_criterion_5_nonclassicality_measure_minimization():
-    rng = np.random.default_rng(1005)
-    worst_value, worst_gap = 0.0, 0.0
-    found = 0
-    while found < 20:
-        p = DstsParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.5),
-                       rng.uniform(-math.pi, math.pi))
-        if degree_q0(p) <= 0.02:
-            continue
-        found += 1
-        state, value = closest_classical_numeric(p)
-        worst_value = max(worst_value, abs(value - degree_q0(p)))
-        worst_gap = max(worst_gap, classical_argmin_gap(p, state))
-    ok = worst_value <= 1e-4 and worst_gap <= 1e-6
-    _report(5, "closest-classical minimization vs closed Q0 (20 nonclassical states)",
-            ok, f"max value delta {worst_value:.3e} (tol 1e-04), "
-                f"max argmin gap {worst_gap:.3e} (tol 1e-06)")
-    assert worst_value <= 1e-4
-    assert worst_gap <= 1e-6
+    results = check_minimizer(
+        np.random.default_rng(1005),
+        lambda g: DstsParams(g.uniform(0.0, 1.0), g.uniform(0.0, 1.5),
+                             g.uniform(-math.pi, math.pi)),
+        degree_q0, closest_classical_numeric, classical_argmin_gap,
+        "nonclassicality", "classical", samples=20)
+    _minimizer_report(5, "closest-classical minimization vs closed Q0 (20 nonclassical states)",
+                      results)
 
 
 # criterion 6/7 share this grid
@@ -151,9 +142,7 @@ def test_criterion_6_teleportation_consistency():
                 closed = teleport_fidelity(math.cosh(2 * r_in), nbar_in + 0.5, z)
                 via = fidelity_one_mode(cf_in, teleport_with_noise(cf_in, z))
                 worst_paths = max(worst_paths, abs(closed - via))
-    worst_coherent = max(
-        abs(teleport_fidelity(1.0, 0.5, z) - 1.0 / (1.0 + z))
-        for z in _Z)
+    worst_coherent = check_coherent_row()
     # classical-benchmark chain: F(1, 1/2, z) > N/(N+1) iff r - r_s > ln(N)/2
     threshold_ok = True
     for n in (1, 2, 3):

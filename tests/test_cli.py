@@ -496,7 +496,7 @@ def test_validate_fast_suite_passes(capsys):
 
 
 def test_validate_breach_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(validate, "_check_coherent_row", lambda: 1.0)
+    monkeypatch.setattr(validate, "check_coherent_row", lambda: 1.0)
     assert main(["validate"]) == 3
     out = capsys.readouterr().out
     assert re.search(r"coherent-input teleportation row +delta= 1\.00000e\+00 .* FAIL", out)

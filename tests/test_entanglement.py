@@ -15,7 +15,12 @@ from cvgauss import (
     sts_to_cov2,
 )
 from cvgauss.states import R_MAX
-from cvgauss.validate import check_separability_bisection, check_svs_entropy, separable_argmin_gap
+from cvgauss.validate import (
+    check_minimizer,
+    check_separability_bisection,
+    check_svs_entropy,
+    separable_argmin_gap,
+)
 
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
 E0_PURE_R1 = 0.35194572633611454
@@ -214,17 +219,17 @@ def test_closest_separable_pinned_state():
 
 
 def test_closest_separable_matches_closed_form():
-    rng = np.random.default_rng(431)
-    found = 0
-    while found < 3:
-        p = TwoModeStsParams(rng.uniform(0, 0.8), rng.uniform(0, 0.8),
-                             rng.uniform(0, 1.5), rng.uniform(-3, 3))
-        if degree_e0(p) <= 0.05:
-            continue
-        found += 1
-        state, value = closest_separable_numeric(p)
-        assert abs(value - degree_e0(p)) < 1e-4
+    def argmin_gap(p, state):
         assert_separable_argmin(p, state)
+        return separable_argmin_gap(p, state)
+
+    results = check_minimizer(
+        np.random.default_rng(431),
+        lambda g: TwoModeStsParams(g.uniform(0, 0.8), g.uniform(0, 0.8),
+                                   g.uniform(0, 1.5), g.uniform(-3, 3)),
+        degree_e0, closest_separable_numeric, argmin_gap, "entanglement", "separable",
+        samples=3)
+    assert all(r.passed for r in results), results
 
 
 def test_entropy_of_entanglement():

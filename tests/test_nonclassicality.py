@@ -12,7 +12,7 @@ from cvgauss import (
     is_classical,
     nonclassicality_threshold,
 )
-from cvgauss.validate import classical_argmin_gap
+from cvgauss.validate import check_minimizer, classical_argmin_gap
 
 # frozen via the numeric minimizer over the classical set (squeezed vacuum r=1)
 Q0_SQUEEZED_VACUUM_R1 = 0.1949818178054079
@@ -106,16 +106,16 @@ def test_closest_classical_squeezed_vacuum():
 
 
 def test_closest_classical_matches_closed_form_on_random_states():
-    rng = np.random.default_rng(313)
-    found = 0
-    while found < 5:
-        p = DstsParams(rng.uniform(0, 1), rng.uniform(0, 1.5), rng.uniform(-3, 3))
-        if degree_q0(p) <= 0.01:
-            continue
-        found += 1
-        state, value = closest_classical_numeric(p)
-        assert abs(value - degree_q0(p)) < 1e-4
+    def argmin_gap(p, state):
         assert_classical_argmin(p, state)
+        return classical_argmin_gap(p, state)
+
+    results = check_minimizer(
+        np.random.default_rng(313),
+        lambda g: DstsParams(g.uniform(0, 1), g.uniform(0, 1.5), g.uniform(-3, 3)),
+        degree_q0, closest_classical_numeric, argmin_gap, "nonclassicality", "classical",
+        samples=5)
+    assert all(r.passed for r in results), results
 
 
 def test_closest_classical_aligns_squeeze_phase():

@@ -33,6 +33,13 @@ from cvgauss import (
 )
 from cvgauss.states import R_MAX
 from cvgauss.teleport import FIG2_E0S, e0_from_z
+from cvgauss.validate import (
+    check_minimizer,
+    classical_argmin_gap,
+    random_dsts,
+    random_sts,
+    separable_argmin_gap,
+)
 
 pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
@@ -40,6 +47,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from mp_reference import (  # noqa: E402
     DPS,
     mp,
+    mp_closest_classical,
+    mp_closest_separable,
+    mp_degree_e0,
     mp_degree_q0,
     mp_fidelity_one_mode,
     mp_fidelity_two_mode,
@@ -47,6 +57,7 @@ from mp_reference import (  # noqa: E402
     mp_separability_threshold,
     mp_teleport_fidelity,
     mp_teleport_map,
+    mpf,
     rel_err,
 )
 
@@ -412,3 +423,119 @@ def test_degrees_are_continuous_past_the_threshold(nbar1, nbar2, h):
     assert degree_q0(DstsParams(nbar1, nonclassicality_threshold(nbar1) + h)) <= h
     rs = separability_threshold_rs(nbar1, nbar2)
     assert degree_e0(TwoModeStsParams(nbar1, nbar2, rs + h)) <= h
+
+
+# --- the closest classical and separable states in closed form ------------------
+
+EPS = sys.float_info.epsilon
+
+
+@PROPERTY
+@given(dsts())
+def test_closest_classical_map_attains_q0(p):
+    assume(p.r > nonclassicality_threshold(p.nbar))
+    with mp.workdps(DPS):
+        value = 1 - mp.sqrt(mp.re(mp_fidelity_one_mode(p, mp_closest_classical(p))))
+        assert rel_err(value, mp_degree_q0(mpf(p.nbar), mpf(p.r))) <= REL_TOL
+    # 1 - sqrt(sech g) in double cancels near the threshold to a few ulp of 1
+    assert abs(degree_q0(p) - value) <= max(REL_TOL * value, 2.0 * EPS)
+
+
+@PROPERTY
+@given(sts())
+def test_closest_separable_map_attains_e0(p):
+    assume(p.r > separability_threshold_rs(p.nbar1, p.nbar2))
+    with mp.workdps(DPS):
+        value = 1 - mp.sqrt(mp_fidelity_two_mode(p, mp_closest_separable(p)))
+        assert rel_err(value, mp_degree_e0(p)) <= REL_TOL
+    assert abs(degree_e0(p) - value) <= max(REL_TOL * value, 2.0 * EPS)
+
+
+def test_pinned_closest_states_are_the_maps():
+    # the seven digits pinned in test_nonclassicality.py and test_entanglement.py
+    one = mp_closest_classical(DstsParams(0.3, 1.0, 0.0, 0.5 + 0.1j))
+    two = mp_closest_separable(TwoModeStsParams(0.2, 0.5, 1.2))
+    for got, pinned in ((one.nbar, 0.9321601), (one.r, 0.5261655), (two.nbar1, 1.1540907),
+                        (two.nbar2, 1.4540907), (two.r, 0.6378414)):
+        assert abs(float(got) - pinned) <= 5e-8
+
+
+def test_searches_find_the_closed_closest_states():
+    # validate's two minimizer rows, over its own domains, with the parameter
+    # distance to the closed closest state as a further argmin gap, held to
+    # the rows' 1e-6
+    def classical_gap(p, state):
+        best = mp_closest_classical(p)
+        return max(classical_argmin_gap(p, state),
+                   abs(state.nbar - float(best.nbar)), abs(state.r - float(best.r)))
+
+    def separable_gap(p, state):
+        best = mp_closest_separable(p)
+        return max(separable_argmin_gap(p, state), abs(state.nbar1 - float(best.nbar1)),
+                   abs(state.nbar2 - float(best.nbar2)), abs(state.r - float(best.r)))
+
+    rng = np.random.default_rng(1033)
+    results = [
+        *check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5), degree_q0,
+                         closest_classical_numeric, classical_gap, "nonclassicality",
+                         "classical", samples=20),
+        *check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5), degree_e0,
+                         closest_separable_numeric, separable_gap, "entanglement",
+                         "separable", samples=12),
+    ]
+    assert all(r.passed for r in results), results
+
+
+# --- the measures obey the laws of a measure -------------------------------------
+
+#: a few ulp of the larger side of each law
+LAW_ULPS = 4.0 * EPS
+
+law_nbar = st.one_of(st.just(0.0), st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e))
+law_r = st.floats(0.0, 6.0)
+law_alpha = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+law_dsts = st.builds(DstsParams, law_nbar, law_r, angle, law_alpha)
+
+
+@PROPERTY
+@given(law_dsts, law_dsts, st.floats(-6.0, 1.0).map(lambda e: 10.0 ** e))
+def test_teleport_channel_contracts(p, q, z):
+    # the fidelity never falls and Q0 never grows through the noise channel
+    f_in = fidelity_one_mode(p, q)
+    f_out = fidelity_one_mode(teleport_with_noise(p, z), teleport_with_noise(q, z))
+    assert f_out >= f_in - LAW_ULPS * max(f_in, f_out)
+    q_in, q_out = degree_q0(p), degree_q0(teleport_with_noise(p, z))
+    assert q_out <= q_in + LAW_ULPS * max(q_in, q_out)
+
+
+def bures_angle(f: float) -> float:
+    return math.acos(math.sqrt(min(1.0, max(0.0, f))))
+
+
+def assert_triangle(fidelity, outer, middle, far):
+    # each fidelity moved by a few ulp against the law: arccos sqrt F
+    # magnifies its roundoff without bound as F nears 1
+    direct = bures_angle(fidelity(outer, far) + LAW_ULPS)
+    detour = (bures_angle(fidelity(outer, middle) - LAW_ULPS)
+              + bures_angle(fidelity(middle, far) - LAW_ULPS))
+    assert direct <= detour
+
+
+@PROPERTY
+@given(law_dsts, law_dsts, st.floats(0.0, 1.0))
+def test_bures_angle_triangle_one_mode(p, q, t):
+    # the middle state on the parameter segment, at p's angle: where the
+    # inequality is tightest
+    q = DstsParams(q.nbar, q.r, p.phi, q.alpha)
+    middle = DstsParams((1.0 - t) * p.nbar + t * q.nbar, (1.0 - t) * p.r + t * q.r, p.phi,
+                        (1.0 - t) * p.alpha + t * q.alpha)
+    assert_triangle(fidelity_one_mode, p, middle, q)
+
+
+@PROPERTY
+@given(law_nbar, law_nbar, law_r, law_nbar, law_nbar, law_r, angle, st.floats(0.0, 1.0))
+def test_bures_angle_triangle_two_mode(n1, n2, r, m1, m2, s, phi, t):
+    p, q = TwoModeStsParams(n1, n2, r, phi), TwoModeStsParams(m1, m2, s, phi)
+    middle = TwoModeStsParams((1.0 - t) * n1 + t * m1, (1.0 - t) * n2 + t * m2,
+                              (1.0 - t) * r + t * s, phi)
+    assert_triangle(fidelity_two_mode_sts, p, middle, q)

@@ -22,6 +22,7 @@ from cvgauss import (
     fidelity_two_mode_sts,
     parse_state,
     peres_simon_separable,
+    separability_threshold_rs,
     state_to_dict,
     sts_to_cov2,
     teleport_with_noise,
@@ -528,7 +529,16 @@ def test_checked_invariants_are_the_cofactors_and_decide_the_verdict(p):
         return
     assert np.array(inv).tobytes() == np.array(ref).tobytes()
     sep_gap = det_v - 0.25 * (det_v1 + det_v2) + 0.0625 - 0.5 * abs(det_c)
-    assert peres_simon_separable(m) is (sep_gap >= -SEP_TOL)
+    roundoff = 16.0 * sys.float_info.epsilon * max(det_v1 * det_v2, abs(det_v), det_c * det_c)
+    if roundoff > 0.0625 and abs(sep_gap) <= roundoff:
+        with pytest.raises(UnphysicalState, match="within roundoff"):
+            peres_simon_separable(m)
+        return
+    verdict = peres_simon_separable(m)
+    assert verdict is (sep_gap >= -SEP_TOL)
+    # SEP_TOL on the gap, about r^2 near r_s = 0, admits r up to 1e-6 past r_s
+    rs = separability_threshold_rs(p.nbar1, p.nbar2)
+    assert verdict is (p.r <= rs) or p.r - rs <= 1e-6
 
 
 def _det4_cofactor(m):
