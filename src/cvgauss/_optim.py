@@ -6,12 +6,14 @@ and shrink coefficients 1, 2, 1/2, 1/2; an initial simplex that scales each
 coordinate of the start by 1.05 (a zero one becomes 0.00025); vertices kept
 in a stable sort by value; the stopping test on the simplex spread at the
 top of every iteration; and at most MAXITER iterations and 2 MAXITER
-evaluations per start, a start converging when it hits neither limit.  It
-runs on lists of floats with the same arithmetic in the same order, so it
-takes scipy's steps to the bit wherever scipy's sort of the vertex values
-is stable too (numpy's default argsort orders ties by CPU), without the
-per-step array and wrapper cost that the short closed-form objectives here
-would otherwise pay thousands of times per search.
+evaluations per start, a start converging when it hits neither limit.  A
+budget spent inside an iteration ends the run before the next evaluation,
+where scipy's wrapper raises.  It runs on lists of floats with the same
+arithmetic in the same order, so it takes scipy's steps to the bit wherever
+scipy's sort of the vertex values is stable too (numpy's default argsort
+orders ties by CPU).  It calls the objective directly and counts the calls
+in its own loop, so each evaluation of the short closed-form objectives here
+is one Python call, thousands of times per search.
 """
 
 from __future__ import annotations
@@ -40,75 +42,73 @@ def logistic(x: float) -> float:
         return 0.0
 
 
-class _Budget(Exception):
-    """The evaluation budget of one start is spent."""
-
-
 def _nelder_mead(objective, x0):
     """Minimize from one start; return (x, f, nfev, converged)."""
     maxfev = 2 * MAXITER
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _Budget
-        nfev += 1
-        return objective(x)
-
     x0 = [float(v) for v in x0]
     n = len(x0)
-    sim = [[0.0, x0]]
+    sim = [[objective(x0), x0]]
     for k in range(n):
         y = list(x0)
         y[k] = (1.0 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append([0.0, y])
-    for vertex in sim:
-        vertex[0] = f(vertex[1])
+        sim.append([objective(y), y])
     sim.sort(key=_value)
 
+    nfev = n + 1
     iterations = 1
     while nfev < maxfev and iterations < MAXITER:
         best_f, best = sim[0]
-        if (all(abs(v[0] - best_f) <= FATOL for v in sim[1:])
-                and all(abs(a - b) <= XATOL for v in sim[1:] for a, b in zip(v[1], best))):
-            break
-        try:
-            # centroid of all but the worst vertex, summed in vertex order
-            xbar = best
-            for v in sim[1:-1]:
-                xbar = [a + b for a, b in zip(xbar, v[1])]
-            xbar = [a / n for a in xbar]
-            worst = sim[-1]
-            xw = worst[1]
-            xr = [2 * a - b for a, b in zip(xbar, xw)]
-            fxr = f(xr)
-            if fxr < best_f:
-                xe = [3 * a - 2 * b for a, b in zip(xbar, xw)]
-                fxe = f(xe)
-                sim[-1] = [fxe, xe] if fxe < fxr else [fxr, xr]
-            elif fxr < sim[-2][0]:
-                sim[-1] = [fxr, xr]
+        for v in sim[1:]:
+            if not abs(v[0] - best_f) <= FATOL:
+                break
+        else:
+            if all(abs(a - b) <= XATOL for v in sim[1:] for a, b in zip(v[1], best)):
+                break
+        # centroid of all but the worst vertex, summed in vertex order
+        xbar = best
+        for v in sim[1:-1]:
+            xbar = [a + b for a, b in zip(xbar, v[1])]
+        xbar = [a / n for a in xbar]
+        worst = sim[-1]
+        xw = worst[1]
+        xr = [2 * a - b for a, b in zip(xbar, xw)]
+        fxr = objective(xr)
+        nfev += 1
+        # a budget spent before a second evaluation ends the run on the sorted simplex
+        if fxr < best_f:
+            if nfev >= maxfev:
+                break
+            xe = [3 * a - 2 * b for a, b in zip(xbar, xw)]
+            fxe = objective(xe)
+            nfev += 1
+            sim[-1] = [fxe, xe] if fxe < fxr else [fxr, xr]
+        elif fxr < sim[-2][0]:
+            sim[-1] = [fxr, xr]
+        else:
+            if nfev >= maxfev:
+                break
+            if fxr < worst[0]:
+                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, xw)]
+                fxc = objective(xc)
+                shrink = not fxc <= fxr
+                if not shrink:
+                    sim[-1] = [fxc, xc]
             else:
-                if fxr < worst[0]:
-                    xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, xw)]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1] = [fxc, xc]
-                else:
-                    xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, xw)]
-                    fxcc = f(xcc)
-                    shrink = not fxcc < worst[0]
-                    if not shrink:
-                        sim[-1] = [fxcc, xcc]
-                if shrink:
-                    for v in sim[1:]:
-                        v[1] = [a + 0.5 * (b - a) for a, b in zip(best, v[1])]
-                        v[0] = f(v[1])
-            iterations += 1
-        except _Budget:
-            pass
+                xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, xw)]
+                fxcc = objective(xcc)
+                shrink = not fxcc < worst[0]
+                if not shrink:
+                    sim[-1] = [fxcc, xcc]
+            nfev += 1
+            if shrink:
+                # a vertex moved when the budget runs out keeps its old value, as in scipy
+                for v in sim[1:]:
+                    v[1] = [a + 0.5 * (b - a) for a, b in zip(best, v[1])]
+                    if nfev >= maxfev:
+                        break
+                    v[0] = objective(v[1])
+                    nfev += 1
+        iterations += 1
         sim.sort(key=_value)
     converged = nfev < maxfev and iterations < MAXITER
     return sim[0][1], sim[0][0], nfev, converged
@@ -121,7 +121,8 @@ def multistart_nelder_mead(objective, starts):
     Logs the number of starts, how many converged, the total number of
     evaluations and the gap between the best and the runner-up converged
     value at DEBUG level on the "cvgauss" logger.  Raises ConvergenceFailure
-    when no start converges.
+    when no start converges, or when the best converged value is 1.0, the
+    largest 1 - sqrt(F): F underflowed at every vertex, so x_best says nothing.
     """
     results = [_nelder_mead(objective, x0) for x0 in starts]
     converged = sorted((r for r in results if r[3]), key=itemgetter(1))
@@ -131,7 +132,7 @@ def multistart_nelder_mead(objective, starts):
                sum(r[2] for r in results), converged[0][1] if converged else float("nan"),
                spread)
     if not converged:
-        raise ConvergenceFailure(
-            "Nelder-Mead failed to converge from every starting point"
-        )
+        raise ConvergenceFailure("Nelder-Mead failed to converge from every starting point")
+    if converged[0][1] == 1.0:
+        raise ConvergenceFailure("every converged start ends at 1 - sqrt(F) = 1.0")
     return converged[0][0], converged[0][1]

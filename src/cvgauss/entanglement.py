@@ -17,7 +17,7 @@ import sys
 
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError, UnphysicalState
-from .fidelity import aligned_sts_distance
+from .fidelity import clamp_unit
 from .states import R_MAX, TwoModeStsParams, checked_invariants
 
 #: tolerance on the separability inequality itself
@@ -76,27 +76,58 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
     """
     if p.r <= separability_threshold_rs(p.nbar1, p.nbar2):
         return p, 0.0
-
-    nbar1, nbar2 = p.nbar1, p.nbar2
-    distance = aligned_sts_distance(nbar1, nbar2, p.r)
-
-    def unpack(t):
-        m1 = t[0] * t[0]
-        m2 = t[1] * t[1]
-        return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2])
-
-    def objective(t):
-        return distance(*unpack(t))
-
     starts = []
     for k in range(n_starts):
         d1 = 0.1 + 0.25 * (k % 2)
         d2 = 0.1 + 0.25 * ((k // 2) % 2)
         slope = 2.0 if k < 4 else 6.0
-        starts.append([math.sqrt(nbar1 + d1), math.sqrt(nbar2 + d2), slope])
+        starts.append([math.sqrt(p.nbar1 + d1), math.sqrt(p.nbar2 + d2), slope])
 
-    x_best, f_best = multistart_nelder_mead(objective, starts)
-    return TwoModeStsParams(*unpack(x_best), p.phi), f_best
+    x_best, f_best = multistart_nelder_mead(_search_objective(p.nbar1, p.nbar2, p.r), starts)
+    return TwoModeStsParams(*_search_point(x_best), p.phi), f_best
+
+
+def _search_point(t):
+    """The trial (nbar'_1, nbar'_2, r') of the separable search at its coordinates t."""
+    m1 = t[0] * t[0]
+    m2 = t[1] * t[1]
+    return m1, m2, separability_threshold_rs(m1, m2) * logistic(t[2])
+
+
+def _search_objective(n1: float, n2: float, r: float):
+    """The objective of the separable search: t -> 1 - sqrt(F) with F =
+    fidelity_two_mode_sts(TwoModeStsParams(n1, n2, r, phi), TwoModeStsParams(
+    *_search_point(t), phi)), for any finite phi.
+
+    After the map of _search_point it computes s and D in the operations and
+    order of fidelity_two_mode_sts, with the terms of (n1, n2, r) taken once
+    and e^{2r'} only where |r - r'| >= 1: phi' = phi makes the sin^2 term of D
+    exactly 0.  It equals that function bit for bit wherever its
+    (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past that the function
+    reads the dropped term as inf * 0 = nan, which this does not compute."""
+    y1, y2 = n1 + 0.5, n2 + 0.5
+    y1y2 = y1 * y2
+    m1, m2 = n1 + 1.0, n2 + 1.0
+    e1 = math.exp(2.0 * r)
+
+    def objective(t):
+        n1p = t[0] * t[0]
+        n2p = t[1] * t[1]
+        rp = separability_threshold_rs(n1p, n2p) * logistic(t[2])
+        y1p, y2p = n1p + 0.5, n2p + 0.5
+        u = r - rp
+        if abs(u) < 1.0:
+            sh2 = math.sinh(u) ** 2
+        else:
+            e2 = math.exp(2.0 * rp)
+            sh2 = 0.25 * (e1 / e2 + e2 / e1) - 0.5
+        d = y1y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
+        s = (math.sqrt((n1 * n1p) * (m2 * (n2p + 1.0)))
+             + math.sqrt((n2 * n2p) * (m1 * (n1p + 1.0))))
+        f = ((math.sqrt(d + s * s) + s) / d) ** 2
+        return 1.0 - math.sqrt(f if 0.0 <= f <= 1.0 else clamp_unit(f))
+
+    return objective
 
 
 def entropy_of_entanglement_svs(r: float) -> float:

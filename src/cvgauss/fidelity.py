@@ -70,33 +70,6 @@ def fidelity_one_mode(s1: DstsParams | OneModeGaussianCF,
     return clamp_unit(math.exp(-expo) * (math.sqrt(delta + lam) + math.sqrt(lam)) / delta)
 
 
-def aligned_one_mode_distance(n1: float, r1: float):
-    """The objective of the one-mode distance search: the function
-    (n2, r2) -> 1 - sqrt(F) with F = fidelity_one_mode(DstsParams(n1, r1, phi,
-    alpha), DstsParams(n2, r2, phi, alpha)), for any finite phi and alpha, on
-    which it does not depend.
-
-    With phi' = phi and alpha' = alpha the sin^2 term of Delta and E are exactly
-    0, so only Delta and Lambda remain, in the operations and order of
-    :func:`fidelity_one_mode`, with the terms of (n1, r1) taken once.  It
-    equals that function bit for bit wherever its 4 sinh 2r1 sinh 2r2 is
-    finite; past that, near r1 + r2 = 355, the function reads the dropped
-    term as inf * 0 = nan, which this does not compute."""
-    y1 = n1 + 0.5
-    y1y1 = y1 * y1
-    e1 = math.exp(2.0 * r1)
-    p1 = 4.0 * (n1 * (n1 + 1.0))
-
-    def distance(n2: float, r2: float) -> float:
-        y2 = n2 + 0.5
-        e2 = math.exp(2.0 * r2)
-        delta = y1y1 + y2 * y2 + y1 * y2 * (e1 / e2 + e2 / e1)
-        lam = p1 * (n2 * (n2 + 1.0))
-        return 1.0 - math.sqrt(clamp_unit((math.sqrt(delta + lam) + math.sqrt(lam)) / delta))
-
-    return distance
-
-
 def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
     """Uhlmann fidelity of two two-mode squeezed thermal states,
 
@@ -127,36 +100,3 @@ def fidelity_two_mode_sts(p1: TwoModeStsParams, p2: TwoModeStsParams) -> float:
          + math.sqrt((n2 * n2p) * ((n1 + 1.0) * (n1p + 1.0))))
     return clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2)
 
-
-def aligned_sts_distance(n1: float, n2: float, r: float):
-    """The objective of the STS distance search: the function
-    (n1p, n2p, rp) -> 1 - sqrt(F) with F = fidelity_two_mode_sts(
-    TwoModeStsParams(n1, n2, r, phi), TwoModeStsParams(n1p, n2p, rp, phi)), for
-    any finite phi, on which it does not depend.
-
-    With phi' = phi the sin^2 term of D is exactly 0, so only the rest of D
-    and s remain, in the operations and order of
-    :func:`fidelity_two_mode_sts`, with the terms of (n1, n2, r) taken once;
-    e^{2r'} is needed only where |r - r'| >= 1.  It equals that function bit
-    for bit wherever its (y1 + y2)(y1' + y2') sinh 2r sinh 2r' is finite; past
-    that the function reads the dropped term as inf * 0 = nan, which this does
-    not compute."""
-    y1, y2 = n1 + 0.5, n2 + 0.5
-    y1y2 = y1 * y2
-    m1, m2 = n1 + 1.0, n2 + 1.0
-    e1 = math.exp(2.0 * r)
-
-    def distance(n1p: float, n2p: float, rp: float) -> float:
-        y1p, y2p = n1p + 0.5, n2p + 0.5
-        u = r - rp
-        if abs(u) < 1.0:
-            sh2 = math.sinh(u) ** 2
-        else:
-            e2 = math.exp(2.0 * rp)
-            sh2 = 0.25 * (e1 / e2 + e2 / e1) - 0.5
-        d = y1y2 + y1p * y2p + (y1 * y2p + y1p * y2) * (1.0 + sh2) + (y1 * y1p + y2 * y2p) * sh2
-        s = (math.sqrt((n1 * n1p) * (m2 * (n2p + 1.0)))
-             + math.sqrt((n2 * n2p) * (m1 * (n1p + 1.0))))
-        return 1.0 - math.sqrt(clamp_unit(((math.sqrt(d + s * s) + s) / d) ** 2))
-
-    return distance

@@ -13,7 +13,7 @@ import math
 
 from ._optim import logistic, multistart_nelder_mead
 from .errors import DomainError
-from .fidelity import aligned_one_mode_distance
+from .fidelity import clamp_unit
 from .states import DstsParams
 
 
@@ -55,16 +55,42 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
     """
     if is_classical(p):
         return p, 0.0
-    distance = aligned_one_mode_distance(p.nbar, p.r)
-
-    def unpack(t):
-        nb = t[0] * t[0]
-        return nb, nonclassicality_threshold(nb) * logistic(t[1])
-
-    def objective(t):
-        return distance(*unpack(t))
-
     starts = [[math.sqrt(p.nbar + 0.25 * (k + 1)), 2.0 if k % 2 == 0 else 6.0]
               for k in range(n_starts)]
-    x_best, f_best = multistart_nelder_mead(objective, starts)
-    return DstsParams(*unpack(x_best), p.phi, p.alpha), f_best
+    x_best, f_best = multistart_nelder_mead(_search_objective(p.nbar, p.r), starts)
+    return DstsParams(*_search_point(x_best), p.phi, p.alpha), f_best
+
+
+def _search_point(t):
+    """The trial (nbar', r') of the classical search at its coordinates t."""
+    nb = t[0] * t[0]
+    return nb, nonclassicality_threshold(nb) * logistic(t[1])
+
+
+def _search_objective(n1: float, r1: float):
+    """The objective of the classical search: t -> 1 - sqrt(F) with F =
+    fidelity_one_mode(DstsParams(n1, r1, phi, alpha), DstsParams(
+    *_search_point(t), phi, alpha)), for any finite phi and alpha.
+
+    After the map of _search_point it computes Delta and Lambda in the
+    operations and order of fidelity_one_mode, with the terms of (n1, r1) taken
+    once: phi' = phi and alpha' = alpha make the sin^2 term of Delta and E
+    exactly 0.  It equals that function bit for bit wherever its
+    4 sinh 2r1 sinh 2r2 is finite; past that, near r1 + r2 = 355, the function
+    reads the dropped term as inf * 0 = nan, which this does not compute."""
+    y1 = n1 + 0.5
+    y1y1 = y1 * y1
+    e1 = math.exp(2.0 * r1)
+    p1 = 4.0 * (n1 * (n1 + 1.0))
+
+    def objective(t):
+        n2 = t[0] * t[0]
+        r2 = nonclassicality_threshold(n2) * logistic(t[1])
+        y2 = n2 + 0.5
+        e2 = math.exp(2.0 * r2)
+        delta = y1y1 + y2 * y2 + y1 * y2 * (e1 / e2 + e2 / e1)
+        lam = p1 * (n2 * (n2 + 1.0))
+        f = (math.sqrt(delta + lam) + math.sqrt(lam)) / delta
+        return 1.0 - math.sqrt(f if 0.0 <= f <= 1.0 else clamp_unit(f))
+
+    return objective

@@ -20,7 +20,7 @@ from cvgauss import (
     trace_product,
     uhlmann_fidelity_numeric,
 )
-from cvgauss.fidelity import aligned_one_mode_distance, aligned_sts_distance
+from cvgauss import entanglement, nonclassicality
 from cvgauss.states import R_MAX
 from cvgauss.validate import (
     check_one_mode_oracle,
@@ -176,34 +176,48 @@ _r = st.one_of(st.just(0.0), st.floats(0.0, 1.5), st.floats(-6.0, math.log10(12.
                st.floats(0.0, R_MAX))
 _phi = st.floats(-math.pi, math.pi)
 _alpha = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+# a search coordinate t_j = +-sqrt(nbar'_j), and the logistic argument of r',
+# out to where e^{-x} overflows and the trial state is the threshold's 0
+_root = st.builds(lambda n, sign: sign * math.sqrt(n), _nbar, st.sampled_from([1.0, -1.0]))
+_slope = st.one_of(st.floats(-40.0, 40.0), st.floats(-1e3, 1e3))
 
-# The objectives are compared on trial points that construct a state, so the
-# trial squeeze stays within R_MAX.  They drop the sin^2 term of the fidelities
-# at phi' = phi.  Where its coefficient overflows, the fidelity reads that term
-# as inf * 0 = nan, so the two agree only where the coefficient is finite.
+# The objectives are compared on search coordinates whose trial point constructs
+# a state, so the trial squeeze stays within R_MAX.  They drop the sin^2 term of
+# the fidelities at phi' = phi.  Where its coefficient overflows, the fidelity
+# reads that term as inf * 0 = nan, so the two agree only where the coefficient
+# is finite.
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(n1=_nbar, r1=_r, phi=_phi, alpha=_alpha, n2=_nbar, r2=_r)
-def test_one_mode_objective_is_the_fidelity_to_the_bit(n1, r1, phi, alpha, n2, r2):
+@given(n1=_nbar, r1=_r, phi=_phi, alpha=_alpha, t0=_root, t1=_slope)
+def test_one_mode_objective_is_the_fidelity_to_the_bit(n1, r1, phi, alpha, t0, t1):
+    t = [t0, t1]
+    r2 = nonclassicality._search_point(t)[1]
+    assume(r2 <= R_MAX)
     assume(_finite(lambda: 4.0 * math.sinh(2.0 * r1) * math.sinh(2.0 * r2)))
     p = DstsParams(n1, r1, phi, alpha)
 
-    def through_fidelity(n2, r2):
-        return 1.0 - math.sqrt(fidelity_one_mode(p, DstsParams(n2, r2, phi, alpha)))
+    def through_fidelity(t):
+        q = DstsParams(*nonclassicality._search_point(t), phi, alpha)
+        return 1.0 - math.sqrt(fidelity_one_mode(p, q))
 
-    assert _outcome(aligned_one_mode_distance(n1, r1), n2, r2) == _outcome(through_fidelity, n2, r2)
+    assert (_outcome(nonclassicality._search_objective(n1, r1), t)
+            == _outcome(through_fidelity, t))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(n1=_nbar, n2=_nbar, r=_r, phi=_phi, n1p=_nbar, n2p=_nbar, rp=_r)
-def test_sts_objective_is_the_fidelity_to_the_bit(n1, n2, r, phi, n1p, n2p, rp):
+@given(n1=_nbar, n2=_nbar, r=_r, phi=_phi, t0=_root, t1=_root, t2=_slope)
+def test_sts_objective_is_the_fidelity_to_the_bit(n1, n2, r, phi, t0, t1, t2):
+    t = [t0, t1, t2]
+    n1p, n2p, rp = entanglement._search_point(t)
+    assume(rp <= R_MAX)
     assume(_finite(lambda: ((n1 + 0.5) + (n2 + 0.5)) * ((n1p + 0.5) + (n2p + 0.5))
                    * (math.sinh(2.0 * r) * math.sinh(2.0 * rp))))
     p = TwoModeStsParams(n1, n2, r, phi)
 
-    def through_fidelity(n1p, n2p, rp):
-        return 1.0 - math.sqrt(fidelity_two_mode_sts(p, TwoModeStsParams(n1p, n2p, rp, phi)))
+    def through_fidelity(t):
+        q = TwoModeStsParams(*entanglement._search_point(t), phi)
+        return 1.0 - math.sqrt(fidelity_two_mode_sts(p, q))
 
-    assert (_outcome(aligned_sts_distance(n1, n2, r), n1p, n2p, rp)
-            == _outcome(through_fidelity, n1p, n2p, rp))
+    assert (_outcome(entanglement._search_objective(n1, n2, r), t)
+            == _outcome(through_fidelity, t))

@@ -1,5 +1,6 @@
 """The list-based Nelder-Mead of cvgauss._optim against scipy's."""
 
+import dataclasses
 import functools
 import logging
 import math
@@ -17,8 +18,8 @@ from cvgauss import (
     fidelity_one_mode,
     fidelity_two_mode_sts,
 )
-from cvgauss import entanglement, nonclassicality, validate
-from cvgauss._optim import FATOL, MAXITER, XATOL, logistic, multistart_nelder_mead
+from cvgauss import _optim, entanglement, nonclassicality, validate
+from cvgauss._optim import FATOL, MAXITER, XATOL, _nelder_mead, logistic, multistart_nelder_mead
 from cvgauss.entanglement import separability_threshold_rs
 from cvgauss.nonclassicality import nonclassicality_threshold
 
@@ -33,11 +34,12 @@ def stable_argsort(monkeypatch):
 
 
 def scipy_nelder_mead(objective, x0):
+    """scipy's run with _optim's limits: (x, nfev, success)."""
     res = minimize(lambda x: objective(list(x)), np.asarray(x0, dtype=float),
                    method="Nelder-Mead",
-                   options={"xatol": XATOL, "fatol": FATOL, "maxiter": MAXITER,
-                            "maxfev": 2 * MAXITER})
-    return list(res.x), res.nfev
+                   options={"xatol": XATOL, "fatol": FATOL, "maxiter": _optim.MAXITER,
+                            "maxfev": 2 * _optim.MAXITER})
+    return list(res.x), res.nfev, res.success
 
 
 def list_nelder_mead(objective, x0):
@@ -54,7 +56,7 @@ def list_nelder_mead(objective, x0):
 
 
 def assert_same_run(objective, x0):
-    x_ref, nfev_ref = scipy_nelder_mead(objective, x0)
+    x_ref, nfev_ref, _ = scipy_nelder_mead(objective, x0)
     x, nfev = list_nelder_mead(objective, x0)
     assert nfev == nfev_ref
     assert max(abs(a - b) for a, b in zip(x, x_ref)) <= 1e-12
@@ -65,13 +67,31 @@ def test_logistic_is_zero_where_the_exponential_overflows():
     assert logistic(-1000.0) == 0.0
 
 
+def _rosen(x):
+    return float(rosen(np.asarray(x)))
+
+
+def _rosen_starts(dim):
+    return [-1.2] + [1.0] * (dim - 1), [0.0] * dim, np.linspace(-1.0, 2.0, dim).tolist()
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_rosenbrock_matches_scipy(stable_argsort, dim):
-    def objective(x):
-        return float(rosen(np.asarray(x)))
+    for x0 in _rosen_starts(dim):
+        assert_same_run(_rosen, x0)
 
-    for x0 in ([-1.2] + [1.0] * (dim - 1), [0.0] * dim, np.linspace(-1.0, 2.0, dim).tolist()):
-        assert_same_run(objective, x0)
+
+@pytest.mark.parametrize("maxiter", range(3, 60))
+def test_budget_exits_match_scipy(monkeypatch, stable_argsort, maxiter):
+    """Runs cut by the iteration or the evaluation limit, often inside an
+    iteration, end where scipy's end: same evaluations, point and verdict."""
+    monkeypatch.setattr(_optim, "MAXITER", maxiter)
+    for x0 in _rosen_starts(2) + _rosen_starts(3):
+        x_ref, nfev_ref, success = scipy_nelder_mead(_rosen, x0)
+        x, _, nfev, converged = _nelder_mead(_rosen, x0)
+        assert nfev == nfev_ref
+        assert max(abs(a - b) for a, b in zip(x, x_ref)) <= 1e-12
+        assert converged == success
 
 
 def _search_objectives(monkeypatch, search, states):
@@ -113,6 +133,19 @@ def test_failure_when_every_start_hits_the_evaluation_limit():
         multistart_nelder_mead(unbounded, [[1.0], [-2.0]])
     assert nfev == 2 * 2 * MAXITER
 
+
+
+@pytest.mark.parametrize("search, p", [
+    (closest_classical_numeric, DstsParams(0.0, 300.0)),
+    (closest_classical_numeric, DstsParams(0.0, 80.0)),
+    (closest_separable_numeric, TwoModeStsParams(0.0, 0.0, 300.0)),
+], ids=["dsts-r300", "dsts-r80", "sts-r300"])
+def test_a_search_that_reads_one_everywhere_raises(search, p):
+    """F underflows against every trial state near the starts, so each vertex
+    reads 1 - sqrt(F) = 1.0 and the simplex only shrinks towards its first
+    start, far from the argmin (the vacuum); the search must not return it."""
+    with pytest.raises(ConvergenceFailure, match="1.0"):
+        search(p)
 
 def test_one_converged_start_suffices():
     def objective(x):
@@ -210,3 +243,47 @@ def test_searches_equal_the_fidelity_objective_search_on_validate_states(monkeyp
     assert len(starts) == 4
     for (p, found), x0s in zip(searched, starts):
         assert found == _fidelity_search(p, x0s)
+
+
+
+def _counted_search(monkeypatch, p):
+    """The search of p, with the objective calls its minimizer makes counted."""
+    calls = 0
+
+    def spy(objective, starts):
+        def counted(t):
+            nonlocal calls
+            calls += 1
+            return objective(t)
+        return multistart_nelder_mead(counted, starts)
+
+    for module in (nonclassicality, entanglement):
+        monkeypatch.setattr(module, "multistart_nelder_mead", spy)
+    search = closest_classical_numeric if isinstance(p, DstsParams) else closest_separable_numeric
+    return search(p), calls
+
+
+def _hex(v):
+    return (v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex()
+
+
+@pytest.mark.parametrize("p, fields, value, calls", [
+    (DstsParams(0.3, 1.0), ["0x1.dd4415a909f32p-1", "0x1.0d6590e0e655dp-1", "0x0.0p+0",
+                            ("0x0.0p+0", "0x0.0p+0")], "0x1.00b690038a25cp-3", 2143),
+    (DstsParams(0.1, 1.2, -2.0, 0.5 + 0.1j),
+     ["0x1.3ed2af97e1ff9p-1", "0x1.9e2622f3c2f7dp-2", "-0x1.0000000000000p+1",
+      ("0x1.0000000000000p-1", "0x1.999999999999ap-4")], "0x1.d41df72d5590cp-3", 2210),
+    (TwoModeStsParams(0.2, 0.5, 1.2), ["0x1.27727cfc84ec1p+0", "0x1.743f49e95bf8dp+0",
+                                       "0x1.469325e736b60p-1", "0x0.0p+0"],
+     "0x1.53fd1459e030ap-2", 3866),
+    (TwoModeStsParams(1.5, 0.05, 1.4, -0.8), ["0x1.8ec415f8c1481p+1", "0x1.aa54f789fbb3dp+0",
+                                              "0x1.aff44b034a784p-1", "-0x1.999999999999ap-1"],
+     "0x1.d830ef910914cp-2", 3986),
+], ids=["dsts", "displaced-dsts", "sts", "rotated-sts"])
+def test_searches_return_the_pinned_bits_and_call_counts(monkeypatch, p, fields, value, calls):
+    """A speedup of the searches must keep their exact outputs and the number
+    of objective calls they make."""
+    (closest, f), counted = _counted_search(monkeypatch, p)
+    assert [_hex(getattr(closest, field.name)) for field in dataclasses.fields(closest)] == fields
+    assert _hex(f) == value
+    assert counted == calls
