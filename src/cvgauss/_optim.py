@@ -8,21 +8,33 @@ in a stable sort by value; the stopping test on the simplex spread at the
 top of every iteration; and at most MAXITER iterations and 2 MAXITER
 evaluations per start, a start converging when it hits neither limit.  A
 budget spent inside an iteration ends the run before the next evaluation,
-where scipy's wrapper raises.  It runs on lists of floats with the same
-arithmetic in the same order, so it takes scipy's steps to the bit wherever
-scipy's sort of the vertex values is stable too (numpy's default argsort
-orders ties by CPU).  It calls the objective directly and counts the calls
-in its own loop, so each evaluation of the short closed-form objectives here
-is one Python call, thousands of times per search.
+where scipy's wrapper raises.  It does scipy's arithmetic in the same
+order, so it takes scipy's steps to the bit wherever scipy's sort of the
+vertex values is stable too (numpy's default argsort orders ties by CPU).
+
+One source template holds the algorithm.  For each number of coordinates n
+it is written out with one statement or expression per coordinate (the
+centroid, the trial points and the shrink), compiled once and cached, as
+dataclasses generates __init__; the simplex is a list of (value,
+coordinate tuple) pairs that each iteration unpacks into local names, so a
+step builds no per-coordinate lists.  The objective is called directly, on
+a tuple of floats, and the calls are counted in the loop, so each
+evaluation of the short closed-form objectives here is one Python call,
+thousands of times per search.  The generated source is registered with
+linecache under "<cvgauss._optim nelder_mead n=N>", so tracebacks show its
+lines.
 """
 
 from __future__ import annotations
 
+import functools
+import linecache
 import logging
 import math
+import numbers
 from operator import itemgetter
 
-from .errors import ConvergenceFailure
+from .errors import ConvergenceFailure, DomainError
 
 #: Nelder-Mead stopping rules shared by every distance search
 XATOL = 1e-9
@@ -42,76 +54,131 @@ def logistic(x: float) -> float:
         return 0.0
 
 
-def _nelder_mead(objective, x0):
-    """Minimize from one start; return (x, f, nfev, converged)."""
-    maxfev = 2 * MAXITER
-    x0 = [float(v) for v in x0]
-    n = len(x0)
-    sim = [[objective(x0), x0]]
-    for k in range(n):
-        y = list(x0)
-        y[k] = (1.0 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append([objective(y), y])
-    sim.sort(key=_value)
+def check_n_starts(n_starts) -> None:
+    """Raise DomainError unless the number of starts of a search is an
+    integer >= 1 (a bool is not one)."""
+    if isinstance(n_starts, bool) or not isinstance(n_starts, numbers.Integral) or n_starts < 1:
+        raise DomainError(f"n_starts must be an integer >= 1, got {n_starts!r}")
 
-    nfev = n + 1
+
+#: one start of Nelder-Mead over n coordinates; _steps fills in each field
+#: with its per-coordinate statements or expressions for one n
+_TEMPLATE = """\
+def nelder_mead(objective, x0):
+    maxiter = MAXITER
+    maxfev = 2 * maxiter
+    fatol = FATOL
+    xatol = XATOL
+    {start} = x0
+    sim = [(objective(x0), x0)]
+{initial}
+    sim.sort(key=_value)
+    nfev = {vertices}
     iterations = 1
-    while nfev < maxfev and iterations < MAXITER:
-        best_f, best = sim[0]
-        for v in sim[1:]:
-            if not abs(v[0] - best_f) <= FATOL:
-                break
-        else:
-            if all(abs(a - b) <= XATOL for v in sim[1:] for a, b in zip(v[1], best)):
-                break
+    while nfev < maxfev and iterations < maxiter:
+        {simplex} = sim
+        if {stop}:
+            break
         # centroid of all but the worst vertex, summed in vertex order
-        xbar = best
-        for v in sim[1:-1]:
-            xbar = [a + b for a, b in zip(xbar, v[1])]
-        xbar = [a / n for a in xbar]
-        worst = sim[-1]
-        xw = worst[1]
-        xr = [2 * a - b for a, b in zip(xbar, xw)]
+{centroid}
+        xr = {reflect}
         fxr = objective(xr)
         nfev += 1
         # a budget spent before a second evaluation ends the run on the sorted simplex
-        if fxr < best_f:
+        if fxr < f0:
             if nfev >= maxfev:
                 break
-            xe = [3 * a - 2 * b for a, b in zip(xbar, xw)]
+            xe = {expand}
             fxe = objective(xe)
             nfev += 1
-            sim[-1] = [fxe, xe] if fxe < fxr else [fxr, xr]
-        elif fxr < sim[-2][0]:
-            sim[-1] = [fxr, xr]
+            sim[-1] = (fxe, xe) if fxe < fxr else (fxr, xr)
+        elif fxr < {second_worst}:
+            sim[-1] = (fxr, xr)
         else:
             if nfev >= maxfev:
                 break
-            if fxr < worst[0]:
-                xc = [1.5 * a - 0.5 * b for a, b in zip(xbar, xw)]
+            if fxr < {worst}:
+                xc = {contract}
                 fxc = objective(xc)
                 shrink = not fxc <= fxr
                 if not shrink:
-                    sim[-1] = [fxc, xc]
+                    sim[-1] = (fxc, xc)
             else:
-                xcc = [0.5 * a + 0.5 * b for a, b in zip(xbar, xw)]
+                xcc = {inside}
                 fxcc = objective(xcc)
-                shrink = not fxcc < worst[0]
+                shrink = not fxcc < {worst}
                 if not shrink:
-                    sim[-1] = [fxcc, xcc]
+                    sim[-1] = (fxcc, xcc)
             nfev += 1
             if shrink:
                 # a vertex moved when the budget runs out keeps its old value, as in scipy
-                for v in sim[1:]:
-                    v[1] = [a + 0.5 * (b - a) for a, b in zip(best, v[1])]
+                for i in range(1, {vertices}):
+                    f, {moved} = sim[i]
+                    v = {shrunk}
                     if nfev >= maxfev:
+                        sim[i] = (f, v)
                         break
-                    v[0] = objective(v[1])
+                    sim[i] = (objective(v), v)
                     nfev += 1
         iterations += 1
         sim.sort(key=_value)
-    converged = nfev < maxfev and iterations < MAXITER
-    return sim[0][1], sim[0][0], nfev, converged
+    return list(sim[0][1]), sim[0][0], nfev, nfev < maxfev and iterations < maxiter
+"""
+
+
+def _tuple(items) -> str:
+    """Source of the tuple display of the expressions items."""
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+@functools.cache
+def _steps(n: int):
+    """The template compiled for n coordinates.  Vertex i of the sorted
+    simplex is (fi, (xi_0, ..., xi_{n-1})), vertex 0 the best and vertex n
+    the worst; the centroid is (c0, ..., c{n-1}).  Each point's coordinates
+    are written out one by one, with the arithmetic of the list form in the
+    same order."""
+    def point(fmt, **fields):
+        return _tuple(fmt.format(k=k, n=n, **fields) for k in range(n))
+
+    initial = []
+    for k in range(n):
+        y = [f"x0_{j}" for j in range(n)]
+        y[k] = f"(1.0 + 0.05) * x0_{k} if x0_{k} != 0 else 0.00025"
+        initial += [f"    y = {_tuple(y)}", "    sim.append((objective(y), y))"]
+    stop = ([f"abs(f{i} - f0) <= fatol" for i in range(1, n + 1)]
+            + [f"abs(x{i}_{k} - x0_{k}) <= xatol" for i in range(1, n + 1) for k in range(n)])
+    source = _TEMPLATE.format(
+        start=point("x0_{k}"),
+        initial="\n".join(initial),
+        vertices=n + 1,
+        simplex=_tuple(f"(f{i}, {point('x{i}_{k}', i=i)})" for i in range(n + 1)),
+        # with no coordinates the spread is 0, and the run stops before its first step
+        stop=" and ".join(stop) or "True",
+        centroid="\n".join(f"        c{k} = ({' + '.join(f'x{i}_{k}' for i in range(n))}) / {n}"
+                           for k in range(n)),
+        reflect=point("2 * c{k} - x{n}_{k}"),
+        expand=point("3 * c{k} - 2 * x{n}_{k}"),
+        contract=point("1.5 * c{k} - 0.5 * x{n}_{k}"),
+        inside=point("0.5 * c{k} + 0.5 * x{n}_{k}"),
+        second_worst=f"f{max(n - 1, 0)}",  # f0 where n = 0, whose run never gets here
+        worst=f"f{n}",
+        moved=point("y{k}"),
+        shrunk=point("x0_{k} + 0.5 * (y{k} - x0_{k})"),
+    )
+    filename = f"<cvgauss._optim nelder_mead n={n}>"
+    # tracebacks show the generated lines; with no mtime, linecache.checkcache keeps the entry
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["nelder_mead"]
+
+
+def _nelder_mead(objective, x0):
+    """Minimize from one start; return (x, f, nfev, converged)."""
+    x0 = tuple([float(v) for v in x0])
+    return _steps(len(x0))(objective, x0)
 
 
 def multistart_nelder_mead(objective, starts):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import sys
 
-from ._optim import logistic, multistart_nelder_mead
+from ._optim import check_n_starts, logistic, multistart_nelder_mead
 from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
 from .states import R_MAX, TwoModeStsParams, checked_invariants
@@ -74,6 +74,7 @@ def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):
 
     Returns (closest separable state, minimum of 1 - sqrt(F)).
     """
+    check_n_starts(n_starts)
     if p.r <= separability_threshold_rs(p.nbar1, p.nbar2):
         return p, 0.0
     starts = []

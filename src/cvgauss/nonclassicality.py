@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._optim import logistic, multistart_nelder_mead
+from ._optim import check_n_starts, logistic, multistart_nelder_mead
 from .errors import DomainError
 from .fidelity import clamp_unit
 from .states import DstsParams
@@ -53,6 +53,7 @@ def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):
 
     Returns (closest classical state, minimum of 1 - sqrt(F)).
     """
+    check_n_starts(n_starts)
     if is_classical(p):
         return p, 0.0
     starts = [[math.sqrt(p.nbar + 0.25 * (k + 1)), 2.0 if k % 2 == 0 else 6.0]

@@ -1,16 +1,21 @@
-"""The list-based Nelder-Mead of cvgauss._optim against scipy's."""
+"""The Nelder-Mead of cvgauss._optim against scipy's and against the
+list-based reference it replaced."""
 
 import dataclasses
 import functools
 import logging
 import math
+import traceback
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen
 
+import nm_reference
+
 from cvgauss import (
     ConvergenceFailure,
+    DomainError,
     DstsParams,
     TwoModeStsParams,
     closest_classical_numeric,
@@ -287,3 +292,86 @@ def test_searches_return_the_pinned_bits_and_call_counts(monkeypatch, p, fields,
     assert [_hex(getattr(closest, field.name)) for field in dataclasses.fields(closest)] == fields
     assert _hex(f) == value
     assert counted == calls
+
+
+def _bits(run):
+    """(x, f, nfev, converged) of one start, with the floats as hex."""
+    x, f, nfev, converged = run
+    assert type(x) is list and all(type(v) is float for v in x)
+    return [v.hex() for v in x], float(f).hex(), nfev, converged
+
+
+def assert_same_as_reference(objective, x0):
+    assert _bits(_nelder_mead(objective, x0)) == _bits(nm_reference._nelder_mead(objective, x0))
+
+
+def _bowl(x):
+    # steep enough that the value half of the stopping test is the one to pass last
+    return 1e9 * (x[0] - 1.0) ** 2 + 0.5
+
+
+@pytest.mark.parametrize("maxiter", [MAXITER] + list(range(3, 60)))
+def test_minimizer_equals_the_list_reference_bit_for_bit(monkeypatch, maxiter):
+    """In 1 to 5 dimensions, run to convergence or cut by a budget inside an
+    iteration, the generated minimizer returns the list form's tuple."""
+    monkeypatch.setattr(_optim, "MAXITER", maxiter)
+    monkeypatch.setattr(nm_reference, "MAXITER", maxiter)
+    for dim in range(1, 6):
+        objective = _rosen if dim > 1 else _bowl
+        for x0 in _rosen_starts(dim):
+            assert_same_as_reference(objective, x0)
+
+
+def test_no_coordinates_equal_the_list_reference():
+    """With nothing to search, one evaluation at the start ends the run."""
+    assert_same_as_reference(lambda x: 0.5, [])
+
+
+@pytest.mark.parametrize("p", [
+    DstsParams(0.3, 1.0), DstsParams(0.1, 1.2, -2.0, 0.5 + 0.1j),
+    TwoModeStsParams(0.2, 0.5, 1.2), TwoModeStsParams(1.5, 0.05, 1.4, -0.8),
+], ids=["dsts", "displaced-dsts", "sts", "rotated-sts"])
+def test_search_starts_equal_the_list_reference_bit_for_bit(monkeypatch, p):
+    """Every start of the pinned searches returns the list form's tuple."""
+    captured = []
+
+    def spy(objective, starts):
+        captured.append((objective, starts))
+        return multistart_nelder_mead(objective, starts)
+
+    for module in (nonclassicality, entanglement):
+        monkeypatch.setattr(module, "multistart_nelder_mead", spy)
+    (closest_classical_numeric if isinstance(p, DstsParams) else closest_separable_numeric)(p)
+    ((objective, starts),) = captured
+    assert len(starts) == 8
+    for x0 in starts:
+        assert_same_as_reference(objective, x0)
+
+
+def test_traceback_shows_the_generated_lines():
+    calls = 0
+
+    def failing(x):
+        nonlocal calls
+        calls += 1
+        if calls == 4:  # the first reflection, after the three vertices
+            raise ZeroDivisionError("objective failed")
+        return x[0] * x[0] + x[1] * x[1]
+
+    with pytest.raises(ZeroDivisionError) as info:
+        multistart_nelder_mead(failing, [[1.0, 2.0]])
+    frames = traceback.extract_tb(info.value.__traceback__)
+    generated = [fr for fr in frames if fr.filename == "<cvgauss._optim nelder_mead n=2>"]
+    assert len(generated) == 1
+    assert generated[0].line == "fxr = objective(xr)"
+    assert "fxr = objective(xr)" in "".join(traceback.format_exception(info.value))
+
+
+@pytest.mark.parametrize("n_starts", [2.5, "3", 0, -1, True])
+@pytest.mark.parametrize("search, p", [
+    (closest_classical_numeric, DstsParams(0.3, 1.0)),
+    (closest_separable_numeric, TwoModeStsParams(0.2, 0.5, 1.2)),
+], ids=["classical", "separable"])
+def test_n_starts_must_be_a_positive_integer(search, p, n_starts):
+    with pytest.raises(DomainError, match="n_starts"):
+        search(p, n_starts=n_starts)
