@@ -4,6 +4,7 @@ separability, and CV teleportation as a Gaussian noise channel,
 cross-validated against a truncated Fock-space oracle."""
 
 from .entanglement import (
+    closest_separable,
     closest_separable_numeric,
     degree_e0,
     entropy_of_entanglement_svs,
@@ -30,6 +31,7 @@ from .fock import (
     von_neumann_entropy,
 )
 from .nonclassicality import (
+    closest_classical,
     closest_classical_numeric,
     degree_q0,
     is_classical,
@@ -72,7 +74,9 @@ __all__ = [
     "UnphysicalState",
     "cf_to_cov",
     "cf_to_dsts",
+    "closest_classical",
     "closest_classical_numeric",
+    "closest_separable",
     "closest_separable_numeric",
     "degree_e0",
     "degree_q0",

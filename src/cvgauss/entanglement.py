@@ -7,7 +7,8 @@ two-mode Gaussian states; in invariant form it reads
 
 For a squeezed thermal state this reduces to r <= r_s with
 sinh^2 r_s = nbar1 nbar2/(nbar1 + nbar2 + 1).  The Bures degree
-of entanglement past the threshold is E0 = 1 - sech(r - r_s).
+of entanglement past the threshold is E0 = 1 - sech(r - r_s), attained at
+the closest separable state of :func:`closest_separable`.
 """
 
 from __future__ import annotations
@@ -54,11 +55,56 @@ def peres_simon_separable(m) -> bool:
 
 def degree_e0(p: TwoModeStsParams) -> float:
     """Bures degree of entanglement; 0 on the separable set, otherwise
-    1 - sech(r - r_s).  Independent of phi."""
+    1 - sech g at the gap g = r - r_s, below g = 1 in the form
+    2 sinh^2(g/2) / cosh g, which does not cancel to 0 just past the
+    threshold.  Independent of phi."""
     gap = p.r - separability_threshold_rs(p.nbar1, p.nbar2)
     if gap <= 0.0:
         return 0.0
-    return 1.0 - 1.0 / math.cosh(gap)
+    if gap >= 1.0:
+        return 1.0 - 1.0 / math.cosh(gap)
+    half = math.sinh(0.5 * gap)
+    return 2.0 * half * half / math.cosh(gap)
+
+
+def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:
+    """The separable squeezed thermal state closest to p in Bures distance,
+    in closed form: p itself on the separable set, otherwise V' = V - (V_g - I/2),
+    with V the covariance of p and V_g the two-mode squeezed vacuum of squeeze
+    g = r - r_s at p's angle.  It keeps phi and nbar1 - nbar2, and lies on the
+    threshold r' = r_s(nbar1', nbar2').
+
+    With N = nbar1 + nbar2 + 1, e^{4r'} - 1 = q = (B - A)/A for
+    A = N e^{-2r} - expm1(-2g) and B - A = 2[(nbar1 + nbar2) sinh 2r
+    + 2 cosh(2r - r_s) sinh r_s].  With u = e^{2r'} = sqrt(1 + q),
+    2s = 2 sinh^2 r' = (u - 1)^2/(2u) and sinh 2r' = q/(2u), both from
+    u - 1 = q/(u + 1) rather than from r', whose roundoff e^{2r'} would
+    magnify.  With d = |nbar1 - nbar2| and w = hypot(d, sinh 2r'), the smaller
+    occupancy is (2s - d + w)/2, or 2s(1 + d)/(w + d - 2s) for 2s < d, and the
+    larger one is d more: no step cancels.  Where a step overflows double
+    precision (large occupancies with r in the hundreds) it raises
+    UnphysicalState."""
+    rs = separability_threshold_rs(p.nbar1, p.nbar2)
+    if p.r <= rs:
+        return p
+    n1, n2, r = p.nbar1, p.nbar2, p.r
+    a = (n1 + n2 + 1.0) * math.exp(-2.0 * r) - math.expm1(-2.0 * (r - rs))
+    b_minus_a = 2.0 * ((n1 + n2) * math.sinh(2.0 * r)
+                       + 2.0 * math.cosh(2.0 * r - rs) * math.sinh(rs))
+    q = b_minus_a / a
+    u = math.sqrt(1.0 + q)
+    u_minus_1 = q / (u + 1.0)
+    s2 = u_minus_1 * u_minus_1 / (2.0 * u)
+    d = abs(n1 - n2)
+    w = math.hypot(d, 0.5 * q / u)
+    small = 0.5 * (s2 - d + w) if s2 >= d else s2 * (1.0 + d) / (w + d - s2)
+    big = small + d
+    r_new = 0.25 * math.log1p(q)
+    if not big < math.inf:
+        raise UnphysicalState(f"the closest separable state of {p} overflows double precision")
+    if n1 >= n2:
+        return TwoModeStsParams(big, small, r_new, p.phi)
+    return TwoModeStsParams(small, big, r_new, p.phi)
 
 
 def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):

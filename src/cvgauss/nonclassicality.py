@@ -4,7 +4,8 @@ A Gaussian state has a well-behaved P representation iff its squeeze factor
 does not exceed the threshold r_c = (1/2) ln(2 nbar + 1).  Past the threshold
 the degree of nonclassicality is measured by half the squared Bures distance
 to the set of classical Gaussian states, which has the closed form
-Q0 = 1 - sqrt(sech(r - r_c)).
+Q0 = 1 - sqrt(sech(r - r_c)), attained at the closest classical state of
+:func:`closest_classical`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._optim import check_n_starts, logistic, multistart_nelder_mead
-from .errors import DomainError
+from .errors import DomainError, UnphysicalState
 from .fidelity import clamp_unit
 from .states import DstsParams
 
@@ -31,11 +32,38 @@ def is_classical(p: DstsParams) -> bool:
 
 def degree_q0(p: DstsParams) -> float:
     """Bures degree of nonclassicality; 0 on the classical set, otherwise
-    1 - sqrt(sech(r - r_c)).  Independent of phi and alpha."""
+    1 - sqrt(sech g) at the gap g = r - r_c, below g = 1 in the form
+    2 sinh^2(g/2) / cosh g / (1 + sqrt(sech g)), which does not cancel to 0
+    just past the threshold.  Independent of phi and alpha."""
     gap = p.r - nonclassicality_threshold(p.nbar)
     if gap <= 0.0:
         return 0.0
-    return 1.0 - math.sqrt(1.0 / math.cosh(gap))
+    cosh = math.cosh(gap)
+    if gap >= 1.0:
+        return 1.0 - math.sqrt(1.0 / cosh)
+    half = math.sinh(0.5 * gap)
+    return 2.0 * half * half / cosh / (1.0 + math.sqrt(1.0 / cosh))
+
+
+def closest_classical(p: DstsParams) -> DstsParams:
+    """The classical Gaussian state closest to p in Bures distance, in closed
+    form: p itself on the classical set, otherwise V' = V - (V_g - I/2), with
+    V the covariance of p and V_g the squeezed vacuum of squeeze
+    g = r - r_c at p's angle.  It keeps phi and alpha, lies on the threshold
+    r' = r_c(nbar'), and with P' = nbar (nbar + 1) e^{2r} / (2 nbar + 1) has
+
+        nbar' = P' / (sqrt(1/4 + P') + 1/2),    r' = log1p(4 P') / 4.
+
+    Where 4 P' overflows double precision it raises UnphysicalState."""
+    if is_classical(p):
+        return p
+    nbar = p.nbar
+    # nbar e^{2r} <= 2 P', so no factor overflows where 4 P' does not
+    big_p = nbar * math.exp(2.0 * p.r) * ((nbar + 1.0) / (2.0 * nbar + 1.0))
+    if 4.0 * big_p == math.inf:
+        raise UnphysicalState(f"the closest classical state of {p} overflows double precision")
+    return DstsParams(big_p / (math.sqrt(0.25 + big_p) + 0.5), 0.25 * math.log1p(4.0 * big_p),
+                      p.phi, p.alpha)
 
 
 def closest_classical_numeric(p: DstsParams, *, n_starts: int = 8):

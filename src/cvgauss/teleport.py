@@ -221,9 +221,15 @@ def sweep_fig2(e0_list: Sequence[float],
             gap = (0.25 * np.fromiter(map(math.log1p, (sinh2r / down).tolist()), float, n)
                    - 0.5 * np.fromiter(map(math.log1p, (2.0 * nbar_out).tolist()), float, n))
             quantum = ~(gap <= 0.0)
+            g = gap[quantum]
+            cosh = np.fromiter(map(math.cosh, g.tolist()), float)
+            root = np.sqrt(1.0 / cosh)
+            q = 1.0 - root
+            near = g < 1.0
+            half = np.fromiter(map(math.sinh, (0.5 * g[near]).tolist()), float)
+            q[near] = 2.0 * half * half / cosh[near] / (1.0 + root[near])
             q_out = np.zeros(n)
-            q_out[quantum] = 1.0 - np.sqrt(
-                1.0 / np.fromiter(map(math.cosh, gap[quantum].tolist()), float))
+            q_out[quantum] = q
             curves[e0] = list(zip(qs, q_out.tolist()))
     return curves
 

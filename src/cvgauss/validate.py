@@ -1,6 +1,7 @@
 """Self-validation suite behind ``cvgauss validate``.  Each row checks closed
-forms of the paper (the Uhlmann fidelities, the Bures degrees Q0 and E0, the
-Peres-Simon threshold, the teleportation fidelity) against a second route:
+forms of the paper (the Uhlmann fidelities, the Bures degrees Q0 and E0 and
+the closest states that attain them, the Peres-Simon threshold, the
+teleportation fidelity) against a second route:
 the Fock oracle, two-mode at dim 40 per mode included, the numeric Bures
 searches, the Peres-Simon bisection, the fidelity between a state and its
 teleported output, or a known special value.  The state representations are
@@ -11,12 +12,13 @@ shared with the tests."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import fock
 from .entanglement import (
+    closest_separable,
     closest_separable_numeric,
     degree_e0,
     entropy_of_entanglement_svs,
@@ -24,7 +26,7 @@ from .entanglement import (
     separability_threshold_rs,
 )
 from .fidelity import fidelity_one_mode, fidelity_two_mode_sts
-from .nonclassicality import closest_classical_numeric, degree_q0, nonclassicality_threshold
+from .nonclassicality import closest_classical, closest_classical_numeric, degree_q0
 from .states import DstsParams, TwoModeStsParams, sts_to_cov2
 from .teleport import teleport_fidelity, teleport_with_noise
 
@@ -132,27 +134,13 @@ def check_separability_bisection(rng, samples: int) -> float:
     return worst
 
 
-def classical_argmin_gap(p: DstsParams, state: DstsParams) -> float:
-    """How far a closest classical state found for p lies off the threshold
-    r' = r_c(nbar').  The search copies p's squeeze angle and displacement
-    into it, so the other rules the true one obeys hold exactly."""
-    return abs(state.r - nonclassicality_threshold(state.nbar))
-
-
-def separable_argmin_gap(p: TwoModeStsParams, state: TwoModeStsParams) -> float:
-    """How far a closest separable state found for p breaks the rules the
-    true one obeys: it lies on the threshold r' = r_s(nbar1', nbar2') and
-    raises both occupancies by the same amount.  The search copies p's
-    squeeze angle into it, so the rule that the angle is kept holds exactly."""
-    return max(abs(state.r - separability_threshold_rs(state.nbar1, state.nbar2)),
-               abs((state.nbar1 - p.nbar1) - (state.nbar2 - p.nbar2)))
-
-
-def check_minimizer(rng, draw, degree, search, argmin_gap, measure: str, closest: str,
+def check_minimizer(rng, draw, degree, search, closest, measure: str, kind: str,
                     samples: int) -> list[CheckResult]:
     """A distance search on random states draw(rng) past their threshold
-    against the closed-form degree, and the state it returns by argmin_gap."""
-    worst, worst_gap = 0.0, 0.0
+    against the closed-form degree, and the state it returns against the
+    closed-form closest state closest(p), by the largest difference of their
+    fields."""
+    worst, worst_state = 0.0, 0.0
     found = 0
     while found < samples:
         p = draw(rng)
@@ -161,9 +149,10 @@ def check_minimizer(rng, draw, degree, search, argmin_gap, measure: str, closest
         found += 1
         state, val = search(p)
         worst = max(worst, abs(val - degree(p)))
-        worst_gap = max(worst_gap, argmin_gap(p, state))
+        fields = zip(astuple(state), astuple(closest(p)))
+        worst_state = max(worst_state, *(abs(a - b) for a, b in fields))
     return [CheckResult(f"{measure} minimizer vs closed form", worst, 1e-4),
-            CheckResult(f"closest {closest} state vs argmin rules", worst_gap, 1e-6)]
+            CheckResult(f"closest {kind} state vs closed form", worst_state, 1e-6)]
 
 
 def check_pure_trace_product(rng, dim: int, pairs: int) -> float:
@@ -206,10 +195,10 @@ def run_suite() -> list[CheckResult]:
         CheckResult("separability bisection vs closed threshold",
                     check_separability_bisection(rng, samples=10), 1e-6),
         *check_minimizer(rng, lambda g: random_dsts(g, nbar_max=1.0, r_max=1.5),
-                         degree_q0, closest_classical_numeric, classical_argmin_gap,
+                         degree_q0, closest_classical_numeric, closest_classical,
                          "nonclassicality", "classical", samples=2),
         *check_minimizer(rng, lambda g: random_sts(g, nbar_max=0.8, r_max=1.5),
-                         degree_e0, closest_separable_numeric, separable_argmin_gap,
+                         degree_e0, closest_separable_numeric, closest_separable,
                          "entanglement", "separable", samples=2),
         CheckResult("two-mode fidelity vs Fock oracle",
                     check_two_mode_oracle(rng, pairs=3), tol_2m),

@@ -86,9 +86,14 @@ def rel_err(value: float, ref) -> float:
     return float(abs((mpf(value) - ref) / ref) if abs(ref) > 1e-60 else abs(value))
 
 
+def mp_nonclassicality_threshold(nbar):
+    """r_c = ln(2 nbar + 1) / 2."""
+    return mp.log(2 * nbar + 1) / 2
+
+
 def mp_degree_q0(nbar, r):
-    """1 - sqrt(sech(r - r_c)) past the threshold r_c = ln(2 nbar + 1) / 2."""
-    gap = r - mp.log(2 * nbar + 1) / 2
+    """1 - sqrt(sech(r - r_c)) past the threshold r_c."""
+    gap = r - mp_nonclassicality_threshold(nbar)
     return 1 - mp.sqrt(1 / mp.cosh(gap)) if gap > 0 else mpf(0)
 
 

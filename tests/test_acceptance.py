@@ -13,7 +13,9 @@ import pytest
 from cvgauss import (
     DstsParams,
     TwoModeStsParams,
+    closest_classical,
     closest_classical_numeric,
+    closest_separable,
     closest_separable_numeric,
     degree_e0,
     degree_q0,
@@ -35,10 +37,8 @@ from cvgauss.validate import (
     check_one_mode_oracle,
     check_separability_bisection,
     check_two_mode_oracle,
-    classical_argmin_gap,
     matched_pair,
     random_dsts,
-    separable_argmin_gap,
 )
 
 
@@ -91,7 +91,7 @@ def _minimizer_report(number: int, title: str, results) -> None:
     value, argmin = results
     _report(number, title, value.passed and argmin.passed,
             f"max value delta {value.delta:.3e} (tol {value.tol:.0e}), "
-            f"max argmin gap {argmin.delta:.3e} (tol {argmin.tol:.0e})")
+            f"max distance to the closed argmin {argmin.delta:.3e} (tol {argmin.tol:.0e})")
     assert value.passed
     assert argmin.passed
 
@@ -101,7 +101,7 @@ def test_criterion_4_entanglement_measure_minimization():
         np.random.default_rng(1004),
         lambda g: TwoModeStsParams(g.uniform(0.0, 0.8), g.uniform(0.0, 0.8),
                                    g.uniform(0.0, 1.5), g.uniform(-math.pi, math.pi)),
-        degree_e0, closest_separable_numeric, separable_argmin_gap,
+        degree_e0, closest_separable_numeric, closest_separable,
         "entanglement", "separable", samples=10)
     _minimizer_report(4, "closest-separable minimization vs closed E0 (10 entangled states)",
                       results)
@@ -112,7 +112,7 @@ def test_criterion_5_nonclassicality_measure_minimization():
         np.random.default_rng(1005),
         lambda g: DstsParams(g.uniform(0.0, 1.0), g.uniform(0.0, 1.5),
                              g.uniform(-math.pi, math.pi)),
-        degree_q0, closest_classical_numeric, classical_argmin_gap,
+        degree_q0, closest_classical_numeric, closest_classical,
         "nonclassicality", "classical", samples=20)
     _minimizer_report(5, "closest-classical minimization vs closed Q0 (20 nonclassical states)",
                       results)

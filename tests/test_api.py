@@ -16,10 +16,11 @@ from cvgauss import (
     DomainError,
     DstsParams,
     FockDensityMatrix,
-    OneModeGaussianCF,
     TwoModeStsParams,
     UnphysicalState,
+    closest_classical,
     closest_classical_numeric,
+    closest_separable,
     closest_separable_numeric,
     degree_e0,
     degree_q0,
@@ -112,7 +113,7 @@ _sts = st.builds(TwoModeStsParams, _nbar, _nbar, _r, _phi)
 
 
 def _finite(value) -> bool:
-    if isinstance(value, (DstsParams, OneModeGaussianCF)):
+    if dataclasses.is_dataclass(value):
         return all(map(_finite, dataclasses.astuple(value)))
     return cmath.isfinite(value)
 
@@ -124,7 +125,8 @@ def test_closed_forms_give_a_finite_value_or_a_package_error(p, q, s, t, z):
         (fidelity_one_mode, p, q), (fidelity_two_mode_sts, s, t), (degree_q0, p),
         (degree_e0, s), (dsts_to_cf, p), (lambda m: peres_simon_separable(sts_to_cov2(m)), s),
         (resource_noise, s), (teleport_with_noise, p, z), (teleport_symmetric_sts, p, s.nbar1, s.r),
-        (teleport_fidelity_from_states, p, s.nbar1, s.r),
+        (teleport_fidelity_from_states, p, s.nbar1, s.r), (closest_classical, p),
+        (closest_separable, s),
     ]
     for f, *args in calls:
         try:

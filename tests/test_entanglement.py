@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from cvgauss import (
     DomainError,
     TwoModeStsParams,
     UnphysicalState,
+    closest_separable,
     closest_separable_numeric,
     degree_e0,
     entropy_of_entanglement_svs,
@@ -19,7 +21,6 @@ from cvgauss.validate import (
     check_minimizer,
     check_separability_bisection,
     check_svs_entropy,
-    separable_argmin_gap,
 )
 
 # frozen via the numeric minimizer over the separable set (pure STS r=1)
@@ -30,9 +31,9 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_separable_argmin(p, state):
-    """The closest separable state obeys the rules of separable_argmin_gap,
-    keeps the squeeze angle exactly, and has parameters of the built-in types."""
-    assert separable_argmin_gap(p, state) <= ARGMIN_TOL
+    """A closest separable state found for p is the closed-form one, keeps the
+    squeeze angle exactly, and has parameters of the built-in types."""
+    assert astuple(state) == pytest.approx(astuple(closest_separable(p)), abs=ARGMIN_TOL)
     assert state.phi == p.phi
     assert all(type(v) is float for v in (state.nbar1, state.nbar2, state.r, state.phi))
 
@@ -197,6 +198,13 @@ def test_closest_separable_trivial_for_separable_input():
     p = TwoModeStsParams(1.0, 1.0, 0.4)
     state, value = closest_separable_numeric(p)
     assert state == p and value == 0.0
+    assert closest_separable(p) is p
+
+
+def test_closest_separable_names_the_overflow():
+    # (nbar1 + nbar2) sinh 2r overflows
+    with pytest.raises(UnphysicalState, match="overflows double precision"):
+        closest_separable(TwoModeStsParams(1e300, 0.0, 300.0))
 
 
 def test_closest_separable_pure_sts():
@@ -219,16 +227,16 @@ def test_closest_separable_pinned_state():
 
 
 def test_closest_separable_matches_closed_form():
-    def argmin_gap(p, state):
+    def search(p):
+        state, value = closest_separable_numeric(p)
         assert_separable_argmin(p, state)
-        return separable_argmin_gap(p, state)
+        return state, value
 
     results = check_minimizer(
         np.random.default_rng(431),
         lambda g: TwoModeStsParams(g.uniform(0, 0.8), g.uniform(0, 0.8),
                                    g.uniform(0, 1.5), g.uniform(-3, 3)),
-        degree_e0, closest_separable_numeric, argmin_gap, "entanglement", "separable",
-        samples=3)
+        degree_e0, search, closest_separable, "entanglement", "separable", samples=3)
     assert all(r.passed for r in results), results
 
 

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -7,12 +7,14 @@ import pytest
 from cvgauss import (
     DomainError,
     DstsParams,
+    UnphysicalState,
+    closest_classical,
     closest_classical_numeric,
     degree_q0,
     is_classical,
     nonclassicality_threshold,
 )
-from cvgauss.validate import check_minimizer, classical_argmin_gap
+from cvgauss.validate import check_minimizer
 
 # frozen via the numeric minimizer over the classical set (squeezed vacuum r=1)
 Q0_SQUEEZED_VACUUM_R1 = 0.1949818178054079
@@ -22,9 +24,10 @@ ARGMIN_TOL = 1e-6
 
 
 def assert_classical_argmin(p, state):
-    """The closest classical state lies on the threshold, keeps the squeeze
-    angle and the displacement exactly, and has parameters of the built-in types."""
-    assert classical_argmin_gap(p, state) <= ARGMIN_TOL
+    """A closest classical state found for p is the closed-form one, keeps the
+    squeeze angle and the displacement exactly, and has parameters of the
+    built-in types."""
+    assert astuple(state) == pytest.approx(astuple(closest_classical(p)), abs=ARGMIN_TOL)
     assert state.phi == p.phi and state.alpha == p.alpha
     assert all(type(v) is float for v in (state.nbar, state.r, state.phi))
     assert type(state.alpha) is complex
@@ -93,6 +96,14 @@ def test_closest_classical_trivial_for_classical_input():
     state, value = closest_classical_numeric(p)
     assert state == p
     assert value == 0.0
+    assert closest_classical(p) is p
+
+
+def test_closest_classical_names_the_overflow():
+    # 4 P' = 4 nbar (nbar + 1) e^{2r} / (2 nbar + 1) overflows
+    for p in (DstsParams(1e200, 300.0), DstsParams(1e300, 354.0)):
+        with pytest.raises(UnphysicalState, match="overflows double precision"):
+            closest_classical(p)
 
 
 def test_closest_classical_squeezed_vacuum():
@@ -106,15 +117,15 @@ def test_closest_classical_squeezed_vacuum():
 
 
 def test_closest_classical_matches_closed_form_on_random_states():
-    def argmin_gap(p, state):
+    def search(p):
+        state, value = closest_classical_numeric(p)
         assert_classical_argmin(p, state)
-        return classical_argmin_gap(p, state)
+        return state, value
 
     results = check_minimizer(
         np.random.default_rng(313),
         lambda g: DstsParams(g.uniform(0, 1), g.uniform(0, 1.5), g.uniform(-3, 3)),
-        degree_q0, closest_classical_numeric, argmin_gap, "nonclassicality", "classical",
-        samples=5)
+        degree_q0, search, closest_classical, "nonclassicality", "classical", samples=5)
     assert all(r.passed for r in results), results
 
 
