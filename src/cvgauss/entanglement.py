@@ -18,7 +18,7 @@ import sys
 
 from ._optim import check_n_starts, logistic, multistart_nelder_mead
 from .errors import DomainError, UnphysicalState
-from .fidelity import clamp_unit
+from .fidelity import clamp_unit, gap_degrees
 from .states import R_MAX, TwoModeStsParams, checked_invariants
 
 #: tolerance on the separability inequality itself
@@ -55,16 +55,12 @@ def peres_simon_separable(m) -> bool:
 
 def degree_e0(p: TwoModeStsParams) -> float:
     """Bures degree of entanglement; 0 on the separable set, otherwise
-    1 - sech g at the gap g = r - r_s, below g = 1 in the form
-    2 sinh^2(g/2) / cosh g, which does not cancel to 0 just past the
-    threshold.  Independent of phi."""
+    1 - sech g at the gap g = r - r_s, in the form of gap_degrees, which
+    keeps its digits just past the threshold.  Independent of phi."""
     gap = p.r - separability_threshold_rs(p.nbar1, p.nbar2)
     if gap <= 0.0:
         return 0.0
-    if gap >= 1.0:
-        return 1.0 - 1.0 / math.cosh(gap)
-    half = math.sinh(0.5 * gap)
-    return 2.0 * half * half / math.cosh(gap)
+    return gap_degrees(gap)[0]
 
 
 def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:

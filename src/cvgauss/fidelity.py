@@ -35,6 +35,23 @@ def clamp_unit(f: float) -> float:
     return min(f, 1.0)
 
 
+def gap_degrees(g: float) -> tuple[float, float]:
+    """(1 - sech g, 1 - sqrt(sech g)) for a gap g > 0 past a threshold: 1 - sqrt(F)
+    for the fidelity F = sech^2 g of a two-mode squeezed vacuum of squeeze g
+    with the vacuum, and F = sech g of a one-mode one.  Below g = 1 both come
+    from 2 sinh^2(g/2) / cosh g, which does not cancel to 0 just past the
+    threshold; from g = 1 they are 1 - 1/cosh g and 1 - sqrt(1/cosh g), which
+    reach 1 at R_MAX.  teleport.sweep_fig2 repeats these forms on arrays, bit
+    for bit."""
+    cosh = math.cosh(g)
+    root = math.sqrt(1.0 / cosh)
+    if g >= 1.0:
+        return 1.0 - 1.0 / cosh, 1.0 - root
+    half = math.sinh(0.5 * g)
+    e = 2.0 * half * half / cosh
+    return e, e / (1.0 + root)
+
+
 def _sin2_half_difference(phi1: float, phi2: float) -> float:
     """sin^2((phi1 - phi2) / 2) with the half difference reduced modulo pi by an
     exact sum, so that angles on both sides of the cut at +-pi keep all digits."""

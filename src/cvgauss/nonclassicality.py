@@ -14,7 +14,7 @@ import math
 
 from ._optim import check_n_starts, logistic, multistart_nelder_mead
 from .errors import DomainError, UnphysicalState
-from .fidelity import clamp_unit
+from .fidelity import clamp_unit, gap_degrees
 from .states import DstsParams
 
 
@@ -32,17 +32,13 @@ def is_classical(p: DstsParams) -> bool:
 
 def degree_q0(p: DstsParams) -> float:
     """Bures degree of nonclassicality; 0 on the classical set, otherwise
-    1 - sqrt(sech g) at the gap g = r - r_c, below g = 1 in the form
-    2 sinh^2(g/2) / cosh g / (1 + sqrt(sech g)), which does not cancel to 0
-    just past the threshold.  Independent of phi and alpha."""
+    1 - sqrt(sech g) at the gap g = r - r_c, in the forms of gap_degrees,
+    which keep their digits just past the threshold.  Independent of phi and
+    alpha."""
     gap = p.r - nonclassicality_threshold(p.nbar)
     if gap <= 0.0:
         return 0.0
-    cosh = math.cosh(gap)
-    if gap >= 1.0:
-        return 1.0 - math.sqrt(1.0 / cosh)
-    half = math.sinh(0.5 * gap)
-    return 2.0 * half * half / cosh / (1.0 + math.sqrt(1.0 / cosh))
+    return gap_degrees(gap)[1]
 
 
 def closest_classical(p: DstsParams) -> DstsParams:

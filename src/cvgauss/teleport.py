@@ -205,9 +205,9 @@ def sweep_fig2(e0_list: Sequence[float],
         # invert Q = 1 - sqrt(sech r) for the squeezed-vacuum input
         two_r.append(2.0 * math.acosh(1.0 / (1.0 - q_in) ** 2) if q_in > 0.0 else 0.0)
     noises = {e0 + 0.0: z_from_e0(e0) for e0 in map(float, e0_list)}  # + 0.0 keys -0.0 as 0.0
-    # teleport_with_noise(DstsParams(0.0, r_in), z), then degree_q0, on the whole
-    # grid: the arithmetic in arrays, each transcendental from math, whose bits
-    # numpy's own can miss
+    # teleport_with_noise(DstsParams(0.0, r_in), z), then degree_q0 with the forms
+    # of fidelity.gap_degrees, on the whole grid: the arithmetic in arrays, each
+    # transcendental from math, whose bits numpy's own can miss
     n = len(qs)
     e2r = np.fromiter(map(math.exp, two_r), float, n)
     sinh2r = np.fromiter(map(math.sinh, two_r), float, n)  # 2 y sinh 2r at y = 1/2

@@ -505,6 +505,7 @@ def test_closest_classical_map_attains_q0(p):
         assert rel_err(value, mp_degree_q0(mpf(p.nbar), mpf(p.r))) <= REL_TOL
         assert_degree_within_its_condition(degree_q0(p), value, p.r,
                                            nonclassicality_threshold(p.nbar), gap)
+    assert abs(degree_q0(p) - value) <= max(REL_TOL * value, 2.0 * EPS)
 
 
 @PROPERTY
@@ -517,6 +518,7 @@ def test_closest_separable_map_attains_e0(p):
         assert rel_err(value, mp_degree_e0(p)) <= REL_TOL
         assert_degree_within_its_condition(degree_e0(p), value, p.r,
                                            separability_threshold_rs(p.nbar1, p.nbar2), gap)
+    assert abs(degree_e0(p) - value) <= max(REL_TOL * value, 2.0 * EPS)
 
 
 @PROPERTY
