@@ -77,9 +77,10 @@ def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:
     u - 1 = q/(u + 1) rather than from r', whose roundoff e^{2r'} would
     magnify.  With d = |nbar1 - nbar2| and w = hypot(d, sinh 2r'), the smaller
     occupancy is (2s - d + w)/2, or 2s(1 + d)/(w + d - 2s) for 2s < d, and the
-    larger one is d more: no step cancels.  Where a step overflows double
-    precision (large occupancies with r in the hundreds) it raises
-    UnphysicalState."""
+    larger one is d more: no step cancels.  Where B - A or w + d overflows
+    double precision (occupancies near 1e308, or large ones with r in the
+    hundreds), see _separable_past_overflow.  Where the state itself
+    overflows it raises UnphysicalState."""
     rs = separability_threshold_rs(p.nbar1, p.nbar2)
     if p.r <= rs:
         return p
@@ -93,14 +94,44 @@ def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:
     s2 = u_minus_1 * u_minus_1 / (2.0 * u)
     d = abs(n1 - n2)
     w = math.hypot(d, 0.5 * q / u)
-    small = 0.5 * (s2 - d + w) if s2 >= d else s2 * (1.0 + d) / (w + d - s2)
+    if w + d < math.inf:  # and so is q
+        small = 0.5 * (s2 - d + w) if s2 >= d else s2 * (1.0 + d) / (w + d - s2)
+        r_new = 0.25 * math.log1p(q)
+    else:
+        small, r_new = _separable_past_overflow(n1, n2, r, rs)
     big = small + d
-    r_new = 0.25 * math.log1p(q)
     if not big < math.inf:
         raise UnphysicalState(f"the closest separable state of {p} overflows double precision")
     if n1 >= n2:
         return TwoModeStsParams(big, small, r_new, p.phi)
     return TwoModeStsParams(small, big, r_new, p.phi)
+
+
+def _separable_past_overflow(n1: float, n2: float, r: float, rs: float) -> tuple[float, float]:
+    """(smaller occupancy, r') of closest_separable where B - A, w + d or
+    nbar1 + nbar2 overflows double precision.  q is taken from the halves
+    h of nbar1 + nbar2 and of A, its root factor by factor.  Where q
+    overflows too, u = sqrt(q), 2s = sinh 2r' = u/2 and r' = ln(u)/2 to
+    within 1/u, far below an ulp.  The steps after it take the halves of
+    2s, d and w, so none overflows before the state does."""
+    h = 0.5 * n1 + 0.5 * n2
+    e = math.exp(-2.0 * r)
+    a_half = h * e + 0.5 * (e - math.expm1(-2.0 * (r - rs)))
+    root_q = (math.sqrt(2.0) * math.sqrt(h / a_half)
+              * math.sqrt(math.sinh(2.0 * r) + math.cosh(2.0 * r - rs) * math.sinh(rs) / h))
+    q = root_q * root_q
+    if q < math.inf:
+        u = math.sqrt(1.0 + q)
+        u_minus_1 = q / (u + 1.0)
+        s2, sinh_2r, r_new = u_minus_1 * u_minus_1 / (2.0 * u), 0.5 * q / u, 0.25 * math.log1p(q)
+    else:
+        s2 = sinh_2r = 0.5 * root_q
+        r_new = 0.5 * math.log(root_q)
+    s_half, d_half = 0.5 * s2, 0.5 * abs(n1 - n2)
+    w_half = math.hypot(d_half, 0.5 * sinh_2r)
+    if s_half >= d_half:
+        return s_half - d_half + w_half, r_new
+    return s2 * ((0.5 + d_half) / (w_half - s_half + d_half)), r_new
 
 
 def closest_separable_numeric(p: TwoModeStsParams, *, n_starts: int = 8):

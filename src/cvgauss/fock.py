@@ -38,7 +38,7 @@ every row, label None.  A two-mode squeezed thermal state maps column
 block per such label L, |L| < dim, the rows of that label by the columns that
 start on them; rho is an exact zero between labels.  Everything here works
 one label at a time.  Every block keeps the shortest prefix of its columns
-whose dropped rest carries at most 2^-120 of mass (see _finish_dm).
+whose dropped rest carries at most 2^-120 of mass (see _kept_columns).
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -58,7 +58,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ MAX_DIM_PER_MODE = 64
 TAIL_TARGET = 1e-8
 #: tail mass above which builders emit TruncationWarning
 TAIL_WARN = 1e-6
-#: the most mass the trailing columns a build drops from a block may carry (see _finish_dm)
+#: the most mass the trailing columns a build drops from a block may carry (see _kept_columns)
 _DROP_MASS = 2.0 ** -120
 
 
@@ -109,7 +109,7 @@ class FockDensityMatrix:
             raise DomainError(f"block labels {list(self.blocks)} are not in {labels}")
         blocks = {k: np.ascontiguousarray(b, dtype=complex) for k, b in sorted(self.blocks.items())}
         for label, b in blocks.items():
-            rows = _rows(self.dim, label).size
+            rows = self.dim if label is None else self.dim - abs(label)  # _rows(dim, label).size
             if b.ndim != 2 or b.shape[0] != rows:
                 raise DimensionMismatch(f"block {label} of shape {b.shape} needs {rows} rows")
             b.setflags(write=False)
@@ -188,10 +188,12 @@ def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
 
 
 def _lower_toeplitz(x: np.ndarray, cols: int) -> np.ndarray:
-    """The view [m, k] = x[m - k] for k <= m, 0 above the diagonal, of
-    len(x) rows and cols columns."""
-    pad = np.concatenate((np.zeros(len(x) - 1, x.dtype), x))
-    return np.lib.stride_tricks.sliding_window_view(pad, len(x))[:, ::-1][:, :cols]
+    """The strided view [m, k] = x[m - k] for k <= m, 0 above the diagonal,
+    of len(x) rows and cols <= len(x) columns, over x after len(x) - 1
+    zeros: one step forward per row, one back per column."""
+    n, step = len(x), x.itemsize
+    pad = np.concatenate((np.zeros(n - 1, x.dtype), x))
+    return np.ndarray((n, cols), x.dtype, pad, (n - 1) * step, (step, -step))
 
 
 @lru_cache(maxsize=16)
@@ -204,21 +206,29 @@ def _log_binomial(dim: int, cols: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=16)
+def _sqrt_table(dim: int) -> tuple:
+    """sqrt(j) for j < dim."""
+    return tuple(math.sqrt(j) for j in range(dim))
+
+
 def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
     """Psi[m, k] for m < dim: dim columns, one for a pure state (A_01 = 0),
     none where rho_0 underflows.  sqrt(rho_0) rides along in e, whose entries
     are Psi[j, 0] and so never exceed 1; A_01 < 1 keeps the exponent of the
-    binomial part below 0.5 ln C(m, k)."""
+    binomial part below 0.5 ln C(m, k).  The product is taken on a
+    contiguous copy of the Toeplitz view of e."""
     a00, a01, gamma, rho0 = _one_mode_gaussian(p)
     cols = 0 if rho0 == 0.0 else 1 if a01 == 0.0 else dim
-    sq = [math.sqrt(j) for j in range(dim)]
-    e = [complex(math.sqrt(rho0))]
-    prev = 0j
-    for j in range(1, dim):
-        prev, cur = e[-1], (gamma * e[-1] + a00 * sq[j - 1] * prev) / sq[j]
+    sq = _sqrt_table(dim)
+    prev, cur = 0j, complex(math.sqrt(rho0))
+    e = [cur]
+    for c, s in zip([a00 * s for s in sq[:-1]], sq[1:]):  # c = A_00 sqrt(j - 1), s = sqrt(j)
+        prev, cur = cur, (gamma * cur + c * prev) / s
         e.append(cur)
-    return _lower_toeplitz(np.array(e), cols) * np.exp(
-        0.5 * (_log_binomial(dim, cols) + np.arange(cols) * _log(a01)))
+    psi = _lower_toeplitz(np.array(e), cols).copy()
+    psi *= np.exp(0.5 * (_log_binomial(dim, cols) + np.arange(cols) * _log(a01)))
+    return psi
 
 
 def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
@@ -246,10 +256,22 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
                   - lf[j] + j * complex(_log(a01), p.phi))
 
 
-def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
-    """The density matrix of the label blocks of Psi, each cut to the shortest
-    prefix of its columns whose dropped rest T carries at most _DROP_MASS; a
-    non-finite column is kept, for FockDensityMatrix to reject.  Column k
+def _column_masses(b: np.ndarray) -> np.ndarray:
+    """sum_m |b[m, k]|^2 for each column k of a block.  numpy adds the rows
+    in order, except in a block of one column and 8 or more rows, which it
+    sums pairwise."""
+    sq = np.abs(b)
+    sq *= sq
+    return np.sum(sq, axis=0)
+
+
+def _kept_columns(masses: np.ndarray) -> np.ndarray:
+    """How many leading columns each block keeps: the shortest prefix whose
+    dropped rest T carries at most _DROP_MASS; a non-finite column is kept,
+    for FockDensityMatrix to reject.  Row i of masses holds the
+    _column_masses of the i-th block, last column first, after as many zeros
+    as the block is narrower than the row, so that one running sum along it
+    gives every column's T.  Column k
     carries about A_01^k (A_02^k1 A_13^k2 for two modes), so a mixed state
     sheds its high columns and each SVD shrinks.  On label L, Psi_1^dag Psi_2
     moves by Psi_1L^dag T_2L + T_1L^dag Psi_2L', of rank <= dim and Frobenius
@@ -257,9 +279,12 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
     labels and ||Psi||_F <= 1, the fidelity moves by at most sqrt(dim * labels)
     * 2^-58 (2^-54 for one mode at dim <= 256, 2^-51.5 for two at dim 64), the
     trace product by 3 * 2^-120 and tail_mass by 2^-120 per label."""
-    for label, b in blocks.items():
-        trailing = np.cumsum(np.sum(np.abs(b) ** 2, axis=0)[::-1])[::-1]  # columns k onward
-        blocks[label] = b[:, :np.count_nonzero(~(trailing <= _DROP_MASS))]  # nan is kept
+    return np.count_nonzero(~(np.cumsum(masses, axis=1) <= _DROP_MASS), axis=1)  # nan is kept
+
+
+def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
+    """The density matrix of the label blocks of Psi, after a
+    TruncationWarning if its tail_mass exceeds TAIL_WARN."""
     rho = FockDensityMatrix(dim=dim, modes=modes, blocks=blocks)
     if rho.tail_mass > TAIL_WARN:
         warnings.warn(
@@ -311,7 +336,68 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     and 256 rows until one meets the target (see _sized_build) and keeps
     the block of an explicit build at the dim it reads off, bit for bit."""
     dim, psi = _sized_build(_one_mode_factor, p, dim, 32, MAX_DIM_ONE_MODE, 1)
-    return _finish_dm({None: psi[:dim, :dim]}, dim, 1)
+    psi = psi[:dim, :dim]
+    kept = int(_kept_columns(_column_masses(psi)[None, ::-1])[0])
+    return _finish_dm({None: psi[:, :kept]}, dim, 1)
+
+
+class _LabelLayout(NamedTuple):
+    """Where sts2_dm finds the label blocks at dim in a _sts_values array v
+    of a given shape; the arrays are read-only.
+
+    The blocks lie end to end in label order, each row by row: entry i is
+    v.flat[src[i]], or 0 where zero[i] (above the diagonal, or past the last
+    j of v), in column col[i], and block b has rows[b] rows, cols[b] columns
+    and sizes[b] entries.  Column s of a block is (k1, k2) = (s, s) +
+    max(+-label, 0) and ends on row dim - 1 - max(k1, k2), so its mass is
+    the running sum of |v|^2 along j, cut at dim, at that j or v's last.
+    mass_at[b, c] is the flat index of that sum for column width - 1 - c of
+    block b, and pad marks the c of no column: _kept_columns's layout of the
+    masses.  mass_at is None where v has a single k1 or k2: then no block
+    has two columns, and numpy sums a lone column pairwise (see
+    _column_masses)."""
+
+    labels: list
+    rows: list
+    cols: list
+    sizes: np.ndarray
+    col: np.ndarray
+    src: np.ndarray
+    zero: np.ndarray
+    mass_at: np.ndarray | None
+    pad: np.ndarray | None
+
+
+@lru_cache(maxsize=8)
+def _label_layout(dim: int, shape: tuple) -> _LabelLayout:
+    """The _LabelLayout at dim of a _sts_values array of this shape, built
+    label by label once per (dim, shape)."""
+    m1, m2, mj = (min(n, dim) for n in shape)
+    labels = list(range(1 - dim, dim))
+    rows = [dim - abs(label) for label in labels]
+    cols = [max(0, min(m1 - max(label, 0), m2 - max(-label, 0))) for label in labels]
+    width = max(cols)
+    col, src, zero = [], [], []
+    mass_at, pad = np.zeros((len(labels), width), np.intp), np.ones((len(labels), width), bool)
+    for i, (label, n, k) in enumerate(zip(labels, rows, cols)):
+        a, b = max(label, 0), max(-label, 0)  # row t and column s are (t, s) + (a, b)
+        s = np.arange(k)
+        j = np.arange(n)[:, None] - s
+        col.append(np.broadcast_to(s, j.shape).ravel())
+        src.append((((s + a) * shape[1] + s + b) * shape[2] + np.clip(j, 0, mj - 1)).ravel())
+        zero.append(((j < 0) | (j >= mj)).ravel())
+        # the running sum at row n - 1 of each column, last column first, after the padding
+        mass_at[i, width - k:] = (((s + a) * m2 + s + b) * mj + np.minimum(n - 1 - s, mj - 1))[::-1]
+        pad[i, width - k:] = False
+    # the narrowest types that hold a column below 64 and a flat index below 64^3
+    layout = _LabelLayout(labels, rows, cols, np.multiply(rows, cols),
+                          np.concatenate(col).astype(np.int8), np.concatenate(src).astype(np.int32),
+                          np.concatenate(zero), mass_at if min(m1, m2) > 1 else None,
+                          pad if min(m1, m2) > 1 else None)
+    for x in layout[3:]:
+        if x is not None:
+            x.setflags(write=False)
+    return layout
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -319,15 +405,26 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     the per-mode truncation or, if None, the smallest one whose tail meets
     TAIL_TARGET, both capped at MAX_DIM_PER_MODE.  The automatic route builds
     at 16, 32 and 64 per mode until one meets the target (see _sized_build)
-    and keeps the blocks of an explicit build at the dim it reads off."""
+    and keeps the blocks of an explicit build at the dim it reads off.  The
+    column masses come from one running sum, and the kept columns of all
+    blocks from one gather (see _LabelLayout)."""
     dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE, 2)
-    n1, n2, nj = v[:dim, :dim, :dim].shape
-    blocks = {}
-    for label in range(1 - dim, dim):  # row t and column s are (t, s) + max(+-label, 0)
-        a, b = max(label, 0), max(-label, 0)
-        s = np.arange(max(0, min(n1 - a, n2 - b)))
-        j = np.arange(dim - abs(label))[:, None] - s
-        blocks[label] = np.where((j >= 0) & (j < nj), v[s + a, s + b, np.clip(j, 0, nj - 1)], 0)
+    layout = _label_layout(dim, v.shape)
+    sq = np.abs(v[:dim, :dim, :dim])
+    sq *= sq
+    if layout.mass_at is None:
+        masses = np.array([[np.sum(sq[max(label, 0), max(-label, 0), :rows]) if cols else 0.0]
+                           for label, rows, cols in zip(layout.labels, layout.rows, layout.cols)])
+    else:
+        masses = np.where(layout.pad, 0.0, np.cumsum(sq, axis=2).ravel()[layout.mass_at])
+    kept = _kept_columns(masses)
+    keep = layout.col < np.repeat(kept, layout.sizes)
+    flat = v.ravel()[layout.src[keep]]
+    flat[layout.zero[keep]] = 0
+    blocks, stop = {}, 0
+    for label, rows, k in zip(layout.labels, layout.rows, kept.tolist()):
+        start, stop = stop, stop + rows * k
+        blocks[label] = flat[start:stop].reshape(rows, k)
     return _finish_dm(blocks, dim, 2)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 from ._optim import check_n_starts, logistic, multistart_nelder_mead
-from .errors import DomainError, UnphysicalState
+from .errors import DomainError
 from .fidelity import clamp_unit, gap_degrees
 from .states import DstsParams
 
@@ -50,14 +50,19 @@ def closest_classical(p: DstsParams) -> DstsParams:
 
         nbar' = P' / (sqrt(1/4 + P') + 1/2),    r' = log1p(4 P') / 4.
 
-    Where 4 P' overflows double precision it raises UnphysicalState."""
+    Where 4 P' overflows double precision, nbar' = sqrt(P') and
+    r' = r_c(nbar') = ln(2 nbar')/2 to within 1/sqrt(P'), far below an ulp;
+    sqrt(P') is taken factor by factor.  The state itself does not
+    overflow: past the threshold 1 + 4 P' < e^{4r}, so r' < r and
+    nbar' < e^{2r}/2."""
     if is_classical(p):
         return p
     nbar = p.nbar
     # nbar e^{2r} <= 2 P', so no factor overflows where 4 P' does not
     big_p = nbar * math.exp(2.0 * p.r) * ((nbar + 1.0) / (2.0 * nbar + 1.0))
     if 4.0 * big_p == math.inf:
-        raise UnphysicalState(f"the closest classical state of {p} overflows double precision")
+        root_p = math.sqrt(nbar) * math.exp(p.r) * math.sqrt((0.5 * nbar + 0.5) / (nbar + 0.5))
+        return DstsParams(root_p, 0.5 * math.log(2.0 * root_p), p.phi, p.alpha)
     return DstsParams(big_p / (math.sqrt(0.25 + big_p) + 0.5), 0.25 * math.log1p(4.0 * big_p),
                       p.phi, p.alpha)
 

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -208,9 +209,15 @@ def test_closest_separable_trivial_for_separable_input():
 
 
 def test_closest_separable_names_the_overflow():
-    # (nbar1 + nbar2) sinh 2r overflows
+    # the larger occupancy of the closest state exceeds DBL_MAX: 420 digits
+    # give nbar2' = 7.26e306 and nbar1' = nbar2' + DBL_MAX
     with pytest.raises(UnphysicalState, match="overflows double precision"):
-        closest_separable(TwoModeStsParams(1e300, 0.0, 300.0))
+        closest_separable(TwoModeStsParams(sys.float_info.max, 0.0, 354.0))
+    # (nbar1 + nbar2) sinh 2r overflows, the state does not: the 420-digit map
+    # gives nbar2' = 9.43255075232485e259 and r' = 300
+    best = closest_separable(TwoModeStsParams(1e300, 0.0, 300.0))
+    assert best.nbar2 == pytest.approx(9.43255075232485e259, rel=1e-14)
+    assert best.nbar1 == 1e300 and best.r == pytest.approx(300.0, rel=1e-14)
 
 
 def test_closest_separable_pure_sts():

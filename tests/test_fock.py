@@ -19,6 +19,7 @@ from fock_reference import (
     two_mode_squeeze,
     whole_factor,
 )
+import fock_build_reference
 
 from cvgauss import (
     DimensionMismatch,
@@ -27,6 +28,10 @@ from cvgauss import (
     TruncationWarning,
     TwoModeStsParams,
     UnphysicalState,
+    closest_classical,
+    closest_separable,
+    degree_e0,
+    degree_q0,
     dsts_dm,
     dsts_to_cf,
     eval_cf1,
@@ -39,7 +44,7 @@ from cvgauss import (
 from cvgauss import fock
 from cvgauss.fock import FockDensityMatrix
 from cvgauss.states import R_MAX
-from cvgauss.validate import matched_pair, random_dsts
+from cvgauss.validate import matched_pair, random_dsts, random_sts
 
 
 # --- thermal states, the DSTS at r = 0 and alpha = 0 --------------------------------
@@ -85,6 +90,7 @@ def test_thermal_with_infinite_occupancy_is_unphysical():
         dsts_dm(DstsParams(math.inf), 10)
     # a factor that is all nan, as an infinite occupancy would give: a
     # non-finite column is never dropped
+    assert fock._kept_columns(np.full((1, 10), math.nan)).tolist() == [10]
     with pytest.raises(UnphysicalState, match="non-finite"):
         fock._finish_dm({None: np.full((10, 10), math.nan)}, 10, 1)
 
@@ -168,17 +174,12 @@ def test_squeeze_blockwise_equals_generator_exponential(dim):
 
 
 def _build_with_full_blocks(build, p, dim):
-    """build(p, dim) and the label blocks its builder wrote, before _finish_dm
-    dropped any column."""
-    full, finish = {}, fock._finish_dm
-
-    def spy(blocks, dim, modes):
-        full.update(blocks)
-        return finish(blocks, dim, modes)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(fock, "_finish_dm", spy)
-        return build(p, dim), full
+    """build(p, dim) and its label blocks before any column was dropped, as
+    the replaced builders of fock_build_reference write them."""
+    r = build(p, dim)
+    if r.modes == 1:
+        return r, {None: fock_build_reference.one_mode_factor(p, r.dim)}
+    return r, fock_build_reference.label_blocks(fock._sts_values(p, r.dim), r.dim)
 
 
 def _assert_drop_rule(block, full, kept=None):
@@ -753,6 +754,87 @@ def test_oracle_converges_with_dimension():
     ):
         coarse, mid, fine = (quantity(d) for d in (40, 80, 120))
         assert abs(mid - fine) <= abs(coarse - fine) + 1e-9
+
+
+def _degree_deltas(rng, draw, degree, closest, build, count):
+    """|1 - sqrt(F_oracle(p, closest(p))) - degree(p)| over count states
+    draw(rng) with a degree above 0.01; build(p, q) gives the two oracle
+    states."""
+    deltas = []
+    while len(deltas) < count:
+        p = draw(rng)
+        if degree(p) <= 0.01:
+            continue
+        f = uhlmann_fidelity_numeric(*build(p, closest(p)))
+        deltas.append(abs(1.0 - math.sqrt(f) - degree(p)))
+    return deltas
+
+
+def test_oracle_gives_q0_at_the_closest_classical_state():
+    # both states at the larger of their automatic dims; the largest delta
+    # over these 20 states is 4.7e-9, and 8.0e-9 over another draw of 20
+    deltas = _degree_deltas(np.random.default_rng(3707), lambda g: random_dsts(g, 1.0, 1.0),
+                            degree_q0, closest_classical,
+                            lambda p, q: matched_pair(dsts_dm, p, q), 20)
+    assert max(deltas) <= 1e-6
+
+
+def test_oracle_gives_e0_at_the_closest_separable_state():
+    # at dim 40 per mode; the largest delta over these 6 states is 1.2e-10,
+    # and 2.0e-10 over another draw of 6
+    deltas = _degree_deltas(np.random.default_rng(3707), lambda g: random_sts(g, 0.5, 0.8),
+                            degree_e0, closest_separable,
+                            lambda p, q: (sts2_dm(p, 40), sts2_dm(q, 40)), 6)
+    assert max(deltas) <= 2e-8
+
+
+# --- the builders against the ones they replaced ------------------------------------
+
+#: pure, near-pure (the CI "dim 244" state), mixed, displaced and cap-cut states,
+#: and states drawn from validate's oracle domains
+_TABLE_RNG = np.random.default_rng(3737)
+ONE_MODE_TABLE = [
+    DstsParams(0.0), DstsParams(0.0, 0.7, 1.1, 0.4 - 0.3j), DstsParams(1.99e-8, 0.629, -0.616),
+    DstsParams(0.8, 0.5, -0.4), DstsParams(1.0, 0.0, 0.0, 0.8 - 0.3j),
+    DstsParams(2.0, 0.6, 2.5, -1.0 + 0.5j), DstsParams(3.0, 1.7, 1.0, 2.0 + 1.0j),
+    DstsParams(0.0, 2.5), *(random_dsts(_TABLE_RNG) for _ in range(8)),
+]
+TWO_MODE_TABLE = [
+    TwoModeStsParams(0.0, 0.0, 0.8, 0.3), TwoModeStsParams(0.3, 0.0, 0.5, 1.0),
+    TwoModeStsParams(0.0, 0.4, 0.5, -1.0), TwoModeStsParams(1e-9, 2e-9, 0.6, 0.2),
+    TwoModeStsParams(0.3, 0.2, 0.0), TwoModeStsParams(0.3, 0.6, 0.7, -1.1),
+    TwoModeStsParams(3.0, 2.0, 1.5, 0.2), *(random_sts(_TABLE_RNG) for _ in range(4)),
+]
+
+
+def _assert_same_build(r, ref):
+    assert r.dim == ref.dim
+    assert list(r.blocks) == list(ref.blocks)
+    for label, b in r.blocks.items():
+        assert b.shape == ref.blocks[label].shape
+        assert b.tobytes() == ref.blocks[label].tobytes()
+    assert r.tail_mass.hex() == ref.tail_mass.hex()
+
+
+# numpy's SIMD exp differs across CPUs, so the two routes are compared on the
+# running machine, not against pinned bytes
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("dim", [12, 120, 256, None])
+def test_one_mode_build_equals_the_replaced_build_bit_for_bit(dim):
+    builds = [(dsts_dm(p, dim), fock_build_reference.dsts_dm(p, dim)) for p in ONE_MODE_TABLE]
+    for r, ref in builds:
+        _assert_same_build(r, ref)
+    # the table reaches the cap
+    assert max(r.dim for r, _ in builds) == min(dim or fock.MAX_DIM_ONE_MODE, fock.MAX_DIM_ONE_MODE)
+
+
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("dim", [6, 40, None])
+def test_two_mode_build_equals_the_replaced_build_bit_for_bit(dim):
+    builds = [(sts2_dm(p, dim), fock_build_reference.sts2_dm(p, dim)) for p in TWO_MODE_TABLE]
+    for r, ref in builds:
+        _assert_same_build(r, ref)
+    assert max(r.dim for r, _ in builds) == (dim or fock.MAX_DIM_PER_MODE)
 
 
 # --- misc plumbing ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from cvgauss import (
     DomainError,
     DstsParams,
-    UnphysicalState,
     closest_classical,
     closest_classical_numeric,
     degree_q0,
     is_classical,
     nonclassicality_threshold,
 )
+from cvgauss.states import R_MAX
 from cvgauss.validate import check_minimizer
 
 # frozen via the numeric minimizer over the classical set (squeezed vacuum r=1)
@@ -104,11 +105,18 @@ def test_closest_classical_trivial_for_classical_input():
     assert closest_classical(p) is p
 
 
-def test_closest_classical_names_the_overflow():
-    # 4 P' = 4 nbar (nbar + 1) e^{2r} / (2 nbar + 1) overflows
-    for p in (DstsParams(1e200, 300.0), DstsParams(1e300, 354.0)):
-        with pytest.raises(UnphysicalState, match="overflows double precision"):
-            closest_classical(p)
+def test_closest_classical_stays_finite_past_the_overflow_of_4p():
+    # 4 P' = 4 nbar (nbar + 1) e^{2r} / (2 nbar + 1) overflows; the closest
+    # state lies on the threshold, below DBL_MAX/2 and R_MAX even at the corner
+    for p in (DstsParams(1e200, 300.0, 0.4, 1j), DstsParams(1e300, 354.0),
+              DstsParams(sys.float_info.max / 2.0001, R_MAX)):
+        best = closest_classical(p)
+        assert best.r == pytest.approx(nonclassicality_threshold(best.nbar), rel=1e-15)
+        assert_kept_exactly(p, best)
+    # the 420-digit map gives nbar' = 1.37350287603083e230 and r' = 265.302541444842
+    best = closest_classical(DstsParams(1e200, 300.0))
+    assert best.nbar == pytest.approx(1.37350287603083e230, rel=1e-14)
+    assert best.r == pytest.approx(265.302541444842, rel=1e-14)
 
 
 def test_closest_classical_squeezed_vacuum():

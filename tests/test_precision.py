@@ -495,6 +495,52 @@ def test_closest_separable_matches_the_reference_map(p):
                rel_err(best.r, ref.r)) <= REL_TOL
 
 
+#: squeeze factors around the overflow edge of each map, in steps of 0.1
+EDGE_STEPS = np.linspace(-3.0, 3.0, 61)
+
+
+def test_closest_classical_matches_the_reference_map_past_the_overflow_of_4p():
+    # 4 P' overflows from r = (ln(DBL_MAX/4) - ln(P' e^{-2r}))/2 on, past the
+    # threshold for nbar below 6.7e153, and everywhere past it above
+    states = [DstsParams(1e200, 300.0), DstsParams(1e300, 354.0)]
+    for nbar in (1.0, 1e50, 1e100, 1e150):
+        edge = 0.5 * (math.log(sys.float_info.max / 4.0)
+                      - math.log(nbar * ((nbar + 1.0) / (2.0 * nbar + 1.0))))
+        states += [DstsParams(nbar, min(edge + step, R_MAX), 0.7, 0.2 - 0.1j) for step in EDGE_STEPS]
+    for p in states:
+        best, ref = closest_classical(p), mp_closest_classical(p)
+        assert (best.phi, best.alpha) == (p.phi, p.alpha)
+        assert max(rel_err(best.nbar, ref.nbar), rel_err(best.r, ref.r)) <= REL_TOL
+
+
+def test_closest_separable_matches_the_reference_map_past_the_overflow_of_b_minus_a():
+    # B - A = 2 [(nbar1 + nbar2) sinh 2r + ...] overflows from about
+    # sinh 2r = DBL_MAX / (2 (nbar1 + nbar2)) on, and at DBL_MAX the sum w + d
+    # does below it; the map raises where, and only where, an occupancy of
+    # the closest state rounds past DBL_MAX
+    states = [TwoModeStsParams(1e300, 0.0, 300.0), TwoModeStsParams(sys.float_info.max, 0.0, 354.0)]
+    for n1, n2 in ((1e300, 0.0), (1e200, 1e100), (1e150, 1e150), (1e250, 1.0), (1e10, 1e10),
+                   (sys.float_info.max, 0.0)):
+        edge = 0.5 * math.asinh(sys.float_info.max / (2.0 * (n1 + n2)))
+        states += [TwoModeStsParams(n1, n2, min(max(edge + step, 0.0), R_MAX), 0.3)
+                   for step in EDGE_STEPS]
+    raised = 0
+    for p in states:
+        if p.r <= separability_threshold_rs(p.nbar1, p.nbar2):
+            continue
+        ref = mp_closest_separable(p)
+        if max(float(ref.nbar1), float(ref.nbar2)) == math.inf:
+            with pytest.raises(UnphysicalState, match="overflows double precision"):
+                closest_separable(p)
+            raised += 1
+            continue
+        best = closest_separable(p)
+        assert best.phi == p.phi
+        assert max(rel_err(best.nbar1, ref.nbar1), rel_err(best.nbar2, ref.nbar2),
+                   rel_err(best.r, ref.r)) <= REL_TOL
+    assert raised >= 1
+
+
 @PROPERTY
 @given(dsts())
 def test_closest_classical_map_attains_q0(p):
