@@ -44,7 +44,6 @@ from .states import (
     cf_to_cov,
     cf_to_dsts,
     dsts_to_cf,
-    eval_cf1,
     parse_state,
     state_to_dict,
     sts_to_cov2,
@@ -83,7 +82,6 @@ __all__ = [
     "dsts_dm",
     "dsts_to_cf",
     "entropy_of_entanglement_svs",
-    "eval_cf1",
     "fidelity_one_mode",
     "fidelity_two_mode_sts",
     "is_classical",

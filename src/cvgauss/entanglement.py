@@ -86,8 +86,7 @@ def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:
         return p
     n1, n2, r = p.nbar1, p.nbar2, p.r
     a = (n1 + n2 + 1.0) * math.exp(-2.0 * r) - math.expm1(-2.0 * (r - rs))
-    b_minus_a = 2.0 * ((n1 + n2) * math.sinh(2.0 * r)
-                       + 2.0 * math.cosh(2.0 * r - rs) * math.sinh(rs))
+    b_minus_a = 2.0 * ((n1 + n2) * math.sinh(2.0 * r) + 2.0 * _cosh_gap(r, rs) * math.sinh(rs))
     q = b_minus_a / a
     u = math.sqrt(1.0 + q)
     u_minus_1 = q / (u + 1.0)
@@ -107,6 +106,13 @@ def closest_separable(p: TwoModeStsParams) -> TwoModeStsParams:
     return TwoModeStsParams(small, big, r_new, p.phi)
 
 
+def _cosh_gap(r: float, rs: float) -> float:
+    """cosh(2r - r_s) as (e^{2r} e^{-r_s} + e^{-2r} e^{r_s})/2: 2r is exact,
+    where rounding 2r - r_s at r in the hundreds would cost cosh up to 1e-13
+    relative, and e^{2r} is finite up to R_MAX."""
+    return 0.5 * (math.exp(2.0 * r) * math.exp(-rs) + math.exp(-2.0 * r) * math.exp(rs))
+
+
 def _separable_past_overflow(n1: float, n2: float, r: float, rs: float) -> tuple[float, float]:
     """(smaller occupancy, r') of closest_separable where B - A, w + d or
     nbar1 + nbar2 overflows double precision.  q is taken from the halves
@@ -118,7 +124,7 @@ def _separable_past_overflow(n1: float, n2: float, r: float, rs: float) -> tuple
     e = math.exp(-2.0 * r)
     a_half = h * e + 0.5 * (e - math.expm1(-2.0 * (r - rs)))
     root_q = (math.sqrt(2.0) * math.sqrt(h / a_half)
-              * math.sqrt(math.sinh(2.0 * r) + math.cosh(2.0 * r - rs) * math.sinh(rs) / h))
+              * math.sqrt(math.sinh(2.0 * r) + _cosh_gap(r, rs) * math.sinh(rs) / h))
     q = root_q * root_q
     if q < math.inf:
         u = math.sqrt(1.0 + q)

@@ -58,7 +58,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -187,13 +187,19 @@ def _one_mode_gaussian(p: DstsParams) -> tuple[complex, float, complex, float]:
     return a00, a01, gamma, rho0 if rho0 > 0.0 else 0.0
 
 
+def _strided(x: np.ndarray, start: int, shape: tuple, steps: tuple) -> np.ndarray:
+    """The view of shape over the contiguous array x that starts at its flat
+    entry start and moves steps[i] entries along axis i."""
+    n = x.itemsize
+    return np.ndarray(shape, x.dtype, x, start * n, tuple(s * n for s in steps))
+
+
 def _lower_toeplitz(x: np.ndarray, cols: int) -> np.ndarray:
     """The strided view [m, k] = x[m - k] for k <= m, 0 above the diagonal,
     of len(x) rows and cols <= len(x) columns, over x after len(x) - 1
     zeros: one step forward per row, one back per column."""
-    n, step = len(x), x.itemsize
-    pad = np.concatenate((np.zeros(n - 1, x.dtype), x))
-    return np.ndarray((n, cols), x.dtype, pad, (n - 1) * step, (step, -step))
+    n = len(x)
+    return _strided(np.concatenate((np.zeros(n - 1, x.dtype), x)), n - 1, (n, cols), (1, -1))
 
 
 @lru_cache(maxsize=16)
@@ -341,91 +347,41 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     return _finish_dm({None: psi[:, :kept]}, dim, 1)
 
 
-class _LabelLayout(NamedTuple):
-    """Where sts2_dm finds the label blocks at dim in a _sts_values array v
-    of a given shape; the arrays are read-only.
-
-    The blocks lie end to end in label order, each row by row: entry i is
-    v.flat[src[i]], or 0 where zero[i] (above the diagonal, or past the last
-    j of v), in column col[i], and block b has rows[b] rows, cols[b] columns
-    and sizes[b] entries.  Column s of a block is (k1, k2) = (s, s) +
-    max(+-label, 0) and ends on row dim - 1 - max(k1, k2), so its mass is
-    the running sum of |v|^2 along j, cut at dim, at that j or v's last.
-    mass_at[b, c] is the flat index of that sum for column width - 1 - c of
-    block b, and pad marks the c of no column: _kept_columns's layout of the
-    masses.  mass_at is None where v has a single k1 or k2: then no block
-    has two columns, and numpy sums a lone column pairwise (see
-    _column_masses)."""
-
-    labels: list
-    rows: list
-    cols: list
-    sizes: np.ndarray
-    col: np.ndarray
-    src: np.ndarray
-    zero: np.ndarray
-    mass_at: np.ndarray | None
-    pad: np.ndarray | None
-
-
-@lru_cache(maxsize=8)
-def _label_layout(dim: int, shape: tuple) -> _LabelLayout:
-    """The _LabelLayout at dim of a _sts_values array of this shape, built
-    label by label once per (dim, shape)."""
-    m1, m2, mj = (min(n, dim) for n in shape)
-    labels = list(range(1 - dim, dim))
-    rows = [dim - abs(label) for label in labels]
-    cols = [max(0, min(m1 - max(label, 0), m2 - max(-label, 0))) for label in labels]
-    width = max(cols)
-    col, src, zero = [], [], []
-    mass_at, pad = np.zeros((len(labels), width), np.intp), np.ones((len(labels), width), bool)
-    for i, (label, n, k) in enumerate(zip(labels, rows, cols)):
-        a, b = max(label, 0), max(-label, 0)  # row t and column s are (t, s) + (a, b)
-        s = np.arange(k)
-        j = np.arange(n)[:, None] - s
-        col.append(np.broadcast_to(s, j.shape).ravel())
-        src.append((((s + a) * shape[1] + s + b) * shape[2] + np.clip(j, 0, mj - 1)).ravel())
-        zero.append(((j < 0) | (j >= mj)).ravel())
-        # the running sum at row n - 1 of each column, last column first, after the padding
-        mass_at[i, width - k:] = (((s + a) * m2 + s + b) * mj + np.minimum(n - 1 - s, mj - 1))[::-1]
-        pad[i, width - k:] = False
-    # the narrowest types that hold a column below 64 and a flat index below 64^3
-    layout = _LabelLayout(labels, rows, cols, np.multiply(rows, cols),
-                          np.concatenate(col).astype(np.int8), np.concatenate(src).astype(np.int32),
-                          np.concatenate(zero), mass_at if min(m1, m2) > 1 else None,
-                          pad if min(m1, m2) > 1 else None)
-    for x in layout[3:]:
-        if x is not None:
-            x.setflags(write=False)
-    return layout
-
-
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     """Two-mode squeezed thermal state as a truncated density matrix; dim is
     the per-mode truncation or, if None, the smallest one whose tail meets
     TAIL_TARGET, both capped at MAX_DIM_PER_MODE.  The automatic route builds
     at 16, 32 and 64 per mode until one meets the target (see _sized_build)
-    and keeps the blocks of an explicit build at the dim it reads off.  The
-    column masses come from one running sum, and the kept columns of all
-    blocks from one gather (see _LabelLayout)."""
+    and keeps the blocks of an explicit build at the dim it reads off.
+
+    Entry (t, s) of label L is v[s + a, s + b, t - s] with (a, b) =
+    max(+-L, 0), so each block is a strided view of v after dim - 1 zeros on
+    its j axis (and dim - mj after its mj values): one step forward per row,
+    one forward in k1 and k2 and one back in j per column.  The last row of
+    column s reads j = dim - |L| - 1 - s, so the column's mass is the running
+    sum of |v|^2 along j up to that j, or up to v's only j where r = 0.
+    numpy adds a block's rows in that order (see _column_masses) except in a
+    block of one column, whose mass decides only whether a block at the
+    2^-120 edge keeps it."""
     dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE, 2)
-    layout = _label_layout(dim, v.shape)
-    sq = np.abs(v[:dim, :dim, :dim])
-    sq *= sq
-    if layout.mass_at is None:
-        masses = np.array([[np.sum(sq[max(label, 0), max(-label, 0), :rows]) if cols else 0.0]
-                           for label, rows, cols in zip(layout.labels, layout.rows, layout.cols)])
-    else:
-        masses = np.where(layout.pad, 0.0, np.cumsum(sq, axis=2).ravel()[layout.mass_at])
-    kept = _kept_columns(masses)
-    keep = layout.col < np.repeat(kept, layout.sizes)
-    flat = v.ravel()[layout.src[keep]]
-    flat[layout.zero[keep]] = 0
-    blocks, stop = {}, 0
-    for label, rows, k in zip(layout.labels, layout.rows, kept.tolist()):
-        start, stop = stop, stop + rows * k
-        blocks[label] = flat[start:stop].reshape(rows, k)
-    return _finish_dm(blocks, dim, 2)
+    m1, m2, mj = (min(n, dim) for n in v.shape)
+    w = 2 * dim - 1
+    pad = np.zeros((m1, m2, w), complex)
+    pad[:, :, dim - 1:dim - 1 + mj] = v[:m1, :m2, :mj]
+    del v  # the blocks read pad, so the build is freed before they are copied
+    running = np.cumsum(np.abs(pad[:, :, dim - 1:dim - 1 + mj]) ** 2, axis=2)
+    views, masses = {}, np.zeros((w, min(m1, m2)))
+    for i, label in enumerate(range(1 - dim, dim)):
+        a, b, rows = max(label, 0), max(-label, 0), dim - abs(label)
+        k = max(0, min(m1 - a, m2 - b))
+        at = (a * m2 + b) if k else 0  # flat (k1, k2) of column 0, which may lie past pad if k = 0
+        views[label] = _strided(pad, at * w + dim - 1, (rows, k), (1, (m2 + 1) * w - 1))
+        ends = _strided(running, at * mj + min(rows, mj) - 1, (k,), ((m2 + 1) * mj - (mj > 1),))
+        masses[i, masses.shape[1] - k:] = ends[::-1]
+    kept = _kept_columns(masses).tolist()
+    # copies, as a view of one column is contiguous and would keep all of pad
+    return _finish_dm({label: view[:, :k].copy() for (label, view), k in zip(views.items(), kept)},
+                      dim, 2)
 
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:

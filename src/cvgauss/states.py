@@ -302,23 +302,6 @@ def checked_invariants(m) -> tuple[float, float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# characteristic-function evaluation
-
-
-def eval_cf1(g: OneModeGaussianCF, lam: complex) -> complex:
-    """Evaluate the one-mode Gaussian CF at argument lam."""
-    lam = complex(lam)
-    expo = (
-        -(g.a + 0.5) * abs(lam) ** 2
-        - 0.5 * np.conj(g.b) * lam * lam
-        - 0.5 * g.b * np.conj(lam) ** 2
-        + np.conj(g.c) * lam
-        - g.c * np.conj(lam)
-    )
-    return complex(np.exp(expo))
-
-
-# ---------------------------------------------------------------------------
 # JSON state descriptors
 
 

@@ -1,6 +1,7 @@
 """Characteristic functions written from their formulas alone, sharing no code
-with cvgauss: the references of the teleport channel law, of the Fock
-oracle's two-mode CF and of the one-mode coefficient form ``eval_cf1``.
+with cvgauss: the references of the teleport channel law and of the Fock
+oracle's two-mode CF, and the one-mode coefficient form ``eval_cf1`` of a
+``OneModeGaussianCF``, checked against the covariance form ``eval_cf1_cov``.
 
 The two-mode squeezed thermal state has
 
@@ -19,7 +20,9 @@ Xi = (xi, eta) and lam = -(i/sqrt 2)(x + i y).
 import cmath
 import math
 
-from cvgauss import TwoModeStsParams
+import numpy as np
+
+from cvgauss import OneModeGaussianCF, TwoModeStsParams
 
 
 def sts_cf2(p: TwoModeStsParams, lam1: complex, lam2: complex) -> complex:
@@ -42,3 +45,17 @@ def eval_cf1_cov(v, lam: complex, displacement: complex = 0j) -> complex:
     eta = math.sqrt(2.0) * displacement.imag
     quad = v[0, 0] * x * x + 2.0 * v[0, 1] * x * y + v[1, 1] * y * y
     return cmath.exp(-0.5 * quad - 1j * (xi * x + eta * y))
+
+
+def eval_cf1(g: OneModeGaussianCF, lam: complex) -> complex:
+    """The one-mode CF exp[-(a + 1/2)|lam|^2 - (conj(b) lam^2 + b conj(lam)^2)/2
+    + conj(c) lam - c conj(lam)] from the coefficients of g."""
+    lam = complex(lam)
+    expo = (
+        -(g.a + 0.5) * abs(lam) ** 2
+        - 0.5 * np.conj(g.b) * lam * lam
+        - 0.5 * g.b * np.conj(lam) ** 2
+        + np.conj(g.c) * lam
+        - g.c * np.conj(lam)
+    )
+    return complex(np.exp(expo))

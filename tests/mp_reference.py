@@ -98,10 +98,12 @@ def mp_degree_q0(nbar, r):
 
 
 def mp_separability_threshold(nbar1: float, nbar2: float):
-    """acosh sqrt((nbar1 + 1)(nbar2 + 1)/(nbar1 + nbar2 + 1)), the textbook form."""
+    """asinh sqrt(nbar1 nbar2/(nbar1 + nbar2 + 1)), which cancels nowhere: the
+    textbook acosh sqrt((nbar1 + 1)(nbar2 + 1)/(nbar1 + nbar2 + 1)) reads 0
+    at DPS digits once nbar1 nbar2 falls below about 1e-420."""
     with mp.workdps(DPS):
         n1, n2 = mpf(nbar1), mpf(nbar2)
-        return mp.acosh(mp.sqrt((n1 + 1) * (n2 + 1) / (n1 + n2 + 1)))
+        return mp.asinh(mp.sqrt(n1 * n2 / (n1 + n2 + 1)))
 
 
 def mp_resource_noise(p: TwoModeStsParams):

@@ -53,6 +53,22 @@ def test_all_matches_root_imports():
     assert set(cvgauss.__all__) == imported
 
 
+def test_every_public_name_has_a_caller_outside_its_module():
+    # the package or the benchmark names each export outside the module that
+    # defines it, so the root exports nothing that only tests call
+    files = [path for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    files += sorted((SRC.parents[1] / "perfbench").rglob("*.py"))
+    named = {path: {node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, (ast.Name, ast.Attribute))}
+             for path in files}
+    home = {name: SRC / f"{getattr(cvgauss, name).__module__.split('.')[-1]}.py"
+            for name in cvgauss.__all__}
+    uncalled = [name for name in cvgauss.__all__
+                if not any(name in names for path, names in named.items() if path != home[name])]
+    assert uncalled == []
+
+
 def test_no_private_names_imported_from_sibling_modules():
     offenders = []
     for path in sorted(SRC.glob("*.py")):

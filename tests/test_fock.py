@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from cf_reference import sts_cf2
+from cf_reference import eval_cf1, sts_cf2
 from fock_reference import (
     cf2_numeric,
     cf_numeric,
@@ -34,7 +34,6 @@ from cvgauss import (
     degree_q0,
     dsts_dm,
     dsts_to_cf,
-    eval_cf1,
     fidelity_one_mode,
     sts2_dm,
     trace_product,
@@ -791,7 +790,8 @@ def test_oracle_gives_e0_at_the_closest_separable_state():
 # --- the builders against the ones they replaced ------------------------------------
 
 #: pure, near-pure (the CI "dim 244" state), mixed, displaced and cap-cut states,
-#: and states drawn from validate's oracle domains
+#: and states drawn from validate's oracle domains; two-mode, also the edges of
+#: sts2_dm's strided blocks: one k1 or k2 (nbar = 0) and one j (r = 0)
 _TABLE_RNG = np.random.default_rng(3737)
 ONE_MODE_TABLE = [
     DstsParams(0.0), DstsParams(0.0, 0.7, 1.1, 0.4 - 0.3j), DstsParams(1.99e-8, 0.629, -0.616),
@@ -803,7 +803,8 @@ TWO_MODE_TABLE = [
     TwoModeStsParams(0.0, 0.0, 0.8, 0.3), TwoModeStsParams(0.3, 0.0, 0.5, 1.0),
     TwoModeStsParams(0.0, 0.4, 0.5, -1.0), TwoModeStsParams(1e-9, 2e-9, 0.6, 0.2),
     TwoModeStsParams(0.3, 0.2, 0.0), TwoModeStsParams(0.3, 0.6, 0.7, -1.1),
-    TwoModeStsParams(3.0, 2.0, 1.5, 0.2), *(random_sts(_TABLE_RNG) for _ in range(4)),
+    TwoModeStsParams(3.0, 2.0, 1.5, 0.2), TwoModeStsParams(0.3, 0.0, 0.0),
+    TwoModeStsParams(0.0, 0.0, 0.0), *(random_sts(_TABLE_RNG) for _ in range(4)),
 ]
 
 
@@ -829,7 +830,7 @@ def test_one_mode_build_equals_the_replaced_build_bit_for_bit(dim):
 
 
 @pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
-@pytest.mark.parametrize("dim", [6, 40, None])
+@pytest.mark.parametrize("dim", [1, 2, 6, 40, None])
 def test_two_mode_build_equals_the_replaced_build_bit_for_bit(dim):
     builds = [(sts2_dm(p, dim), fock_build_reference.sts2_dm(p, dim)) for p in TWO_MODE_TABLE]
     for r, ref in builds:

@@ -40,7 +40,7 @@ from cvgauss.validate import check_minimizer, random_dsts, random_sts
 
 pytest.importorskip("mpmath")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from mp_reference import (  # noqa: E402
     DPS,
     mp,
@@ -539,6 +539,25 @@ def test_closest_separable_matches_the_reference_map_past_the_overflow_of_b_minu
         assert max(rel_err(best.nbar1, ref.nbar1), rel_err(best.nbar2, ref.nbar2),
                    rel_err(best.r, ref.r)) <= REL_TOL
     assert raised >= 1
+
+
+@st.composite
+def small_occupancies_large_squeeze(draw):
+    """nbar <= 0.3, often equal, and r from 270 to R_MAX (past parse_state's
+    89), where 2r - r_s carries an absolute roundoff up to 5.7e-14."""
+    small = st.one_of(st.just(0.0), st.floats(-8.0, math.log10(0.3)).map(lambda e: 10.0 ** e))
+    n1 = draw(small)
+    n2 = n1 if draw(st.booleans()) else draw(small)
+    return TwoModeStsParams(n1, n2, draw(st.floats(270.0, R_MAX)), draw(angle))
+
+
+@PROPERTY
+@given(small_occupancies_large_squeeze())
+@example(TwoModeStsParams(1e-300, 1e-300, R_MAX))  # where the textbook acosh threshold reads 0
+def test_closest_separable_matches_the_reference_map_at_large_squeeze(p):
+    best, ref = closest_separable(p), mp_closest_separable(p)
+    assert max(rel_err(best.nbar1, ref.nbar1), rel_err(best.nbar2, ref.nbar2),
+               rel_err(best.r, ref.r)) <= REL_TOL
 
 
 @PROPERTY

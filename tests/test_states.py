@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cf_reference import eval_cf1_cov, sts_cf2
+from cf_reference import eval_cf1, eval_cf1_cov, sts_cf2
 
 from cvgauss import (
     DomainError,
@@ -17,7 +17,6 @@ from cvgauss import (
     cf_to_cov,
     cf_to_dsts,
     dsts_to_cf,
-    eval_cf1,
     fidelity_one_mode,
     fidelity_two_mode_sts,
     parse_state,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from cf_reference import sts_cf2
+from cf_reference import eval_cf1, sts_cf2
 from hypothesis import given, settings, strategies as st
 
 from cvgauss import (
@@ -16,7 +16,6 @@ from cvgauss import (
     degree_e0,
     degree_q0,
     dsts_to_cf,
-    eval_cf1,
     fidelity_one_mode,
     resource_noise,
     separability_threshold_rs,
