@@ -159,12 +159,16 @@ def _finite_list(text: str) -> list[float]:
 
 
 def _cmd_sweep(args) -> int:
+    other = {"fig1": {"--e0": args.e0}, "fig2": {"--r-in": args.r_in, "--nbar-in": args.nbar_in}}
+    if given := [option for option, value in other[args.figure].items() if value is not None]:
+        raise DomainError(f"{given[0]} does not apply to {args.figure}")
     if not 2 <= args.points <= MAX_POINTS:
         raise DomainError(f"grid size must lie in [2, {MAX_POINTS}], got {args.points}")
     if args.figure == "fig1":
         nbars = args.nbar_in or list(teleport.FIG1_NBARS)
         grid = np.linspace(0.01, 0.99, args.points)
-        sweep = teleport.sweep_fig1(args.r_in, nbars, grid)
+        r_in = teleport.FIG1_R_IN if args.r_in is None else args.r_in
+        sweep = teleport.sweep_fig1(r_in, nbars, grid)
         paths = teleport.write_fig1_csv(sweep, args.out)
     else:
         e0s = args.e0 or list(teleport.FIG2_E0S)
@@ -216,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", default=".", help="output directory")
     p_sweep.add_argument("--points", type=int, default=99,
                          help=f"grid size (2 to {MAX_POINTS})")
-    p_sweep.add_argument("--r-in", dest="r_in", type=_finite, default=teleport.FIG1_R_IN,
-                         help="input squeeze factor (fig1)")
+    p_sweep.add_argument("--r-in", dest="r_in", type=_finite, default=None,
+                         help=f"input squeeze factor (fig1, default {teleport.FIG1_R_IN})")
     p_sweep.add_argument("--nbar-in", dest="nbar_in", type=_finite_list, default=None,
                          help="comma-separated input occupancies (fig1)")
     p_sweep.add_argument("--e0", type=_finite_list, default=None,

@@ -56,7 +56,7 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator
 
@@ -90,8 +90,10 @@ def _rows(dim: int, label: int | None) -> np.ndarray:
 class FockDensityMatrix:
     """Truncated density operator rho = Psi Psi^dag on the dim**modes Fock
     states.  ``blocks`` maps each label to Psi on the rows of the label (see
-    _rows): None alone, every row, for one mode; n1 - n2 for two.  Psi must be
-    finite with Tr rho = ||Psi||_F^2 <= 1; ``tail_mass`` = max(0, 1 - Tr rho)."""
+    _rows): None alone, every row, for one mode; an integer n1 - n2 for two.
+    Psi must be finite with Tr rho = ||Psi||_F^2 <= 1; ``tail_mass`` =
+    max(0, 1 - Tr rho).  Each block is stored as a read-only C-ordered copy,
+    so the caller's arrays are left as they were."""
 
     dim: int
     modes: int
@@ -105,9 +107,9 @@ class FockDensityMatrix:
         if not self.blocks:
             raise DomainError("a density matrix needs at least one block")
         labels = [None] if self.modes == 1 else range(1 - self.dim, self.dim)
-        if not all(k in labels for k in self.blocks):
+        if not all(k in labels and (k is None or _is_integer(k)) for k in self.blocks):
             raise DomainError(f"block labels {list(self.blocks)} are not in {labels}")
-        blocks = {k: np.ascontiguousarray(b, dtype=complex) for k, b in sorted(self.blocks.items())}
+        blocks = {k: np.array(b, dtype=complex, order="C") for k, b in sorted(self.blocks.items())}
         for label, b in blocks.items():
             rows = self.dim if label is None else self.dim - abs(label)  # _rows(dim, label).size
             if b.ndim != 2 or b.shape[0] != rows:
@@ -134,16 +136,16 @@ class FockDensityMatrix:
         return rho
 
 
+def _is_integer(x) -> bool:  # a Python or numpy integer, not a bool
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _checked_dim(dim: int) -> int:
-    """dim as an int, after DomainError unless it is a Python or numpy
-    integer, not a bool, and at least 1."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+    """dim as an int, after DomainError unless it is an integer (see
+    _is_integer) of at least 1."""
+    if not _is_integer(dim) or dim < 1:
         raise DomainError(f"dim must be an integer >= 1, got {dim!r}")
     return int(dim)
-
-
-def _log_factorials(n: int) -> np.ndarray:  # ln k! for k < n
-    return np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n)))))
 
 
 def _log(x: float) -> float:
@@ -202,20 +204,17 @@ def _lower_toeplitz(x: np.ndarray, cols: int) -> np.ndarray:
     return _strided(np.concatenate((np.zeros(n - 1, x.dtype), x)), n - 1, (n, cols), (1, -1))
 
 
-@lru_cache(maxsize=16)
-def _log_binomial(dim: int, cols: int) -> np.ndarray:
-    """ln C(m, k) for m < dim and k < cols, read-only; above the diagonal it
-    reads ln(m!/k!), which the zeros of the Toeplitz factor mask."""
-    lf = _log_factorials(dim)
-    table = lf[:, None] - _lower_toeplitz(lf, cols) - lf[:cols]
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=16)
-def _sqrt_table(dim: int) -> tuple:
-    """sqrt(j) for j < dim."""
-    return tuple(math.sqrt(j) for j in range(dim))
+# Read-only tables at the caps.  A build reads its corner, which has the bits of
+# the table built at its own size: np.cumsum is a running sum, the rest elementwise.
+# ln C(m, k) reads ln(m!/k!) above the diagonal, where the Toeplitz zeros mask it.
+_LOG_FACTORIALS = np.concatenate(  # ln k! up to the longest row either builder reads
+    ([0.0], np.cumsum(np.log(np.arange(1.0, max(MAX_DIM_ONE_MODE, 2 * MAX_DIM_PER_MODE))))))
+_LOG_BINOMIAL = _LOG_FACTORIALS[:MAX_DIM_ONE_MODE, None] - _lower_toeplitz(
+    _LOG_FACTORIALS[:MAX_DIM_ONE_MODE], MAX_DIM_ONE_MODE)
+_LOG_BINOMIAL -= _LOG_FACTORIALS[:MAX_DIM_ONE_MODE]  # in place: one 512 kB array, not two
+_LOG_FACTORIALS.setflags(write=False)
+_LOG_BINOMIAL.setflags(write=False)
+_SQRT = tuple(math.sqrt(j) for j in range(MAX_DIM_ONE_MODE))
 
 
 def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
@@ -226,14 +225,13 @@ def _one_mode_factor(p: DstsParams, dim: int) -> np.ndarray:
     contiguous copy of the Toeplitz view of e."""
     a00, a01, gamma, rho0 = _one_mode_gaussian(p)
     cols = 0 if rho0 == 0.0 else 1 if a01 == 0.0 else dim
-    sq = _sqrt_table(dim)
     prev, cur = 0j, complex(math.sqrt(rho0))
     e = [cur]
-    for c, s in zip([a00 * s for s in sq[:-1]], sq[1:]):  # c = A_00 sqrt(j - 1), s = sqrt(j)
+    for c, s in zip([a00 * s for s in _SQRT[:dim - 1]], _SQRT[1:dim]):  # c = A_00 sqrt(j - 1)
         prev, cur = cur, (gamma * cur + c * prev) / s
         e.append(cur)
     psi = _lower_toeplitz(np.array(e), cols).copy()
-    psi *= np.exp(0.5 * (_log_binomial(dim, cols) + np.arange(cols) * _log(a01)))
+    psi *= np.exp(0.5 * (_LOG_BINOMIAL[:dim, :cols] + np.arange(cols) * _log(a01)))
     return psi
 
 
@@ -256,7 +254,7 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
     a02 = (p.nbar1 / half) * ((p.nbar2 + 1.0) / h)
     a13 = (p.nbar2 / half) * ((p.nbar1 + 1.0) / h)
     k1, k2, j = np.ogrid[:dim if a02 else 1, :dim if a13 else 1, :dim if a01 else 1]
-    lf = _log_factorials(2 * dim)
+    lf = _LOG_FACTORIALS
     return np.exp(0.5 * (lf[k1 + j] + lf[k2 + j] - lf[k1] - lf[k2] - math.log(half)
                          - math.log(h) + k1 * _log(a02) + k2 * _log(a13))
                   - lf[j] + j * complex(_log(a01), p.phi))
@@ -301,7 +299,7 @@ def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
     return rho
 
 
-def _sized_build(build, p, dim, first: int, cap: int, modes: int) -> tuple[int, np.ndarray]:
+def _sized_build(build, p, dim, first: int, cap: int) -> tuple[int, np.ndarray]:
     """(dim, build(p, size)): an explicit dim is checked, capped and built at.
     For dim=None the size per mode doubles from first up to the cap until the
     build's rows (row n: the states whose larger photon number is n) keep all
@@ -318,7 +316,7 @@ def _sized_build(build, p, dim, first: int, cap: int, modes: int) -> tuple[int, 
     size = min(first, cap)
     while True:
         v = build(p, size)
-        if modes == 1:
+        if v.ndim == 2:
             mass = np.sum(np.abs(v) ** 2, axis=1)
         else:
             k1, k2, j = np.ogrid[:v.shape[0], :v.shape[1], :v.shape[2]]
@@ -331,7 +329,7 @@ def _sized_build(build, p, dim, first: int, cap: int, modes: int) -> tuple[int, 
     met = np.flatnonzero(1.0 - kept <= TAIL_TARGET)
     dim = int(met[0]) + 1 if met.size else size
     _logger.debug("automatic Fock dim %d per mode for %d mode(s), cap %d, cut by the cap: %s, "
-                  "tail mass %.3g", dim, modes, cap, not met.size, max(0.0, 1.0 - float(kept[dim - 1])))
+                  "tail mass %.3g", dim, v.ndim - 1, cap, not met.size, max(0.0, 1 - kept[dim - 1]))
     return dim, v
 
 
@@ -341,7 +339,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     capped at MAX_DIM_ONE_MODE.  The automatic route builds at 32, 64, 128
     and 256 rows until one meets the target (see _sized_build) and keeps
     the block of an explicit build at the dim it reads off, bit for bit."""
-    dim, psi = _sized_build(_one_mode_factor, p, dim, 32, MAX_DIM_ONE_MODE, 1)
+    dim, psi = _sized_build(_one_mode_factor, p, dim, 32, MAX_DIM_ONE_MODE)
     psi = psi[:dim, :dim]
     kept = int(_kept_columns(_column_masses(psi)[None, ::-1])[0])
     return _finish_dm({None: psi[:, :kept]}, dim, 1)
@@ -363,7 +361,7 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     numpy adds a block's rows in that order (see _column_masses) except in a
     block of one column, whose mass decides only whether a block at the
     2^-120 edge keeps it."""
-    dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE, 2)
+    dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE)
     m1, m2, mj = (min(n, dim) for n in v.shape)
     w = 2 * dim - 1
     pad = np.zeros((m1, m2, w), complex)
@@ -379,9 +377,7 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
         ends = _strided(running, at * mj + min(rows, mj) - 1, (k,), ((m2 + 1) * mj - (mj > 1),))
         masses[i, masses.shape[1] - k:] = ends[::-1]
     kept = _kept_columns(masses).tolist()
-    # copies, as a view of one column is contiguous and would keep all of pad
-    return _finish_dm({label: view[:, :k].copy() for (label, view), k in zip(views.items(), kept)},
-                      dim, 2)
+    return _finish_dm({label: view[:, :k] for (label, view), k in zip(views.items(), kept)}, dim, 2)
 
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:

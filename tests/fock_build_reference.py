@@ -12,7 +12,7 @@ to them bit for bit:
 - ``label_blocks``: one ``np.where`` per label of a two-mode build;
 - ``finish_dm``: each block's column masses from its own sum over rows.
 
-The Gaussian data, the exponent table, the sizing ladder and the density
+The Gaussian data, the ln k! table, the sizing ladder and the density
 matrix type are the package's.  ``finish_dm`` does not warn.
 """
 
@@ -38,7 +38,7 @@ def one_mode_factor(p, dim: int) -> np.ndarray:
     for j in range(1, dim):
         prev, cur = e[-1], (gamma * e[-1] + a00 * sq[j - 1] * prev) / sq[j]
         e.append(cur)
-    lf = fock._log_factorials(dim)
+    lf = fock._LOG_FACTORIALS[:dim]
     log_binomial = lf[:, None] - lower_toeplitz(lf, cols) - lf[:cols]
     return lower_toeplitz(np.array(e), cols) * np.exp(
         0.5 * (log_binomial + np.arange(cols) * fock._log(a01)))
@@ -65,10 +65,10 @@ def finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
 
 
 def dsts_dm(p, dim=None) -> FockDensityMatrix:
-    dim, psi = fock._sized_build(one_mode_factor, p, dim, 32, fock.MAX_DIM_ONE_MODE, 1)
+    dim, psi = fock._sized_build(one_mode_factor, p, dim, 32, fock.MAX_DIM_ONE_MODE)
     return finish_dm({None: psi[:dim, :dim]}, dim, 1)
 
 
 def sts2_dm(p, dim=None) -> FockDensityMatrix:
-    dim, v = fock._sized_build(fock._sts_values, p, dim, 16, fock.MAX_DIM_PER_MODE, 2)
+    dim, v = fock._sized_build(fock._sts_values, p, dim, 16, fock.MAX_DIM_PER_MODE)
     return finish_dm(label_blocks(v, dim), dim, 2)

@@ -460,6 +460,21 @@ def test_sweep_negative_occupancy_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("figure,options,option", [
+    ("fig2", ["--r-in", "3", "--nbar-in", "0.2"], "--r-in"),
+    ("fig2", ["--nbar-in", "0.2"], "--nbar-in"),
+    ("fig1", ["--e0", "0.3"], "--e0"),
+], ids=["fig2-r-in-nbar-in", "fig2-nbar-in", "fig1-e0"])
+def test_sweep_option_of_the_other_figure_is_input_error(tmp_path, capsys, figure, options, option):
+    # an option the figure does not read is refused, not ignored for the default curves
+    out = tmp_path / "out"
+    assert main(["sweep", figure, "--out", str(out)] + options) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} does not apply to {figure}\n"
+    assert not out.exists()
+
+
 def test_teleport_asymmetric_resource(tmp_path, coherent_file, capsys):
     # coherent input, F = 1/(1 + z), z = (nbar1 + nbar2 + 1)(e^{-2r} + 2 sinh 2r sin^2(phi/2))
     resource = _resource_file(tmp_path, 0.3, 1.1, 0.8, 0.5)

@@ -838,6 +838,26 @@ def test_two_mode_build_equals_the_replaced_build_bit_for_bit(dim):
     assert max(r.dim for r, _ in builds) == (dim or fock.MAX_DIM_PER_MODE)
 
 
+def test_builder_tables_are_the_tables_built_at_each_size():
+    # a build reads the corner of a table at the cap; each corner has the bits
+    # of the table built at its own size
+    lf = fock._LOG_FACTORIALS
+    assert len(lf) >= max(fock.MAX_DIM_ONE_MODE, 2 * fock.MAX_DIM_PER_MODE)
+    for n in range(1, len(lf) + 1):
+        fresh = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, n)))))
+        assert lf[:n].tobytes() == fresh.tobytes(), n
+    assert fock._LOG_BINOMIAL.shape == (fock.MAX_DIM_ONE_MODE,) * 2
+    for dim in (1, 2, 3, 7, 32, 120, 255, 256):
+        fresh = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, dim)))))
+        for cols in sorted({0, 1, dim}):
+            expected = fresh[:, None] - fock_build_reference.lower_toeplitz(fresh, cols) - fresh[:cols]
+            assert fock._LOG_BINOMIAL[:dim, :cols].tobytes() == expected.tobytes(), (dim, cols)
+    assert fock._SQRT == tuple(math.sqrt(j) for j in range(fock.MAX_DIM_ONE_MODE))
+    for table in (fock._LOG_FACTORIALS, fock._LOG_BINOMIAL):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1.0
+
+
 # --- misc plumbing ---------------------------------------------------------------------
 
 def test_reduced_dm_of_product():
@@ -875,8 +895,11 @@ def test_density_matrix_validation():
     (1, {None: np.eye(3) / 3.0, 0: np.eye(2) / 3.0}),
     (1, {0: np.eye(3) / 3.0}),
     (2, {None: np.eye(9) / 9.0}),
+    (2, {True: np.eye(2) / 3.0}),
+    (2, {np.True_: np.eye(2) / 3.0}),
+    (2, {1.0: np.eye(2) / 3.0}),
 ], ids=["parity-2", "parity-negative", "difference-dim", "difference-minus-dim", "none-mixed",
-        "one-mode-label", "two-mode-none"])
+        "one-mode-label", "two-mode-none", "bool", "numpy-bool", "float"])
 def test_labels_outside_the_scheme_are_rejected(modes, blocks):
     # at dim 3: None alone for one mode, n1 - n2 with |n1 - n2| < 3 for two
     with pytest.raises(DomainError, match="block labels"):
@@ -901,6 +924,37 @@ def test_label_blocks_sit_on_their_rows():
         r.blocks[0] = np.ones((3, 1))
     with pytest.raises(ValueError):
         r.blocks[2][0, 0] = 0.0
+
+
+def test_density_matrix_stores_a_copy_and_leaves_the_callers_block():
+    b = np.eye(2, dtype=complex) / 2
+    r = FockDensityMatrix(dim=2, modes=1, blocks={None: b})
+    assert r.blocks[None] is not b and not np.shares_memory(r.blocks[None], b)
+    b[0, 0] = 0.1  # still writable, and the stored block keeps its entry
+    assert r.blocks[None][0, 0] == 0.5
+    # an F-ordered block is stored C-ordered
+    r = FockDensityMatrix(dim=2, modes=1, blocks={None: np.asfortranarray(np.eye(2) / 2)})
+    assert r.blocks[None].flags.c_contiguous
+
+
+@pytest.mark.filterwarnings("ignore::cvgauss.TruncationWarning")
+@pytest.mark.parametrize("build,p,dim", [
+    (dsts_dm, DstsParams(0.3, 0.5, 0.1, 0.5j), 30),
+    (dsts_dm, DstsParams(0.0, 0.4), 30),
+    (dsts_dm, DstsParams(0.3, 0.5, 0.1, 0.5j), None),
+    (sts2_dm, TwoModeStsParams(0.3, 0.4, 0.9, 0.5), 12),
+    (sts2_dm, TwoModeStsParams(0.3, 0.0, 0.6, 0.2), 12),
+    (sts2_dm, TwoModeStsParams(0.3, 0.2, 0.0), 12),
+    (sts2_dm, TwoModeStsParams(0.2, 0.3, 0.7), None),
+], ids=["dsts", "dsts-pure", "dsts-auto", "sts", "sts-nbar2-0", "sts-r-0", "sts-auto"])
+def test_builders_store_c_ordered_blocks_that_own_their_memory(build, p, dim):
+    r = build(p, dim)
+    widths = set()
+    for b in r.blocks.values():
+        assert b.flags.c_contiguous and b.flags.owndata and not b.flags.writeable
+        widths.add(b.shape[1])
+    if build is sts2_dm and p.nbar2 == 0.0:
+        assert widths == {0, 1}  # nbar2 = 0: one column per label, none for n1 < n2
 
 
 def test_sts_build_at_the_cap_stores_only_its_blocks():
