@@ -37,8 +37,9 @@ every row, label None.  A two-mode squeezed thermal state maps column
 (k1, k2) only to rows with n1 - n2 = k1 - k2, so its builder stores Psi as one
 block per such label L, |L| < dim, the rows of that label by the columns that
 start on them; rho is an exact zero between labels.  Everything here works
-one label at a time.  Every block keeps the shortest prefix of its columns
-whose dropped rest carries at most 2^-120 of mass (see _kept_columns).
+one label at a time.  Either builder's blocks are cut by one rule: each keeps
+the shortest prefix of its columns whose dropped rest carries at most 2^-120
+of mass (see _kept_columns).
 
 Fidelity.  Psi is a purification: sum_k Psi[:, k] x |k> is a pure state of
 the system and an ancilla whose reduction is rho.  As in the paper, the
@@ -58,7 +59,7 @@ import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterator
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -93,7 +94,8 @@ class FockDensityMatrix:
     _rows): None alone, every row, for one mode; an integer n1 - n2 for two.
     Psi must be finite with Tr rho = ||Psi||_F^2 <= 1; ``tail_mass`` =
     max(0, 1 - Tr rho).  Each block is stored as a read-only C-ordered copy,
-    so the caller's arrays are left as they were."""
+    so the caller's arrays are left as they were, and dim, modes and the
+    labels as Python ints, so no index arithmetic wraps."""
 
     dim: int
     modes: int
@@ -101,25 +103,35 @@ class FockDensityMatrix:
     tail_mass: float = field(init=False)
 
     def __post_init__(self):
-        _checked_dim(self.dim)
-        if self.modes not in (1, 2):
-            raise DomainError(f"mode count must be 1 or 2, got {self.modes}")
+        dim = _checked_dim(self.dim)
+        if not _is_integer(self.modes) or self.modes not in (1, 2):
+            raise DomainError(f"mode count must be 1 or 2, got {self.modes!r}")
+        if not isinstance(self.blocks, Mapping):
+            raise DomainError(f"blocks must map labels to blocks, got a {type(self.blocks).__name__}")
         if not self.blocks:
             raise DomainError("a density matrix needs at least one block")
-        labels = [None] if self.modes == 1 else range(1 - self.dim, self.dim)
+        labels = [None] if self.modes == 1 else range(1 - dim, dim)
         if not all(k in labels and (k is None or _is_integer(k)) for k in self.blocks):
             raise DomainError(f"block labels {list(self.blocks)} are not in {labels}")
-        blocks = {k: np.array(b, dtype=complex, order="C") for k, b in sorted(self.blocks.items())}
-        for label, b in blocks.items():
-            rows = self.dim if label is None else self.dim - abs(label)  # _rows(dim, label).size
+        blocks = {}
+        for label, b in sorted(self.blocks.items()):
+            label = None if label is None else int(label)
+            try:
+                b = np.array(b, dtype=complex, order="C")
+            except (TypeError, ValueError) as e:
+                raise DomainError(f"block {label} is not a complex array: {e}") from None
+            rows = dim if label is None else dim - abs(label)  # _rows(dim, label).size
             if b.ndim != 2 or b.shape[0] != rows:
                 raise DimensionMismatch(f"block {label} of shape {b.shape} needs {rows} rows")
             b.setflags(write=False)
+            blocks[label] = b
         trace = sum(float(np.vdot(b, b).real) for b in blocks.values())
         if not math.isfinite(trace):
             raise UnphysicalState("density matrix factor has non-finite entries")
         if trace > 1.0 + 1e-9:
             raise UnphysicalState(f"density matrix trace {trace:.12g} exceeds 1")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "modes", int(self.modes))
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
         object.__setattr__(self, "tail_mass", max(0.0, 1.0 - trace))
 
@@ -260,35 +272,31 @@ def _sts_values(p: TwoModeStsParams, dim: int) -> np.ndarray:
                   - lf[j] + j * complex(_log(a01), p.phi))
 
 
-def _column_masses(b: np.ndarray) -> np.ndarray:
-    """sum_m |b[m, k]|^2 for each column k of a block.  numpy adds the rows
-    in order, except in a block of one column and 8 or more rows, which it
-    sums pairwise."""
-    sq = np.abs(b)
+def _kept_columns(block: np.ndarray) -> int:
+    """How many leading columns of a block to keep: the shortest prefix whose
+    dropped rest T carries at most _DROP_MASS, read off the running sum of
+    the column masses sum_m |block[m, k]|^2, last column first.  numpy may
+    add a column's rows in any order, which decides only whether a column at
+    the 2^-120 edge is kept.  A non-finite column is kept, for
+    FockDensityMatrix to reject.  Column k carries about A_01^k (A_02^k1
+    A_13^k2 for two modes), so a mixed state sheds its high columns and each
+    SVD shrinks.  On label L, Psi_1^dag Psi_2 moves by Psi_1L^dag T_2L +
+    T_1L^dag Psi_2L', of rank <= dim and Frobenius norm <= 2^-60
+    (||Psi_1L||_F + ||Psi_2L||_F).  By Cauchy-Schwarz over the labels and
+    ||Psi||_F <= 1, the fidelity moves by at most sqrt(dim * labels) * 2^-58
+    (2^-54 for one mode at dim <= 256, 2^-51.5 for two at dim 64), the trace
+    product by 3 * 2^-120 and tail_mass by 2^-120 per label."""
+    sq = np.abs(block)
     sq *= sq
-    return np.sum(sq, axis=0)
-
-
-def _kept_columns(masses: np.ndarray) -> np.ndarray:
-    """How many leading columns each block keeps: the shortest prefix whose
-    dropped rest T carries at most _DROP_MASS; a non-finite column is kept,
-    for FockDensityMatrix to reject.  Row i of masses holds the
-    _column_masses of the i-th block, last column first, after as many zeros
-    as the block is narrower than the row, so that one running sum along it
-    gives every column's T.  Column k
-    carries about A_01^k (A_02^k1 A_13^k2 for two modes), so a mixed state
-    sheds its high columns and each SVD shrinks.  On label L, Psi_1^dag Psi_2
-    moves by Psi_1L^dag T_2L + T_1L^dag Psi_2L', of rank <= dim and Frobenius
-    norm <= 2^-60 (||Psi_1L||_F + ||Psi_2L||_F).  By Cauchy-Schwarz over the
-    labels and ||Psi||_F <= 1, the fidelity moves by at most sqrt(dim * labels)
-    * 2^-58 (2^-54 for one mode at dim <= 256, 2^-51.5 for two at dim 64), the
-    trace product by 3 * 2^-120 and tail_mass by 2^-120 per label."""
-    return np.count_nonzero(~(np.cumsum(masses, axis=1) <= _DROP_MASS), axis=1)  # nan is kept
+    rest = np.cumsum(np.sum(sq, axis=0)[::-1])  # rest[i]: the last i + 1 columns
+    return int(np.count_nonzero(~(rest <= _DROP_MASS)))  # nan is kept
 
 
 def _finish_dm(blocks: dict, dim: int, modes: int) -> FockDensityMatrix:
-    """The density matrix of the label blocks of Psi, after a
-    TruncationWarning if its tail_mass exceeds TAIL_WARN."""
+    """The density matrix of the label blocks of Psi, each cut to its
+    _kept_columns, after a TruncationWarning if its tail_mass exceeds
+    TAIL_WARN."""
+    blocks = {label: b[:, :_kept_columns(b)] for label, b in blocks.items()}
     rho = FockDensityMatrix(dim=dim, modes=modes, blocks=blocks)
     if rho.tail_mass > TAIL_WARN:
         warnings.warn(
@@ -340,9 +348,7 @@ def dsts_dm(p: DstsParams, dim: int | None = None) -> FockDensityMatrix:
     and 256 rows until one meets the target (see _sized_build) and keeps
     the block of an explicit build at the dim it reads off, bit for bit."""
     dim, psi = _sized_build(_one_mode_factor, p, dim, 32, MAX_DIM_ONE_MODE)
-    psi = psi[:dim, :dim]
-    kept = int(_kept_columns(_column_masses(psi)[None, ::-1])[0])
-    return _finish_dm({None: psi[:, :kept]}, dim, 1)
+    return _finish_dm({None: psi[:dim, :dim]}, dim, 1)
 
 
 def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
@@ -355,29 +361,20 @@ def sts2_dm(p: TwoModeStsParams, dim: int | None = None) -> FockDensityMatrix:
     Entry (t, s) of label L is v[s + a, s + b, t - s] with (a, b) =
     max(+-L, 0), so each block is a strided view of v after dim - 1 zeros on
     its j axis (and dim - mj after its mj values): one step forward per row,
-    one forward in k1 and k2 and one back in j per column.  The last row of
-    column s reads j = dim - |L| - 1 - s, so the column's mass is the running
-    sum of |v|^2 along j up to that j, or up to v's only j where r = 0.
-    numpy adds a block's rows in that order (see _column_masses) except in a
-    block of one column, whose mass decides only whether a block at the
-    2^-120 edge keeps it."""
+    one forward in k1 and k2 and one back in j per column."""
     dim, v = _sized_build(_sts_values, p, dim, 16, MAX_DIM_PER_MODE)
     m1, m2, mj = (min(n, dim) for n in v.shape)
     w = 2 * dim - 1
     pad = np.zeros((m1, m2, w), complex)
     pad[:, :, dim - 1:dim - 1 + mj] = v[:m1, :m2, :mj]
     del v  # the blocks read pad, so the build is freed before they are copied
-    running = np.cumsum(np.abs(pad[:, :, dim - 1:dim - 1 + mj]) ** 2, axis=2)
-    views, masses = {}, np.zeros((w, min(m1, m2)))
-    for i, label in enumerate(range(1 - dim, dim)):
+    views = {}
+    for label in range(1 - dim, dim):
         a, b, rows = max(label, 0), max(-label, 0), dim - abs(label)
         k = max(0, min(m1 - a, m2 - b))
         at = (a * m2 + b) if k else 0  # flat (k1, k2) of column 0, which may lie past pad if k = 0
         views[label] = _strided(pad, at * w + dim - 1, (rows, k), (1, (m2 + 1) * w - 1))
-        ends = _strided(running, at * mj + min(rows, mj) - 1, (k,), ((m2 + 1) * mj - (mj > 1),))
-        masses[i, masses.shape[1] - k:] = ends[::-1]
-    kept = _kept_columns(masses).tolist()
-    return _finish_dm({label: view[:, :k] for (label, view), k in zip(views.items(), kept)}, dim, 2)
+    return _finish_dm(views, dim, 2)
 
 
 def _overlaps(r1: FockDensityMatrix, r2: FockDensityMatrix) -> Iterator[np.ndarray]:

@@ -1,16 +1,17 @@
 """The Fock factor builders that cvgauss.fock replaced, for tests.
 
 ``dsts_dm`` and ``sts2_dm`` build as the package did before its builders
-took the Toeplitz factor as one strided view, gathered the two-mode label
-blocks at once and read every column mass off one running sum.  They are
-kept as they were, so the package's dims, blocks and tail_mass can be held
-to them bit for bit:
+took the Toeplitz factor as one strided view and each two-mode label block
+as one strided view of the factor values.  They are kept as they were, so
+the package's dims, blocks and tail_mass can be held to them bit for bit:
 
 - ``lower_toeplitz``: the Toeplitz factor from ``sliding_window_view``;
 - ``one_mode_factor``: the e-recurrence on a list, and the product taken
   on the strided view;
-- ``label_blocks``: one ``np.where`` per label of a two-mode build;
-- ``finish_dm``: each block's column masses from its own sum over rows.
+- ``label_blocks``: one ``np.where`` per label of a two-mode build, each
+  block C-ordered, so its rows are summed in order;
+- ``finish_dm``: each block's column masses from its own sum over rows,
+  the rule the package's cut keeps.
 
 The Gaussian data, the ln k! table, the sizing ladder and the density
 matrix type are the package's.  ``finish_dm`` does not warn.

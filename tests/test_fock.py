@@ -87,9 +87,8 @@ def test_thermal_domain():
 def test_thermal_with_infinite_occupancy_is_unphysical():
     with pytest.raises(UnphysicalState, match="overflows double precision"):
         dsts_dm(DstsParams(math.inf), 10)
-    # a factor that is all nan, as an infinite occupancy would give: a
-    # non-finite column is never dropped
-    assert fock._kept_columns(np.full((1, 10), math.nan)).tolist() == [10]
+    # a factor that is all nan, as an infinite occupancy would give, keeps
+    # every column (see test_kept_columns_drop_a_rest_of_at_most_2_to_the_minus_120)
     with pytest.raises(UnphysicalState, match="non-finite"):
         fock._finish_dm({None: np.full((10, 10), math.nan)}, 10, 1)
 
@@ -457,6 +456,44 @@ def test_oracle_rejects_dimension_that_is_not_an_integer(build, p, dim):
         build(p, dim)
 
 
+@pytest.mark.parametrize("dim,modes,label,row", [
+    (12, 2, np.int8(11), 132),  # |11, 0>, not a row int8 arithmetic wraps to
+    (np.int8(12), 2, -11, 11),  # |0, 11> of 144 rows, which an int8 dim ** 2 wraps below 0
+    (np.uint8(12), 2, 0, 0),  # 1 - dim wraps in uint8, which left no label in range
+    (np.int16(200), 2, 0, None),  # 200 ** 2 wraps in int16; the 40000-row matrix is not formed
+    (4, np.int64(1), None, 0),
+    (4, 1.0, None, DomainError),
+    (4, True, None, DomainError),
+    (4, np.float64(1.0), None, DomainError),
+    (4, 2.0, 0, DomainError),
+], ids=["int8-label", "int8-dim", "uint8-dim", "int16-dim", "int64-modes", "float-modes",
+        "bool-modes", "numpy-float-modes", "float-two-modes"])
+def test_density_matrix_keeps_its_integers_as_python_ints(dim, modes, label, row):
+    # numpy integers are stored as ints, so no index wraps; modes is an integer too
+    block = np.zeros((int(dim) - abs(label or 0), 1))
+    block[0, 0] = 0.5
+    if row is DomainError:
+        with pytest.raises(DomainError, match="mode count must be 1 or 2"):
+            FockDensityMatrix(dim=dim, modes=modes, blocks={label: block})
+        return
+    r = FockDensityMatrix(dim=dim, modes=modes, blocks={label: block})
+    assert type(r.dim) is type(r.modes) is int and all(k is None or type(k) is int for k in r.blocks)
+    if row is not None:
+        assert np.flatnonzero(r.matrix.diagonal()).tolist() == [row]
+
+
+@pytest.mark.parametrize("blocks,match", [
+    ([np.eye(2) / 2], "blocks must map labels to blocks, got a list"),
+    ((np.eye(2) / 2,), "got a tuple"),
+    ({None: "ab"}, "block None is not a complex array"),
+    ({None: [[0.5, 0.0], [0.5]]}, "block None is not a complex array"),
+    ({None: {}}, "block None is not a complex array"),
+], ids=["list", "tuple", "string", "ragged", "dict"])
+def test_density_matrix_names_malformed_blocks(blocks, match):
+    with pytest.raises(DomainError, match=match):
+        FockDensityMatrix(dim=2, modes=1, blocks=blocks)
+
+
 @pytest.mark.parametrize("dim", [4.0, True])
 def test_density_matrix_rejects_dimension_that_is_not_an_integer(dim):
     with pytest.raises(DomainError, match="dim must be an integer >= 1"):
@@ -659,6 +696,35 @@ def test_columns_that_underflow_to_zero_are_dropped():
     _assert_drop_rule(r2.blocks[None], fock._one_mode_factor(p2, 244), 144)
     assert r1.blocks[None].any(axis=0).all()
     assert abs(uhlmann_fidelity_numeric(r1, r2) - fidelity_one_mode(p1, p2)) < 1e-13
+
+
+_EDGE = 2.0 ** -60  # a column whose only entry is _EDGE carries exactly 2^-120
+
+
+def _block(*columns):
+    return np.array(columns, dtype=complex).T
+
+
+@pytest.mark.parametrize("block,kept", [
+    (_block([0.5, 0.0], [0.0, _EDGE]), 1),
+    (_block([0.5, 0.0], [0.0, 1j * _EDGE]), 1),
+    (_block([0.5, 0.0], [0.0, np.nextafter(_EDGE, 1.0)]), 2),
+    # the rest is dropped together: 2^-122 + 2^-122 + 2^-121 = 2^-120
+    (_block([0.5, 0.0], [_EDGE / 2, 0.0], [0.0, _EDGE / 2], [_EDGE / 2, _EDGE / 2]), 1),
+    (_block([0.5, 0.0], [_EDGE / 2, 0.0], [0.0, _EDGE], [_EDGE / 2, _EDGE / 2]), 3),
+    # one column of 16 rows, which numpy sums pairwise: 16 * 2^-124 = 2^-120
+    (np.full((16, 1), _EDGE / 4), 0),
+    (np.full((16, 1), np.nextafter(_EDGE / 4, 1.0)), 1),
+    (np.zeros((3, 0)), 0),
+    (np.zeros((3, 4)), 0),
+    (np.full((10, 10), math.nan), 10),
+    (_block([0.5, 0.0], [0.0, math.inf], [0.0, 0.0]), 2),
+], ids=["edge", "edge-imag", "above-edge", "rest-at-edge", "rest-above-edge", "one-column-edge",
+        "one-column-above-edge", "no-columns", "zeros", "nan", "inf"])
+def test_kept_columns_drop_a_rest_of_at_most_2_to_the_minus_120(block, kept):
+    # the shortest prefix whose dropped trailing columns carry <= 2^-120; a
+    # non-finite column is kept, for FockDensityMatrix to reject
+    assert fock._kept_columns(block) == kept
 
 
 def _svd_fidelity(psi1, psi2):
